@@ -19,7 +19,6 @@
 //   ADAQP_RACECHECK_REPORT  src/analysis/          env::text
 //   ADAQP_ALLOC_TRACK  src/memory/alloc_track.cpp  env::flag01
 //   ADAQP_METRICS    src/obs/metrics.cpp           env::text
-//   ADAQP_METRICS_FORMAT  src/obs/metrics.cpp      env::text
 //   ADAQP_PROFILE    src/obs/profile.cpp           env::flag01
 //   ADAQP_TRANSPORT  src/transport/transport.cpp   env::text
 //   ADAQP_TP_RANK / _NPROCS / _BASE_PORT / _TIMEOUT_MS / _MAX_CHUNK

@@ -1,6 +1,7 @@
 #include "core/trainer.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -19,7 +20,6 @@
 #include "pipeline/config.h"
 #include "pipeline/stage_graph.h"
 #include "pipeline/trace.h"
-#include "quant/message_codec.h"
 #include "runtime/thread_pool.h"
 #include "transport/transport.h"
 
@@ -45,6 +45,32 @@ void EpochBreakdown::accumulate(const EpochBreakdown& other) {
 
 namespace {
 
+/// The policy table: the four choices that distinguish the five methods.
+/// Layer math, exchange stages and accounting are shared by all of them.
+enum class PlanKind { kFull32, kAssigner, kUniformRandom };
+
+struct MethodPolicy {
+  PlanKind plan;    ///< widths after the 32-bit warmup epoch
+  bool overlap;     ///< central/marginal compute stages in the layer graph
+  bool defer;       ///< PipeGCN: stale cross-epoch exchanges
+  bool drift_skip;  ///< SANCUS: per-pair broadcast skipping, sequential cost
+};
+
+constexpr std::array<MethodPolicy, 5> kPolicies{{
+    /* kVanilla      */ {PlanKind::kFull32, false, false, false},
+    /* kAdaQP        */ {PlanKind::kAssigner, true, false, false},
+    /* kAdaQPUniform */ {PlanKind::kUniformRandom, true, false, false},
+    /* kPipeGCN      */ {PlanKind::kFull32, false, true, false},
+    /* kSancus       */ {PlanKind::kFull32, false, false, true},
+}};
+
+static_assert(kPolicies.size() == static_cast<std::size_t>(Method::kSancus) + 1,
+              "one policy row per Method, in enum order");
+
+constexpr MethodPolicy policy_of(Method method) {
+  return kPolicies[static_cast<std::size_t>(method)];
+}
+
 /// Ring allreduce time for `bytes` of model gradients (numerics are already
 /// exact because devices share one weight/grad store).
 double allreduce_seconds(const ClusterSpec& cluster, std::size_t bytes) {
@@ -60,14 +86,6 @@ double allreduce_seconds(const ClusterSpec& cluster, std::size_t bytes) {
   return 2.0 * (n - 1) * (worst_theta * chunk + worst_gamma);
 }
 
-/// Scheduling flag for the persistent synchronous exchanges — the same
-/// policy the one-shot exchange_halo_forward/backward wrappers use: run the
-/// per-pair stages on the pool when it can actually help. Numerics are
-/// identical either way (the determinism contract).
-bool exchange_parallel_ok() {
-  return !ThreadPool::in_worker() && num_threads() > 1;
-}
-
 /// Copy `src` into `dst` reusing dst's capacity (Matrix copy-assignment
 /// would too, but this keeps the reshape explicit).
 void copy_matrix_into(const Matrix& src, Matrix& dst) {
@@ -77,8 +95,8 @@ void copy_matrix_into(const Matrix& src, Matrix& dst) {
 
 // ---- Race-checker annotations (ADAQP_RACECHECK) ---------------------------
 //
-// The compute stages of the fused forward/backward graphs declare their row
-// intervals so the checker can prove the central/marginal split and the
+// The compute stages of the overlapped forward/backward graphs declare their
+// row intervals so the checker can prove the central/marginal split and the
 // exchange stages never touch the same bytes unordered. Lists are built only
 // when the checker is enabled.
 
@@ -114,11 +132,15 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
       master_rng_(opts.seed),
       model_(model_config, master_rng_),
       adam_(opts.adam) {
+  const MethodPolicy policy = policy_of(opts_.method);
   num_devices_ = dist_.num_devices();
   num_layers_ = model_.num_layers();
   async_pipeline_ = pipeline::async_enabled();
   ADAQP_CHECK(cluster_.num_devices() == num_devices_);
   ADAQP_CHECK(model_config.in_dim == dataset.spec.feature_dim);
+  overlap_ = policy.overlap &&
+             std::any_of(dist_.devices.begin(), dist_.devices.end(),
+                         [](const DeviceGraph& d) { return d.num_halo > 0; });
 
   for (int d = 0; d < num_devices_; ++d)
     device_rngs_.push_back(master_rng_.split());
@@ -174,10 +196,22 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
     fwd_plans_[l] = ExchangePlan::uniform_forward(dist_, 32);
     bwd_plans_[l] = ExchangePlan::uniform_backward(dist_, 32);
   }
-  fwd_ranges_.resize(num_layers_);
-  bwd_ranges_.resize(num_layers_);
+  fwd_ranges_.assign(num_layers_,
+                     std::vector<std::vector<float>>(num_devices_));
+  bwd_ranges_.assign(num_layers_,
+                     std::vector<std::vector<float>>(num_devices_));
 
-  if (opts_.method == Method::kPipeGCN) {
+  // One stage graph per (layer, direction), each on its own wire channel,
+  // claimed in deterministic order so replicated ranks agree
+  // (src/transport/) and no two exchanges of an epoch share a frame tag.
+  for (int l = 0; l < num_layers_; ++l) {
+    fwd_graphs_.push_back(std::make_unique<LayerGraph>());
+    fwd_graphs_.back()->acct.channel = transport::next_channel();
+    bwd_graphs_.push_back(std::make_unique<LayerGraph>());
+    bwd_graphs_.back()->acct.channel = transport::next_channel();
+  }
+
+  if (policy.defer) {
     pipegcn_fwd_inflight_.resize(num_layers_);
     pipegcn_bwd_inflight_.resize(num_layers_);
     pipegcn_fwd_active_.assign(num_layers_, 0);
@@ -205,25 +239,6 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
       }
     }
   }
-  if (opts_.method == Method::kSancus) {
-    sancus_last_bcast_.resize(num_layers_);
-    sancus_staleness_.assign(num_layers_,
-                             std::vector<int>(num_devices_, 1 << 20));
-    sancus_bcast_now_.assign(num_layers_,
-                             std::vector<bool>(num_devices_, false));
-    for (int l = 0; l < num_layers_; ++l)
-      sancus_last_bcast_[l].resize(num_devices_);
-    // One wire channel per (layer, direction) broadcast lineage, claimed in
-    // deterministic order so replicated ranks agree (src/transport/).
-    sancus_fwd_chan_.resize(num_layers_);
-    sancus_bwd_chan_.resize(num_layers_);
-    sancus_fwd_round_.assign(num_layers_, 0);
-    sancus_bwd_round_.assign(num_layers_, 0);
-    for (int l = 0; l < num_layers_; ++l) {
-      sancus_fwd_chan_[l] = transport::next_channel();
-      sancus_bwd_chan_[l] = transport::next_channel();
-    }
-  }
 
   // ---- Memory subsystem: cache the stable param set and resolve every
   // pool key the training loop will use on the main thread, pre-warming the
@@ -241,92 +256,39 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
 
   grad_flow_.resize(2);
   for (auto& flow : grad_flow_) flow.resize(num_devices_);
-  bwd_sinks_.resize(num_layers_);
-  bwd_scratch_.resize(num_layers_);
-  for (int l = 0; l < num_layers_; ++l) {
-    bwd_sinks_[l].resize(num_devices_);
-    bwd_scratch_[l].resize(num_devices_);
-  }
-  sync_fwd_ex_.resize(num_layers_);
-  sync_bwd_ex_.resize(num_layers_);
-  if ((opts_.method == Method::kAdaQP ||
-       opts_.method == Method::kAdaQPUniform) &&
-      !async_pipeline_) {
-    // The phased (ADAQP_ASYNC=0) forward reuses the persistent sync
-    // exchanges with *quantized* plans from epoch 1 on: build + warm them
-    // now so the stochastic-rounding uniform staging — which the 32-bit
-    // warmup epoch never draws — is pre-reserved. (Vanilla and PipeGCN stay
-    // full-precision forever, so their lazily-built exchanges reach their
-    // final capacities during the warmup epoch naturally.)
-    for (int l = 0; l < num_layers_; ++l) {
-      sync_fwd_ex_[l] =
-          std::make_unique<pipeline::AsyncExchange>(dist_, cluster_);
-      sync_fwd_ex_[l]->prepare_forward(acts_[l], fwd_plans_[l]);
-    }
-  }
-  adaqp_fwd_graph_.resize(num_layers_);
-  adaqp_fwd_acct_.resize(num_layers_);
-  adaqp_bwd_graph_.resize(num_layers_);
-  adaqp_bwd_acct_.resize(num_layers_);
-  fused_fwd_exchange_ids_.resize(num_layers_);
-  fused_fwd_compute_ids_.resize(num_layers_);
-  fused_bwd_exchange_ids_.resize(num_layers_);
-  fused_bwd_compute_ids_.resize(num_layers_);
+  bwd_sinks_.assign(num_layers_, std::vector<LayerGrads>(num_devices_));
+  central_sinks_.assign(num_layers_, std::vector<LayerGrads>(num_devices_));
+  bwd_scratch_.assign(num_layers_,
+                      std::vector<LayerBackwardScratch>(num_devices_));
   // Register every metrics instrument now: the registry inserts on first
   // use, and first use must not land inside a steady-state epoch.
   (void)obs::instruments();
-  adaqp_marginal_sinks_.resize(num_layers_);
-  adaqp_central_sinks_.resize(num_layers_);
-  adaqp_bwd_scratch_.resize(num_layers_);
-  adaqp_bwd_bound_.assign(num_layers_, nullptr);
-  for (int l = 0; l < num_layers_; ++l) {
-    adaqp_marginal_sinks_[l].resize(num_devices_);
-    adaqp_central_sinks_[l].resize(num_devices_);
-    adaqp_bwd_scratch_[l].resize(num_devices_);
-  }
 
-  if (opts_.method == Method::kSancus) {
-    // SANCUS's broadcast-skipping path first touches its drift scratch in
-    // epoch 1 (there is no previous snapshot to diff against in epoch 0),
-    // so resolve and pre-size everything here instead.
+  if (policy.drift_skip) {
+    // SANCUS first diffs against a previous broadcast in epoch 1, so
+    // resolve and pre-size its drift scratch and send masks here.
+    sancus_last_bcast_.assign(num_layers_, std::vector<Matrix>(num_devices_));
+    sancus_staleness_.assign(num_layers_,
+                             std::vector<int>(num_devices_, 1 << 20));
     sancus_snapshot_.resize(num_layers_);
     sancus_diff_.resize(num_layers_);
-    sancus_bits_.resize(num_layers_);
-    sancus_pair_bytes_.assign(
-        num_devices_, std::vector<std::size_t>(num_devices_, 0));
-    sancus_tmp_ = &ws_.matrix(memory::Scratch::kGeneric, 0, 0);
-    sancus_seq_ = &ws_.u32s(memory::Scratch::kSancusSeq, 0, 0);
+    const std::vector<std::vector<std::uint8_t>> all_send(
+        num_devices_, std::vector<std::uint8_t>(num_devices_, 1));
     for (int l = 0; l < num_layers_; ++l) {
+      fwd_graphs_[l]->acct.active = all_send;
+      bwd_graphs_[l]->acct.active = all_send;
       const std::size_t dim = model_.layer_in_dim(l);
-      sancus_snapshot_[l].resize(num_devices_);
-      sancus_diff_[l].resize(num_devices_);
-      sancus_bits_[l].resize(num_devices_);
       for (int d = 0; d < num_devices_; ++d) {
         const std::size_t boundary = dist_.devices[d].boundary_span().size();
         Matrix& snap = ws_.matrix(memory::Scratch::kSancusSnapshot, l, d);
         Matrix& diff = ws_.matrix(memory::Scratch::kSancusDiff, l, d);
         snap.reshape_uninit(boundary, dim);
         diff.reshape_uninit(boundary, dim);
-        sancus_snapshot_[l][d] = &snap;
-        sancus_diff_[l][d] = &diff;
-        sancus_bits_[l][d] = &ws_.ints(memory::Scratch::kSancusBits, l, d);
+        sancus_snapshot_[l].push_back(&snap);
+        sancus_diff_[l].push_back(&diff);
       }
     }
   }
-}
-
-pipeline::AsyncExchange& DistTrainer::sync_forward_exchange(int l) {
-  if (!sync_fwd_ex_[l])
-    sync_fwd_ex_[l] = std::make_unique<pipeline::AsyncExchange>(dist_,
-                                                                cluster_);
-  return *sync_fwd_ex_[l];
-}
-
-pipeline::AsyncExchange& DistTrainer::sync_backward_exchange(int l) {
-  if (!sync_bwd_ex_[l])
-    sync_bwd_ex_[l] = std::make_unique<pipeline::AsyncExchange>(dist_,
-                                                                cluster_);
-  return *sync_bwd_ex_[l];
 }
 
 double DistTrainer::compute_seconds(int layer, bool backward,
@@ -365,193 +327,29 @@ double DistTrainer::marginal_compute_seconds_max(int layer,
   return m;
 }
 
-EpochBreakdown DistTrainer::forward_exchange(int l) {
-  EpochBreakdown bd;
-  // Cross-iteration joins first: layer l's compute reads the halo rows the
-  // pending deferred exchange of layer l delivers, and *writes* the owned
-  // rows of acts_[l + 1] that the next pending exchange's encode stages
-  // read — both must be joined before the trace below touches acts_[l].
-  // Join time is stashed per slot and consumed by the slot's own layer, so
-  // each layer's breakdown reports its own exchange regardless of where
-  // the join happened.
-  if (opts_.method == Method::kPipeGCN && pipegcn_warm_) {
-    join_pipegcn_forward(l);
-    if (l + 1 < num_layers_) join_pipegcn_forward(l + 1);
-    bd.comm = pipegcn_joined_comm_[l];
-    pipegcn_joined_comm_[l] = 0.0;
-  }
-  const bool trace = true;
-  if (trace) {
-    fwd_ranges_[l].resize(num_devices_);
-    for (int d = 0; d < num_devices_; ++d)
-      row_ranges_of_into(acts_[l][d], fwd_ranges_[l][d]);
-  }
+DistTrainer::LayerGraph& DistTrainer::forward_graph(int l) {
+  LayerGraph& g = *fwd_graphs_[l];
+  if (g.built) return g;
+  g.built = true;
+  // Built once (warmup epoch 0, uniform 32-bit plan = maximal payloads),
+  // re-armed in place forever after: the stage lambdas read fwd_plans_[l]
+  // (stable address) at run time.
+  pipeline::StageGraph& graph = g.graph;
+  const std::string prefix = "L" + std::to_string(l);
+  graph.set_label(prefix + "/forward");
+  g.acct.init_storage(num_devices_);
+  const pipeline::PairStages pair = pipeline::add_forward_exchange_stages(
+      graph, dist_, acts_[l], fwd_plans_[l], g.acct);
+  for (const auto& row : pair.stage)
+    for (const int id : row)
+      if (id >= 0) g.exchange_ids.push_back(id);
 
-  switch (opts_.method) {
-    case Method::kVanilla: {
-      // fwd_plans_[l] stays the uniform 32-bit plan for non-quantizing
-      // methods (refresh_plans only touches AdaQP variants). The per-layer
-      // exchange object is persistent: its first submit builds the stage
-      // graph, every later one re-arms it in place.
-      pipeline::AsyncExchange& ex = sync_forward_exchange(l);
-      ex.submit_forward(acts_[l], fwd_plans_[l], device_rngs_,
-                        exchange_parallel_ok());
-      ex.wait_into(stats_scratch_);
-      total_comm_bytes_ += stats_scratch_.total_bytes();
-      capture_exchange_stats(stats_scratch_);
-      if (l == 0) last_layer1_pair_bytes_ = stats_scratch_.pair_bytes;
-      const double comp = max_compute_seconds(l, false, false);
-      bd.comm = stats_scratch_.comm_seconds;
-      bd.comp = comp;
-      bd.total = stats_scratch_.comm_seconds + comp;
-      return bd;
-    }
-    case Method::kAdaQP:
-    case Method::kAdaQPUniform:
-      // Quantizing methods run exchange + compute as one fused stage graph;
-      // see adaqp_forward_layer (forward_pass never routes them here).
-      ADAQP_CHECK_MSG(false, "AdaQP forward goes through adaqp_forward_layer");
-      return bd;
-    case Method::kPipeGCN: {
-      const double comp = max_compute_seconds(l, false, false);
-      if (!pipegcn_warm_) {
-        // Cold start: synchronous full-precision exchange before compute.
-        pipeline::AsyncExchange& ex = sync_forward_exchange(l);
-        ex.submit_forward(acts_[l], fwd_plans_[l], device_rngs_,
-                          exchange_parallel_ok());
-        ex.wait_into(stats_scratch_);
-        total_comm_bytes_ += stats_scratch_.total_bytes();
-        capture_exchange_stats(stats_scratch_);
-        if (l == 0) last_layer1_pair_bytes_ = stats_scratch_.pair_bytes;
-        bd.comm = stats_scratch_.comm_seconds;
-        bd.comp = comp;
-        bd.total = stats_scratch_.comm_seconds + comp;
-        return bd;
-      }
-      // Warm pipeline: compute with the halo rows delivered by the deferred
-      // exchange submitted last epoch and joined just above — it stayed in
-      // flight across the iteration boundary, overlapping the rest of last
-      // epoch (later layers, backward, Adam, evaluation) and this epoch's
-      // earlier layers. Its comm time hides inside computation.
-      bd.comp = comp;
-      bd.total = std::max(comp, bd.comm);
-      return bd;
-    }
-    case Method::kSancus: {
-      // Broadcast-skipping: each device broadcasts its boundary rows only
-      // when they drifted enough or staleness hit the cap. Deliberately
-      // serial — sequential broadcasts are the inefficiency being modeled,
-      // and later senders read rows earlier broadcasts may have refreshed.
-      std::vector<std::vector<std::size_t>>& pair_bytes = sancus_pair_bytes_;
-      for (auto& row : pair_bytes) std::fill(row.begin(), row.end(), 0);
-      double comm = 0.0;
-      transport::Transport& tp = transport::active();
-      const std::uint32_t round = ++sancus_fwd_round_[l];
-      for (int d = 0; d < num_devices_; ++d) {
-        const DeviceGraph& dev = dist_.devices[d];
-        // This device's outgoing boundary rows (precomputed union view).
-        const std::span<const NodeId> boundary = dev.boundary_span();
-        bool bcast = true;
-        Matrix& snapshot = *sancus_snapshot_[l][d];
-        snapshot.reshape_uninit(boundary.size(), acts_[l][d].cols());
-        for (std::size_t i = 0; i < boundary.size(); ++i) {
-          const auto src = acts_[l][d].row(boundary[i]);
-          std::copy(src.begin(), src.end(), snapshot.row(i).begin());
-        }
-        if (sancus_staleness_[l][d] < opts_.sancus_max_staleness &&
-            sancus_last_bcast_[l][d].same_shape(snapshot)) {
-          const double base = sancus_last_bcast_[l][d].frobenius_norm();
-          Matrix& diff = *sancus_diff_[l][d];
-          copy_matrix_into(snapshot, diff);
-          diff.axpy_inplace(-1.0f, sancus_last_bcast_[l][d]);
-          const double drift = diff.frobenius_norm() / (base + 1e-12);
-          bcast = drift > opts_.sancus_drift_threshold;
-        }
-        sancus_bcast_now_[l][d] = bcast;
-        if (!bcast) {
-          sancus_staleness_[l][d]++;
-          continue;
-        }
-        sancus_staleness_[l][d] = 0;
-        // Copy, not move: the snapshot is pooled scratch and must keep its
-        // buffer for the next epoch.
-        copy_matrix_into(snapshot, sancus_last_bcast_[l][d]);
-        // Deliver full-precision rows to each peer; sequential broadcast
-        // cost (the inefficiency the paper calls out in §5.1).
-        for (int p = 0; p < num_devices_; ++p) {
-          if (p == d || dev.send_local[p].empty()) continue;
-          std::vector<int>& bits = *sancus_bits_[l][d];
-          bits.assign(dev.send_local[p].size(), 32);
-          encode_rows_into(acts_[l][d], dev.send_local[p], bits,
-                           device_rngs_[d], wire_uniforms_, wire_block_);
-          pair_bytes[d][p] = wire_block_.wire_bytes();
-          comm += cluster_.transfer_seconds(d, p, wire_block_.wire_bytes());
-          const transport::FrameTag tag{sancus_fwd_chan_[l], round,
-                                        /*direction=*/0,
-                                        static_cast<std::uint8_t>(d),
-                                        static_cast<std::uint8_t>(p)};
-          tp.send(tag, wire_block_.bytes);
-          decode_rows(tp.recv(tag, wire_block_.bytes), acts_[l][p],
-                      dist_.devices[p].recv_local[d]);
-        }
-      }
-      for (const auto& row : pair_bytes)
-        for (std::size_t b : row) total_comm_bytes_ += b;
-      capture_sancus_pairs(pair_bytes);
-      if (l == 0) last_layer1_pair_bytes_ = pair_bytes;
-      const double comp = max_compute_seconds(l, false, false);
-      bd.comm = comm;
-      bd.comp = comp;
-      bd.total = comm + comp;
-      return bd;
-    }
-  }
-  return bd;
-}
-
-EpochBreakdown DistTrainer::adaqp_forward_layer(int l, bool training) {
-  EpochBreakdown bd;
-  // The persistent fused graphs capture training=true at build time;
-  // evaluation never routes through here (it has a private inference path).
-  ADAQP_CHECK(training);
-  // Trace input ranges for the assigner (same point as the phased path:
-  // before any halo row of this layer's input is rewritten).
-  fwd_ranges_[l].resize(num_devices_);
-  for (int d = 0; d < num_devices_; ++d)
-    row_ranges_of_into(acts_[l][d], fwd_ranges_[l][d]);
-
-  if (!async_pipeline_) {
-    // Phased reference schedule: exchange every halo row, then the full
-    // per-device forward — the PR-2 execution shape, on the persistent
-    // per-layer exchange.
-    pipeline::AsyncExchange& ex = sync_forward_exchange(l);
-    ex.submit_forward(acts_[l], fwd_plans_[l], device_rngs_,
-                      exchange_parallel_ok());
-    ex.wait_into(stats_scratch_);
-    run_device_tasks([&](int d) {
-      model_.layer(l).forward(dist_.devices[d], acts_[l][d], acts_[l + 1][d],
-                              caches_[l][d], device_rngs_[d],
-                              /*training=*/true);
-    });
-  } else if (!adaqp_fwd_graph_[l]) {
-    // Fused stage graph: per-pair encode/wire/decode stages run concurrently
-    // with per-device central-row compute; each device's marginal rows wait
-    // on its inbound messages (and on its own prepare/central stage, which
-    // sizes the shared layer cache). Stage bodies write disjoint rows and
-    // use private RNG streams, so this schedule is bit-identical to the
-    // phased one at any thread count. Built once here (warmup epoch 0,
-    // uniform 32-bit plan = maximal payloads), re-armed in place forever
-    // after: the stage lambdas read fwd_plans_[l] (stable address) at run
-    // time, so plan refreshes need no rebuild.
-    adaqp_fwd_graph_[l] = std::make_unique<pipeline::StageGraph>();
-    pipeline::StageGraph& graph = *adaqp_fwd_graph_[l];
-    std::string prefix = "L";
-    prefix += std::to_string(l);
-    graph.set_label(prefix + "/forward");
-    pipeline::ExchangeAccounting& acct = adaqp_fwd_acct_[l];
-    acct.init(num_devices_, device_rngs_);
-    const pipeline::PairStages pair = pipeline::add_forward_exchange_stages(
-        graph, dist_, acts_[l], fwd_plans_[l], acct);
+  if (overlap_) {
+    // Per-pair encode/wire/decode stages run concurrently with per-device
+    // central-row compute; each device's marginal rows wait on its inbound
+    // messages (and on its own prepare/central stage, which sizes the shared
+    // layer cache). Stage bodies write disjoint rows and use private RNG
+    // streams, so every schedule is bit-identical to the whole-row forward.
     std::vector<int> central(num_devices_, -1);
     for (int d = 0; d < num_devices_; ++d) {
       const DeviceGraph& dev = dist_.devices[d];
@@ -610,354 +408,46 @@ EpochBreakdown DistTrainer::adaqp_forward_layer(int l, bool training) {
           },
           deps, std::move(acc));
     }
-    // Remember which stages are wire (per-pair encode/transfer/decode) and
-    // which are the central compute meant to hide under them: their stage
-    // timestamps yield the realized overlap in the metrics report. The
-    // graph is persistent, so the ids stay valid for the whole run.
-    for (const auto& row : pair.stage)
-      for (const int id : row)
-        if (id >= 0) fused_fwd_exchange_ids_[l].push_back(id);
-    fused_fwd_compute_ids_[l] = central;
-    // Warm the staging the 32-bit warmup rounds never touch: quantized
-    // rounds draw per-column stochastic-rounding uniforms.
-    acct.warm(dist_, fwd_plans_[l], /*forward=*/true, model_.layer_in_dim(l));
-    graph.run(/*async=*/true);
-    pipeline::finalize_exchange_stats_into(acct, dist_, cluster_,
-                                           stats_scratch_);
-  } else {
-    // Steady state: re-derive the per-pair RNG streams (same draws as a
-    // fresh build), re-arm the graph, run. No allocation on any path.
-    pipeline::ExchangeAccounting& acct = adaqp_fwd_acct_[l];
-    acct.init(num_devices_, device_rngs_);
-    adaqp_fwd_graph_[l]->reset();
-    adaqp_fwd_graph_[l]->run(/*async=*/true);
-    pipeline::finalize_exchange_stats_into(acct, dist_, cluster_,
-                                           stats_scratch_);
+    // The central compute is what the wire stages should hide under: their
+    // stage timestamps yield the realized overlap in the metrics report.
+    g.compute_ids = central;
   }
-
-  total_comm_bytes_ += stats_scratch_.total_bytes();
-  capture_exchange_stats(stats_scratch_);
-  if (adaqp_fwd_graph_[l]) {
-    capture_overlap(*adaqp_fwd_graph_[l], fused_fwd_exchange_ids_[l],
-                    fused_fwd_compute_ids_[l], /*forward=*/true);
-    capture_profile_segment(*adaqp_fwd_graph_[l], l, /*forward=*/true);
-  }
-  if (l == 0) last_layer1_pair_bytes_ = stats_scratch_.pair_bytes;
-  // Modeled epoch time: central compute hides inside communication, the
-  // quantize / de-quantize kernels and marginal compute do not (Fig. 10a).
-  const double central_s = max_compute_seconds(l, false, true);
-  const double marginal_s = marginal_compute_seconds_max(l, false);
-  const double tq = stats_scratch_.max_quant_seconds();
-  const double tdq = stats_scratch_.max_dequant_seconds();
-  bd.comm = stats_scratch_.comm_seconds;
-  bd.comp = marginal_s;
-  bd.quant = tq + tdq;
-  bd.total =
-      tq + std::max(stats_scratch_.comm_seconds, central_s) + tdq + marginal_s;
-  return bd;
+  // Warm the staging the 32-bit warmup rounds never touch: quantized
+  // rounds draw per-column stochastic-rounding uniforms.
+  g.acct.warm(dist_, fwd_plans_[l], /*forward=*/true, model_.layer_in_dim(l));
+  return g;
 }
 
-EpochBreakdown DistTrainer::backward_exchange(int l,
-                                              std::vector<Matrix>& grads) {
-  EpochBreakdown bd;
-  // Trace gradient ranges for the assigner before any mutation.
-  bwd_ranges_[l].resize(num_devices_);
-  for (int d = 0; d < num_devices_; ++d)
-    row_ranges_of_into(grads[d], bwd_ranges_[l][d]);
-
-  switch (opts_.method) {
-    case Method::kVanilla: {
-      pipeline::AsyncExchange& ex = sync_backward_exchange(l);
-      ex.submit_backward(grads, bwd_plans_[l], device_rngs_,
-                         exchange_parallel_ok());
-      ex.wait_into(stats_scratch_);
-      total_comm_bytes_ += stats_scratch_.total_bytes();
-      capture_exchange_stats(stats_scratch_);
-      bd.comm = stats_scratch_.comm_seconds;
-      bd.total = stats_scratch_.comm_seconds;
-      return bd;
-    }
-    case Method::kAdaQP:
-    case Method::kAdaQPUniform:
-      // Quantizing methods overlap this exchange with the parameter-gradient
-      // folds directly in backward_pass.
-      ADAQP_CHECK_MSG(false, "AdaQP backward exchange handled in backward_pass");
-      return bd;
-    case Method::kPipeGCN: {
-      // Stale gradient pipeline as cross-iteration stages: the halo-row
-      // gradients computed this epoch are staged into the persistent
-      // per-layer scratch and shipped by an exchange that stays in flight
-      // while the remaining backward layers, Adam, evaluation and the next
-      // epoch's forward run. Last epoch's in-flight exchange is joined
-      // here — its arrivals (accumulated into the scratch owned rows by the
-      // bwd-acc stages) are exactly the remote contributions the phased
-      // implementation banked in pending_grads.
-      const bool had_pending = pipegcn_bwd_active_[l] != 0;
-      bd.comm = join_pipegcn_backward(l);
-      std::vector<Matrix>& scratch = pipegcn_bwd_scratch_[l];
-      for (int d = 0; d < num_devices_; ++d) {
-        const DeviceGraph& dev = dist_.devices[d];
-        if (had_pending) {
-          for (std::size_t i = 0; i < dev.num_owned; ++i) {
-            auto dst = grads[d].row(i);
-            const auto src = scratch[d].row(i);
-            for (std::size_t c = 0; c < dst.size(); ++c) dst[c] += src[c];
-          }
-        }
-        // Re-stage: zero the owned rows the next exchange accumulates into,
-        // copy this epoch's outbound halo contributions, then drop them
-        // locally (they are being shipped).
-        for (std::size_t i = 0; i < dev.num_owned; ++i) {
-          auto row = scratch[d].row(i);
-          std::fill(row.begin(), row.end(), 0.0f);
-        }
-        for (std::size_t h = dev.num_owned; h < dev.num_local(); ++h) {
-          const auto src = grads[d].row(h);
-          std::copy(src.begin(), src.end(), scratch[d].row(h).begin());
-          auto row = grads[d].row(h);
-          std::fill(row.begin(), row.end(), 0.0f);
-        }
-      }
-      pipegcn_bwd_inflight_[l]->submit_backward(scratch, bwd_plans_[l],
-                                                device_rngs_,
-                                                async_pipeline_);
-      pipegcn_bwd_active_[l] = 1;
-      bd.total = 0.0;  // hidden inside compute; composed in backward_pass
-      return bd;
-    }
-    case Method::kSancus: {
-      // Remote gradients only flow toward owners that broadcast fresh
-      // embeddings this epoch; contributions to stale owners are dropped
-      // (the gradient bias that slows SANCUS's convergence).
-      std::vector<std::vector<std::size_t>>& pair_bytes = sancus_pair_bytes_;
-      for (auto& row : pair_bytes) std::fill(row.begin(), row.end(), 0);
-      transport::Transport& tp = transport::active();
-      const std::uint32_t round = ++sancus_bwd_round_[l];
-      for (int d = 0; d < num_devices_; ++d) {
-        const DeviceGraph& dev = dist_.devices[d];
-        for (int p = 0; p < num_devices_; ++p) {
-          if (p == d || dev.recv_local[p].empty()) continue;
-          if (!sancus_bcast_now_[l][p]) continue;
-          std::vector<int>& bits = *sancus_bits_[l][d];
-          bits.assign(dev.recv_local[p].size(), 32);
-          encode_rows_into(grads[d], dev.recv_local[p], bits,
-                           device_rngs_[d], wire_uniforms_, wire_block_);
-          pair_bytes[d][p] = wire_block_.wire_bytes();
-          const transport::FrameTag tag{sancus_bwd_chan_[l], round,
-                                        /*direction=*/1,
-                                        static_cast<std::uint8_t>(d),
-                                        static_cast<std::uint8_t>(p)};
-          tp.send(tag, wire_block_.bytes);
-          // Accumulate into the owner's owned rows.
-          const auto& rows = dist_.devices[p].send_local[d];
-          Matrix& tmp = *sancus_tmp_;
-          tmp.reshape_uninit(rows.size(), grads[p].cols());
-          std::vector<NodeId>& seq = *sancus_seq_;
-          while (seq.size() < rows.size())
-            seq.push_back(static_cast<NodeId>(seq.size()));
-          decode_rows(tp.recv(tag, wire_block_.bytes), tmp,
-                      std::span<const NodeId>(seq.data(), rows.size()));
-          for (std::size_t i = 0; i < rows.size(); ++i) {
-            auto dst = grads[p].row(rows[i]);
-            const auto src = tmp.row(i);
-            for (std::size_t c = 0; c < dst.size(); ++c) dst[c] += src[c];
-          }
-        }
-      }
-      double comm = 0.0;
-      for (int d = 0; d < num_devices_; ++d)
-        for (int p = 0; p < num_devices_; ++p) {
-          total_comm_bytes_ += pair_bytes[d][p];
-          comm += cluster_.transfer_seconds(d, p, pair_bytes[d][p]);
-        }
-      capture_sancus_pairs(pair_bytes);
-      for (int d = 0; d < num_devices_; ++d) {
-        const DeviceGraph& dev = dist_.devices[d];
-        for (std::size_t h = dev.num_owned; h < dev.num_local(); ++h) {
-          auto row = grads[d].row(h);
-          std::fill(row.begin(), row.end(), 0.0f);
-        }
-      }
-      bd.comm = comm;
-      bd.total = comm;
-      return bd;
-    }
-  }
-  return bd;
-}
-
-EpochBreakdown DistTrainer::forward_pass(bool training, double* loss_out) {
-  EpochBreakdown total;
-  const bool quantizing = opts_.method == Method::kAdaQP ||
-                          opts_.method == Method::kAdaQPUniform;
-  for (int l = 0; l < num_layers_; ++l) {
-    if (quantizing) {
-      // Fused exchange + compute through the pipeline scheduler.
-      total.accumulate(adaqp_forward_layer(l, training));
-      continue;
-    }
-    EpochBreakdown stage = forward_exchange(l);
-    // Each simulated device's layer compute is one task on the pool: it
-    // touches only its own activations, cache and Rng stream, so devices
-    // run concurrently with bit-identical results at any thread count.
-    run_device_tasks([&](int d) {
-      model_.layer(l).forward(dist_.devices[d], acts_[l][d], acts_[l + 1][d],
-                              caches_[l][d], device_rngs_[d], training);
-    });
-    if (opts_.method == Method::kPipeGCN && pipegcn_warm_) {
-      // Deferred exchange: ship the (already-consumed) inputs so next
-      // epoch's halos are one-epoch stale. The stages stay in flight across
-      // the iteration boundary — overlapping the layers below, the whole
-      // backward pass and the next epoch's earlier layers — and are joined
-      // by forward_exchange right before these buffers are touched again.
-      submit_pipegcn_forward(l);
-    }
-    total.accumulate(stage);
-  }
-
-  if (loss_out) {
-    // Loss values only (gradients handled in backward_pass); per-device
-    // terms computed concurrently into epoch-arena scratch, reduced in
-    // ascending device order. The gradient sink is pooled per device and
-    // re-zeroed because the losses accumulate into it.
-    double* device_loss = ws_.arena().span<double>(
-        static_cast<std::size_t>(num_devices_));
-    run_device_tasks([&](int d) {
-      Matrix& sink = *loss_sink_[d];
-      sink.reshape_zero(acts_[num_layers_][d].rows(),
-                        acts_[num_layers_][d].cols());
-      if (!dataset_.spec.multi_label) {
-        device_loss[d] = softmax_cross_entropy(
-            acts_[num_layers_][d], train_rows_[d], train_labels_[d],
-            global_train_count_, sink, *loss_prob_[d]);
-      } else {
-        device_loss[d] =
-            bce_with_logits(acts_[num_layers_][d], train_rows_[d],
-                            train_targets_[d], global_train_count_, sink);
-      }
-    });
-    double loss = 0.0;
-    for (int d = 0; d < num_devices_; ++d) loss += device_loss[d];
-    *loss_out = loss / global_train_count_;
-  }
-  return total;
-}
-
-EpochBreakdown DistTrainer::backward_pass() {
-  EpochBreakdown total;
-
-  // Loss gradients wrt logits — one device task each (disjoint outputs).
-  // Gradients flow through the two persistent ping-pong buffer sets: at
-  // layer l, the incoming grad lives in grad_flow_[(num_layers_-1-l) % 2]
-  // and the input grad in the other — fixed per layer across epochs, which
-  // is what lets the persistent exchanges and stage graphs bind them once.
-  std::vector<Matrix>* grads = &grad_flow_[0];
-  std::vector<Matrix>* grad_x = &grad_flow_[1];
-  run_device_tasks([&](int d) {
-    Matrix& g = (*grads)[d];
-    // reshape_zero, not uninit: the losses accumulate into their sink.
-    g.reshape_zero(acts_[num_layers_][d].rows(),
-                   acts_[num_layers_][d].cols());
-    if (!dataset_.spec.multi_label) {
-      softmax_cross_entropy(acts_[num_layers_][d], train_rows_[d],
-                            train_labels_[d], global_train_count_, g,
-                            *loss_prob_[d]);
-    } else {
-      bce_with_logits(acts_[num_layers_][d], train_rows_[d], train_targets_[d],
-                      global_train_count_, g);
-    }
-  });
-
-  for (int l = num_layers_ - 1; l >= 0; --l) {
-    EpochBreakdown stage;
-    const bool quantizing = opts_.method == Method::kAdaQP ||
-                            opts_.method == Method::kAdaQPUniform;
-    if (l > 0 && quantizing) {
-      // Full-duplex backward: row-subset adjoints + halo-gradient exchange
-      // as one stage graph (central-row backward runs while the exchange is
-      // on the wire).
-      stage = adaqp_backward_layer(l, *grads, *grad_x);
-    } else {
-      // Per-device backward runs concurrently into per-device gradient
-      // sinks; the shared parameter gradients are then reduced in ascending
-      // device order so the epoch is deterministic at any thread count.
-      std::vector<LayerGrads>& sinks = bwd_sinks_[l];
-      const GnnLayer& layer = model_.layer(l);
-      run_device_tasks([&](int d) {
-        layer.backward(dist_.devices[d], (*grads)[d], caches_[l][d],
-                       (*grad_x)[d], sinks[d], bwd_scratch_[l][d]);
-      });
-      const double comp_all = max_compute_seconds(l, true, false);
-      for (int d = 0; d < num_devices_; ++d)
-        model_.layer(l).apply_grads(sinks[d]);
-      if (l > 0) {
-        stage = backward_exchange(l, *grad_x);
-        switch (opts_.method) {
-          case Method::kVanilla:
-          case Method::kSancus:
-            stage.comp = comp_all;
-            stage.total += comp_all;
-            break;
-          case Method::kAdaQP:
-          case Method::kAdaQPUniform:
-            break;  // handled above
-          case Method::kPipeGCN:
-            stage.comp = comp_all;
-            stage.total = std::max(comp_all, stage.comm);
-            break;
-        }
-      } else {
-        stage.comp = comp_all;
-        stage.total = comp_all;
-      }
-    }
-    total.accumulate(stage);
-    std::swap(grads, grad_x);
-  }
-  return total;
-}
-
-EpochBreakdown DistTrainer::adaqp_backward_layer(int l,
-                                                 std::vector<Matrix>& grads,
-                                                 std::vector<Matrix>& grad_x) {
-  EpochBreakdown bd;
+DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
+  LayerGraph& g = *bwd_graphs_[l];
+  if (g.built) return g;
+  g.built = true;
+  // The stage lambdas capture the grad_flow_ ping-pong vectors by
+  // reference; their parity is fixed per layer, so the very same objects
+  // carry this layer's gradients every epoch.
+  std::vector<Matrix>& grads = grad_flow_[(num_layers_ - 1 - l) & 1];
+  std::vector<Matrix>& grad_x = grad_flow_[(num_layers_ - l) & 1];
   const std::size_t in_dim = model_.layer_in_dim(l);
-  bwd_ranges_[l].resize(num_devices_);
-  pipeline::ExchangeAccounting& acct = adaqp_bwd_acct_[l];
+  pipeline::StageGraph& graph = g.graph;
+  const std::string prefix = "L" + std::to_string(l) + "b";
+  graph.set_label(prefix + "/backward");
+  g.acct.init_storage(num_devices_);
 
-  // Pre-size the gradient buffers every epoch (zero-initialized: the
-  // row-subset adjoints accumulate, and the exchange stage builder
-  // validates shapes at graph-build time).
-  for (int d = 0; d < num_devices_; ++d)
-    grad_x[d].reshape_zero(dist_.devices[d].num_local(), in_dim);
-
-  if (!adaqp_bwd_graph_[l]) {
-    // Stage graph of one layer's backward, built once (warmup) and re-armed
-    // in place every later epoch. Determinism at any schedule comes from
-    // the same rules as the forward split: disjoint writes per stage
-    // (marginal adjoints are the sole writers of halo gradient rows;
-    // central adjoints write owned rows after them), per-pair RNG streams
-    // derived serially per epoch, owner accumulation folding senders
-    // ascending, and one serial fold stage applying per-(device, subset)
-    // partials in ascending device order, marginal before central.
-    //
-    // The stage lambdas capture grads / grad_x by reference: these are the
-    // grad_flow_ ping-pong vectors, whose parity is fixed per layer, so the
-    // very same objects arrive every epoch (checked below).
-    adaqp_bwd_bound_[l] = &grads;
-    adaqp_bwd_graph_[l] = std::make_unique<pipeline::StageGraph>();
-    pipeline::StageGraph& graph = *adaqp_bwd_graph_[l];
-    const GnnLayer& layer = model_.layer(l);
-    std::vector<LayerGrads>& marginal_sinks = adaqp_marginal_sinks_[l];
-    std::vector<LayerGrads>& central_sinks = adaqp_central_sinks_[l];
-    std::string prefix = "L";
-    prefix += std::to_string(l);
-    prefix += "b";
-    graph.set_label(prefix + "/backward");
-    acct.init(num_devices_, device_rngs_);
-
+  // Overlapped backward: determinism at any schedule comes from the same
+  // rules as the forward split — disjoint writes per stage (marginal
+  // adjoints are the sole writers of halo gradient rows; central adjoints
+  // write owned rows after them), per-pair RNG streams derived serially per
+  // epoch, owner accumulation folding senders ascending, and one serial fold
+  // stage applying per-(device, subset) partials in ascending device order,
+  // marginal before central.
+  const GnnLayer& layer = model_.layer(l);
+  std::vector<LayerGrads>& marginal_sinks = bwd_sinks_[l];
+  std::vector<LayerGrads>& central_sinks = central_sinks_[l];
+  std::vector<int> central;
+  pipeline::BackwardStageDeps deps;
+  if (overlap_) {
     std::vector<int> marginal(num_devices_, -1);
-    std::vector<int> central(num_devices_, -1);
+    central.assign(num_devices_, -1);
     std::vector<int> trace(num_devices_, -1);
     for (int d = 0; d < num_devices_; ++d) {
       const DeviceGraph& dev = dist_.devices[d];
@@ -988,7 +478,7 @@ EpochBreakdown DistTrainer::adaqp_backward_layer(int l,
             model_.layer(l).backward_rows(device, grads[d], caches_[l][d],
                                           grad_x[d], marginal_sinks[d],
                                           device.marginal_span(),
-                                          adaqp_bwd_scratch_[l][d]);
+                                          bwd_scratch_[l][d]);
           },
           {}, std::move(acc));
     }
@@ -1017,7 +507,7 @@ EpochBreakdown DistTrainer::adaqp_backward_layer(int l,
             model_.layer(l).backward_rows(device, grads[d], caches_[l][d],
                                           grad_x[d], central_sinks[d],
                                           device.central_span(),
-                                          adaqp_bwd_scratch_[l][d]);
+                                          bwd_scratch_[l][d]);
           },
           {marginal[d]}, std::move(acc));
     }
@@ -1041,15 +531,22 @@ EpochBreakdown DistTrainer::adaqp_backward_layer(int l,
           },
           {central[d]}, std::move(acc));
     }
-    pipeline::BackwardStageDeps deps;
     deps.encode = marginal;     // halo rows are complete
     deps.accumulate = trace;    // owner's own owned-row writes are complete
     deps.zero = trace;          // last halo-row reader is done
-    const pipeline::PairStages wire = pipeline::add_backward_exchange_stages(
-        graph, dist_, grad_x, bwd_plans_[l], acct, deps);
+  }
+  const pipeline::PairStages wire = pipeline::add_backward_exchange_stages(
+      graph, dist_, grad_x, bwd_plans_[l], g.acct, deps);
+  // Wire stages: per-pair encodes + owner accumulates.
+  for (const auto& row : wire.stage)
+    for (const int id : row)
+      if (id >= 0) g.exchange_ids.push_back(id);
+  for (const int id : wire.owner_stage)
+    if (id >= 0) g.exchange_ids.push_back(id);
+
+  if (overlap_) {
     // Shared parameter-gradient fold: one serial stage, concurrent with the
     // wire stages, in fixed device-then-subset order.
-    std::vector<int> fold_deps(central.begin(), central.end());
     AccessList fold_acc;
     if (analysis::racecheck_enabled()) {
       fold_acc.push_back(analysis::write_of(&layer, sizeof(layer), "layer"));
@@ -1071,48 +568,294 @@ EpochBreakdown DistTrainer::adaqp_backward_layer(int l,
             model_.layer(l).apply_grads(central_sinks[d]);
           }
         },
-        fold_deps, std::move(fold_acc));
-    // Wire stages (per-pair encodes + owner accumulates) vs the compute
-    // running while they are in flight (central adjoints + the fold): the
-    // stage timestamps yield the realized backward overlap in the report.
-    for (const auto& row : wire.stage)
-      for (const int id : row)
-        if (id >= 0) fused_bwd_exchange_ids_[l].push_back(id);
-    for (const int id : wire.owner_stage)
-      if (id >= 0) fused_bwd_exchange_ids_[l].push_back(id);
-    fused_bwd_compute_ids_[l] = central;
-    fused_bwd_compute_ids_[l].push_back(fold_id);
-    // Warm the quantized rounds' uniform staging (the 32-bit build-epoch
-    // rounds never draw any) and the owner-side decode accumulators.
-    acct.warm(dist_, bwd_plans_[l], /*forward=*/false, in_dim);
-    graph.run(async_pipeline_);
-  } else {
-    // Steady state: same objects, re-derived RNG streams, re-armed graph.
-    ADAQP_CHECK_MSG(adaqp_bwd_bound_[l] == &grads,
-                    "adaqp backward graph rebound to a different grad buffer");
-    acct.init(num_devices_, device_rngs_);
-    adaqp_bwd_graph_[l]->reset();
-    adaqp_bwd_graph_[l]->run(async_pipeline_);
+        central, std::move(fold_acc));
+    // The compute running while the wire stages are in flight: central
+    // adjoints + the fold.
+    g.compute_ids = central;
+    g.compute_ids.push_back(fold_id);
   }
+  // Warm the quantized rounds' uniform staging (the 32-bit build-epoch
+  // rounds never draw any) and the owner-side decode accumulators.
+  g.acct.warm(dist_, bwd_plans_[l], /*forward=*/false, in_dim);
+  return g;
+}
 
-  pipeline::finalize_exchange_stats_into(acct, dist_, cluster_,
+void DistTrainer::run_layer_graph(LayerGraph& g, int layer, bool forward) {
+  // Same per-pair RNG streams as a fresh build, re-armed graph; no
+  // allocation once built.
+  g.acct.init(num_devices_, device_rngs_);
+  g.graph.reset();
+  g.graph.run(async_pipeline_);
+
+  pipeline::finalize_exchange_stats_into(g.acct, dist_, cluster_,
                                          stats_scratch_);
   total_comm_bytes_ += stats_scratch_.total_bytes();
   capture_exchange_stats(stats_scratch_);
-  capture_overlap(*adaqp_bwd_graph_[l], fused_bwd_exchange_ids_[l],
-                  fused_bwd_compute_ids_[l], /*forward=*/false);
-  capture_profile_segment(*adaqp_bwd_graph_[l], l, /*forward=*/false);
-  // Modeled epoch time, same composition as before: central backward hides
-  // inside the comm window, quantize kernels and marginal backward do not.
-  const double central_s = max_compute_seconds(l, true, true);
-  const double tq = stats_scratch_.max_quant_seconds();
-  const double tdq = stats_scratch_.max_dequant_seconds();
-  bd.comm = stats_scratch_.comm_seconds;
+  capture_overlap(g, forward);
+  capture_profile_segment(g.graph, layer, forward);
+  if (forward && layer == 0)
+    last_layer1_pair_bytes_ = stats_scratch_.pair_bytes;
+}
+
+EpochBreakdown DistTrainer::compose_time(int layer, bool backward,
+                                         bool overlap) const {
+  const ExchangeStats& stats = stats_scratch_;
+  EpochBreakdown bd;
+  if (policy_of(opts_.method).drift_skip) {
+    // Sequential broadcast (the inefficiency the paper calls out in §5.1):
+    // every message pays its own transfer; skipped pairs cost nothing.
+    for (int d = 0; d < num_devices_; ++d)
+      for (int p = 0; p < num_devices_; ++p)
+        bd.comm += cluster_.transfer_seconds(d, p, stats.pair_bytes[d][p]);
+  } else {
+    bd.comm = stats.comm_seconds;
+  }
+  // Quantize / de-quantize kernels never hide (Fig. 10a); with overlap the
+  // central compute hides inside the comm window and marginal compute
+  // follows it.
+  const double tq = stats.max_quant_seconds();
+  const double tdq = stats.max_dequant_seconds();
   bd.quant = tq + tdq;
-  bd.comp = marginal_compute_seconds_max(l, true);
-  bd.total =
-      tq + std::max(stats_scratch_.comm_seconds, central_s) + tdq + bd.comp;
+  if (overlap) {
+    const double central_s = max_compute_seconds(layer, backward, true);
+    bd.comp = marginal_compute_seconds_max(layer, backward);
+    bd.total = tq + std::max(bd.comm, central_s) + tdq + bd.comp;
+  } else {
+    bd.comp = max_compute_seconds(layer, backward, false);
+    bd.total = tq + bd.comm + tdq + bd.comp;
+  }
   return bd;
+}
+
+void DistTrainer::sancus_drift_pass(int l) {
+  auto& fwd_send = fwd_graphs_[l]->acct.active;  // [sender][receiver]
+  auto& bwd_send = bwd_graphs_[l]->acct.active;
+  for (int d = 0; d < num_devices_; ++d) {
+    // This device's outgoing boundary rows (precomputed union view).
+    const std::span<const NodeId> boundary = dist_.devices[d].boundary_span();
+    Matrix& snapshot = *sancus_snapshot_[l][d];
+    snapshot.reshape_uninit(boundary.size(), acts_[l][d].cols());
+    for (std::size_t i = 0; i < boundary.size(); ++i) {
+      const auto src = acts_[l][d].row(boundary[i]);
+      std::copy(src.begin(), src.end(), snapshot.row(i).begin());
+    }
+    bool bcast = true;
+    if (sancus_staleness_[l][d] < opts_.sancus_max_staleness &&
+        sancus_last_bcast_[l][d].same_shape(snapshot)) {
+      const double base = sancus_last_bcast_[l][d].frobenius_norm();
+      Matrix& diff = *sancus_diff_[l][d];
+      copy_matrix_into(snapshot, diff);
+      diff.axpy_inplace(-1.0f, sancus_last_bcast_[l][d]);
+      const double drift = diff.frobenius_norm() / (base + 1e-12);
+      bcast = drift > opts_.sancus_drift_threshold;
+    }
+    if (bcast) {
+      sancus_staleness_[l][d] = 0;
+      // Copy, not move: the snapshot is pooled scratch and must keep its
+      // buffer for the next epoch.
+      copy_matrix_into(snapshot, sancus_last_bcast_[l][d]);
+    } else {
+      sancus_staleness_[l][d]++;
+    }
+    // Forward: d ships its rows to every peer only when it broadcasts.
+    // Backward: remote gradients only flow toward owners that broadcast
+    // fresh embeddings this epoch; contributions to stale owners are dropped
+    // (the gradient bias that slows SANCUS's convergence).
+    for (int p = 0; p < num_devices_; ++p) {
+      fwd_send[d][p] = bcast;
+      bwd_send[p][d] = bcast;
+    }
+  }
+}
+
+EpochBreakdown DistTrainer::forward_layer(int l) {
+  const MethodPolicy policy = policy_of(opts_.method);
+  // PipeGCN's cold epoch runs Vanilla's shape; once warm, layer l computes
+  // with the halo rows its deferred exchange delivered.
+  const bool deferred = policy.defer && pipegcn_warm_;
+  double joined_comm = 0.0;
+  if (deferred) {
+    // Cross-iteration joins first: layer l's compute reads the halo rows
+    // the pending deferred exchange of layer l delivers, and *writes* the
+    // owned rows of acts_[l + 1] that the next pending exchange's encode
+    // stages read — both must be joined before the trace below touches
+    // acts_[l]. Join time is stashed per slot and consumed by the slot's own
+    // layer, so each layer's breakdown reports its own exchange regardless
+    // of where the join happened.
+    join_pipegcn_forward(l);
+    if (l + 1 < num_layers_) join_pipegcn_forward(l + 1);
+    joined_comm = pipegcn_joined_comm_[l];
+    pipegcn_joined_comm_[l] = 0.0;
+  }
+  // Trace input ranges for the assigner before any halo row of this layer's
+  // input is rewritten.
+  for (int d = 0; d < num_devices_; ++d)
+    row_ranges_of_into(acts_[l][d], fwd_ranges_[l][d]);
+
+  const auto whole_rows = [&] {
+    // Each simulated device's layer compute is one task on the pool: it
+    // touches only its own activations, cache and Rng stream.
+    run_device_tasks([&](int d) {
+      model_.layer(l).forward(dist_.devices[d], acts_[l][d], acts_[l + 1][d],
+                              caches_[l][d], device_rngs_[d],
+                              /*training=*/true);
+    });
+  };
+  if (deferred) {
+    // The exchange submitted last epoch stayed in flight across the
+    // iteration boundary, overlapping the rest of last epoch (later layers,
+    // backward, Adam, evaluation) and this epoch's earlier layers; its comm
+    // time hides inside computation. Ship this epoch's (already-consumed)
+    // inputs the same way, so next epoch's halos are one epoch stale.
+    whole_rows();
+    submit_pipegcn_forward(l);
+    EpochBreakdown bd;
+    bd.comm = joined_comm;
+    bd.comp = max_compute_seconds(l, false, false);
+    bd.total = std::max(bd.comp, bd.comm);
+    return bd;
+  }
+  if (policy.drift_skip) sancus_drift_pass(l);
+  run_layer_graph(forward_graph(l), l, /*forward=*/true);
+  if (!overlap_) whole_rows();
+  return compose_time(l, /*backward=*/false, overlap_);
+}
+
+EpochBreakdown DistTrainer::forward_pass(double& loss) {
+  EpochBreakdown total;
+  for (int l = 0; l < num_layers_; ++l) total.accumulate(forward_layer(l));
+
+  // Loss values only (gradients handled in backward_pass); per-device terms
+  // computed concurrently into epoch-arena scratch, reduced in ascending
+  // device order. The gradient sink is pooled per device and re-zeroed
+  // because the losses accumulate into it.
+  double* device_loss =
+      ws_.arena().span<double>(static_cast<std::size_t>(num_devices_));
+  run_device_tasks([&](int d) {
+    Matrix& sink = *loss_sink_[d];
+    sink.reshape_zero(acts_[num_layers_][d].rows(),
+                      acts_[num_layers_][d].cols());
+    if (!dataset_.spec.multi_label) {
+      device_loss[d] = softmax_cross_entropy(
+          acts_[num_layers_][d], train_rows_[d], train_labels_[d],
+          global_train_count_, sink, *loss_prob_[d]);
+    } else {
+      device_loss[d] =
+          bce_with_logits(acts_[num_layers_][d], train_rows_[d],
+                          train_targets_[d], global_train_count_, sink);
+    }
+  });
+  loss = 0.0;
+  for (int d = 0; d < num_devices_; ++d) loss += device_loss[d];
+  loss /= global_train_count_;
+  return total;
+}
+
+EpochBreakdown DistTrainer::backward_layer(int l) {
+  const MethodPolicy policy = policy_of(opts_.method);
+  std::vector<Matrix>& grads = grad_flow_[(num_layers_ - 1 - l) & 1];
+  std::vector<Matrix>& grad_x = grad_flow_[(num_layers_ - l) & 1];
+  const bool overlap = overlap_ && l > 0;
+  if (overlap) {
+    // Zero-initialized: the row-subset adjoints accumulate, and the
+    // exchange stage builder validates shapes at graph-build time.
+    for (int d = 0; d < num_devices_; ++d)
+      grad_x[d].reshape_zero(dist_.devices[d].num_local(),
+                             model_.layer_in_dim(l));
+  } else {
+    // Whole-row backward into per-device gradient sinks, concurrently; the
+    // shared parameter gradients are then reduced in ascending device
+    // order so the epoch is deterministic at any thread count.
+    const GnnLayer& layer = model_.layer(l);
+    run_device_tasks([&](int d) {
+      layer.backward(dist_.devices[d], grads[d], caches_[l][d], grad_x[d],
+                     bwd_sinks_[l][d], bwd_scratch_[l][d]);
+    });
+    for (int d = 0; d < num_devices_; ++d)
+      model_.layer(l).apply_grads(bwd_sinks_[l][d]);
+    EpochBreakdown bd;
+    bd.comp = max_compute_seconds(l, true, false);
+    bd.total = bd.comp;
+    if (l == 0) return bd;  // no gradient leaves the input layer
+    // Trace gradient ranges for the assigner before any mutation.
+    for (int d = 0; d < num_devices_; ++d)
+      row_ranges_of_into(grad_x[d], bwd_ranges_[l][d]);
+    if (policy.defer) {
+      bd.comm = pipegcn_backward(l, grad_x);
+      bd.total = std::max(bd.comp, bd.comm);
+      return bd;
+    }
+  }
+  run_layer_graph(backward_graph(l), l, /*forward=*/false);
+  return compose_time(l, /*backward=*/true, overlap);
+}
+
+EpochBreakdown DistTrainer::backward_pass() {
+  // Loss gradients wrt logits — one device task each (disjoint outputs).
+  // Gradients flow through the two persistent ping-pong buffer sets: at
+  // layer l, the incoming grad lives in grad_flow_[(num_layers_-1-l) % 2]
+  // and the input grad in the other — fixed per layer across epochs, which
+  // is what lets the persistent exchanges and stage graphs bind them once.
+  std::vector<Matrix>& logits_grad = grad_flow_[0];
+  run_device_tasks([&](int d) {
+    Matrix& g = logits_grad[d];
+    // reshape_zero, not uninit: the losses accumulate into their sink.
+    g.reshape_zero(acts_[num_layers_][d].rows(),
+                   acts_[num_layers_][d].cols());
+    if (!dataset_.spec.multi_label) {
+      softmax_cross_entropy(acts_[num_layers_][d], train_rows_[d],
+                            train_labels_[d], global_train_count_, g,
+                            *loss_prob_[d]);
+    } else {
+      bce_with_logits(acts_[num_layers_][d], train_rows_[d], train_targets_[d],
+                      global_train_count_, g);
+    }
+  });
+
+  EpochBreakdown total;
+  for (int l = num_layers_ - 1; l >= 0; --l)
+    total.accumulate(backward_layer(l));
+  return total;
+}
+
+double DistTrainer::pipegcn_backward(int l, std::vector<Matrix>& grad_x) {
+  // Stale gradient pipeline as cross-iteration stages: the halo-row
+  // gradients computed this epoch are staged into the persistent per-layer
+  // scratch and shipped by an exchange that stays in flight while the
+  // remaining backward layers, Adam, evaluation and the next epoch's forward
+  // run. Last epoch's in-flight exchange is joined here — its arrivals
+  // (accumulated into the scratch owned rows by the bwd-acc stages) are the
+  // remote contributions this epoch's owned rows receive.
+  const bool had_pending = pipegcn_bwd_active_[l] != 0;
+  const double comm = join_pipegcn_backward(l);
+  std::vector<Matrix>& scratch = pipegcn_bwd_scratch_[l];
+  for (int d = 0; d < num_devices_; ++d) {
+    const DeviceGraph& dev = dist_.devices[d];
+    if (had_pending) {
+      for (std::size_t i = 0; i < dev.num_owned; ++i) {
+        auto dst = grad_x[d].row(i);
+        const auto src = scratch[d].row(i);
+        for (std::size_t c = 0; c < dst.size(); ++c) dst[c] += src[c];
+      }
+    }
+    // Re-stage: zero the owned rows the next exchange accumulates into,
+    // copy this epoch's outbound halo contributions, then drop them locally
+    // (they are being shipped).
+    for (std::size_t i = 0; i < dev.num_owned; ++i) {
+      auto row = scratch[d].row(i);
+      std::fill(row.begin(), row.end(), 0.0f);
+    }
+    for (std::size_t h = dev.num_owned; h < dev.num_local(); ++h) {
+      const auto src = grad_x[d].row(h);
+      std::copy(src.begin(), src.end(), scratch[d].row(h).begin());
+      auto row = grad_x[d].row(h);
+      std::fill(row.begin(), row.end(), 0.0f);
+    }
+  }
+  pipegcn_bwd_inflight_[l]->submit_backward(scratch, bwd_plans_[l],
+                                            device_rngs_, async_pipeline_);
+  pipegcn_bwd_active_[l] = 1;
+  return comm;
 }
 
 double DistTrainer::join_pipegcn_forward(int l) {
@@ -1163,54 +906,20 @@ void DistTrainer::capture_exchange_stats(const ExchangeStats& stats) {
     }
 }
 
-void DistTrainer::capture_sancus_pairs(
-    const std::vector<std::vector<std::size_t>>& pair_bytes) {
-  // The serial broadcast loops bypass AsyncExchange, so feed the always-on
-  // exchange counters here too — one round, full-precision rows only, the
-  // 12-byte block header excluded from the by-width split.
-  const obs::Instruments& ins = obs::instruments();
-  const std::size_t w32 = static_cast<std::size_t>(obs::width_index(32));
+void DistTrainer::capture_overlap(const LayerGraph& g, bool forward) {
   obs::EpochRow* row = capture_.row(epoch_);
-  std::uint64_t messages = 0;
-  std::uint64_t payload = 0;
-  std::array<std::uint64_t, obs::kNumWidths> by_width{};
-  for (int d = 0; d < num_devices_; ++d)
-    for (int p = 0; p < num_devices_; ++p) {
-      const std::size_t bytes = pair_bytes[static_cast<std::size_t>(d)]
-                                          [static_cast<std::size_t>(p)];
-      if (bytes == 0) continue;
-      const std::uint64_t body = bytes > 12 ? bytes - 12 : 0;
-      messages += 1;
-      payload += body;
-      if (row != nullptr) {
-        by_width[w32] = body;
-        row->wire_bytes[w32] += body;
-        capture_.add_pair(epoch_, d, p, by_width, bytes);
-      }
-    }
-  if (messages == 0) return;
-  ins.exchange_rounds.add(1);
-  ins.exchange_messages.add(messages);
-  ins.exchange_wire_bytes[w32]->add(payload);
-  if (row != nullptr) row->messages += messages;
-}
-
-void DistTrainer::capture_overlap(const pipeline::StageGraph& graph,
-                                  const std::vector<int>& exchange_ids,
-                                  const std::vector<int>& compute_ids,
-                                  bool forward) {
-  obs::EpochRow* row = capture_.row(epoch_);
-  if (row == nullptr || exchange_ids.empty() || compute_ids.empty()) return;
+  if (row == nullptr || g.exchange_ids.empty() || g.compute_ids.empty())
+    return;
   // Stage timestamps into the pre-reserved interval scratch; the interval
   // math mutates in place and never grows beyond the reserved capacity.
   iv_exchange_.clear();
   iv_compute_.clear();
-  for (const int id : exchange_ids)
-    iv_exchange_.emplace_back(graph.stage_begin_us(id),
-                              graph.stage_end_us(id));
-  for (const int id : compute_ids)
-    iv_compute_.emplace_back(graph.stage_begin_us(id),
-                             graph.stage_end_us(id));
+  for (const int id : g.exchange_ids)
+    iv_exchange_.emplace_back(g.graph.stage_begin_us(id),
+                              g.graph.stage_end_us(id));
+  for (const int id : g.compute_ids)
+    iv_compute_.emplace_back(g.graph.stage_begin_us(id),
+                             g.graph.stage_end_us(id));
   obs::accumulate_overlap(iv_exchange_, iv_compute_,
                           forward ? row->fwd_overlap : row->bwd_overlap);
 }
@@ -1219,12 +928,12 @@ void DistTrainer::capture_profile_segment(const pipeline::StageGraph& graph,
                                           int layer, bool forward) {
   obs::ProfileCapture& prof = capture_.profile();
   obs::SegmentProfile* seg = prof.segment(epoch_, layer, forward);
-  if (seg == nullptr) return;
+  if (seg == nullptr || graph.size() == 0) return;
   // Rebuild the executed graph inside the pre-sized DAG scratch: names,
   // timestamps and declared dependency edges, plus this layer-epoch's
-  // modeled quantize : comm : dequantize split so the fused exchange
-  // stages can be attributed across encode/wire/decode. stats_scratch_
-  // holds exactly this segment's exchange stats (finalized just before).
+  // modeled quantize : comm : dequantize split so the exchange stages can be
+  // attributed across encode/wire/decode. stats_scratch_ holds exactly this
+  // segment's exchange stats (finalized just before).
   obs::ProfileDag& dag = prof.dag();
   dag.clear();
   dag.set_exchange_model(stats_scratch_.max_quant_seconds(),
@@ -1270,35 +979,39 @@ void DistTrainer::capture_profile_segment(const pipeline::StageGraph& graph,
 }
 
 void DistTrainer::refresh_plans() {
-  if (opts_.method == Method::kAdaQP) {
-    const Aggregator agg = model_.config().aggregator;
-    for (int l = 0; l < num_layers_; ++l) {
-      if (fwd_ranges_[l].empty()) continue;
-      AssignReport report;
-      fwd_plans_[l] = assign_bit_widths(dist_, cluster_, agg,
-                                        Direction::kForward, fwd_ranges_[l],
-                                        model_.layer_in_dim(l),
-                                        opts_.assigner, &report);
-      assign_seconds_ +=
-          report.solve_wall_seconds + report.sim_gather_scatter_seconds;
+  switch (policy_of(opts_.method).plan) {
+    case PlanKind::kFull32:
+      return;
+    case PlanKind::kAssigner: {
+      const Aggregator agg = model_.config().aggregator;
+      for (int l = 0; l < num_layers_; ++l) {
+        AssignReport report;
+        fwd_plans_[l] = assign_bit_widths(dist_, cluster_, agg,
+                                          Direction::kForward, fwd_ranges_[l],
+                                          model_.layer_in_dim(l),
+                                          opts_.assigner, &report);
+        assign_seconds_ +=
+            report.solve_wall_seconds + report.sim_gather_scatter_seconds;
+      }
+      for (int l = 1; l < num_layers_; ++l) {
+        AssignReport report;
+        bwd_plans_[l] = assign_bit_widths(dist_, cluster_, agg,
+                                          Direction::kBackward, bwd_ranges_[l],
+                                          model_.layer_in_dim(l),
+                                          opts_.assigner, &report);
+        assign_seconds_ +=
+            report.solve_wall_seconds + report.sim_gather_scatter_seconds;
+      }
+      return;
     }
-    for (int l = 1; l < num_layers_; ++l) {
-      if (bwd_ranges_[l].empty()) continue;
-      AssignReport report;
-      bwd_plans_[l] = assign_bit_widths(dist_, cluster_, agg,
-                                        Direction::kBackward, bwd_ranges_[l],
-                                        model_.layer_in_dim(l),
-                                        opts_.assigner, &report);
-      assign_seconds_ +=
-          report.solve_wall_seconds + report.sim_gather_scatter_seconds;
-    }
-  } else if (opts_.method == Method::kAdaQPUniform) {
-    for (int l = 0; l < num_layers_; ++l)
-      fwd_plans_[l] =
-          sample_uniform_plan(dist_, Direction::kForward, master_rng_);
-    for (int l = 1; l < num_layers_; ++l)
-      bwd_plans_[l] =
-          sample_uniform_plan(dist_, Direction::kBackward, master_rng_);
+    case PlanKind::kUniformRandom:
+      for (int l = 0; l < num_layers_; ++l)
+        fwd_plans_[l] =
+            sample_uniform_plan(dist_, Direction::kForward, master_rng_);
+      for (int l = 1; l < num_layers_; ++l)
+        bwd_plans_[l] =
+            sample_uniform_plan(dist_, Direction::kBackward, master_rng_);
+      return;
   }
 }
 
@@ -1319,7 +1032,7 @@ EpochRecord DistTrainer::train_epoch() {
   const std::uint64_t a0 = memory::alloc_count();
   for (Param* p : params_) p->grad.set_zero();
   double loss = 0.0;
-  EpochBreakdown fwd = forward_pass(/*training=*/true, &loss);
+  EpochBreakdown fwd = forward_pass(loss);
   const std::uint64_t a1 = memory::alloc_count();
   const double w1 = obs::monotonic_us();
   EpochBreakdown bwd = backward_pass();
@@ -1338,13 +1051,12 @@ EpochRecord DistTrainer::train_epoch() {
   rec.time.comm += sync;
   rec.time.total += sync;
 
-  if (opts_.method == Method::kPipeGCN) pipegcn_warm_ = true;
+  const MethodPolicy policy = policy_of(opts_.method);
+  if (policy.defer) pipegcn_warm_ = true;
 
   // Periodic bit-width (re-)assignment at the end of the traced period.
-  const bool quantizing = opts_.method == Method::kAdaQP ||
-                          opts_.method == Method::kAdaQPUniform;
   const bool refresh_now =
-      quantizing &&
+      policy.plan != PlanKind::kFull32 &&
       (epoch_ == 0 || (epoch_ + 1) % std::max(opts_.reassign_period, 1) == 0);
   if (refresh_now) refresh_plans();
   const std::uint64_t a4 = memory::alloc_count();
@@ -1514,7 +1226,7 @@ RunResult DistTrainer::run() {
   // total_comm_bytes and the time accounting cover every exchange of the
   // run (there is no next-epoch compute left to hide the tail inside, so
   // its comm time is exposed). Identical in async and sync modes.
-  if (opts_.method == Method::kPipeGCN && !result.epochs.empty()) {
+  if (policy_of(opts_.method).defer && !result.epochs.empty()) {
     EpochBreakdown tail;
     for (int l = 0; l < num_layers_; ++l) {
       tail.comm += join_pipegcn_forward(l);

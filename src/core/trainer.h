@@ -26,24 +26,36 @@
 // ascending device order — so a run is bit-identical at any ADAQP_THREADS
 // setting (tests/test_runtime.cpp enforces this).
 //
-// With ADAQP_ASYNC=1 (the default) the AdaQP / AdaQP-Uniform layers run
-// through the pipeline stage scheduler (src/pipeline/) in both directions.
-// Forward: the marginal-row encode/wire/decode stages execute concurrently
-// with the central-subgraph forward, joining before marginal compute — the
-// *real* execution of the overlap the cost model's max(comm, central)
-// arithmetic predicts. Backward (full duplex): each layer's backward is
-// decomposed into row-subset adjoints — the marginal-row adjoint produces
-// the halo gradient rows, whose encode/wire stages then run concurrently
-// with the central-row adjoint and the shared parameter-gradient fold;
-// owner-side accumulation waits for the owner's central stage (both add
-// into boundary rows). PipeGCN's deferred exchanges are the same stages
-// kept in flight *across iteration boundaries*: a layer's stale halo
-// send/recv overlaps the rest of the epoch (later layers, backward, Adam,
-// evaluation) and the next epoch's earlier layers, and is joined lazily
-// just before its buffers are reread or rewritten. ADAQP_ASYNC=0 keeps the
-// phased execution; both modes (and any thread count, and any ADAQP_ISA)
-// are bit-identical, enforced by tests/test_pipeline.cpp. Setting
-// ADAQP_TRACE to a path makes run() record a Chrome trace of the stages.
+// One execution path serves all five methods. Every (layer, direction) owns
+// one persistent pipeline stage graph (src/pipeline/) holding the per-pair
+// encode/wire/decode stages of its halo exchange; it is built in the warmup
+// epoch and re-armed every later epoch. A small per-method policy table
+// (trainer.cpp) decides the rest:
+//
+//   plan        fixed 32-bit, the bi-objective assigner, or uniform-random
+//               widths (re-solved after the warmup epoch);
+//   overlap     on: the layer's central/marginal compute stages join the
+//               graph. Forward, the exchange runs concurrently with the
+//               central-row forward and marginal rows wait on their inbound
+//               messages; backward (full duplex), the marginal-row adjoint
+//               produces the halo gradient rows, whose encode/wire stages
+//               run concurrently with the central-row adjoint and the shared
+//               parameter-gradient fold. Off: whole-row per-device compute
+//               runs as device tasks after the graph (forward) or before it
+//               (backward) — the exchange-then-compute barrier;
+//   defer       PipeGCN: a layer's stale halo send/recv stays in flight
+//               across iteration boundaries and is joined lazily just before
+//               its buffers are reread or rewritten (the forward defers from
+//               epoch 1 on; the cold first epoch runs Vanilla's shape);
+//   drift_skip  SANCUS: a serial drift pre-pass marks which pairs send this
+//               epoch; a skipped pair ships no frame and costs no time, and
+//               the modeled comm is the sequential-broadcast sum.
+//
+// ADAQP_ASYNC=1 (the default) launches each graph on the pool; ADAQP_ASYNC=0
+// runs the same graph with run_serial(), the ascending-id reference
+// schedule. Both modes (and any thread count, and any ADAQP_ISA) are
+// bit-identical, enforced by tests/test_pipeline.cpp. Setting ADAQP_TRACE to
+// a path makes run() record a Chrome trace of the stages.
 #pragma once
 
 #include <functional>
@@ -186,8 +198,20 @@ class DistTrainer {
   const obs::RunCapture& run_capture() const { return capture_; }
 
  private:
+  /// One layer's halo exchange in one direction: a persistent stage graph,
+  /// built on first use (warmup epoch) and re-armed in place every later
+  /// epoch, plus the accounting its stages write. Overlapping methods add
+  /// the layer's compute stages to the same graph.
+  struct LayerGraph {
+    pipeline::StageGraph graph;
+    pipeline::ExchangeAccounting acct;
+    std::vector<int> exchange_ids;  ///< wire stages (overlap figures)
+    std::vector<int> compute_ids;   ///< central stages + fold; overlap only
+    bool built = false;
+  };
+
   void refresh_plans();
-  EpochBreakdown forward_pass(bool training, double* loss_out);
+  EpochBreakdown forward_pass(double& loss);
   EpochBreakdown backward_pass();
 
   /// Run fn(d) for every device as one task group on the runtime pool.
@@ -199,35 +223,40 @@ class DistTrainer {
                       [&fn](std::size_t d) { fn(static_cast<int>(d)); });
   }
 
-  /// Persistent per-layer synchronous exchanges (Vanilla, PipeGCN cold
-  /// start, the phased ADAQP_ASYNC=0 forward): one multi-shot AsyncExchange
-  /// each, built on first use, submit+wait per call thereafter.
-  pipeline::AsyncExchange& sync_forward_exchange(int l);
-  pipeline::AsyncExchange& sync_backward_exchange(int l);
+  /// Exchange + compute of layer l (its input is acts_[l]); returns the
+  /// modeled time contributions.
+  EpochBreakdown forward_layer(int l);
+  /// Backward of layer l: writes the layer-input gradient into the
+  /// grad_flow_ buffer of parity (num_layers - l) & 1 and folds the
+  /// parameter gradients, exchanging halo gradient rows when l > 0.
+  EpochBreakdown backward_layer(int l);
 
-  // Per-method forward halo handling for layer input index `l` (the input
-  // matrices acts_[l]); returns stage time contributions.
-  EpochBreakdown forward_exchange(int l);
-  EpochBreakdown backward_exchange(int l, std::vector<Matrix>& grads);
+  /// The layer graphs, built on first use. Stage bodies read the plans
+  /// through stable references, so plan refreshes need no rebuild.
+  LayerGraph& forward_graph(int l);
+  LayerGraph& backward_graph(int l);
 
-  /// AdaQP / AdaQP-Uniform layer execution: exchange + forward compute of
-  /// layer l as one pipeline stage graph (async mode overlaps the per-pair
-  /// encode/wire/decode with central-row compute; sync mode runs the phased
-  /// reference schedule). Bit-identical either way.
-  EpochBreakdown adaqp_forward_layer(int l, bool training);
+  /// Re-derive the per-pair RNG streams, re-arm and run one layer graph,
+  /// then its accounting tail: exchange stats, total_comm_bytes_, the
+  /// metrics row, realized overlap and the critical-path profile.
+  void run_layer_graph(LayerGraph& g, int layer, bool forward);
 
-  /// Full-duplex backward of layer l (AdaQP / AdaQP-Uniform, l > 0): one
-  /// stage graph running, per device, the marginal-row adjoint (the sole
-  /// writer of halo gradient rows), then — concurrently with the per-pair
-  /// halo-gradient encode/wire stages — the central-row adjoint and the
-  /// shared parameter-gradient fold. Owner-side accumulate stages wait for
-  /// the owner's central stage (both add into boundary rows) and the
-  /// assigner's range-trace stage. Per-(device, subset) weight-gradient
-  /// partials are folded in ascending device order, marginal before central.
-  /// Writes grad_x (resized); bit-identical across async/sync, thread
-  /// counts and ISAs.
-  EpochBreakdown adaqp_backward_layer(int l, std::vector<Matrix>& grads,
-                                      std::vector<Matrix>& grad_x);
+  /// Modeled time of the layer exchange just run (stats_scratch_) plus the
+  /// layer's compute, composed per policy: with overlap, central compute
+  /// hides inside the comm window; without, exchange and compute add up.
+  EpochBreakdown compose_time(int layer, bool backward, bool overlap) const;
+
+  /// SANCUS pre-pass over layer input l, serial in ascending device order:
+  /// a device re-broadcasts its boundary rows only when they drifted past
+  /// the threshold or went stale for too long. Writes the per-pair send
+  /// masks of layer l's forward (sender broadcasts) and backward (owner
+  /// broadcast) exchanges.
+  void sancus_drift_pass(int l);
+
+  /// PipeGCN's backward exchange of layer input l: joins last epoch's
+  /// in-flight round, adds its arrivals to grad_x's owned rows, stages this
+  /// epoch's halo rows and submits them. Returns the joined comm seconds.
+  double pipegcn_backward(int l, std::vector<Matrix>& grad_x);
 
   /// Join the in-flight PipeGCN deferred exchange of layer input l (no-op
   /// when none is pending); returns its modeled comm seconds and accounts
@@ -241,19 +270,11 @@ class DistTrainer {
   /// volumes). No-op unless run() enabled capture. Purely observational:
   /// writes pre-allocated capture storage only.
   void capture_exchange_stats(const ExchangeStats& stats);
-  /// Same for the SANCUS serial broadcast loops, which bypass
-  /// AsyncExchange: every non-empty pair is one full-precision message of
-  /// pair_bytes[d][p] wire bytes (12-byte block header excluded from the
-  /// by-width attribution, like the AsyncExchange accounting).
-  void capture_sancus_pairs(
-      const std::vector<std::vector<std::size_t>>& pair_bytes);
-  /// Accumulate realized overlap between the fused AdaQP graph's exchange
-  /// stages and its central-compute stages (stage timestamps, no tracing)
-  /// into the current epoch row. Direction picks fwd_overlap/bwd_overlap.
-  void capture_overlap(const pipeline::StageGraph& graph,
-                       const std::vector<int>& exchange_ids,
-                       const std::vector<int>& compute_ids, bool forward);
-  /// Feed one executed fused layer graph into the critical-path profiler
+  /// Accumulate realized overlap between a layer graph's exchange stages
+  /// and its central-compute stages (stage timestamps, no tracing) into the
+  /// current epoch row. Direction picks fwd_overlap/bwd_overlap.
+  void capture_overlap(const LayerGraph& g, bool forward);
+  /// Feed one executed layer graph into the critical-path profiler
   /// (obs/profile.h): every stage's name, timestamps and declared deps go
   /// into the pre-sized DAG scratch, the exchange split model comes from
   /// stats_scratch_, and the solved SegmentProfile lands in the profile
@@ -283,6 +304,9 @@ class DistTrainer {
 
   int num_devices_ = 0;
   int num_layers_ = 0;
+  /// The method's overlap policy, on only when some device has halo rows:
+  /// a layer with no wire pairs runs zero stages.
+  bool overlap_ = false;
 
   // Per-device static data.
   std::vector<Matrix> features_;                 ///< local features (with halo)
@@ -308,11 +332,11 @@ class DistTrainer {
   // stages: submitted after a layer's compute (forward) or at its backward
   // exchange point, joined lazily one epoch later. They capture the shared
   // fwd_plans_/bwd_plans_ entries, which stay the constructor's uniform
-  // 32-bit plans for this method (refresh_plans is AdaQP-only), so the
-  // referenced plan is stable while an exchange is in flight. Backward staging uses
-  // persistent per-layer scratch matrices (halo rows: this epoch's outbound
-  // contributions; owned rows: the arrivals accumulated by the in-flight
-  // exchange, harvested at join).
+  // 32-bit plans for this method, so the referenced plan is stable while an
+  // exchange is in flight. Backward staging uses persistent per-layer
+  // scratch matrices (halo rows: this epoch's outbound contributions; owned
+  // rows: the arrivals accumulated by the in-flight exchange, harvested at
+  // join).
   bool pipegcn_warm_ = false;
   std::vector<std::vector<Matrix>> pipegcn_bwd_scratch_;  ///< [layer][device]
   /// Comm seconds of joined forward exchanges, stashed per slot until the
@@ -322,7 +346,6 @@ class DistTrainer {
   // SANCUS state: snapshot of owned rows at last broadcast per layer input.
   std::vector<std::vector<Matrix>> sancus_last_bcast_;  ///< [layer][device]
   std::vector<std::vector<int>> sancus_staleness_;      ///< [layer][device]
-  std::vector<std::vector<bool>> sancus_bcast_now_;     ///< [layer][device]
 
   int epoch_ = 0;
   bool async_pipeline_ = true;  ///< resolved from ADAQP_ASYNC at construction
@@ -341,8 +364,6 @@ class DistTrainer {
   std::vector<Param*> params_;   ///< cached model_.params() (stable set)
   std::size_t grad_bytes_ = 0;   ///< cached model_.grad_bytes()
   ExchangeStats stats_scratch_;  ///< reusable stats sink (main thread only)
-  EncodedBlock wire_block_;      ///< SANCUS serial wire staging
-  std::vector<float> wire_uniforms_;
   EpochAllocReport alloc_report_;
   obs::PhaseWall last_wall_;     ///< measured seconds of the last epoch
 
@@ -350,14 +371,8 @@ class DistTrainer {
   // run() sizes capture_ (epochs x devices) and reserves the interval
   // scratch before the first epoch when ADAQP_METRICS enables a report;
   // every per-epoch write below then lands in pre-allocated storage, so
-  // capture runs through steady-state epochs without allocating. The stage
-  // ids are recorded once, at fused-graph build time (warmup epoch): the
-  // graphs are persistent, so the ids stay valid for the whole run.
+  // capture runs through steady-state epochs without allocating.
   obs::RunCapture capture_;
-  std::vector<std::vector<int>> fused_fwd_exchange_ids_;  ///< [layer]
-  std::vector<std::vector<int>> fused_fwd_compute_ids_;
-  std::vector<std::vector<int>> fused_bwd_exchange_ids_;
-  std::vector<std::vector<int>> fused_bwd_compute_ids_;
   std::vector<obs::Interval> iv_exchange_;  ///< overlap scratch (reserved)
   std::vector<obs::Interval> iv_compute_;
 
@@ -371,43 +386,24 @@ class DistTrainer {
   // the persistent backward stage graphs can capture these by reference.
   std::vector<std::vector<Matrix>> grad_flow_;    ///< [parity][device]
 
-  // Persistent per-(layer, device) backward sinks and temporaries of the
-  // phased (non-fused) backward path.
+  // Persistent per-(layer, device) parameter-gradient sinks and backward
+  // temporaries: the whole-row backward writes bwd_sinks_; the overlapped
+  // backward writes its marginal-row partials there and its central-row
+  // partials into central_sinks_.
   std::vector<std::vector<LayerGrads>> bwd_sinks_;
+  std::vector<std::vector<LayerGrads>> central_sinks_;
   std::vector<std::vector<LayerBackwardScratch>> bwd_scratch_;
 
-  // SANCUS pooled scratch (pointers into ws_), pre-warmed at construction
-  // so no key is first touched — and no capacity first grown — in a
+  // SANCUS drift scratch (pointers into ws_), pre-sized at construction so
+  // no key is first touched — and no capacity first grown — in a
   // steady-state epoch.
   std::vector<std::vector<Matrix*>> sancus_snapshot_;   ///< [layer][device]
   std::vector<std::vector<Matrix*>> sancus_diff_;       ///< [layer][device]
-  std::vector<std::vector<std::vector<int>*>> sancus_bits_;
-  Matrix* sancus_tmp_ = nullptr;                ///< backward decode staging
-  std::vector<NodeId>* sancus_seq_ = nullptr;   ///< identity row list
-  std::vector<std::vector<std::size_t>> sancus_pair_bytes_;
-  // SANCUS wire identity: per-(layer, direction) transport channels claimed
-  // at construction plus their round counters (one round per broadcast
-  // sweep), forming the FrameTags of the serial broadcast path.
-  std::vector<std::uint32_t> sancus_fwd_chan_;
-  std::vector<std::uint32_t> sancus_bwd_chan_;
-  std::vector<std::uint32_t> sancus_fwd_round_;
-  std::vector<std::uint32_t> sancus_bwd_round_;
 
-  // Persistent synchronous exchanges, one per layer, built on first use.
-  std::vector<std::unique_ptr<pipeline::AsyncExchange>> sync_fwd_ex_;
-  std::vector<std::unique_ptr<pipeline::AsyncExchange>> sync_bwd_ex_;
-
-  // Persistent AdaQP fused stage graphs — built once during warmup,
-  // reset() + re-run every later epoch — and the per-layer accounting,
-  // sinks and temporaries their stages reference.
-  std::vector<std::unique_ptr<pipeline::StageGraph>> adaqp_fwd_graph_;
-  std::vector<pipeline::ExchangeAccounting> adaqp_fwd_acct_;
-  std::vector<std::unique_ptr<pipeline::StageGraph>> adaqp_bwd_graph_;
-  std::vector<pipeline::ExchangeAccounting> adaqp_bwd_acct_;
-  std::vector<std::vector<LayerGrads>> adaqp_marginal_sinks_;
-  std::vector<std::vector<LayerGrads>> adaqp_central_sinks_;
-  std::vector<std::vector<LayerBackwardScratch>> adaqp_bwd_scratch_;
-  std::vector<const void*> adaqp_bwd_bound_;  ///< grads vector bound at build
+  // The per-(layer, direction) stage graphs; each claims its own transport
+  // channel at construction, in layer order, forward before backward.
+  std::vector<std::unique_ptr<LayerGraph>> fwd_graphs_;
+  std::vector<std::unique_ptr<LayerGraph>> bwd_graphs_;
 
   // In-flight PipeGCN deferred exchanges, one slot per layer input; the
   // objects are persistent (multi-shot), the flags say whether a round is

@@ -84,12 +84,8 @@ class Arena {
 enum class Scratch : std::uint8_t {
   kSancusSnapshot,   ///< boundary-row snapshot, per (layer, device)
   kSancusDiff,       ///< drift diff vs last broadcast, per (layer, device)
-  kSancusBits,       ///< per-row bit widths, per (layer, device)
-  kSancusSeq,        ///< 0..n-1 row index sequence, per (layer, device)
   kLossGradSink,     ///< evaluation-loss gradient sink, per device
   kLossProb,         ///< softmax probability row, per device
-  kGradFlow,         ///< backward activation-gradient ping-pong, per (parity, device)
-  kRowRanges,        ///< row-range staging, per (layer, device)
   kGeneric,          ///< anything else; disambiguate via (layer, a, b)
 };
 

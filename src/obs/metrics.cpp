@@ -245,15 +245,6 @@ namespace {
 std::mutex g_override_mu;
 std::optional<ReportConfig> g_override;  // guarded by g_override_mu
 
-ReportFormat parse_format(const std::string& text) {
-  if (text == "json") return ReportFormat::kJson;
-  if (text == "csv") return ReportFormat::kCsv;
-  if (text == "prom") return ReportFormat::kProm;
-  throw std::runtime_error(
-      "ADAQP_METRICS_FORMAT must be one of json|csv|prom, got \"" + text +
-      "\"");
-}
-
 }  // namespace
 
 ReportConfig report_config() {
@@ -262,10 +253,6 @@ ReportConfig report_config() {
     if (g_override) return *g_override;
   }
   ReportConfig cfg;
-  // The format knob is validated even when no path is set: strict parsing
-  // everywhere, a typo'd knob never runs silently (docs/ENVVARS.md).
-  if (const auto fmt = env::text("ADAQP_METRICS_FORMAT"))
-    cfg.format = parse_format(*fmt);
   if (const auto path = env::text("ADAQP_METRICS")) {
     cfg.enabled = true;
     cfg.path = *path;
@@ -281,11 +268,10 @@ std::optional<ReportConfig> set_report_override(
   return prev;
 }
 
-MetricsGuard::MetricsGuard(std::string path, ReportFormat format) {
+MetricsGuard::MetricsGuard(std::string path) {
   ReportConfig cfg;
   cfg.enabled = true;
   cfg.path = std::move(path);
-  cfg.format = format;
   prev_ = set_report_override(std::move(cfg));
 }
 

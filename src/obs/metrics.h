@@ -197,22 +197,17 @@ struct Instruments {
 const Instruments& instruments();
 
 // ---------------------------------------------------------------------------
-// Run-report configuration (ADAQP_METRICS / ADAQP_METRICS_FORMAT).
+// Run-report configuration (ADAQP_METRICS).
 // ---------------------------------------------------------------------------
-
-enum class ReportFormat { kJson, kCsv, kProm };
 
 struct ReportConfig {
   bool enabled = false;
   std::string path;
-  ReportFormat format = ReportFormat::kJson;
 };
 
 /// Resolve the active configuration: the in-process override wins, else the
-/// environment. `ADAQP_METRICS` names the output path (unset/empty =
-/// disabled); `ADAQP_METRICS_FORMAT` must be `json`, `csv` or `prom` and
-/// is validated strictly (throws std::runtime_error on anything else, even
-/// when the path is unset — a typo'd knob never runs silently).
+/// environment. `ADAQP_METRICS` names the output path of the JSON report
+/// (unset/empty = disabled).
 ReportConfig report_config();
 
 /// Install (or with nullopt, clear) the in-process override; returns the
@@ -224,7 +219,7 @@ std::optional<ReportConfig> set_report_override(
 /// reporting) for the guard's scope, restoring the previous override after.
 class MetricsGuard {
  public:
-  MetricsGuard(std::string path, ReportFormat format = ReportFormat::kJson);
+  explicit MetricsGuard(std::string path);
   /// Force-disabled for the scope (shadows any environment setting).
   MetricsGuard();
   ~MetricsGuard();

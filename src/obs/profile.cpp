@@ -428,10 +428,10 @@ EpochProfile ProfileCapture::epoch_rollup(int epoch) const {
   // Decompose the forward+backward wall into: critical-path categories
   // (Σ category_s == cp_s), scheduling (segment makespan beyond its
   // critical path: queueing + worker wakeup), and serial glue (wall not
-  // covered by any profiled segment: graph reset, phased methods, refresh
-  // work). Clamp residue flows between the two derived terms so the
-  // decomposition sums to the attributed wall exactly whenever timestamps
-  // are sane.
+  // covered by any profiled segment: graph reset, whole-row compute outside
+  // the layer graphs, refresh work). Clamp residue flows between the two
+  // derived terms so the decomposition sums to the attributed wall exactly
+  // whenever timestamps are sane.
   out.scheduling_s = makespan_sum - out.cp_s;
   out.serial_s = (fwd + bwd) - makespan_sum;
   if (out.serial_s < 0.0) {

@@ -423,111 +423,12 @@ std::string render_json(const RunCapture& cap, const ReportMeta& meta) {
   return out;
 }
 
-std::string render_csv(const RunCapture& cap, const ReportMeta& meta) {
-  std::string out;
-  out +=
-      "# adaqp-metrics-v1 csv: method=" + meta.method +
-      " model=" + meta.model + " dataset=" + meta.dataset + "\n";
-  out +=
-      "epoch,train_loss,val_acc,test_acc,"
-      "sim_comm_s,sim_comp_s,sim_quant_s,sim_total_s,"
-      "wall_forward_s,wall_backward_s,wall_optimizer_s,wall_refresh_s,"
-      "wall_evaluation_s,"
-      "allocs_forward,allocs_backward,allocs_optimizer,allocs_refresh,"
-      "allocs_evaluation,steady_state,"
-      "messages,wire_bytes_b2,wire_bytes_b4,wire_bytes_b8,wire_bytes_b32,"
-      "fwd_overlap_efficiency,bwd_overlap_efficiency\n";
-  for (int e = 0; e < cap.captured_epochs(); ++e) {
-    const EpochRow& r = cap.row_at(e);
-    append_i64(out, r.epoch);
-    for (const double v :
-         {r.train_loss, r.val_acc, r.test_acc, r.sim_comm_s, r.sim_comp_s,
-          r.sim_quant_s, r.sim_total_s, r.wall.forward_s, r.wall.backward_s,
-          r.wall.optimizer_s, r.wall.refresh_s, r.wall.evaluation_s}) {
-      out += ',';
-      append_num(out, v);
-    }
-    for (const std::uint64_t v :
-         {r.allocs_forward, r.allocs_backward, r.allocs_optimizer,
-          r.allocs_refresh, r.allocs_evaluation}) {
-      out += ',';
-      append_u64(out, v);
-    }
-    out += r.steady_state ? ",1," : ",0,";
-    append_u64(out, r.messages);
-    for (int w = 0; w < kNumWidths; ++w) {
-      out += ',';
-      append_u64(out, r.wire_bytes[static_cast<std::size_t>(w)]);
-    }
-    out += ',';
-    append_num(out, r.fwd_overlap.efficiency());
-    out += ',';
-    append_num(out, r.bwd_overlap.efficiency());
-    out += '\n';
-  }
-  return out;
-}
-
-// Prometheus text exposition of the registry snapshot (instrument names
-// have '.' flattened to '_'). The per-epoch detail is JSON/CSV only — the
-// prom dump is the live-scrape shape for the future serving path.
-std::string render_prom(const ReportMeta& meta) {
-  std::string out;
-  const auto prom_name = [](const std::string& name) {
-    std::string flat = "adaqp_";
-    for (const char c : name) flat += (c == '.' || c == '-') ? '_' : c;
-    return flat;
-  };
-  out += "# adaqp-metrics-v1 prom: method=" + meta.method +
-         " dataset=" + meta.dataset + "\n";
-  const Registry::Snapshot snap = Registry::instance().snapshot();
-  for (const auto& [name, value] : snap.counters) {
-    const std::string n = prom_name(name);
-    out += "# TYPE " + n + "_total counter\n" + n + "_total ";
-    append_u64(out, value);
-    out += '\n';
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    const std::string n = prom_name(name);
-    out += "# TYPE " + n + " gauge\n" + n + " ";
-    append_i64(out, value);
-    out += '\n';
-  }
-  for (const auto& h : snap.histograms) {
-    const std::string n = prom_name(h.name);
-    out += "# TYPE " + n + " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < h.counts.size(); ++b) {
-      cumulative += h.counts[b];
-      out += n + "_bucket{le=\"";
-      if (b < h.bounds.size())
-        append_num(out, h.bounds[b]);
-      else
-        out += "+Inf";
-      out += "\"} ";
-      append_u64(out, cumulative);
-      out += '\n';
-    }
-    out += n + "_sum ";
-    append_num(out, h.sum);
-    out += '\n' + n + "_count ";
-    append_u64(out, h.count);
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace
 
 bool write_report(const RunCapture& capture, const ReportMeta& meta,
                   const ReportConfig& cfg) {
   if (!cfg.enabled || cfg.path.empty()) return false;
-  std::string body;
-  switch (cfg.format) {
-    case ReportFormat::kJson: body = render_json(capture, meta); break;
-    case ReportFormat::kCsv: body = render_csv(capture, meta); break;
-    case ReportFormat::kProm: body = render_prom(meta); break;
-  }
+  const std::string body = render_json(capture, meta);
   std::FILE* f = std::fopen(cfg.path.c_str(), "w");
   if (!f) return false;
   const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();

@@ -228,6 +228,7 @@ PairStages add_forward_exchange_stages(StageGraph& graph,
       out.stage[d][p] = graph.add(
           name,
           [&dist, &locals, &plan, &acct, d, p] {
+            if (!acct.sends(d, p)) return;
             const DeviceGraph& sender = dist.devices[d];
             const auto& bits = plan.bits[d][p];
             // Persistent per-pair staging: block bytes and uniform buffer
@@ -306,6 +307,7 @@ PairStages add_backward_exchange_stages(StageGraph& graph,
       out.stage[d][p] = graph.add(
           name,
           [&dist, &grads, &plan, &acct, d, p] {
+            if (!acct.sends(d, p)) return;
             const DeviceGraph& sender = dist.devices[d];
             const auto& bits = plan.bits[d][p];
             encode_rows_into(grads[d], sender.recv_local[p], bits,

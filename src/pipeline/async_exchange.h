@@ -63,6 +63,13 @@ struct ExchangeAccounting {
   /// Per-owner backward-accumulate staging: decoded rows + identity seq.
   std::vector<Matrix> acc_decoded;
   std::vector<std::vector<NodeId>> acc_seq;
+  /// Optional per-pair send mask, [sender][receiver], written by the owner
+  /// before a round runs; empty means every pair sends. A masked-off pair's
+  /// encode stage leaves its block empty: no frame, 0 wire bytes, and the
+  /// backward owner accumulate skips it.
+  std::vector<std::vector<std::uint8_t>> active;
+
+  bool sends(int d, int p) const { return active.empty() || active[d][p]; }
 
   /// Transport identity (src/transport/): the exchange's wire channel —
   /// claimed from transport::next_channel() by whoever owns this accounting
@@ -163,9 +170,8 @@ void finalize_exchange_stats_into(const ExchangeAccounting& acct,
 /// The join may happen arbitrarily later than the submit: DistTrainer
 /// keeps one AsyncExchange per layer in flight *across iteration
 /// boundaries* for PipeGCN's deferred exchanges (stale boundary rows ship
-/// while the rest of the epoch and the next epoch's earlier layers run),
-/// and overlaps each AdaQP layer's halo-gradient exchange with the
-/// central-row backward. Benches and tests drive it directly.
+/// while the rest of the epoch and the next epoch's earlier layers run).
+/// Benches and tests drive it directly.
 class AsyncExchange {
  public:
   AsyncExchange(const DistGraph& dist, const ClusterSpec& cluster);

@@ -16,7 +16,7 @@ std::atomic<int> g_override{-1};
 bool async_enabled() {
   const int ov = g_override.load(std::memory_order_acquire);
   if (ov >= 0) return ov != 0;
-  // 0 = sync phased execution, 1 = async stage scheduler (the default);
+  // 0 = serial reference schedule, 1 = async stage scheduler (the default);
   // anything else throws via the strict shared parser.
   return env::flag01("ADAQP_ASYNC", true);
 }

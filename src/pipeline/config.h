@@ -1,12 +1,13 @@
 // Pipeline configuration: the ADAQP_ASYNC escape hatch.
 //
-// ADAQP_ASYNC=1 (the default) runs AdaQP layers through the async stage
-// scheduler (src/pipeline/stage_graph.h): marginal-row encode/wire/decode
-// overlaps central-subgraph compute on the runtime thread pool.
-// ADAQP_ASYNC=0 keeps the phased PR-2 execution (exchange, then compute),
-// useful for bisecting and as the baseline for the overlap bench. The two
-// modes are bit-identical by construction; tests/test_pipeline.cpp enforces
-// it for every trainer method.
+// ADAQP_ASYNC=1 (the default) launches every trainer layer graph on the
+// async stage scheduler (src/pipeline/stage_graph.h), so exchange stages
+// overlap whatever compute stages the method's policy adds (AdaQP's
+// central-subgraph compute) on the runtime thread pool. ADAQP_ASYNC=0 runs
+// the same graphs with run_serial(), the reference schedule, useful for
+// bisecting and as the baseline for the overlap bench. The two modes are
+// bit-identical by construction; tests/test_pipeline.cpp enforces it for
+// every trainer method.
 //
 // Parsing is strict, alongside the ADAQP_THREADS handling in src/runtime/:
 // any value other than "0" or "1" raises std::runtime_error with a clear

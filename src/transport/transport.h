@@ -116,9 +116,9 @@ class Transport {
 };
 
 /// Process-wide monotonically increasing exchange-channel ordinal. Every
-/// AsyncExchange (and each SANCUS per-layer broadcast direction) claims one
-/// at construction; because construction order is deterministic, replicated
-/// ranks derive identical channel ids without negotiation.
+/// AsyncExchange and every trainer layer graph claims one at construction;
+/// because construction order is deterministic, replicated ranks derive
+/// identical channel ids without negotiation.
 std::uint32_t next_channel();
 
 /// The active transport: the innermost ScopedTransport override when one is

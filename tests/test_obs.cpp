@@ -1,7 +1,7 @@
 // Observability subsystem (src/obs/, docs/OBSERVABILITY.md): instrument
 // semantics, interval arithmetic, JSON escaping (shared with the trace
-// writer — regression for quote/backslash/control-character names), report
-// writers for every ADAQP_METRICS_FORMAT, and the two contracts the
+// writer — regression for quote/backslash/control-character names), the
+// JSON report writer, and the two contracts the
 // subsystem must never break: metrics-enabled runs are bit-identical to
 // metrics-off runs (every method x async mode x thread count), and capture
 // adds no steady-state heap allocations (gated in test_memory.cpp).
@@ -226,7 +226,6 @@ TEST(RunReport, JsonCarriesSchemaEpochsAndPairs) {
   obs::ReportConfig cfg;
   cfg.enabled = true;
   cfg.path = path;
-  cfg.format = obs::ReportFormat::kJson;
   ASSERT_TRUE(obs::write_report(sample_capture(), sample_meta(), cfg));
   const std::string body = slurp(path);
   EXPECT_NE(body.find("\"schema\": \"adaqp-metrics-v1\""), std::string::npos);
@@ -236,27 +235,6 @@ TEST(RunReport, JsonCarriesSchemaEpochsAndPairs) {
   EXPECT_NE(body.find("\"pairs\""), std::string::npos);
   EXPECT_NE(body.find("\"overlap\""), std::string::npos);
   EXPECT_NE(body.find("\"histograms\""), std::string::npos);
-}
-
-TEST(RunReport, CsvAndPromFormatsWrite) {
-  obs::ReportConfig cfg;
-  cfg.enabled = true;
-  cfg.path = ::testing::TempDir() + "adaqp_report_unit.csv";
-  cfg.format = obs::ReportFormat::kCsv;
-  ASSERT_TRUE(obs::write_report(sample_capture(), sample_meta(), cfg));
-  const std::string csv = slurp(cfg.path);
-  EXPECT_EQ(csv.rfind("# adaqp-metrics-v1 csv", 0), 0u);
-  EXPECT_NE(csv.find("epoch,train_loss"), std::string::npos);
-  EXPECT_NE(csv.find("wire_bytes_b32"), std::string::npos);
-
-  cfg.path = ::testing::TempDir() + "adaqp_report_unit.prom";
-  cfg.format = obs::ReportFormat::kProm;
-  ASSERT_TRUE(obs::write_report(sample_capture(), sample_meta(), cfg));
-  const std::string prom = slurp(cfg.path);
-  EXPECT_EQ(prom.rfind("# adaqp-metrics-v1 prom", 0), 0u);
-  EXPECT_NE(prom.find("adaqp_trainer_epochs_total"), std::string::npos);
-  EXPECT_NE(prom.find("adaqp_exchange_submit_to_join_us_bucket"),
-            std::string::npos);
 }
 
 TEST(RunReport, CaptureDropsOutOfCapacityEpochsSafely) {
@@ -272,11 +250,10 @@ TEST(RunReport, CaptureDropsOutOfCapacityEpochsSafely) {
 TEST(RunReport, GuardOverridesAndRestores) {
   const std::string path = ::testing::TempDir() + "adaqp_guard.json";
   {
-    obs::MetricsGuard guard(path, obs::ReportFormat::kCsv);
+    obs::MetricsGuard guard(path);
     const obs::ReportConfig cfg = obs::report_config();
     EXPECT_TRUE(cfg.enabled);
     EXPECT_EQ(cfg.path, path);
-    EXPECT_EQ(cfg.format, obs::ReportFormat::kCsv);
     {
       obs::MetricsGuard off;  // default-constructed: force-disable
       EXPECT_FALSE(obs::report_config().enabled);

@@ -2,6 +2,10 @@
 // accounting. These are the integration tests over the whole stack.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "core/trainer.h"
 
 namespace adaqp {
@@ -206,6 +210,153 @@ TEST(Trainer, SingleDeviceDegenerateCase) {
   const RunResult r = trainer.run();
   EXPECT_EQ(r.total_comm_bytes, 0u);
   for (const auto& e : r.epochs) EXPECT_TRUE(std::isfinite(e.train_loss));
+}
+
+// ---- Pinned numerics --------------------------------------------------------
+//
+// Reference bit patterns of four methods' runs (4 devices, 6 epochs, dropout
+// on, a plan refresh every 3 epochs): per-epoch loss/val/test, total wire
+// bytes and the modeled mean epoch time. A change to the execution path must
+// reproduce them exactly; the CI passes at ADAQP_THREADS=1/4 and
+// ADAQP_ISA=scalar check them across schedules and kernel ISAs.
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+struct PinnedRun {
+  std::vector<std::uint64_t> epochs;  ///< loss, val, test bits per epoch
+  std::size_t total_comm_bytes = 0;
+  std::uint64_t avg_epoch_seconds = 0;
+};
+
+RunResult pin_train(const Dataset& ds, Method method, double drift = 0.30) {
+  Rng rng(4242);
+  const auto part = MultilevelPartitioner().partition(ds.graph, 4, rng);
+  const DistGraph dist = build_dist_graph(ds.graph, part);
+  const ClusterSpec cluster = ClusterSpec::machines(2, 2);
+  ModelConfig mc;
+  mc.aggregator = Aggregator::kGcn;
+  mc.in_dim = ds.spec.feature_dim;
+  mc.hidden_dim = 16;
+  mc.out_dim = ds.num_classes();
+  mc.num_layers = 3;
+  mc.dropout = 0.5f;
+  mc.layer_norm = true;
+  TrainOptions opts;
+  opts.method = method;
+  opts.epochs = 6;
+  opts.seed = 31;
+  opts.reassign_period = 3;
+  opts.sancus_drift_threshold = drift;
+  DistTrainer trainer(ds, dist, cluster, mc, opts);
+  return trainer.run();
+}
+
+PinnedRun pin_of(const RunResult& r) {
+  PinnedRun out;
+  for (const EpochRecord& e : r.epochs) {
+    out.epochs.push_back(bits_of(e.train_loss));
+    out.epochs.push_back(bits_of(e.val_acc));
+    out.epochs.push_back(bits_of(e.test_acc));
+  }
+  out.total_comm_bytes = r.total_comm_bytes;
+  out.avg_epoch_seconds = bits_of(r.avg_epoch_seconds);
+  return out;
+}
+
+Dataset pin_dataset() {
+  Rng rng(17);
+  DatasetSpec spec = small_spec();
+  spec.num_nodes = 400;
+  return make_dataset(spec, rng);
+}
+
+void expect_pinned(Method method, const PinnedRun& want) {
+  const Dataset ds = pin_dataset();
+  const PinnedRun got = pin_of(pin_train(ds, method));
+  ASSERT_EQ(got.epochs.size(), want.epochs.size()) << method_name(method);
+  for (std::size_t i = 0; i < want.epochs.size(); ++i)
+    EXPECT_EQ(got.epochs[i], want.epochs[i])
+        << method_name(method) << " epoch " << i / 3 << " field " << i % 3
+        << " (loss, val, test)";
+  EXPECT_EQ(got.total_comm_bytes, want.total_comm_bytes)
+      << method_name(method);
+  EXPECT_EQ(got.avg_epoch_seconds, want.avg_epoch_seconds)
+      << method_name(method);
+}
+
+TEST(PinnedNumerics, Vanilla) {
+  expect_pinned(Method::kVanilla,
+                {{0x3ffd46631a7c5e52ull, 0x3fce666666666666ull,
+                  0x3fd4cccccccccccdull, 0x3ffb950ba24ebb00ull,
+                  0x3fd999999999999aull, 0x3fdc000000000000ull,
+                  0x3ffa3baa1d06439aull, 0x3fe1333333333333ull,
+                  0x3fe2000000000000ull, 0x3ff862a4032fb8afull,
+                  0x3fe2cccccccccccdull, 0x3fe5333333333333ull,
+                  0x3ff6cc34fe48e262ull, 0x3fe6cccccccccccdull,
+                  0x3fe8cccccccccccdull, 0x3ff5ff0b891b5fc6ull,
+                  0x3fe9333333333333ull, 0x3fe9333333333333ull},
+                 1230720u,
+                 0x3f164e5091013587ull});
+}
+
+TEST(PinnedNumerics, AdaQP) {
+  expect_pinned(Method::kAdaQP,
+                {{0x3ffd46631a7c5e52ull, 0x3fce666666666666ull,
+                  0x3fd4cccccccccccdull, 0x3ffb9c282c8255c4ull,
+                  0x3fda666666666666ull, 0x3fdb333333333333ull,
+                  0x3ffa45547f22dccfull, 0x3fe1333333333333ull,
+                  0x3fe2000000000000ull, 0x3ff8659472c2c8a2ull,
+                  0x3fe2cccccccccccdull, 0x3fe5333333333333ull,
+                  0x3ff6c8567ef9bbc9ull, 0x3fe7333333333333ull,
+                  0x3fe8cccccccccccdull, 0x3ff5fd720c6ea94dull,
+                  0x3fe9333333333333ull, 0x3fe9333333333333ull},
+                 476480u,
+                 0x3f1388ad4cb24b7full});
+}
+
+TEST(PinnedNumerics, AdaQPUniform) {
+  expect_pinned(Method::kAdaQPUniform,
+                {{0x3ffd46631a7c5e52ull, 0x3fce666666666666ull,
+                  0x3fd4cccccccccccdull, 0x3ffba4830cc6de7eull,
+                  0x3fda666666666666ull, 0x3fdc000000000000ull,
+                  0x3ffa2d00c31172d5ull, 0x3fe1333333333333ull,
+                  0x3fe2000000000000ull, 0x3ff863299c4d4170ull,
+                  0x3fe2cccccccccccdull, 0x3fe5333333333333ull,
+                  0x3ff6cc7aba46332full, 0x3fe6cccccccccccdull,
+                  0x3fe8cccccccccccdull, 0x3ff60dcb714d18a0ull,
+                  0x3fe9333333333333ull, 0x3fe9333333333333ull},
+                 465024u,
+                 0x3f13a692d118cb3full});
+}
+
+TEST(PinnedNumerics, PipeGCN) {
+  expect_pinned(Method::kPipeGCN,
+                {{0x3ffd46631a7c5e52ull, 0x3fce666666666666ull,
+                  0x3fd599999999999aull, 0x3ffc0c527c1b7399ull,
+                  0x3fd8cccccccccccdull, 0x3fdc000000000000ull,
+                  0x3ffa624972a3bde0ull, 0x3fe0cccccccccccdull,
+                  0x3fe2666666666666ull, 0x3ff8a98ec7971b06ull,
+                  0x3fe4000000000000ull, 0x3fe6666666666666ull,
+                  0x3ff7bb8103ba9f43ull, 0x3fe6cccccccccccdull,
+                  0x3fe8666666666666ull, 0x3ff637ddafeaf0f7ull,
+                  0x3fe8666666666666ull, 0x3fe8cccccccccccdull},
+                 1230720u,
+                 0x3f15c6978a759cefull});
+}
+
+// Methods differ only by policy: SANCUS that never skips a broadcast (every
+// drift exceeds a negative threshold) is Vanilla, bit for bit.
+TEST(PinnedNumerics, SancusWithoutSkippingIsVanilla) {
+  const Dataset ds = pin_dataset();
+  const PinnedRun vanilla = pin_of(pin_train(ds, Method::kVanilla));
+  const PinnedRun sancus =
+      pin_of(pin_train(ds, Method::kSancus, /*drift=*/-1.0));
+  EXPECT_EQ(sancus.epochs, vanilla.epochs);
+  EXPECT_EQ(sancus.total_comm_bytes, vanilla.total_comm_bytes);
 }
 
 }  // namespace

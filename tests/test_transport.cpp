@@ -8,7 +8,11 @@
 
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/trainer.h"
@@ -514,6 +518,80 @@ TEST(FaultTraining, DropThenTimeoutThrowsTransportErrorNotHang) {
                             std::make_unique<LoopbackTransport>(), spec),
                         /*epochs=*/2),
                TransportError);
+}
+
+// ---------------------------------------------------------------------------
+// Wire identity: every frame of an epoch carries its own tag
+// ---------------------------------------------------------------------------
+
+/// Loopback decorator that records the tag of every send.
+class RecordingTransport final : public transport::Transport {
+ public:
+  const char* name() const override { return "recording"; }
+
+  void send(const FrameTag& tag,
+            std::span<const std::uint8_t> payload) override {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      sent_.push_back(tag);
+    }
+    inner_.send(tag, payload);
+  }
+
+  std::span<const std::uint8_t> recv(
+      const FrameTag& tag, std::span<const std::uint8_t> local) override {
+    return inner_.recv(tag, local);
+  }
+
+  TransportStats stats() const override { return inner_.stats(); }
+  void reset_stats() override { inner_.reset_stats(); }
+
+  std::vector<FrameTag> take() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return std::exchange(sent_, {});
+  }
+
+ private:
+  LoopbackTransport inner_;
+  std::mutex mu_;
+  std::vector<FrameTag> sent_;
+};
+
+/// A tag names one frame of one exchange: two frames sharing it could be
+/// delivered to the wrong recv as soon as two exchanges overlap in time.
+TEST(WireTags, NoTagRepeatsWithinAnAdaQPEpoch) {
+  Rng rng(36);
+  const Dataset ds = make_dataset(wire_spec(), rng);
+  Rng prng(4242);
+  const auto part = MultilevelPartitioner().partition(ds.graph, 4, prng);
+  const DistGraph dist = build_dist_graph(ds.graph, part);
+  const ClusterSpec cluster = ClusterSpec::machines(2, 2);
+  auto owned = std::make_unique<RecordingTransport>();
+  RecordingTransport& rec = *owned;
+  ScopedTransport guard(std::move(owned));
+  ModelConfig mc;
+  mc.aggregator = Aggregator::kGcn;
+  mc.in_dim = ds.spec.feature_dim;
+  mc.hidden_dim = 16;
+  mc.out_dim = ds.num_classes();
+  mc.num_layers = 3;
+  TrainOptions opts;
+  opts.method = Method::kAdaQP;
+  opts.epochs = 3;
+  opts.eval_every_epoch = false;
+  DistTrainer trainer(ds, dist, cluster, mc, opts);
+  for (int e = 0; e < opts.epochs; ++e) {
+    trainer.train_epoch();
+    const std::vector<FrameTag> tags = rec.take();
+    ASSERT_FALSE(tags.empty());
+    std::set<std::tuple<std::uint32_t, std::uint32_t, int, int, int>> seen;
+    for (const FrameTag& t : tags)
+      EXPECT_TRUE(seen.emplace(t.channel, t.round, t.direction, t.src, t.dst)
+                      .second)
+          << "epoch " << e << " repeats tag {channel " << t.channel
+          << ", round " << t.round << ", direction " << int{t.direction}
+          << ", " << int{t.src} << "->" << int{t.dst} << "}";
+  }
 }
 
 }  // namespace
