@@ -6,6 +6,9 @@
 // q/dq overhead is small relative to the communication it saves (§5.4) and
 // tracks the vector kernels' speedup target: >= 2x encode+decode throughput
 // on AVX2-capable hardware at b in {2,4,8} vs ADAQP_ISA=scalar.
+// BM_WireChecksum rows report the per-byte cost of the two checksums every
+// exchanged byte pays: the frame CRC-32 (twice per wire byte) and the
+// delivery digest (LoopbackTransport::recv is the digest and nothing else).
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -17,6 +20,8 @@
 #include "quant/quantize.h"
 #include "simd/isa.h"
 #include "tensor/matrix.h"
+#include "transport/frame.h"
+#include "transport/loopback.h"
 
 namespace {
 
@@ -105,6 +110,31 @@ void BM_CodecRoundTrip(benchmark::State& state, Isa isa, int bits) {
                           rows * dim * sizeof(float) * 2);
 }
 
+std::vector<std::uint8_t> make_bytes(std::size_t n) {
+  Rng rng(16);
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) b = static_cast<std::uint8_t>(rng.uniform_int(256u));
+  return v;
+}
+
+void BM_WireChecksumCrc32(benchmark::State& state) {
+  const auto bytes = make_bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(transport::crc32(bytes));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
+void BM_WireChecksumLoopbackDeliver(benchmark::State& state) {
+  const auto bytes = make_bytes(static_cast<std::size_t>(state.range(0)));
+  transport::LoopbackTransport lo;
+  const transport::FrameTag tag{1, 1, 0, 0, 1};
+  for (auto _ : state)
+    benchmark::DoNotOptimize(lo.recv(tag, bytes).data());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
 }  // namespace
 
 // Registered (not macro-declared) so every case can sweep the host's
@@ -133,6 +163,13 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(("BM_CodecEncode/" + tag + "/b32").c_str(),
                                  BM_CodecEncode, isa, 32);
   }
+  // Checksums are ISA-independent: one registration each.
+  for (auto* b :
+       {benchmark::RegisterBenchmark("BM_WireChecksum/Crc32",
+                                     BM_WireChecksumCrc32),
+        benchmark::RegisterBenchmark("BM_WireChecksum/LoopbackDeliver",
+                                     BM_WireChecksumLoopbackDeliver)})
+    b->Arg(4096)->Arg(65536)->Arg(262144);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -172,23 +172,18 @@ void FaultInjectingTransport::send(const FrameTag& tag,
 std::span<const std::uint8_t> FaultInjectingTransport::recv(
     const FrameTag& tag, std::span<const std::uint8_t> local) {
   if (!inner_->local_delivery(tag)) return inner_->recv(tag, local);
-  const obs::Instruments& ins = obs::instruments();
   const double deadline =
       obs::monotonic_us() + static_cast<double>(spec_.timeout_ms) * 1000.0;
   for (;;) {
+    const std::vector<std::uint8_t>* p = nullptr;
     {
       std::lock_guard<std::mutex> lk(mu_);
       drain_locked(tag);
-      if (const std::vector<std::uint8_t>* p = inbox_.take(tag)) {
-        ins.transport_frames.add(1);
-        ins.transport_bytes.add(p->size());
-        account_delivery(tag, {p->data(), p->size()});
-        return {p->data(), p->size()};
-      }
+      p = inbox_.take(tag);
       // The receiver demanding a held frame releases it immediately: the
       // reorder window is bounded by need, so holds can never deadlock a
       // schedule — only shuffle arrival order, which tag matching absorbs.
-      for (std::size_t i = 0; i < held_.size(); ++i) {
+      for (std::size_t i = 0; !p && i < held_.size(); ++i) {
         const FrameTag& h = held_[i].tag;
         if (h.channel == tag.channel && h.round == tag.round &&
             h.direction == tag.direction && h.src == tag.src &&
@@ -199,6 +194,7 @@ std::span<const std::uint8_t> FaultInjectingTransport::recv(
         }
       }
     }
+    if (p) return account_delivery(tag, {p->data(), p->size()});
     if (obs::monotonic_us() > deadline)
       throw TransportError(
           "transport: timed out after " + std::to_string(spec_.timeout_ms) +

@@ -6,20 +6,29 @@ namespace adaqp::transport {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8 tables: tables[0] is the classic bytewise table; tables[k][b]
+// is the CRC of byte b followed by k zero bytes, so eight lookups fold one
+// 8-byte word at a time.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::uint32_t i = 0; i < 256; ++i)
+      tables[k][i] = (tables[k - 1][i] >> 8) ^
+                     tables[0][tables[k - 1][i] & 0xFFu];
+  return tables;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  return table;
+const CrcTables& crc_tables() {
+  static const CrcTables tables = make_crc_tables();
+  return tables;
 }
 
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
@@ -46,10 +55,18 @@ std::uint32_t get_u32(std::span<const std::uint8_t> b, std::size_t pos) {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t seed) {
-  const auto& table = crc_table();
+  const CrcTables& t = crc_tables();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (const std::uint8_t b : bytes)
-    c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = get_u32({p, 4}, 0) ^ c;
+    const std::uint32_t hi = get_u32({p + 4, 4}, 0);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n != 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

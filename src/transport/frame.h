@@ -69,7 +69,9 @@ struct FrameHeader {
 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), seedable so the
-/// header and payload can be folded in two passes.
+/// header and payload can be folded in two passes:
+/// crc32(b, crc32(a)) == crc32(a followed by b). Computed slice-by-8 (one
+/// 8-byte word per step, bytewise tail); the values are the standard ones.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes,
                     std::uint32_t seed = 0);
 

@@ -1,7 +1,5 @@
 #include "transport/loopback.h"
 
-#include "obs/metrics.h"
-
 namespace adaqp::transport {
 
 void LoopbackTransport::send(const FrameTag& tag,
@@ -12,11 +10,7 @@ void LoopbackTransport::send(const FrameTag& tag,
 
 std::span<const std::uint8_t> LoopbackTransport::recv(
     const FrameTag& tag, std::span<const std::uint8_t> local) {
-  const obs::Instruments& ins = obs::instruments();
-  ins.transport_frames.add(1);
-  ins.transport_bytes.add(local.size());
-  account_delivery(tag, local);
-  return local;
+  return account_delivery(tag, local);
 }
 
 }  // namespace adaqp::transport

@@ -255,33 +255,28 @@ void TcpTransport::send(const FrameTag& tag,
 
 std::span<const std::uint8_t> TcpTransport::recv(
     const FrameTag& tag, std::span<const std::uint8_t> local) {
-  const obs::Instruments& ins = obs::instruments();
   if (owner(tag.dst) != opts_.rank) {
     // Not the receiving owner: decode this replica's own encoding in place
     // (bit-identical to the wire bytes by the determinism contract).
-    ins.transport_frames.add(1);
-    ins.transport_bytes.add(local.size());
-    account_delivery(tag, local);
-    return local;
+    return account_delivery(tag, local);
   }
   const double deadline =
       obs::monotonic_us() + static_cast<double>(opts_.timeout_ms) * 1000.0;
   std::vector<pollfd> fds;
   for (;;) {
+    const std::vector<std::uint8_t>* p = nullptr;
     {
       std::lock_guard<std::mutex> lk(mu_);
       pump_locked();
-      if (const std::vector<std::uint8_t>* p = inbox_.take(tag)) {
-        ins.transport_frames.add(1);
-        ins.transport_bytes.add(p->size());
-        account_delivery(tag, {p->data(), p->size()});
-        return {p->data(), p->size()};
+      p = inbox_.take(tag);
+      if (!p) {
+        fds.clear();
+        fds.push_back({listen_fd_, POLLIN, 0});
+        for (const InConn& c : in_)
+          if (!c.closed) fds.push_back({c.fd, POLLIN, 0});
       }
-      fds.clear();
-      fds.push_back({listen_fd_, POLLIN, 0});
-      for (const InConn& c : in_)
-        if (!c.closed) fds.push_back({c.fd, POLLIN, 0});
     }
+    if (p) return account_delivery(tag, {p->data(), p->size()});
     if (obs::monotonic_us() > deadline)
       throw TransportError("transport: tcp recv timed out after " +
                            std::to_string(opts_.timeout_ms) +

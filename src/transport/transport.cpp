@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "common/env.h"
+#include "obs/metrics.h"
 #include "transport/fault.h"
 #include "transport/loopback.h"
 #include "transport/tcp.h"
@@ -14,19 +15,26 @@ namespace {
 std::atomic<std::uint32_t> g_next_channel{0};
 std::atomic<Transport*> g_override{nullptr};
 
-std::uint64_t fnv1a(std::uint64_t h, std::span<const std::uint8_t> bytes) {
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001B3ull;
-  }
-  return h;
+// One digest step: xor in a 64-bit word, multiply by the FNV prime (low
+// bits -> high bits), xor-shift (high bits -> low bits). Bijective in both
+// the state and the word, so any change to one input word changes the
+// frame hash.
+std::uint64_t mix_word(std::uint64_t h, std::uint64_t w) {
+  h ^= w;
+  h *= 0x100000001B3ull;
+  return h ^ (h >> 29);
 }
 
-std::uint64_t fnv1a_u32(std::uint64_t h, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    h ^= (v >> (8 * i)) & 0xFFu;
-    h *= 0x100000001B3ull;
+std::uint64_t mix_bytes(std::uint64_t h, std::span<const std::uint8_t> bytes) {
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t w = 0;
+    for (int i = 0; i < 8; ++i)
+      w |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    h = mix_word(h, w);
   }
+  for (; n != 0; ++p, --n) h = mix_word(h, *p);
   return h;
 }
 
@@ -46,21 +54,26 @@ void Transport::reset_stats() {
   digest_.store(0, std::memory_order_relaxed);
 }
 
-void Transport::account_delivery(const FrameTag& tag,
-                                 std::span<const std::uint8_t> payload) {
-  // Per-frame FNV-1a over the channel-free tag and the payload, folded into
-  // the digest with XOR: order-independent across schedules and thread
-  // counts, sensitive to any delivered byte (see TransportStats).
+std::span<const std::uint8_t> Transport::account_delivery(
+    const FrameTag& tag, std::span<const std::uint8_t> payload) {
+  // Per-frame word-wise hash over the channel-free tag, the length and the
+  // payload, folded into the digest with XOR: order-independent across
+  // schedules and thread counts, sensitive to any delivered byte (see
+  // TransportStats).
+  const std::uint64_t pair = (static_cast<std::uint64_t>(tag.direction) << 16) |
+                             (static_cast<std::uint64_t>(tag.src) << 8) |
+                             tag.dst;
   std::uint64_t h = 0xcbf29ce484222325ull;
-  h = fnv1a_u32(h, tag.round);
-  h = fnv1a_u32(h, (static_cast<std::uint32_t>(tag.direction) << 16) |
-                       (static_cast<std::uint32_t>(tag.src) << 8) |
-                       tag.dst);
-  h = fnv1a_u32(h, static_cast<std::uint32_t>(payload.size()));
-  h = fnv1a(h, payload);
+  h = mix_word(h, (pair << 32) | tag.round);
+  h = mix_word(h, payload.size());
+  h = mix_bytes(h, payload);
   frames_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(payload.size(), std::memory_order_relaxed);
   digest_.fetch_xor(h, std::memory_order_relaxed);
+  const obs::Instruments& ins = obs::instruments();
+  ins.transport_frames.add(1);
+  ins.transport_bytes.add(payload.size());
+  return payload;
 }
 
 std::uint32_t next_channel() {

@@ -36,9 +36,10 @@ namespace adaqp::transport {
 
 /// Delivery accounting every backend maintains (relaxed atomics; safe to
 /// read concurrently). `digest` is an order-independent XOR of per-frame
-/// FNV-1a hashes over (round, direction, src, dst, payload) — two runs
-/// delivered the same payload multiset iff frames/bytes/digest all match,
-/// which is how the tests assert loopback == tcp byte-identity end to end.
+/// word-wise hashes (8 bytes per multiply + xor-shift step) over (round,
+/// direction, src, dst, length, payload) — two runs delivered the same
+/// payload multiset iff frames/bytes/digest all match, which is how the
+/// tests assert loopback == tcp byte-identity end to end.
 /// (The channel ordinal is excluded so back-to-back runs in one process,
 /// whose channel counters keep rising, stay comparable.)
 struct TransportStats {
@@ -104,10 +105,11 @@ class Transport {
  protected:
   Transport() = default;
 
-  /// Fold one delivered frame into stats(); called by every backend's recv
-  /// with exactly the span it returns. Allocation-free.
-  void account_delivery(const FrameTag& tag,
-                        std::span<const std::uint8_t> payload);
+  /// Fold one delivered frame into stats() and the transport instruments,
+  /// returning `payload`; every backend's recv returns through it, outside
+  /// its own lock. Allocation-free.
+  std::span<const std::uint8_t> account_delivery(
+      const FrameTag& tag, std::span<const std::uint8_t> payload);
 
  private:
   std::atomic<std::uint64_t> frames_{0};

@@ -9,7 +9,9 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <iterator>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -199,6 +201,65 @@ TEST(Frame, ChecksumCoversHeaderAndPayloadDeterministically) {
   EXPECT_NO_THROW(transport::verify_frame(
       {a.data(), transport::kHeaderBytes},
       {a.data() + transport::kHeaderBytes, payload.size()}));
+
+  // The same frame as the bytewise-table CRC wrote it: under
+  // kFrameVersion 1 the serialization, checksum included, never changes.
+  static constexpr std::uint8_t kCaptured[] = {
+      0xA3, 0xF7, 0xA9, 0xAD, 0x01, 0x00, 0x00, 0x01, 0x03, 0x00, 0x00, 0x00,
+      0x09, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x21, 0x00, 0x00, 0x00,
+      0x6D, 0x5D, 0x49, 0x7F, 0x56, 0xD9, 0x5C, 0xDF, 0x62, 0xE5, 0x68, 0xEB,
+      0x6E, 0xF1, 0x74, 0xF7, 0x7A, 0xFD, 0x80, 0x03, 0x86, 0x09, 0x8C, 0x0F,
+      0x92, 0x15, 0x98, 0x1B, 0x9E, 0x21, 0xA4, 0x27, 0xAA, 0x2D, 0xB0, 0x33,
+      0xB6};
+  EXPECT_EQ(transport::kFrameVersion, 1);
+  EXPECT_EQ(a, std::vector<std::uint8_t>(std::begin(kCaptured),
+                                         std::end(kCaptured)));
+}
+
+// Bitwise CRC-32 straight from the IEEE definition: the reference the
+// table-driven transport::crc32 must match at every length and alignment.
+std::uint32_t reference_crc32(std::span<const std::uint8_t> bytes,
+                              std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const std::uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Frame, Crc32KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(transport::crc32(
+                {reinterpret_cast<const std::uint8_t*>(check.data()),
+                 check.size()}),
+            0xCBF43926u);
+  EXPECT_EQ(transport::crc32({}), 0u);
+  EXPECT_EQ(transport::crc32({}, 0xDEADBEEFu), 0xDEADBEEFu);
+}
+
+TEST(Frame, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  const std::vector<std::uint8_t> buf = pattern_payload(300 + 8, 23);
+  for (const std::uint32_t seed : {0u, 0xFFFFFFFFu, 0x1234ABCDu})
+    for (std::size_t off = 0; off < 8; ++off)
+      for (std::size_t len = 0; len <= 300; ++len) {
+        const std::span<const std::uint8_t> s(buf.data() + off, len);
+        ASSERT_EQ(transport::crc32(s, seed), reference_crc32(s, seed))
+            << "seed=" << seed << " off=" << off << " len=" << len;
+      }
+}
+
+TEST(Frame, Crc32FoldsAcrossAnySplit) {
+  const std::vector<std::uint8_t> buf = pattern_payload(97, 29);
+  const std::uint32_t whole = transport::crc32(buf);
+  for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+    const std::span<const std::uint8_t> all(buf);
+    EXPECT_EQ(transport::crc32(all.subspan(cut),
+                               transport::crc32(all.first(cut))),
+              whole)
+        << "cut=" << cut;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -242,6 +303,65 @@ TEST(Loopback, DeliversInPlaceAndAccounts) {
   EXPECT_NE(s.digest, 0u);
   EXPECT_TRUE(lo.zero_alloc_delivery());
   EXPECT_EQ(lo.pair_slot(4, 0, 0, 2), nullptr);
+}
+
+// Digest of the frames delivered through one LoopbackTransport.
+std::uint64_t loopback_digest(
+    const std::vector<std::pair<FrameTag, std::vector<std::uint8_t>>>&
+        frames) {
+  LoopbackTransport lo;
+  for (const auto& [tag, payload] : frames) lo.recv(tag, payload);
+  return lo.stats().digest;
+}
+
+TEST(Digest, EverySingleBitOfAnUnalignedPayloadChangesIt) {
+  const FrameTag tag{4, 1, 0, 0, 2};
+  std::vector<std::uint8_t> payload = pattern_payload(67, 2);
+  const std::uint64_t base = loopback_digest({{tag, payload}});
+  EXPECT_NE(base, 0u);
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    for (int bit = 0; bit < 8; ++bit) {
+      payload[i] ^= static_cast<std::uint8_t>(1u << bit);
+      EXPECT_NE(loopback_digest({{tag, payload}}), base)
+          << "byte " << i << " bit " << bit;
+      payload[i] ^= static_cast<std::uint8_t>(1u << bit);
+    }
+}
+
+TEST(Digest, CoversRoundDirectionPairAndLengthButNotChannel) {
+  const FrameTag tag{4, 1, 0, 0, 2};
+  const std::vector<std::uint8_t> payload = pattern_payload(67, 2);
+  const std::uint64_t base = loopback_digest({{tag, payload}});
+  FrameTag t = tag;
+  t.round = 2;
+  EXPECT_NE(loopback_digest({{t, payload}}), base);
+  t = tag;
+  t.direction = 1;
+  EXPECT_NE(loopback_digest({{t, payload}}), base);
+  t = tag;
+  t.src = 1;
+  EXPECT_NE(loopback_digest({{t, payload}}), base);
+  t = tag;
+  t.dst = 3;
+  EXPECT_NE(loopback_digest({{t, payload}}), base);
+  std::vector<std::uint8_t> longer = payload;
+  longer.push_back(0);
+  EXPECT_NE(loopback_digest({{tag, longer}}), base);
+  EXPECT_NE(loopback_digest({{tag, {payload.begin(), payload.end() - 1}}}),
+            base);
+  t = tag;
+  t.channel = 99;
+  EXPECT_EQ(loopback_digest({{t, payload}}), base);
+}
+
+TEST(Digest, IsIndependentOfDeliveryOrder) {
+  const FrameTag a{4, 1, 0, 0, 2}, b{5, 3, 1, 2, 0};
+  const std::vector<std::uint8_t> pa = pattern_payload(67, 2),
+                                  pb = pattern_payload(40, 9);
+  const std::uint64_t ab = loopback_digest({{a, pa}, {b, pb}});
+  EXPECT_EQ(ab, loopback_digest({{b, pb}, {a, pa}}));
+  EXPECT_NE(ab, loopback_digest({{a, pa}}));
+  EXPECT_NE(ab, loopback_digest({{b, pb}}));
 }
 
 TEST(Tcp, SelfConnectDeliversFramesInSendOrderPerTag) {
