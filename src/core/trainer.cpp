@@ -212,10 +212,6 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
   }
 
   if (policy.defer) {
-    pipegcn_fwd_inflight_.resize(num_layers_);
-    pipegcn_bwd_inflight_.resize(num_layers_);
-    pipegcn_fwd_active_.assign(num_layers_, 0);
-    pipegcn_bwd_active_.assign(num_layers_, 0);
     pipegcn_bwd_scratch_.resize(num_layers_);
     pipegcn_joined_comm_.assign(num_layers_, 0.0);
     for (int l = 1; l < num_layers_; ++l) {
@@ -223,20 +219,6 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
       for (int d = 0; d < num_devices_; ++d)
         pipegcn_bwd_scratch_[l].emplace_back(dist_.devices[d].num_local(),
                                              dim);
-    }
-    // Build every deferred exchange now (graph + warmed staging, no RNG
-    // draws, nothing launched): the forward slots' first submit happens in
-    // epoch 1 — already steady state — and must not allocate.
-    for (int l = 0; l < num_layers_; ++l) {
-      pipegcn_fwd_inflight_[l] =
-          std::make_unique<pipeline::AsyncExchange>(dist_, cluster_);
-      pipegcn_fwd_inflight_[l]->prepare_forward(acts_[l], fwd_plans_[l]);
-      if (l > 0) {
-        pipegcn_bwd_inflight_[l] =
-            std::make_unique<pipeline::AsyncExchange>(dist_, cluster_);
-        pipegcn_bwd_inflight_[l]->prepare_backward(pipegcn_bwd_scratch_[l],
-                                                   bwd_plans_[l]);
-      }
     }
   }
 
@@ -325,6 +307,14 @@ double DistTrainer::marginal_compute_seconds_max(int layer,
     m = std::max(m, s);
   }
   return m;
+}
+
+DistTrainer::LayerGraph::~LayerGraph() {
+  if (!pending || !graph.launched()) return;
+  try {
+    graph.wait();
+  } catch (...) {
+  }
 }
 
 DistTrainer::LayerGraph& DistTrainer::forward_graph(int l) {
@@ -424,9 +414,13 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
   g.built = true;
   // The stage lambdas capture the grad_flow_ ping-pong vectors by
   // reference; their parity is fixed per layer, so the very same objects
-  // carry this layer's gradients every epoch.
+  // carry this layer's gradients every epoch. PipeGCN's deferred rounds
+  // ship a staged copy of the halo rows instead, so its graphs bind the
+  // per-layer staging scratch.
   std::vector<Matrix>& grads = grad_flow_[(num_layers_ - 1 - l) & 1];
-  std::vector<Matrix>& grad_x = grad_flow_[(num_layers_ - l) & 1];
+  std::vector<Matrix>& grad_x = policy_of(opts_.method).defer
+                                    ? pipegcn_bwd_scratch_[l]
+                                    : grad_flow_[(num_layers_ - l) & 1];
   const std::size_t in_dim = model_.layer_in_dim(l);
   pipeline::StageGraph& graph = g.graph;
   const std::string prefix = "L" + std::to_string(l) + "b";
@@ -586,15 +580,46 @@ void DistTrainer::run_layer_graph(LayerGraph& g, int layer, bool forward) {
   g.acct.init(num_devices_, device_rngs_);
   g.graph.reset();
   g.graph.run(async_pipeline_);
+  finish_layer_graph(g, layer, forward);
+  capture_overlap(g, forward);
+  capture_profile_segment(g.graph, layer, forward);
+}
 
+void DistTrainer::finish_layer_graph(const LayerGraph& g, int layer,
+                                     bool forward) {
   pipeline::finalize_exchange_stats_into(g.acct, dist_, cluster_,
                                          stats_scratch_);
   total_comm_bytes_ += stats_scratch_.total_bytes();
+  // Deferred traffic lands in the epoch row of the epoch that *joins* it
+  // (one after the launch); the end-of-run drain past the last epoch only
+  // feeds the global counters.
   capture_exchange_stats(stats_scratch_);
-  capture_overlap(g, forward);
-  capture_profile_segment(g.graph, layer, forward);
   if (forward && layer == 0)
     last_layer1_pair_bytes_ = stats_scratch_.pair_bytes;
+}
+
+void DistTrainer::launch_deferred(LayerGraph& g) {
+  ADAQP_CHECK_MSG(!g.pending, "deferred round launched before its join");
+  g.acct.init(num_devices_, device_rngs_);
+  g.graph.reset();
+  g.launch_us = obs::monotonic_us();
+  if (async_pipeline_) g.graph.launch();
+  g.pending = true;
+}
+
+double DistTrainer::join_deferred(LayerGraph& g, int layer, bool forward) {
+  if (!g.pending) return 0.0;
+  g.pending = false;
+  if (async_pipeline_)
+    g.graph.wait();
+  else
+    g.graph.run_serial();
+  // The latency covers the whole in-flight window — across the iteration
+  // boundary, not just the time blocked here.
+  obs::instruments().exchange_submit_to_join_us.record(obs::monotonic_us() -
+                                                       g.launch_us);
+  finish_layer_graph(g, layer, forward);
+  return stats_scratch_.comm_seconds;
 }
 
 EpochBreakdown DistTrainer::compose_time(int layer, bool backward,
@@ -682,8 +707,12 @@ EpochBreakdown DistTrainer::forward_layer(int l) {
     // acts_[l]. Join time is stashed per slot and consumed by the slot's own
     // layer, so each layer's breakdown reports its own exchange regardless
     // of where the join happened.
-    join_pipegcn_forward(l);
-    if (l + 1 < num_layers_) join_pipegcn_forward(l + 1);
+    const auto join = [&](int slot) {
+      pipegcn_joined_comm_[slot] +=
+          join_deferred(*fwd_graphs_[slot], slot, /*forward=*/true);
+    };
+    join(l);
+    if (l + 1 < num_layers_) join(l + 1);
     joined_comm = pipegcn_joined_comm_[l];
     pipegcn_joined_comm_[l] = 0.0;
   }
@@ -702,13 +731,14 @@ EpochBreakdown DistTrainer::forward_layer(int l) {
     });
   };
   if (deferred) {
-    // The exchange submitted last epoch stayed in flight across the
-    // iteration boundary, overlapping the rest of last epoch (later layers,
-    // backward, Adam, evaluation) and this epoch's earlier layers; its comm
-    // time hides inside computation. Ship this epoch's (already-consumed)
-    // inputs the same way, so next epoch's halos are one epoch stale.
+    // The round launched last epoch stayed in flight across the iteration
+    // boundary, overlapping the rest of last epoch (later layers, backward,
+    // Adam, evaluation) and this epoch's earlier layers; its comm time hides
+    // inside computation. Ship this epoch's (already-consumed) inputs the
+    // same way, so next epoch's halos are one epoch stale. fwd_plans_[l]
+    // stays uniform 32-bit for PipeGCN, stable while the round is in flight.
     whole_rows();
-    submit_pipegcn_forward(l);
+    launch_deferred(forward_graph(l));
     EpochBreakdown bd;
     bd.comm = joined_comm;
     bd.comp = max_compute_seconds(l, false, false);
@@ -826,8 +856,9 @@ double DistTrainer::pipegcn_backward(int l, std::vector<Matrix>& grad_x) {
   // run. Last epoch's in-flight exchange is joined here — its arrivals
   // (accumulated into the scratch owned rows by the bwd-acc stages) are the
   // remote contributions this epoch's owned rows receive.
-  const bool had_pending = pipegcn_bwd_active_[l] != 0;
-  const double comm = join_pipegcn_backward(l);
+  LayerGraph& g = backward_graph(l);  // binds pipegcn_bwd_scratch_[l]
+  const bool had_pending = g.pending;
+  const double comm = join_deferred(g, l, /*forward=*/false);
   std::vector<Matrix>& scratch = pipegcn_bwd_scratch_[l];
   for (int d = 0; d < num_devices_; ++d) {
     const DeviceGraph& dev = dist_.devices[d];
@@ -852,42 +883,8 @@ double DistTrainer::pipegcn_backward(int l, std::vector<Matrix>& grad_x) {
       std::fill(row.begin(), row.end(), 0.0f);
     }
   }
-  pipegcn_bwd_inflight_[l]->submit_backward(scratch, bwd_plans_[l],
-                                            device_rngs_, async_pipeline_);
-  pipegcn_bwd_active_[l] = 1;
+  launch_deferred(g);
   return comm;
-}
-
-double DistTrainer::join_pipegcn_forward(int l) {
-  if (!pipegcn_fwd_active_[l]) return 0.0;
-  pipegcn_fwd_inflight_[l]->wait_into(stats_scratch_);
-  pipegcn_fwd_active_[l] = 0;
-  total_comm_bytes_ += stats_scratch_.total_bytes();
-  // Deferred traffic lands in the epoch row of the epoch that *joins* it
-  // (one after the submit); the end-of-run drain past the last epoch only
-  // feeds the global counters.
-  capture_exchange_stats(stats_scratch_);
-  if (l == 0) last_layer1_pair_bytes_ = stats_scratch_.pair_bytes;
-  pipegcn_joined_comm_[l] += stats_scratch_.comm_seconds;
-  return stats_scratch_.comm_seconds;
-}
-
-double DistTrainer::join_pipegcn_backward(int l) {
-  if (!pipegcn_bwd_active_[l]) return 0.0;
-  pipegcn_bwd_inflight_[l]->wait_into(stats_scratch_);
-  pipegcn_bwd_active_[l] = 0;
-  total_comm_bytes_ += stats_scratch_.total_bytes();
-  capture_exchange_stats(stats_scratch_);
-  return stats_scratch_.comm_seconds;
-}
-
-void DistTrainer::submit_pipegcn_forward(int l) {
-  // fwd_plans_[l] is uniform 32-bit and never refreshed for PipeGCN, so it
-  // is stable for the whole time this exchange stays in flight. The
-  // exchange object is persistent (built + warmed in the constructor).
-  pipegcn_fwd_inflight_[l]->submit_forward(acts_[l], fwd_plans_[l],
-                                           device_rngs_, async_pipeline_);
-  pipegcn_fwd_active_[l] = 1;
 }
 
 void DistTrainer::capture_exchange_stats(const ExchangeStats& stats) {
@@ -1229,8 +1226,8 @@ RunResult DistTrainer::run() {
   if (policy_of(opts_.method).defer && !result.epochs.empty()) {
     EpochBreakdown tail;
     for (int l = 0; l < num_layers_; ++l) {
-      tail.comm += join_pipegcn_forward(l);
-      tail.comm += join_pipegcn_backward(l);
+      tail.comm += join_deferred(*fwd_graphs_[l], l, /*forward=*/true);
+      tail.comm += join_deferred(*bwd_graphs_[l], l, /*forward=*/false);
     }
     pipegcn_joined_comm_.assign(num_layers_, 0.0);
     if (tail.comm > 0.0) {

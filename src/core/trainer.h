@@ -43,10 +43,11 @@
 //               parameter-gradient fold. Off: whole-row per-device compute
 //               runs as device tasks after the graph (forward) or before it
 //               (backward) — the exchange-then-compute barrier;
-//   defer       PipeGCN: a layer's stale halo send/recv stays in flight
-//               across iteration boundaries and is joined lazily just before
-//               its buffers are reread or rewritten (the forward defers from
-//               epoch 1 on; the cold first epoch runs Vanilla's shape);
+//   defer       PipeGCN: a layer graph's stale halo send/recv is launched in
+//               one epoch, stays in flight across the iteration boundary and
+//               is joined lazily in the next, just before its buffers are
+//               reread or rewritten (the forward defers from epoch 1 on; the
+//               cold first epoch runs Vanilla's shape);
 //   drift_skip  SANCUS: a serial drift pre-pass marks which pairs send this
 //               epoch; a skipped pair ships no frame and costs no time, and
 //               the modeled comm is the sequential-broadcast sum.
@@ -201,13 +202,24 @@ class DistTrainer {
   /// One layer's halo exchange in one direction: a persistent stage graph,
   /// built on first use (warmup epoch) and re-armed in place every later
   /// epoch, plus the accounting its stages write. Overlapping methods add
-  /// the layer's compute stages to the same graph.
+  /// the layer's compute stages to the same graph; PipeGCN launches its
+  /// exchange-only graphs in one epoch and joins them in the next.
   struct LayerGraph {
     pipeline::StageGraph graph;
     pipeline::ExchangeAccounting acct;
     std::vector<int> exchange_ids;  ///< wire stages (overlap figures)
     std::vector<int> compute_ids;   ///< central stages + fold; overlap only
     bool built = false;
+    bool pending = false;   ///< deferred round armed, not yet joined
+    double launch_us = 0.0;  ///< arm stamp for the join-latency histogram
+
+    LayerGraph() = default;
+    LayerGraph(const LayerGraph&) = delete;
+    LayerGraph& operator=(const LayerGraph&) = delete;
+    /// Joins a still-launched deferred round, so a trainer destroyed
+    /// mid-flight never frees a buffer a stage reads. Stage errors are
+    /// dropped: the round's results die with the trainer.
+    ~LayerGraph();
   };
 
   void refresh_plans();
@@ -237,9 +249,26 @@ class DistTrainer {
   LayerGraph& backward_graph(int l);
 
   /// Re-derive the per-pair RNG streams, re-arm and run one layer graph,
-  /// then its accounting tail: exchange stats, total_comm_bytes_, the
-  /// metrics row, realized overlap and the critical-path profile.
+  /// then finish it (below) and capture its realized overlap and
+  /// critical-path profile.
   void run_layer_graph(LayerGraph& g, int layer, bool forward);
+
+  /// The accounting tail of every completed layer-graph round, in place or
+  /// deferred: exchange stats into stats_scratch_, total_comm_bytes_, the
+  /// metrics row and (layer-0 forward) last_layer1_pair_bytes_.
+  void finish_layer_graph(const LayerGraph& g, int layer, bool forward);
+
+  /// PipeGCN's deferred round, first half: re-derive the per-pair RNG
+  /// streams and re-arm g, then launch it on the pool when async (with
+  /// ADAQP_ASYNC=0 the stages run at the join). The round stays in flight
+  /// across the iteration boundary.
+  void launch_deferred(LayerGraph& g);
+
+  /// Second half: join g's pending round (0 when none is pending), record
+  /// the launch-to-join latency and finish it; returns its modeled comm
+  /// seconds. Overlap and profile capture are skipped — the round's span
+  /// crosses an epoch boundary.
+  double join_deferred(LayerGraph& g, int layer, bool forward);
 
   /// Modeled time of the layer exchange just run (stats_scratch_) plus the
   /// layer's compute, composed per policy: with overlap, central compute
@@ -255,15 +284,8 @@ class DistTrainer {
 
   /// PipeGCN's backward exchange of layer input l: joins last epoch's
   /// in-flight round, adds its arrivals to grad_x's owned rows, stages this
-  /// epoch's halo rows and submits them. Returns the joined comm seconds.
+  /// epoch's halo rows and launches them. Returns the joined comm seconds.
   double pipegcn_backward(int l, std::vector<Matrix>& grad_x);
-
-  /// Join the in-flight PipeGCN deferred exchange of layer input l (no-op
-  /// when none is pending); returns its modeled comm seconds and accounts
-  /// its wire bytes. Called lazily, right before the exchanged buffers are
-  /// reread or rewritten — one epoch after the submit.
-  double join_pipegcn_forward(int l);
-  double join_pipegcn_backward(int l);
 
   /// Fold the halo-exchange stats just produced into the current epoch's
   /// metrics row (messages, wire bytes split by bit-width, per-pair
@@ -283,9 +305,6 @@ class DistTrainer {
   /// unless run() armed the profiler. Purely observational.
   void capture_profile_segment(const pipeline::StageGraph& graph, int layer,
                                bool forward);
-  /// Submit layer l's deferred forward exchange (stale boundary rows of
-  /// acts_[l]); it stays in flight across the iteration boundary.
-  void submit_pipegcn_forward(int l);
 
   double compute_seconds(int layer, bool backward, bool central_only,
                          int device) const;
@@ -328,15 +347,15 @@ class DistTrainer {
   std::vector<std::vector<std::vector<float>>> fwd_ranges_;  ///< [layer][dev]
   std::vector<std::vector<std::vector<float>>> bwd_ranges_;
 
-  // PipeGCN state. The deferred exchanges are cross-iteration pipeline
-  // stages: submitted after a layer's compute (forward) or at its backward
-  // exchange point, joined lazily one epoch later. They capture the shared
+  // PipeGCN state. The deferred exchanges are the layer graphs themselves,
+  // launched after a layer's compute (forward) or at its backward exchange
+  // point and joined lazily one epoch later. They read the shared
   // fwd_plans_/bwd_plans_ entries, which stay the constructor's uniform
-  // 32-bit plans for this method, so the referenced plan is stable while an
-  // exchange is in flight. Backward staging uses persistent per-layer
-  // scratch matrices (halo rows: this epoch's outbound contributions; owned
-  // rows: the arrivals accumulated by the in-flight exchange, harvested at
-  // join).
+  // 32-bit plans for this method, so the referenced plan is stable while a
+  // round is in flight. The backward graphs bind persistent per-layer
+  // scratch matrices instead of the gradient ping-pong (halo rows: this
+  // epoch's outbound contributions; owned rows: the arrivals accumulated by
+  // the in-flight round, harvested at join).
   bool pipegcn_warm_ = false;
   std::vector<std::vector<Matrix>> pipegcn_bwd_scratch_;  ///< [layer][device]
   /// Comm seconds of joined forward exchanges, stashed per slot until the
@@ -402,17 +421,11 @@ class DistTrainer {
 
   // The per-(layer, direction) stage graphs; each claims its own transport
   // channel at construction, in layer order, forward before backward.
+  // Declared last so they are destroyed (and a pending PipeGCN round
+  // therefore joined) before the activation / scratch / plan members their
+  // stages reference.
   std::vector<std::unique_ptr<LayerGraph>> fwd_graphs_;
   std::vector<std::unique_ptr<LayerGraph>> bwd_graphs_;
-
-  // In-flight PipeGCN deferred exchanges, one slot per layer input; the
-  // objects are persistent (multi-shot), the flags say whether a round is
-  // in flight. Declared last so they are destroyed (and therefore joined)
-  // before the activation / scratch / plan members their stages reference.
-  std::vector<std::unique_ptr<pipeline::AsyncExchange>> pipegcn_fwd_inflight_;
-  std::vector<std::unique_ptr<pipeline::AsyncExchange>> pipegcn_bwd_inflight_;
-  std::vector<char> pipegcn_fwd_active_;
-  std::vector<char> pipegcn_bwd_active_;
 };
 
 /// Convenience wrapper: partition + build + train one (dataset, model,

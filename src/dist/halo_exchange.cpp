@@ -4,9 +4,11 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "obs/stopwatch.h"
 #include "pipeline/async_exchange.h"
 #include "quant/quantize.h"
 #include "runtime/thread_pool.h"
+#include "transport/transport.h"
 
 namespace adaqp {
 
@@ -31,12 +33,36 @@ ExchangePlan make_uniform_plan(const DistGraph& dist, int bit_width,
 }
 
 /// The synchronous entry points execute the same per-pair stages as the
-/// async API. With more than one pool thread the stages run concurrently
-/// (the caller helps drain them, so this is the PR-2-style parallel
-/// exchange); from inside a pool task or on a 1-thread pool the serial
-/// reference schedule runs inline. Numerics are identical either way.
+/// trainer's layer graphs. With more than one pool thread the stages run
+/// concurrently (the caller helps drain them); from inside a pool task or on
+/// a 1-thread pool the serial reference schedule runs inline. Numerics are
+/// identical either way.
 bool parallel_exchange_ok() {
   return !ThreadPool::in_worker() && num_threads() > 1;
+}
+
+/// One exchange round over a local stage graph on a fresh wire channel:
+/// derive the per-pair RNG streams, build the stages, run them, finalize.
+template <typename AddStages>
+ExchangeStats run_one_shot(const DistGraph& dist, const ClusterSpec& cluster,
+                           std::vector<Rng>& rngs, const char* label,
+                           const AddStages& add_stages) {
+  const int n = dist.num_devices();
+  ADAQP_CHECK(cluster.num_devices() == n);
+  ADAQP_CHECK(static_cast<int>(rngs.size()) == n);
+  pipeline::StageGraph graph;
+  pipeline::ExchangeAccounting acct;
+  // Deterministic call order makes replicated ranks agree on the channel
+  // without negotiation (see transport::next_channel()).
+  acct.channel = transport::next_channel();
+  acct.init(n, rngs);
+  graph.set_label(label);
+  add_stages(graph, acct);
+  const double start_us = obs::monotonic_us();
+  graph.run(parallel_exchange_ok());
+  obs::instruments().exchange_submit_to_join_us.record(obs::monotonic_us() -
+                                                       start_us);
+  return pipeline::finalize_exchange_stats(acct, dist, cluster);
 }
 
 }  // namespace
@@ -76,9 +102,11 @@ ExchangeStats exchange_halo_forward(const DistGraph& dist,
                                     const ExchangePlan& plan,
                                     const ClusterSpec& cluster,
                                     std::vector<Rng>& rngs) {
-  pipeline::AsyncExchange exchange(dist, cluster);
-  exchange.submit_forward(locals, plan, rngs, parallel_exchange_ok());
-  return exchange.wait();
+  return run_one_shot(
+      dist, cluster, rngs, "halo-exchange/forward",
+      [&](pipeline::StageGraph& graph, pipeline::ExchangeAccounting& acct) {
+        pipeline::add_forward_exchange_stages(graph, dist, locals, plan, acct);
+      });
 }
 
 ExchangeStats exchange_halo_backward(const DistGraph& dist,
@@ -86,9 +114,11 @@ ExchangeStats exchange_halo_backward(const DistGraph& dist,
                                      const ExchangePlan& plan,
                                      const ClusterSpec& cluster,
                                      std::vector<Rng>& rngs) {
-  pipeline::AsyncExchange exchange(dist, cluster);
-  exchange.submit_backward(grads, plan, rngs, parallel_exchange_ok());
-  return exchange.wait();
+  return run_one_shot(
+      dist, cluster, rngs, "halo-exchange/backward",
+      [&](pipeline::StageGraph& graph, pipeline::ExchangeAccounting& acct) {
+        pipeline::add_backward_exchange_stages(graph, dist, grads, plan, acct);
+      });
 }
 
 double allreduce_sum(std::vector<Matrix>& per_device,

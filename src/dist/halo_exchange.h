@@ -9,14 +9,14 @@
 // what a physical cluster would compute, while *time* is accounted by the
 // ClusterSpec cost model under the paper's ring all2all schedule (Fig. 8).
 //
-// These synchronous entry points are thin submit-then-wait wrappers over
-// pipeline::AsyncExchange — there is exactly one exchange implementation in
-// the library. Callers that want the exchange in flight while they compute
-// use the split form directly: the trainer overlaps each AdaQP layer's
-// backward exchange with the central-row adjoint (gated per stage via
-// pipeline::BackwardStageDeps), and keeps PipeGCN's deferred exchanges in
-// flight across whole iteration boundaries. See
-// src/pipeline/async_exchange.h and docs/ARCHITECTURE.md.
+// These synchronous entry points build the exchange's per-pair stages
+// (src/pipeline/async_exchange.h) into a one-shot stage graph and run it —
+// the same stages the trainer's persistent layer graphs hold, so there is
+// exactly one exchange implementation in the library. The trainer adds
+// compute stages to its graphs to overlap the exchange with the central-row
+// forward/adjoint (gated per stage via pipeline::BackwardStageDeps), and
+// keeps PipeGCN's deferred rounds in flight across whole iteration
+// boundaries. See docs/ARCHITECTURE.md.
 #pragma once
 
 #include <array>
@@ -74,7 +74,7 @@ struct ExchangeStats {
 ///
 /// Both exchanges advance each rngs[d] by exactly one draw per call, from
 /// which private per-pair stochastic-rounding streams are derived — the
-/// mechanism that lets pipeline::AsyncExchange run messages concurrently
+/// mechanism that lets the trainer's layer graphs run messages concurrently
 /// with compute while staying bit-identical to this synchronous form (both
 /// are the same per-pair stages; see src/pipeline/async_exchange.h).
 ExchangeStats exchange_halo_forward(const DistGraph& dist,

@@ -5,9 +5,7 @@
 
 #include "common/check.h"
 #include "obs/metrics.h"
-#include "obs/stopwatch.h"
 #include "quant/quantize.h"
-#include "runtime/thread_pool.h"
 #include "simd/kernels.h"
 #include "transport/transport.h"
 
@@ -160,7 +158,7 @@ void ExchangeAccounting::warm(const DistGraph& dist, const ExchangePlan& plan,
 }
 
 void ExchangeAccounting::init(int n, std::vector<Rng>& device_rngs) {
-  ++round;  // first submit is round 1; round 0 is reserved for hellos
+  ++round;  // first round is 1; round 0 is reserved for hellos
   if (static_cast<int>(pair_bytes.size()) != n) {
     init_storage(n);
   } else {
@@ -471,135 +469,6 @@ void finalize_exchange_stats_into(const ExchangeAccounting& acct,
   for (int w = 0; w < obs::kNumWidths; ++w)
     ins.exchange_wire_bytes[static_cast<std::size_t>(w)]->add(
         width_total[static_cast<std::size_t>(w)]);
-}
-
-AsyncExchange::AsyncExchange(const DistGraph& dist, const ClusterSpec& cluster)
-    : dist_(dist), cluster_(cluster) {
-  ADAQP_CHECK(cluster_.num_devices() == dist_.num_devices());
-  // Deterministic construction order makes replicated ranks agree on the
-  // channel without negotiation (see transport::next_channel()).
-  acct_.channel = transport::next_channel();
-}
-
-AsyncExchange::~AsyncExchange() {
-  // A launched exchange must not outlive its stages; join defensively.
-  if (submitted_ && async_ && !finished_) {
-    try {
-      graph_.wait();
-    } catch (...) {
-    }
-  }
-}
-
-void AsyncExchange::submit_forward(std::vector<Matrix>& locals,
-                                   const ExchangePlan& plan,
-                                   std::vector<Rng>& rngs, bool async) {
-  ADAQP_CHECK_MSG(!submitted_ || finished_,
-                  "AsyncExchange::submit while a round is in flight");
-  ADAQP_CHECK(static_cast<int>(rngs.size()) == dist_.num_devices());
-  acct_.init(dist_.num_devices(), rngs);
-  if (built_kind_ == Kind::kNone) {
-    graph_.set_label("halo-exchange/forward");
-    stages_ = add_forward_exchange_stages(graph_, dist_, locals, plan, acct_);
-  }
-  resubmit(Kind::kForward, &locals, &plan, async);
-}
-
-void AsyncExchange::submit_backward(std::vector<Matrix>& grads,
-                                    const ExchangePlan& plan,
-                                    std::vector<Rng>& rngs, bool async) {
-  ADAQP_CHECK_MSG(!submitted_ || finished_,
-                  "AsyncExchange::submit while a round is in flight");
-  ADAQP_CHECK(static_cast<int>(rngs.size()) == dist_.num_devices());
-  acct_.init(dist_.num_devices(), rngs);
-  if (built_kind_ == Kind::kNone) {
-    graph_.set_label("halo-exchange/backward");
-    stages_ = add_backward_exchange_stages(graph_, dist_, grads, plan, acct_);
-  }
-  resubmit(Kind::kBackward, &grads, &plan, async);
-}
-
-void AsyncExchange::prepare_forward(std::vector<Matrix>& locals,
-                                    const ExchangePlan& plan) {
-  ADAQP_CHECK_MSG(built_kind_ == Kind::kNone && !submitted_,
-                  "AsyncExchange::prepare after a build/submit");
-  acct_.init_storage(dist_.num_devices());
-  acct_.warm(dist_, plan, /*forward=*/true,
-             locals.empty() ? 0 : locals[0].cols());
-  graph_.set_label("halo-exchange/forward");
-  stages_ = add_forward_exchange_stages(graph_, dist_, locals, plan, acct_);
-  graph_.prewarm();  // the first run may land inside a steady-state epoch
-  built_kind_ = Kind::kForward;
-  bound_data_ = &locals;
-  bound_plan_ = &plan;
-}
-
-void AsyncExchange::prepare_backward(std::vector<Matrix>& grads,
-                                     const ExchangePlan& plan) {
-  ADAQP_CHECK_MSG(built_kind_ == Kind::kNone && !submitted_,
-                  "AsyncExchange::prepare after a build/submit");
-  acct_.init_storage(dist_.num_devices());
-  acct_.warm(dist_, plan, /*forward=*/false,
-             grads.empty() ? 0 : grads[0].cols());
-  graph_.set_label("halo-exchange/backward");
-  stages_ = add_backward_exchange_stages(graph_, dist_, grads, plan, acct_);
-  graph_.prewarm();  // the first run may land inside a steady-state epoch
-  built_kind_ = Kind::kBackward;
-  bound_data_ = &grads;
-  bound_plan_ = &plan;
-}
-
-void AsyncExchange::resubmit(Kind kind, const void* data,
-                             const ExchangePlan* plan, bool async) {
-  if (built_kind_ == Kind::kNone) {
-    built_kind_ = kind;
-    bound_data_ = data;
-    bound_plan_ = plan;
-  } else {
-    // The stage lambdas captured the first submit's matrices and plan by
-    // reference; a re-submit re-runs them, so it must bind the exact same
-    // objects (direction included).
-    ADAQP_CHECK_MSG(built_kind_ == kind && bound_data_ == data &&
-                        bound_plan_ == plan,
-                    "AsyncExchange re-submit must reuse the direction, "
-                    "matrices and plan of the first submit");
-    graph_.reset();
-  }
-  submitted_ = true;
-  finished_ = false;
-  async_ = async;
-  submit_us_ = obs::monotonic_us();
-  if (async_) graph_.launch();
-}
-
-Event* AsyncExchange::pair_done(int d, int p) {
-  if (!submitted_) return nullptr;
-  const int n = dist_.num_devices();
-  if (d < 0 || p < 0 || d >= n || p >= n) return nullptr;
-  const int id = stages_.stage[d][p];
-  return id < 0 ? nullptr : &graph_.stage_done(id);
-}
-
-ExchangeStats AsyncExchange::wait() {
-  ExchangeStats stats;
-  wait_into(stats);
-  return stats;
-}
-
-void AsyncExchange::wait_into(ExchangeStats& stats) {
-  ADAQP_CHECK_MSG(submitted_ && !finished_,
-                  "AsyncExchange::wait without a pending submit");
-  finished_ = true;
-  if (async_)
-    graph_.wait();
-  else
-    graph_.run_serial();
-  // Submit->join latency covers the full in-flight window — for deferred
-  // (cross-iteration) exchanges that is the whole overlap span, not just
-  // the blocked time inside this call.
-  obs::instruments().exchange_submit_to_join_us.record(obs::monotonic_us() -
-                                                       submit_us_);
-  finalize_exchange_stats_into(acct_, dist_, cluster_, stats);
 }
 
 }  // namespace adaqp::pipeline

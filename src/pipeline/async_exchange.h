@@ -1,5 +1,6 @@
-// Asynchronous halo exchange: the submit()/wait() split of
-// exchange_halo_forward / exchange_halo_backward.
+// Halo-exchange stages: the builders that add one exchange's per-pair
+// encode -> wire -> decode stages to a StageGraph, and the accounting those
+// stages write.
 //
 // Every (sender, receiver) message becomes one pipeline stage that encodes
 // through the real wire codec and decodes on the receiver, so the
@@ -9,18 +10,20 @@
 // did for parallel_for:
 //
 //  * Per-pair RNG streams. Stochastic-rounding draws come from a private
-//    stream per (sender, receiver) pair, derived serially at submit time
-//    (one next() per device stream, then a splitmix of that base with the
-//    peer index). No stage ever touches a shared Rng, so stage scheduling
-//    cannot reorder draws — and the serial reference schedule consumes the
-//    exact same streams.
+//    stream per (sender, receiver) pair, derived serially when a round is
+//    armed (ExchangeAccounting::init: one next() per device stream, then a
+//    splitmix of that base with the peer index). No stage ever touches a
+//    shared Rng, so stage scheduling cannot reorder draws — and the serial
+//    reference schedule consumes the exact same streams.
 //  * Ascending-owner decode order. Backward accumulation into an owner's
 //    rows happens in a single per-owner stage that folds senders in
 //    ascending order — the same summation order as a serial d-outer sweep.
 //
-// The synchronous exchange_halo_forward/backward entry points in src/dist/
-// are thin wrappers over this API (submit immediately followed by wait), so
-// there is exactly one exchange implementation in the library.
+// Two owners build graphs from these stages, so there is exactly one
+// exchange implementation in the library: the trainer's persistent
+// per-(layer, direction) graphs (src/core/trainer.h), which PipeGCN also
+// launches in one epoch and joins in the next, and the one-shot
+// exchange_halo_forward / exchange_halo_backward (src/dist/halo_exchange.h).
 #pragma once
 
 #include <vector>
@@ -73,19 +76,20 @@ struct ExchangeAccounting {
 
   /// Transport identity (src/transport/): the exchange's wire channel —
   /// claimed from transport::next_channel() by whoever owns this accounting
-  /// — and the per-channel round ordinal init() advances on every submit.
+  /// — and the per-channel round ordinal init() advances on every round.
   /// With each message's (direction, src, dst) these form the FrameTag the
   /// transport matches deliveries on.
   std::uint32_t channel = 0;
   std::uint32_t round = 0;
 
+  /// Arm one round: advance `round`, zero the per-pair byte counts and wire
+  /// blocks in place, and derive the per-pair RNG streams (one draw from
+  /// each device_rngs[d], in ascending d).
   void init(int n, std::vector<Rng>& device_rngs);
 
   /// Size the [sender][receiver] slot tables without deriving RNG streams
   /// (init() does both). Idempotent; lets a graph be *built* against this
-  /// accounting before any round is submitted — PipeGCN's deferred forward
-  /// exchanges are prepared this way at trainer construction so their first
-  /// submit (epoch 1, already steady state) allocates nothing.
+  /// accounting before its first round is armed.
   void init_storage(int n);
 
   /// Pre-reserve every per-pair staging buffer for the message shapes the
@@ -149,89 +153,5 @@ void finalize_exchange_stats_into(const ExchangeAccounting& acct,
                                   const DistGraph& dist,
                                   const ClusterSpec& cluster,
                                   ExchangeStats& stats);
-
-/// The submit()/wait() halves of one halo exchange, for callers that want
-/// the exchange in flight while they do other work.
-///
-/// Lifecycle (multi-shot): construct → submit → wait → submit → wait → …;
-/// a submit while a round is still in flight throws. The first submit
-/// builds the stage graph, capturing the matrices and plan by reference;
-/// every later submit must pass the *same* objects (same direction, same
-/// addresses — the trainer keeps one instance per layer/direction with
-/// stable buffers) and merely re-derives the per-pair RNG streams in place,
-/// re-arms the graph and relaunches it, performing no heap allocation —
-/// the steady-state contract (docs/ARCHITECTURE.md). The referenced
-/// matrices and plan must stay alive — and their exchanged rows untouched
-/// by anyone else — while a round is in flight. The destructor joins a
-/// still-launched exchange defensively (swallowing stage errors), so an
-/// in-flight exchange can be dropped safely, but only wait() returns its
-/// ExchangeStats.
-///
-/// The join may happen arbitrarily later than the submit: DistTrainer
-/// keeps one AsyncExchange per layer in flight *across iteration
-/// boundaries* for PipeGCN's deferred exchanges (stale boundary rows ship
-/// while the rest of the epoch and the next epoch's earlier layers run).
-/// Benches and tests drive it directly.
-class AsyncExchange {
- public:
-  AsyncExchange(const DistGraph& dist, const ClusterSpec& cluster);
-  ~AsyncExchange();
-
-  AsyncExchange(const AsyncExchange&) = delete;
-  AsyncExchange& operator=(const AsyncExchange&) = delete;
-
-  /// Build the exchange stages and, when `async`, launch them on the pool.
-  /// locals/plan must stay valid until wait() returns. When `async` is
-  /// false nothing runs until wait(), which then executes the reference
-  /// serial schedule — numerics are identical either way.
-  void submit_forward(std::vector<Matrix>& locals, const ExchangePlan& plan,
-                      std::vector<Rng>& rngs, bool async);
-  void submit_backward(std::vector<Matrix>& grads, const ExchangePlan& plan,
-                       std::vector<Rng>& rngs, bool async);
-
-  /// Build (but do not run) the stage graph and warm every staging buffer,
-  /// binding the matrices and plan exactly as the first submit would —
-  /// without consuming any RNG draws or launching anything. A later
-  /// submit_forward/submit_backward with the same objects then re-inits the
-  /// accounting in place and relaunches, allocation-free: this is how the
-  /// trainer makes an exchange whose first round happens *after* warmup
-  /// (PipeGCN's deferred forward pipeline) satisfy the steady-state
-  /// contract. Call at most once, before any submit.
-  void prepare_forward(std::vector<Matrix>& locals, const ExchangePlan& plan);
-  void prepare_backward(std::vector<Matrix>& grads, const ExchangePlan& plan);
-
-  /// Completion handle of the d -> p message (nullptr when the pair
-  /// exchanges nothing). Forward: set once the receiver's halo rows are
-  /// decoded. Backward: set once the message is encoded.
-  Event* pair_done(int d, int p);
-
-  /// Join the exchange and return its stats. Call exactly once per submit.
-  ExchangeStats wait();
-
-  /// wait() into caller-owned stats storage (capacity reused — the
-  /// steady-state form).
-  void wait_into(ExchangeStats& stats);
-
- private:
-  enum class Kind { kNone, kForward, kBackward };
-
-  /// Shared re-submit path: bind-check against the first submit (or record
-  /// the binding), re-arm the graph, relaunch when async.
-  void resubmit(Kind kind, const void* data, const ExchangePlan* plan,
-                bool async);
-
-  const DistGraph& dist_;
-  const ClusterSpec& cluster_;
-  StageGraph graph_;
-  ExchangeAccounting acct_;
-  PairStages stages_;
-  Kind built_kind_ = Kind::kNone;
-  const void* bound_data_ = nullptr;
-  const ExchangePlan* bound_plan_ = nullptr;
-  bool submitted_ = false;
-  bool async_ = false;
-  bool finished_ = false;
-  double submit_us_ = 0.0;  ///< resubmit() stamp for the join-latency histogram
-};
 
 }  // namespace adaqp::pipeline

@@ -71,9 +71,16 @@ int StageGraph::add(std::string name, StageFn fn, const std::vector<int>& deps,
     ADAQP_CHECK_MSG(dep >= 0 && dep < id,
                     "stage \"" << node.name << "\" dependency " << dep
                                << " must reference an earlier stage");
-    nodes_[dep].dependents.push_back(id);  // lint:allow(hot-path-alloc) graph build
+    Node& parent = nodes_[dep];
+    parent.dependents.push_back(id);  // lint:allow(hot-path-alloc) graph build
+    // Which finisher collects a dependent depends on finish order, so every
+    // node's ready staging is sized for all of its dependents here, at build
+    // time: no run allocates, not even the first one of a graph whose first
+    // run lands in a later epoch (PipeGCN's deferred backward exchanges).
+    parent.ready_scratch.reserve(parent.dependents.capacity());  // lint:allow(hot-path-alloc) graph build
     ++node.pending;
   }
+  if (deps.empty()) sources_.push_back(id);  // lint:allow(hot-path-alloc) graph build
   node.deps = deps;
   return id;
 }
@@ -154,7 +161,7 @@ void StageGraph::finish_stage(std::size_t id) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (int dep : node.dependents) {
-      if (--nodes_[dep].pending == 0) ready.push_back(dep);  // lint:allow(hot-path-alloc) prewarm()ed capacity
+      if (--nodes_[dep].pending == 0) ready.push_back(dep);  // lint:allow(hot-path-alloc) capacity reserved by add()
     }
     all_finished = --remaining_ == 0;
     // Snapshot under the lock: once we release mu_ without being the final
@@ -194,22 +201,9 @@ void StageGraph::reset() {
   async_mode_ = false;
 }
 
-void StageGraph::prewarm() {
-  // Reserve every schedule-dependent scratch vector up front. Which node's
-  // ready_scratch collects a dependent depends on finish order, so without
-  // this the capacity warms up lazily over *different* nodes on different
-  // runs — a nondeterministic allocation leak into warm epochs (and stages
-  // of a deferred graph may first execute inside a later epoch entirely).
-  if (prewarmed_) return;
-  prewarmed_ = true;
-  source_scratch_.reserve(nodes_.size());  // lint:allow(hot-path-alloc) prewarm, one-time
-  for (Node& node : nodes_) node.ready_scratch.reserve(node.dependents.size());  // lint:allow(hot-path-alloc) prewarm, one-time
-}
-
 void StageGraph::launch() {
   ADAQP_CHECK_MSG(!launched_, "StageGraph launched twice (reset() to re-run)");
   maybe_racecheck();
-  prewarm();
   launched_ = true;
   async_mode_ = true;
   remaining_ = nodes_.size();
@@ -217,17 +211,12 @@ void StageGraph::launch() {
     all_done_.set();
     return;
   }
-  // Collect sources first: a source finishing mid-iteration may submit
-  // dependents concurrently, which is fine — only pending==0 transitions
-  // enqueue, so no stage can be submitted twice. The staging vector is a
-  // member so re-launches after reset() reuse its capacity.
-  std::vector<std::size_t>& sources = source_scratch_;
-  sources.clear();
-  for (std::size_t id = 0; id < nodes_.size(); ++id)
-    if (nodes_[id].pending == 0) sources.push_back(id);  // lint:allow(hot-path-alloc) prewarm()ed capacity
+  // A source finishing mid-loop may submit dependents concurrently, which
+  // is fine: sources have no dependencies, so finish_stage never enqueues
+  // them, and only pending==0 transitions enqueue anything else.
   ThreadPool& pool = global_pool();
-  for (std::size_t id : sources)
-    pool.submit([this, id] { run_stage(id); });
+  for (const int id : sources_)
+    pool.submit([this, id] { run_stage(static_cast<std::size_t>(id)); });
 }
 
 void StageGraph::wait() {
@@ -244,7 +233,6 @@ void StageGraph::wait() {
 void StageGraph::run_serial() {
   ADAQP_CHECK_MSG(!launched_, "StageGraph::run_serial after launch");
   maybe_racecheck();
-  prewarm();
   launched_ = true;
   async_mode_ = false;
   remaining_ = nodes_.size();

@@ -42,8 +42,8 @@
 //      pooled scratch), never captured copies of per-epoch values.
 //   5. wait() rethrows the first stage exception; dependents of a failed
 //      stage are poisoned (never run). The destructor does NOT join — the
-//      owner must wait() a launched graph before destroying it (see
-//      AsyncExchange for an owner that joins defensively).
+//      owner must wait() a launched graph before destroying it (the
+//      trainer's per-layer graphs join a still-deferred round defensively).
 #pragma once
 
 #include <condition_variable>
@@ -153,13 +153,6 @@ class StageGraph {
   /// True once launch()/run_serial() has been called on the current arming.
   bool launched() const { return launched_; }
 
-  /// One-time reservation of all schedule-dependent scratch (source staging,
-  /// per-node ready lists). Runs automatically on the first launch() /
-  /// run_serial(); owners that defer the first run into a later epoch
-  /// (AsyncExchange::prepare_*) call it at build time so the deferred run is
-  /// allocation-free.
-  void prewarm();
-
  private:
   struct Node {
     std::string name;
@@ -171,7 +164,7 @@ class StageGraph {
     Event done;
     double begin_us = 0.0;  ///< stamped by the executing thread; read after
     double end_us = 0.0;    ///< the run joins (see stage_begin_us())
-    std::vector<int> ready_scratch;  ///< finish_stage staging; this node only
+    std::vector<int> ready_scratch;  ///< finish_stage staging, sized by add()
   };
 
   void run_stage(std::size_t id);
@@ -188,8 +181,7 @@ class StageGraph {
   std::exception_ptr error_;
   Event all_done_;
   std::string label_ = "stage-graph";
-  std::vector<std::size_t> source_scratch_;  ///< launch() staging
-  bool prewarmed_ = false;
+  std::vector<int> sources_;  ///< dependency-free stages, in id order
   bool launched_ = false;
   bool async_mode_ = false;
 };

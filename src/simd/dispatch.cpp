@@ -21,13 +21,14 @@ std::atomic<int> g_override{-1};
 std::atomic<const KernelTable*> g_active_table{nullptr};
 std::mutex g_resolve_mutex;
 
-/// Merged tables (ISA entries backfilled with scalar), built on demand.
-KernelTable g_merged[5];
+/// Merged tables (ISA entries backfilled with scalar), built on demand;
+/// one slot per Isa enumerator.
+constexpr std::size_t kNumIsas = static_cast<std::size_t>(Isa::kNeon) + 1;
+KernelTable g_merged[kNumIsas];
 
 const KernelTable* raw_table(Isa isa) {
   switch (isa) {
     case Isa::kScalar: return scalar_kernels();
-    case Isa::kSse42: return sse42_kernels();
     case Isa::kAvx2: return avx2_kernels();
     case Isa::kAvx512: return avx512_kernels();
     case Isa::kNeon: return neon_kernels();
@@ -46,10 +47,10 @@ const KernelTable* raw_table(Isa isa) {
 /// Build the dispatch table for `isa`: every null entry falls back to the
 /// scalar reference, so a stub ISA (NEON today) still runs correctly.
 const KernelTable* merged_table(Isa isa) {
-  // The bound check is redundant (Isa has 5 enumerators) but keeps GCC's
+  // The bound check is redundant (one slot per enumerator) but keeps GCC's
   // array-bounds analysis quiet about the enum-indexed subscript.
   const auto idx = static_cast<std::size_t>(isa);
-  KernelTable& merged = g_merged[idx < 5 ? idx : 0];
+  KernelTable& merged = g_merged[idx < kNumIsas ? idx : 0];
   const KernelTable* scalar = scalar_kernels();
   const KernelTable* native = raw_table(isa);
   merged = *scalar;
@@ -73,7 +74,6 @@ const KernelTable* merged_table(Isa isa) {
 const char* isa_name(Isa isa) {
   switch (isa) {
     case Isa::kScalar: return "scalar";
-    case Isa::kSse42: return "sse42";
     case Isa::kAvx2: return "avx2";
     case Isa::kAvx512: return "avx512";
     case Isa::kNeon: return "neon";
@@ -83,13 +83,12 @@ const char* isa_name(Isa isa) {
 
 Isa parse_isa(std::string_view value) {
   if (value == "scalar") return Isa::kScalar;
-  if (value == "sse42") return Isa::kSse42;
   if (value == "avx2") return Isa::kAvx2;
   if (value == "avx512") return Isa::kAvx512;
   if (value == "neon") return Isa::kNeon;
   if (value == "native") return detected_isa();
   std::ostringstream msg;
-  msg << "ADAQP_ISA must be one of scalar|sse42|avx2|avx512|neon|native; "
+  msg << "ADAQP_ISA must be one of scalar|avx2|avx512|neon|native; "
          "got \""
       << std::string(value) << "\"";
   throw std::runtime_error(msg.str());
@@ -101,7 +100,6 @@ Isa detected_isa() {
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw"))
     return Isa::kAvx512;
   if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return Isa::kSse42;
   return Isa::kScalar;
 #elif defined(__aarch64__)
   return Isa::kNeon;  // NEON is baseline on aarch64
@@ -115,7 +113,6 @@ bool isa_supported(Isa isa) {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_cpu_init();
   switch (isa) {
-    case Isa::kSse42: return __builtin_cpu_supports("sse4.2");
     case Isa::kAvx2: return __builtin_cpu_supports("avx2");
     case Isa::kAvx512:
       return __builtin_cpu_supports("avx512f") &&
@@ -131,8 +128,7 @@ bool isa_supported(Isa isa) {
 
 std::vector<Isa> supported_isas() {
   std::vector<Isa> out;
-  for (Isa isa : {Isa::kScalar, Isa::kSse42, Isa::kAvx2, Isa::kAvx512,
-                  Isa::kNeon})
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512, Isa::kNeon})
     if (isa_supported(isa)) out.push_back(isa);
   return out;
 }

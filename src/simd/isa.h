@@ -1,7 +1,7 @@
 // Runtime ISA selection for the vector kernel library (src/simd/).
 //
 // The library ships one reference (scalar) implementation of every kernel
-// plus optional SSE4.2 / AVX2 / AVX-512 variants on x86-64 and a NEON stub
+// plus optional AVX2 / AVX-512 variants on x86-64 and a NEON stub
 // on aarch64, each compiled in its own translation unit with the matching
 // -m flags. Which variant runs is decided once at runtime:
 //
@@ -11,7 +11,7 @@
 //   3. cpuid detection of the best ISA the host supports.
 //
 // ADAQP_ISA parsing is strict, alongside ADAQP_ASYNC and ADAQP_THREADS:
-// accepted values are "scalar", "sse42", "avx2", "avx512", "neon" and
+// accepted values are "scalar", "avx2", "avx512", "neon" and
 // "native" (= detected best); anything else throws std::runtime_error, as
 // does requesting an ISA the host cannot execute. Every kernel variant is
 // wire-compatible by contract: codec streams are byte-identical and compute
@@ -28,13 +28,12 @@ namespace adaqp::simd {
 /// architecture. kScalar is the portable reference and always available.
 enum class Isa {
   kScalar = 0,
-  kSse42,
   kAvx2,
   kAvx512,
   kNeon,
 };
 
-/// Lower-case canonical name ("scalar", "sse42", ...), as accepted by
+/// Lower-case canonical name ("scalar", "avx2", ...), as accepted by
 /// ADAQP_ISA.
 const char* isa_name(Isa isa);
 

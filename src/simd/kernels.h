@@ -1,7 +1,7 @@
 // Kernel table for the runtime-dispatched vector library.
 //
 // Each entry is a C-style function pointer so per-ISA translation units
-// (kernels_scalar.cpp, kernels_sse42.cpp, ...) stay free of shared inline
+// (kernels_scalar.cpp, kernels_avx2.cpp, ...) stay free of shared inline
 // code: a TU compiled with -mavx2 must never contribute an inline symbol
 // that a non-AVX host could end up executing, so this header is pure
 // declarations. kernels() returns the table for active_isa(); entries an
@@ -118,7 +118,6 @@ const KernelTable& kernels();
 // when the library was not built for that architecture. Entries may be
 // null; the registry backfills them from scalar_kernels().
 const KernelTable* scalar_kernels();  // never null, all entries set
-const KernelTable* sse42_kernels();
 const KernelTable* avx2_kernels();
 const KernelTable* avx512_kernels();
 const KernelTable* neon_kernels();

@@ -2,9 +2,9 @@
 // NEON is baseline on aarch64, so no -m flags and no runtime feature check
 // are needed; -ffp-contract=off still matters and no vmla/vfma intrinsics
 // are used (the fused forms), so multiply-add rounding matches the scalar
-// reference exactly. The codec mirrors the SSE4.2 structure: vectorized
-// quantize/widen through a 16-byte staging chunk, scalar bit combine/expand
-// on the staging bytes (exact integer ops — byte-identity is unaffected).
+// reference exactly. The codec vectorizes quantize/widen through a 16-byte
+// staging chunk and combines/expands bits scalar on the staging bytes
+// (exact integer ops — byte-identity is unaffected).
 #if defined(__aarch64__)
 
 #include <arm_neon.h>

@@ -456,5 +456,47 @@ TEST(ObsTrainer, WallAndModelTimingsAreReportedSideBySide) {
   EXPECT_GT(rec.time.total, 0.0);  // model seconds, same phases
 }
 
+/// exchange.submit_to_join_us (read by the e2e bench as
+/// pipeline.submit_to_join_ms_mean) counts deferred joins only: PipeGCN's
+/// cold epoch launches its backward exchanges but no forward one, so epoch
+/// 1 joins 2 backward rounds and every later epoch joins 3 forward + 2
+/// backward rounds of a 3-layer model. Layer graphs that run and join in
+/// place (AdaQP) never record.
+TEST(ObsTrainer, JoinLatencyHistogramCountsDeferredJoinsOnly) {
+  Rng rng(24);
+  const Dataset ds = make_dataset(obs_spec(), rng);
+  Rng prng(4242);
+  const auto part = MultilevelPartitioner().partition(ds.graph, 4, prng);
+  const DistGraph dist = build_dist_graph(ds.graph, part);
+  const ClusterSpec cluster = ClusterSpec::machines(2, 2);
+  ModelConfig mc;
+  mc.aggregator = Aggregator::kGcn;
+  mc.in_dim = ds.spec.feature_dim;
+  mc.hidden_dim = 16;
+  mc.out_dim = ds.num_classes();
+  mc.num_layers = 3;
+  const obs::Histogram& joins = obs::instruments().exchange_submit_to_join_us;
+
+  const auto growth_per_epoch = [&](Method method, int epochs) {
+    TrainOptions opts;
+    opts.method = method;
+    opts.epochs = epochs;
+    opts.eval_every_epoch = false;
+    DistTrainer trainer(ds, dist, cluster, mc, opts);
+    std::vector<std::uint64_t> growth;
+    for (int e = 0; e < epochs; ++e) {
+      const std::uint64_t before = joins.count();
+      trainer.train_epoch();
+      growth.push_back(joins.count() - before);
+    }
+    return growth;
+  };
+
+  EXPECT_EQ(growth_per_epoch(Method::kPipeGCN, 5),
+            (std::vector<std::uint64_t>{0, 2, 5, 5, 5}));
+  EXPECT_EQ(growth_per_epoch(Method::kAdaQP, 4),
+            (std::vector<std::uint64_t>{0, 0, 0, 0}));
+}
+
 }  // namespace
 }  // namespace adaqp

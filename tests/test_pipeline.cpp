@@ -1,9 +1,9 @@
 // The pipeline subsystem's invariants: StageGraph executes a DAG correctly
-// under both the async scheduler and the serial reference schedule; the
-// submit()/wait() halo exchange is bit-identical to the synchronous one at
-// any thread count; a full DistTrainer::run() is bit-identical with the
-// async pipeline on and off for every method; ADAQP_ASYNC parsing is
-// strict; and the trace recorder emits loadable Chrome trace JSON.
+// under both the async scheduler and the serial reference schedule; a full
+// DistTrainer::run() is bit-identical with the async pipeline on and off
+// for every method; ADAQP_ASYNC parsing is strict; and the trace recorder
+// emits loadable Chrome trace JSON. (The one-shot halo exchange's
+// thread-count invariance lives in tests/test_runtime.cpp.)
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,9 +16,6 @@
 #include <vector>
 
 #include "core/trainer.h"
-#include "dist/halo_exchange.h"
-#include "graph/generators.h"
-#include "pipeline/async_exchange.h"
 #include "pipeline/config.h"
 #include "pipeline/stage_graph.h"
 #include "pipeline/trace.h"
@@ -28,7 +25,6 @@
 namespace adaqp {
 namespace {
 
-using pipeline::AsyncExchange;
 using pipeline::AsyncModeGuard;
 using pipeline::StageGraph;
 
@@ -163,113 +159,6 @@ TEST(AsyncConfig, OverrideWinsAndGuardRestores) {
   }
   EXPECT_TRUE(pipeline::async_enabled());
 }
-
-// ---- Async exchange == sync exchange, bit for bit -------------------------
-
-struct ExchangeFixture {
-  Graph g;
-  DistGraph dist;
-  ClusterSpec cluster = ClusterSpec::machines(2, 2);
-  Matrix global;
-
-  ExchangeFixture() {
-    Rng rng(4242);
-    g = erdos_renyi(160, 700, rng);
-    const auto part = MultilevelPartitioner().partition(g, 4, rng);
-    dist = build_dist_graph(g, part);
-    global = Matrix(g.num_nodes(), 9);
-    global.fill_uniform(rng, -2.0f, 2.0f);
-  }
-
-  std::vector<Rng> fresh_rngs() const {
-    std::vector<Rng> rngs;
-    for (int d = 0; d < dist.num_devices(); ++d) rngs.emplace_back(900 + d);
-    return rngs;
-  }
-};
-
-class AsyncExchangeBitExact : public ::testing::TestWithParam<int> {};
-
-TEST_P(AsyncExchangeBitExact, ForwardSubmitWaitEqualsSynchronous) {
-  const int threads = GetParam();
-  ExchangeFixture fx;
-  const auto plan = ExchangePlan::uniform_forward(fx.dist, 4);
-
-  // Reference: synchronous exchange on a 1-thread pool.
-  std::vector<Matrix> ref = scatter_to_devices(fx.global, fx.dist);
-  ExchangeStats ref_stats;
-  {
-    ThreadCountGuard guard(1);
-    auto rngs = fx.fresh_rngs();
-    ref_stats = exchange_halo_forward(fx.dist, ref, plan, fx.cluster, rngs);
-  }
-
-  // Async submit/wait at the parameterized thread count.
-  ThreadCountGuard guard(threads);
-  auto rngs = fx.fresh_rngs();
-  std::vector<Matrix> locals = scatter_to_devices(fx.global, fx.dist);
-  AsyncExchange exchange(fx.dist, fx.cluster);
-  exchange.submit_forward(locals, plan, rngs, /*async=*/true);
-  const ExchangeStats stats = exchange.wait();
-
-  for (std::size_t d = 0; d < locals.size(); ++d)
-    ASSERT_EQ(max_abs_diff(locals[d], ref[d]), 0.0f) << "device " << d;
-  EXPECT_EQ(stats.pair_bytes, ref_stats.pair_bytes);
-  EXPECT_EQ(stats.comm_seconds, ref_stats.comm_seconds);
-  EXPECT_EQ(stats.quant_seconds, ref_stats.quant_seconds);
-  EXPECT_EQ(stats.dequant_seconds, ref_stats.dequant_seconds);
-}
-
-TEST_P(AsyncExchangeBitExact, BackwardSubmitWaitEqualsSynchronous) {
-  const int threads = GetParam();
-  ExchangeFixture fx;
-  const auto plan = ExchangePlan::uniform_backward(fx.dist, 8);
-
-  std::vector<Matrix> ref = scatter_to_devices(fx.global, fx.dist);
-  ExchangeStats ref_stats;
-  {
-    ThreadCountGuard guard(1);
-    auto rngs = fx.fresh_rngs();
-    ref_stats = exchange_halo_backward(fx.dist, ref, plan, fx.cluster, rngs);
-  }
-
-  ThreadCountGuard guard(threads);
-  auto rngs = fx.fresh_rngs();
-  std::vector<Matrix> grads = scatter_to_devices(fx.global, fx.dist);
-  AsyncExchange exchange(fx.dist, fx.cluster);
-  exchange.submit_backward(grads, plan, rngs, /*async=*/true);
-  const ExchangeStats stats = exchange.wait();
-
-  for (std::size_t d = 0; d < grads.size(); ++d)
-    ASSERT_EQ(max_abs_diff(grads[d], ref[d]), 0.0f) << "device " << d;
-  EXPECT_EQ(stats.pair_bytes, ref_stats.pair_bytes);
-  EXPECT_EQ(stats.comm_seconds, ref_stats.comm_seconds);
-}
-
-TEST_P(AsyncExchangeBitExact, PairHandlesFireBeforeWait) {
-  const int threads = GetParam();
-  ExchangeFixture fx;
-  const auto plan = ExchangePlan::uniform_forward(fx.dist, 2);
-  ThreadCountGuard guard(threads);
-  auto rngs = fx.fresh_rngs();
-  std::vector<Matrix> locals = scatter_to_devices(fx.global, fx.dist);
-  AsyncExchange exchange(fx.dist, fx.cluster);
-  exchange.submit_forward(locals, plan, rngs, /*async=*/true);
-  // Per-pair completion handles are waitable independently of the join.
-  int pairs = 0;
-  for (int d = 0; d < fx.dist.num_devices(); ++d)
-    for (int p = 0; p < fx.dist.num_devices(); ++p)
-      if (pipeline::Event* ev = exchange.pair_done(d, p)) {
-        ev->wait();
-        EXPECT_TRUE(ev->done());
-        ++pairs;
-      }
-  EXPECT_GT(pairs, 0);
-  exchange.wait();
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, AsyncExchangeBitExact,
-                         ::testing::Values(1, 4, 8));
 
 // ---- Full trainer: async pipeline on == off, bit for bit ------------------
 

@@ -209,18 +209,24 @@ TEST(HaloExchangeDeterminism, QuantizedForwardBackwardBitExact) {
     bwd_stats = exchange_halo_backward(dist, out, bwd_plan, cluster, rngs);
   };
 
-  std::vector<Matrix> locals1, locals8;
-  ExchangeStats f1, f8, b1, b8;
+  std::vector<Matrix> locals1;
+  ExchangeStats f1, b1;
   run_once(1, locals1, f1, b1);
-  run_once(8, locals8, f8, b8);
-
-  ASSERT_EQ(locals1.size(), locals8.size());
-  for (std::size_t d = 0; d < locals1.size(); ++d)
-    ASSERT_EQ(max_abs_diff(locals1[d], locals8[d]), 0.0f) << "device " << d;
-  EXPECT_EQ(f1.pair_bytes, f8.pair_bytes);
-  EXPECT_EQ(b1.pair_bytes, b8.pair_bytes);
-  EXPECT_EQ(f1.comm_seconds, f8.comm_seconds);
-  EXPECT_EQ(b1.comm_seconds, b8.comm_seconds);
+  for (const int threads : {4, 8}) {
+    std::vector<Matrix> locals;
+    ExchangeStats f, b;
+    run_once(threads, locals, f, b);
+    ASSERT_EQ(locals1.size(), locals.size());
+    for (std::size_t d = 0; d < locals1.size(); ++d)
+      ASSERT_EQ(max_abs_diff(locals1[d], locals[d]), 0.0f)
+          << "threads " << threads << " device " << d;
+    EXPECT_EQ(f1.pair_bytes, f.pair_bytes) << "threads " << threads;
+    EXPECT_EQ(b1.pair_bytes, b.pair_bytes) << "threads " << threads;
+    EXPECT_EQ(f1.comm_seconds, f.comm_seconds) << "threads " << threads;
+    EXPECT_EQ(b1.comm_seconds, b.comm_seconds) << "threads " << threads;
+    EXPECT_EQ(f1.quant_seconds, f.quant_seconds) << "threads " << threads;
+    EXPECT_EQ(f1.dequant_seconds, f.dequant_seconds) << "threads " << threads;
+  }
 }
 
 // ---- End-to-end determinism -----------------------------------------------

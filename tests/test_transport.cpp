@@ -582,7 +582,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Seeded delay / reorder / short-I/O schedules shuffle arrival, fragment
 // streams and stall stages — and must change nothing: tag-matched delivery
 // makes the faulted run bit-identical to the fault-free baseline. This is
-// also the regression pin for the two latent AsyncExchange assumptions
+// also the regression pin for two latent exchange-stage assumptions
 // (submit-order delivery; decoding the sender's buffer address instead of
 // the delivered bytes): under reorder+split the decoded span is a
 // reassembled copy delivered out of submit order, so either regression
@@ -679,7 +679,14 @@ class RecordingTransport final : public transport::Transport {
 
 /// A tag names one frame of one exchange: two frames sharing it could be
 /// delivered to the wrong recv as soon as two exchanges overlap in time.
-TEST(WireTags, NoTagRepeatsWithinAnAdaQPEpoch) {
+// Every exchange round of a run — layer graphs run in place, PipeGCN's
+// deferred rounds (launched in one epoch, joined in the next, sharing a
+// channel with their cold-epoch synchronous round), the end-of-run drain and
+// the one-shot evaluation exchanges — ships under a tag no other frame of
+// the run uses.
+class WireTags : public ::testing::TestWithParam<Method> {};
+
+TEST_P(WireTags, NoTagRepeatsWithinARun) {
   Rng rng(36);
   const Dataset ds = make_dataset(wire_spec(), rng);
   Rng prng(4242);
@@ -696,23 +703,33 @@ TEST(WireTags, NoTagRepeatsWithinAnAdaQPEpoch) {
   mc.out_dim = ds.num_classes();
   mc.num_layers = 3;
   TrainOptions opts;
-  opts.method = Method::kAdaQP;
-  opts.epochs = 3;
-  opts.eval_every_epoch = false;
+  opts.method = GetParam();
+  opts.epochs = 4;
+  opts.reassign_period = 2;
   DistTrainer trainer(ds, dist, cluster, mc, opts);
-  for (int e = 0; e < opts.epochs; ++e) {
-    trainer.train_epoch();
-    const std::vector<FrameTag> tags = rec.take();
-    ASSERT_FALSE(tags.empty());
-    std::set<std::tuple<std::uint32_t, std::uint32_t, int, int, int>> seen;
-    for (const FrameTag& t : tags)
-      EXPECT_TRUE(seen.emplace(t.channel, t.round, t.direction, t.src, t.dst)
-                      .second)
-          << "epoch " << e << " repeats tag {channel " << t.channel
-          << ", round " << t.round << ", direction " << int{t.direction}
-          << ", " << int{t.src} << "->" << int{t.dst} << "}";
-  }
+  trainer.run();
+  const std::vector<FrameTag> tags = rec.take();
+  ASSERT_FALSE(tags.empty());
+  std::set<std::tuple<std::uint32_t, std::uint32_t, int, int, int>> seen;
+  for (const FrameTag& t : tags)
+    EXPECT_TRUE(
+        seen.emplace(t.channel, t.round, t.direction, t.src, t.dst).second)
+        << "repeated tag {channel " << t.channel << ", round " << t.round
+        << ", direction " << int{t.direction} << ", " << int{t.src} << "->"
+        << int{t.dst} << "}";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMethods, WireTags,
+    ::testing::Values(Method::kVanilla, Method::kAdaQP, Method::kAdaQPUniform,
+                      Method::kPipeGCN, Method::kSancus),
+    [](const ::testing::TestParamInfo<Method>& info) {
+      std::string n = method_name(info.param);
+      std::erase_if(n, [](char c) {
+        return !std::isalnum(static_cast<unsigned char>(c));
+      });
+      return n;
+    });
 
 }  // namespace
 }  // namespace adaqp
