@@ -6,16 +6,25 @@
 // per benchmark with an IsaGuard exactly as ADAQP_ISA would. Tracks the
 // kernel-matrix speedup target: >= 2x scalar throughput on AVX2-capable
 // hardware (recorded into BENCH_runtime.json by scripts/bench.sh).
+//
+// BM_Gemm/<variant>/<isa>/<rows>x<in>x<out> times the dense transforms of
+// one GNN layer over `rows` nodes, reported in FLOP/s (2·rows·in·out per
+// call): nn = forward X·W, nt = input gradient dY·Wᵀ, tn = weight gradient
+// Xᵀ·dY, nt_rows = the input gradient over the full owned-row span. The
+// GEMMs run on the runtime pool, so rates are per wall second at
+// ADAQP_THREADS threads; ADAQP_THREADS=1 gives per-core figures.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "simd/isa.h"
 #include "simd/kernels.h"
+#include "tensor/matrix.h"
 
 namespace {
 
@@ -96,6 +105,44 @@ void BM_GatherAxpy(benchmark::State& state, Isa isa, std::size_t degree,
                           degree * dim * sizeof(float));
 }
 
+enum class GemmVariant { kNn, kNt, kTn, kNtRows };
+
+Matrix make_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  Matrix m(rows, cols);
+  Rng rng(seed);
+  m.fill_uniform(rng, -1.0f, 1.0f);
+  return m;
+}
+
+void BM_Gemm(benchmark::State& state, Isa isa, GemmVariant variant,
+             std::size_t rows, std::size_t in, std::size_t out) {
+  IsaGuard guard(isa);
+  const Matrix x = make_matrix(rows, in, 31);    // layer input
+  const Matrix w = make_matrix(in, out, 32);     // weight
+  const Matrix dy = make_matrix(rows, out, 33);  // output gradient
+  std::vector<std::uint32_t> all_rows(rows);
+  for (std::size_t i = 0; i < rows; ++i)
+    all_rows[i] = static_cast<std::uint32_t>(i);
+  Matrix c(variant == GemmVariant::kNtRows ? rows : 0,
+           variant == GemmVariant::kNtRows ? in : 0);
+  Matrix scratch;
+  for (auto _ : state) {
+    switch (variant) {
+      case GemmVariant::kNn: gemm(x, w, c); break;
+      case GemmVariant::kNt: gemm_nt(dy, w, c, scratch); break;
+      case GemmVariant::kTn: gemm_tn(x, dy, c); break;
+      case GemmVariant::kNtRows:
+        gemm_nt_rows(dy, w, c, all_rows, scratch);
+        break;
+    }
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["FLOP/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(rows * in * out) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
 }  // namespace
 
 // Registered (not macro-declared) so every case can sweep the host's
@@ -120,6 +167,22 @@ int main(int argc, char** argv) {
              "/dim" + std::to_string(dim))
                 .c_str(),
             BM_GatherAxpy, isa, degree, dim);
+    const std::pair<const char*, GemmVariant> variants[] = {
+        {"nn", GemmVariant::kNn},
+        {"nt", GemmVariant::kNt},
+        {"tn", GemmVariant::kTn},
+        {"nt_rows", GemmVariant::kNtRows}};
+    const struct { std::size_t rows, in, out; } shapes[] = {{3000, 64, 64},
+                                                            {12000, 32, 64}};
+    for (const auto& [name, variant] : variants)
+      for (const auto& sh : shapes)
+        benchmark::RegisterBenchmark(
+            ("BM_Gemm/" + std::string(name) + "/" + tag + "/" +
+             std::to_string(sh.rows) + "x" + std::to_string(sh.in) + "x" +
+             std::to_string(sh.out))
+                .c_str(),
+            BM_Gemm, isa, variant, sh.rows, sh.in, sh.out)
+            ->UseRealTime();  // pool threads do the work: rate by wall time
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

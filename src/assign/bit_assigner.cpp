@@ -259,6 +259,14 @@ std::vector<std::vector<std::vector<double>>> message_betas(
   std::vector<std::vector<std::vector<double>>> betas(n);
   for (int d = 0; d < n; ++d) {
     const DeviceGraph& dev = dist.devices[d];
+    // A range per local row, traced in the epoch the refresh runs; a
+    // missing trace must not read out of bounds.
+    ADAQP_CHECK_MSG(row_ranges[d].size() == dev.num_local(),
+                    "message_betas: device " << d << " has "
+                                             << row_ranges[d].size()
+                                             << " traced ranges for "
+                                             << dev.num_local()
+                                             << " local rows");
     betas[d].resize(n);
     if (dir == Direction::kForward) {
       // Message k → peer p: k is an owned node; its aggregation targets on p

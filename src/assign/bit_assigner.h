@@ -95,7 +95,7 @@ std::vector<std::vector<std::vector<double>>> message_betas(
 std::vector<float> row_ranges_of(const Matrix& m);
 
 /// In-place form of row_ranges_of: rewrites `out` reusing its capacity, so
-/// per-epoch range traces allocate nothing once the shapes have stabilized
+/// repeated range traces allocate nothing once the shapes have stabilized
 /// (the steady-state contract, docs/ARCHITECTURE.md).
 void row_ranges_of_into(const Matrix& m, std::vector<float>& out);
 

@@ -464,6 +464,9 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
         acc.push_back(analysis::write_of(&marginal_sinks[d],
                                          sizeof(marginal_sinks[d]),
                                          "marginal_sinks[" + dn + "]"));
+        acc.push_back(analysis::write_of(&bwd_scratch_[l][d],
+                                         sizeof(bwd_scratch_[l][d]),
+                                         "bwd_scratch[" + dn + "]"));
       }
       marginal[d] = graph.add(
           prefix + "/marginal/" + dn,
@@ -493,6 +496,11 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
         acc.push_back(analysis::write_of(&central_sinks[d],
                                          sizeof(central_sinks[d]),
                                          "central_sinks[" + dn + "]"));
+        // Shared with this device's marginal adjoint (staging matrices and
+        // the transposed weight); the dep on it is what orders the reuse.
+        acc.push_back(analysis::write_of(&bwd_scratch_[l][d],
+                                         sizeof(bwd_scratch_[l][d]),
+                                         "bwd_scratch[" + dn + "]"));
       }
       central[d] = graph.add(
           prefix + "/central/" + dn,
@@ -509,11 +517,15 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
       const DeviceGraph& dev = dist_.devices[d];
       const std::string dn = "d" + std::to_string(d);
       // Assigner range trace: needs the complete local adjoint but must
-      // precede the exchange's mutations (owner accumulate, halo zero).
+      // precede the exchange's mutations (owner accumulate, halo zero). The
+      // stage stays in the persistent graph every epoch; its body only
+      // traces on epochs whose plan refresh reads the ranges.
       AccessList acc;
       if (analysis::racecheck_enabled()) {
         acc.push_back(rc_row_range(grad_x[d], 0, dev.num_local(), kRcRead,
                                    "grad[" + dn + "].local_rows"));
+        acc.push_back(analysis::read_of(&trace_ranges_, sizeof(trace_ranges_),
+                                        "trace_gate"));
         acc.push_back(analysis::write_of(&bwd_ranges_[l][d],
                                          sizeof(bwd_ranges_[l][d]),
                                          "bwd_ranges[" + dn + "]"));
@@ -521,7 +533,8 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
       trace[d] = graph.add(
           prefix + "/trace/" + dn,
           [this, &grad_x, l, d] {
-            row_ranges_of_into(grad_x[d], bwd_ranges_[l][d]);
+            if (trace_ranges_)
+              row_ranges_of_into(grad_x[d], bwd_ranges_[l][d]);
           },
           {central[d]}, std::move(acc));
     }
@@ -717,9 +730,11 @@ EpochBreakdown DistTrainer::forward_layer(int l) {
     pipegcn_joined_comm_[l] = 0.0;
   }
   // Trace input ranges for the assigner before any halo row of this layer's
-  // input is rewritten.
-  for (int d = 0; d < num_devices_; ++d)
-    row_ranges_of_into(acts_[l][d], fwd_ranges_[l][d]);
+  // input is rewritten — only on epochs whose plan refresh reads them.
+  if (trace_ranges_)
+    run_device_tasks([&](int d) {
+      row_ranges_of_into(acts_[l][d], fwd_ranges_[l][d]);
+    });
 
   const auto whole_rows = [&] {
     // Each simulated device's layer compute is one task on the pool: it
@@ -796,10 +811,12 @@ EpochBreakdown DistTrainer::backward_layer(int l) {
     // Whole-row backward into per-device gradient sinks, concurrently; the
     // shared parameter gradients are then reduced in ascending device
     // order so the epoch is deterministic at any thread count.
+    // The input layer's gradient has no consumer: skip computing it.
     const GnnLayer& layer = model_.layer(l);
+    const InputGrad input_grad = l > 0 ? InputGrad::kCompute : InputGrad::kSkip;
     run_device_tasks([&](int d) {
       layer.backward(dist_.devices[d], grads[d], caches_[l][d], grad_x[d],
-                     bwd_sinks_[l][d], bwd_scratch_[l][d]);
+                     bwd_sinks_[l][d], bwd_scratch_[l][d], input_grad);
     });
     for (int d = 0; d < num_devices_; ++d)
       model_.layer(l).apply_grads(bwd_sinks_[l][d]);
@@ -807,9 +824,12 @@ EpochBreakdown DistTrainer::backward_layer(int l) {
     bd.comp = max_compute_seconds(l, true, false);
     bd.total = bd.comp;
     if (l == 0) return bd;  // no gradient leaves the input layer
-    // Trace gradient ranges for the assigner before any mutation.
-    for (int d = 0; d < num_devices_; ++d)
-      row_ranges_of_into(grad_x[d], bwd_ranges_[l][d]);
+    // Trace gradient ranges for the assigner before any mutation, on the
+    // epochs whose plan refresh reads them.
+    if (trace_ranges_)
+      run_device_tasks([&](int d) {
+        row_ranges_of_into(grad_x[d], bwd_ranges_[l][d]);
+      });
     if (policy.defer) {
       bd.comm = pipegcn_backward(l, grad_x);
       bd.total = std::max(bd.comp, bd.comm);
@@ -1021,6 +1041,15 @@ EpochRecord DistTrainer::train_epoch() {
   // docs/ARCHITECTURE.md "Memory subsystem").
   ws_.arena().reset();
 
+  // Periodic bit-width (re-)assignment runs at the end of the traced
+  // period. Decided up front: the assigner's refresh reads row ranges traced
+  // during this very epoch, so the passes trace exactly when it will run.
+  const MethodPolicy policy = policy_of(opts_.method);
+  const bool refresh_now =
+      policy.plan != PlanKind::kFull32 &&
+      (epoch_ == 0 || (epoch_ + 1) % std::max(opts_.reassign_period, 1) == 0);
+  trace_ranges_ = refresh_now && policy.plan == PlanKind::kAssigner;
+
   // Wall-clock phase stamps (obs::Stopwatch clock) ride along with the
   // allocation samples: modeled seconds (rec.time) and measured seconds
   // (last_wall_) come from the same phase boundaries. Observational only —
@@ -1048,13 +1077,8 @@ EpochRecord DistTrainer::train_epoch() {
   rec.time.comm += sync;
   rec.time.total += sync;
 
-  const MethodPolicy policy = policy_of(opts_.method);
   if (policy.defer) pipegcn_warm_ = true;
 
-  // Periodic bit-width (re-)assignment at the end of the traced period.
-  const bool refresh_now =
-      policy.plan != PlanKind::kFull32 &&
-      (epoch_ == 0 || (epoch_ + 1) % std::max(opts_.reassign_period, 1) == 0);
   if (refresh_now) refresh_plans();
   const std::uint64_t a4 = memory::alloc_count();
   const double w4 = obs::monotonic_us();

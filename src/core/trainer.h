@@ -238,9 +238,10 @@ class DistTrainer {
   /// Exchange + compute of layer l (its input is acts_[l]); returns the
   /// modeled time contributions.
   EpochBreakdown forward_layer(int l);
-  /// Backward of layer l: writes the layer-input gradient into the
-  /// grad_flow_ buffer of parity (num_layers - l) & 1 and folds the
-  /// parameter gradients, exchanging halo gradient rows when l > 0.
+  /// Backward of layer l: folds the parameter gradients and, when l > 0,
+  /// writes the layer-input gradient into the grad_flow_ buffer of parity
+  /// (num_layers - l) & 1 and exchanges its halo rows. Layer 0 computes no
+  /// input gradient.
   EpochBreakdown backward_layer(int l);
 
   /// The layer graphs, built on first use. Stage bodies read the plans
@@ -343,9 +344,14 @@ class DistTrainer {
   std::vector<ExchangePlan> fwd_plans_;
   std::vector<ExchangePlan> bwd_plans_;
 
-  // Traced row ranges (forward: per layer input; backward: per layer grad).
+  // Traced row ranges (forward: per layer input; backward: per layer grad),
+  // read only by the assigner's plan refresh at the end of the same epoch.
   std::vector<std::vector<std::vector<float>>> fwd_ranges_;  ///< [layer][dev]
   std::vector<std::vector<std::vector<float>>> bwd_ranges_;
+  /// Trace gate, set at the start of each train_epoch(): true exactly on
+  /// the epochs that end in an assigner refresh. The persistent backward
+  /// trace stages read it at run time.
+  bool trace_ranges_ = false;
 
   // PipeGCN state. The deferred exchanges are the layer graphs themselves,
   // launched after a layer's compute (forward) or at its backward exchange
@@ -408,7 +414,9 @@ class DistTrainer {
   // Persistent per-(layer, device) parameter-gradient sinks and backward
   // temporaries: the whole-row backward writes bwd_sinks_; the overlapped
   // backward writes its marginal-row partials there and its central-row
-  // partials into central_sinks_.
+  // partials into central_sinks_. One bwd_scratch_ entry (staging matrices
+  // and the transposed weight) serves both subsets of a device, so its
+  // central stage depends on its marginal stage.
   std::vector<std::vector<LayerGrads>> bwd_sinks_;
   std::vector<std::vector<LayerGrads>> central_sinks_;
   std::vector<std::vector<LayerBackwardScratch>> bwd_scratch_;

@@ -264,7 +264,7 @@ void GnnLayer::backward(const DeviceGraph& dev, const Matrix& grad_out,
                         const LayerCache& cache, Matrix& grad_x,
                         LayerGrads& sink) const {
   LayerBackwardScratch scratch;
-  backward(dev, grad_out, cache, grad_x, sink, scratch);
+  backward(dev, grad_out, cache, grad_x, sink, scratch, InputGrad::kCompute);
 }
 
 namespace {
@@ -280,7 +280,8 @@ inline void clear_once(Matrix& m) {
 
 void GnnLayer::backward(const DeviceGraph& dev, const Matrix& grad_out,
                         const LayerCache& cache, Matrix& grad_x,
-                        LayerGrads& sink, LayerBackwardScratch& s) const {
+                        LayerGrads& sink, LayerBackwardScratch& s,
+                        InputGrad input_grad) const {
   ADAQP_CHECK(grad_out.rows() >= dev.num_owned);
   ADAQP_CHECK(grad_out.cols() == config_.out_dim);
   ADAQP_CHECK(cache.agg_plan.ready);
@@ -314,23 +315,22 @@ void GnnLayer::backward(const DeviceGraph& dev, const Matrix& grad_out,
   }
 
   // Dense transform backward (gemm_tn / gemm_nt overwrite their outputs,
-  // reshaping in place).
-  if (config_.aggregator != Aggregator::kSageMean) {
-    clear_once(sink.weight_self);
-    gemm_tn(cache.agg, *dpre_norm, sink.weight);
-    gemm_nt(*dpre_norm, weight_.value, s.dagg);
-    grad_x.reshape_zero(dev.num_local(), config_.in_dim);
-    aggregate_backward(dev, cache.agg_plan, s.dagg, grad_x);
-  } else {
-    // Neighbor path: cache.mean_nbr, weight_; self path: cache.agg (owned
-    // input rows), weight_self_.
-    gemm_tn(cache.mean_nbr, *dpre_norm, sink.weight);
+  // reshaping in place). Neighbor path: cache.mean_nbr for SAGE, cache.agg
+  // otherwise, with weight_; SAGE self path: cache.agg (owned input rows),
+  // weight_self_.
+  const bool sage = config_.aggregator == Aggregator::kSageMean;
+  gemm_tn(sage ? cache.mean_nbr : cache.agg, *dpre_norm, sink.weight);
+  if (sage)
     gemm_tn(cache.agg, *dpre_norm, sink.weight_self);
+  else
+    clear_once(sink.weight_self);
+  if (input_grad == InputGrad::kSkip) return;
 
-    gemm_nt(*dpre_norm, weight_.value, s.dagg);
-    grad_x.reshape_zero(dev.num_local(), config_.in_dim);
-    aggregate_backward(dev, cache.agg_plan, s.dagg, grad_x);
-    gemm_nt(*dpre_norm, weight_self_.value, s.dself);
+  gemm_nt(*dpre_norm, weight_.value, s.dagg, s.wt);
+  grad_x.reshape_zero(dev.num_local(), config_.in_dim);
+  aggregate_backward(dev, cache.agg_plan, s.dagg, grad_x);
+  if (sage) {
+    gemm_nt(*dpre_norm, weight_self_.value, s.dself, s.wt);
     for (std::size_t r = 0; r < dev.num_owned; ++r) {
       auto dst = grad_x.row(r);
       const auto src = s.dself.row(r);
@@ -413,15 +413,15 @@ void GnnLayer::backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
   if (config_.aggregator != Aggregator::kSageMean) {
     clear_once(sink.weight_self);
     gemm_tn_rows(cache.agg, s.dpre_norm, sink.weight, rows);
-    gemm_nt_rows(s.dpre_norm, weight_.value, s.dagg, rows);
+    gemm_nt_rows(s.dpre_norm, weight_.value, s.dagg, rows, s.wt);
     aggregate_backward(dev, cache.agg_plan, s.dagg, rows, grad_x);
   } else {
     gemm_tn_rows(cache.mean_nbr, s.dpre_norm, sink.weight, rows);
     gemm_tn_rows(cache.agg, s.dpre_norm, sink.weight_self, rows);
-    gemm_nt_rows(s.dpre_norm, weight_.value, s.dagg, rows);
+    gemm_nt_rows(s.dpre_norm, weight_.value, s.dagg, rows, s.wt);
     aggregate_backward(dev, cache.agg_plan, s.dagg, rows, grad_x);
     s.dself.reshape_uninit(dev.num_owned, config_.in_dim);
-    gemm_nt_rows(s.dpre_norm, weight_self_.value, s.dself, rows);
+    gemm_nt_rows(s.dpre_norm, weight_self_.value, s.dself, rows, s.wt);
     for (NodeId r : rows) {
       auto dst = grad_x.row(r);
       const auto src = s.dself.row(r);

@@ -112,7 +112,9 @@ struct LayerCache {
 /// Per-(device, layer) temporaries of one backward call. Persist it across
 /// epochs: every member is reshaped in place (reshape_uninit/reshape_zero),
 /// so after the first epoch backward passes perform no heap allocation —
-/// part of the steady-state contract (docs/ARCHITECTURE.md).
+/// part of the steady-state contract (docs/ARCHITECTURE.md). Calls sharing
+/// one scratch must not overlap (the trainer's marginal and central
+/// backward stages of a device are serialized).
 struct LayerBackwardScratch {
   Matrix dh;         // owned-row slice of grad_out (full backward only)
   Matrix dpost_act;  // dropout adjoint staging
@@ -120,7 +122,13 @@ struct LayerBackwardScratch {
   Matrix dpre_norm;  // LayerNorm adjoint staging
   Matrix dagg;       // grad wrt aggregated input
   Matrix dself;      // SAGE only: grad through W_self
+  Matrix wt;         // transposed weight staging for gemm_nt / gemm_nt_rows
 };
+
+/// Whether a backward call produces the gradient wrt the layer input. The
+/// input layer's is never consumed (features are not trained), so the
+/// trainer skips its input-gradient GEMM and scatter.
+enum class InputGrad { kCompute, kSkip };
 
 class GnnLayer {
  public:
@@ -172,10 +180,12 @@ class GnnLayer {
 
   /// Steady-state variant: identical arithmetic, but all per-call
   /// temporaries live in the caller-provided `scratch` (reshaped in place),
-  /// so repeated calls with stable shapes perform no heap allocation.
+  /// so repeated calls with stable shapes perform no heap allocation. With
+  /// InputGrad::kSkip, grad_x is left untouched and only `sink` is written
+  /// (bit-identical to the kCompute sink).
   void backward(const DeviceGraph& dev, const Matrix& grad_out,
                 const LayerCache& cache, Matrix& grad_x, LayerGrads& sink,
-                LayerBackwardScratch& scratch) const;
+                LayerBackwardScratch& scratch, InputGrad input_grad) const;
 
   /// Row-subset backward (the adjoint mirror of forward_rows): epilogue
   /// derivative, weight-gradient partial sums and input-gradient scatter of

@@ -88,19 +88,29 @@ void Matrix::scale_inplace(float alpha) {
 
 // GEMM kernels are cache-blocked over (j, k) tiles and parallelized over
 // row bands of C on the runtime's thread pool; the innermost j-loop is the
-// src/simd/ axpy microkernel (runtime-dispatched scalar/SSE/AVX2/AVX-512).
+// src/simd/ axpy microkernel (runtime-dispatched scalar/AVX2/AVX-512/NEON).
 // Every element C[i][j] accumulates its k products in ascending-k order
 // regardless of tile, band and vector-lane boundaries, and axpy is unfused
 // mul-then-add on every ISA, so results are bit-identical for every thread
-// count and ISA (and to the previous unblocked ikj kernels). gemm_nt's
-// inner loop is a k-reduction per element; vectorizing it would reorder the
-// accumulation, so it stays scalar. Adequate for the matrix sizes in this
-// library without pulling in a BLAS dependency.
+// count and ISA. gemm_nt transposes its (small, weight-sized) B into a
+// caller-owned scratch and runs the same kernel, so it shares that order
+// and those guarantees. Adequate for the matrix sizes in this library
+// without pulling in a BLAS dependency.
 namespace {
 
 constexpr std::size_t kRowGrain = 8;    ///< min C rows per parallel band
 constexpr std::size_t kBlockK = 128;    ///< shared-dim tile
 constexpr std::size_t kBlockN = 512;    ///< output-column tile
+
+/// bt = b^T, reshaped in place (the steady-state form: no allocation once
+/// bt has held a matrix this large).
+void transpose_into(const Matrix& b, Matrix& bt) {
+  const std::size_t rows = b.rows(), cols = b.cols();
+  bt.reshape_uninit(cols, rows);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c)
+      bt.data()[c * rows + r] = b.data()[r * cols + c];
+}
 
 }  // namespace
 
@@ -217,62 +227,19 @@ void gemm_tn_rows(const Matrix& a, const Matrix& b, Matrix& c,
   });
 }
 
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c) {
+void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, Matrix& bt) {
   ADAQP_CHECK_MSG(a.cols() == b.cols(),
                   "gemm_nt: shared dim " << a.cols() << " vs " << b.cols());
-  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  c.reshape_zero(m, n);
-  parallel_for(m, kRowGrain, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t jj = 0; jj < n; jj += kBlockN) {
-      const std::size_t jhi = std::min(jj + kBlockN, n);
-      for (std::size_t pp = 0; pp < k; pp += kBlockK) {
-        const std::size_t phi = std::min(pp + kBlockK, k);
-        for (std::size_t i = i0; i < i1; ++i) {
-          const float* arow = a.data() + i * k;
-          float* crow = c.data() + i * n;
-          for (std::size_t j = jj; j < jhi; ++j) {
-            const float* brow = b.data() + j * k;
-            float acc = crow[j];
-            for (std::size_t p = pp; p < phi; ++p) acc += arow[p] * brow[p];
-            crow[j] = acc;
-          }
-        }
-      }
-    }
-  });
+  transpose_into(b, bt);
+  gemm(a, bt, c);
 }
 
 void gemm_nt_rows(const Matrix& a, const Matrix& b, Matrix& c,
-                  std::span<const std::uint32_t> rows) {
+                  std::span<const std::uint32_t> rows, Matrix& bt) {
   ADAQP_CHECK_MSG(a.cols() == b.cols(), "gemm_nt_rows: shared dim "
                                             << a.cols() << " vs " << b.cols());
-  ADAQP_CHECK_MSG(c.rows() == a.rows() && c.cols() == b.rows(),
-                  "gemm_nt_rows: C must be pre-sized");
-  const std::size_t k = a.cols(), n = b.rows();
-  // Same (j, k) tiling and k-ascending per-element reduction as gemm_nt,
-  // applied to the selected rows only; bands over `rows` write disjoint C
-  // rows, so any thread count is bit-identical to serial.
-  parallel_for(rows.size(), kRowGrain, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t idx = r0; idx < r1; ++idx) {
-      const std::size_t i = rows[idx];
-      ADAQP_CHECK(i < a.rows());
-      float* crow = c.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0f;
-      const float* arow = a.data() + i * k;
-      for (std::size_t jj = 0; jj < n; jj += kBlockN) {
-        const std::size_t jhi = std::min(jj + kBlockN, n);
-        for (std::size_t pp = 0; pp < k; pp += kBlockK) {
-          const std::size_t phi = std::min(pp + kBlockK, k);
-          for (std::size_t j = jj; j < jhi; ++j) {
-            const float* brow = b.data() + j * k;
-            float acc = crow[j];
-            for (std::size_t p = pp; p < phi; ++p) acc += arow[p] * brow[p];
-            crow[j] = acc;
-          }
-        }
-      }
-    }
-  });
+  transpose_into(b, bt);
+  gemm_rows(a, bt, c, rows);
 }
 
 void relu_forward(const Matrix& in, Matrix& out) {

@@ -124,14 +124,23 @@ void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_tn_rows(const Matrix& a, const Matrix& b, Matrix& c,
                   std::span<const std::uint32_t> rows);
 /// C = A * B^T           (m x k) * (n x k)^T
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c);
+/// B (a weight in this library, at most a few thousand elements) is
+/// transposed into the caller-owned scratch `bt` (reshaped in place, so a
+/// persistent scratch makes repeated calls allocation-free), then C = A * bt
+/// runs through gemm's vector kernel. Each C[i][j] is therefore the same
+/// sum a scalar k-reduction computes: unfused a·b products added in
+/// ascending k, starting from +0. gemm skips products whose A element is
+/// ±0; for finite B that skip is exact, because under round-to-nearest the
+/// accumulator is never −0 and adding a ±0 product leaves any other value
+/// unchanged. Only a non-finite B (inf/NaN weights, an already broken run)
+/// can differ from the scalar reduction.
+void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, Matrix& bt);
 /// Row-subset product: C[r,:] = (A * B^T)[r,:] for each r in `rows`; other
-/// rows of C are untouched. C must be pre-sized to (A.rows x B.rows). Each
-/// computed row uses the same (j, k) tiling and k-ascending per-element
-/// reduction as gemm_nt, so it is bit-identical to the corresponding row of
-/// the full product.
+/// rows of C are untouched. C must be pre-sized to (A.rows x B.rows). Runs
+/// gemm_rows on B^T (staged in `bt` as in gemm_nt), so each computed row is
+/// bit-identical to the corresponding row of gemm_nt's full product.
 void gemm_nt_rows(const Matrix& a, const Matrix& b, Matrix& c,
-                  std::span<const std::uint32_t> rows);
+                  std::span<const std::uint32_t> rows, Matrix& bt);
 
 // ---- Elementwise / rowwise kernels ----------------------------------------
 

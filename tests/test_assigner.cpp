@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "assign/bit_assigner.h"
 #include "common/rng.h"
@@ -197,6 +198,16 @@ TEST(MessageBetas, ZeroRangeMeansZeroBeta) {
   const auto betas =
       message_betas(f.dist, Aggregator::kGcn, Direction::kForward, f.ranges, 8);
   EXPECT_EQ(betas[0][1][0], 0.0);
+}
+
+TEST(MessageBetas, UntracedRangesRejected) {
+  // A refresh whose epoch traced nothing (or traced another matrix) must
+  // fail loudly instead of reading past the range vectors.
+  BetaFixture f;
+  f.ranges[1].clear();
+  for (const Direction dir : {Direction::kForward, Direction::kBackward})
+    EXPECT_THROW(message_betas(f.dist, Aggregator::kGcn, dir, f.ranges, 8),
+                 std::runtime_error);
 }
 
 TEST(RowRanges, ComputesMaxMinusMin) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "dist/dist_graph.h"
@@ -238,6 +239,39 @@ TEST_P(BackwardRows, MarginalPlusCentralSubsetsCoverFullBackward) {
   for (std::size_t i = 0; i < folded.size(); ++i)
     EXPECT_NEAR(folded.data()[i], ref_sink.weight.data()[i],
                 1e-4f * std::max(1.0f, std::fabs(ref_sink.weight.data()[i])));
+}
+
+bool same_bits(const Matrix& x, const Matrix& y) {
+  return x.same_shape(y) &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+TEST_P(BackwardRows, SkippedInputGradientKeepsParamGradsBitwise) {
+  // The trainer's input layer: parameter gradients only. The sink must be
+  // exactly the full backward's, and grad_x must not be touched at all.
+  const auto param = GetParam();
+  BackwardRowsFixture fx(param.agg, param.is_output);
+  const DeviceGraph& dev = fx.dist.devices[0];
+
+  Matrix ref_grad_x;
+  LayerGrads ref_sink;
+  LayerBackwardScratch ref_scratch;
+  fx.layer.backward(dev, fx.grad_out, fx.cache, ref_grad_x, ref_sink,
+                    ref_scratch, InputGrad::kCompute);
+
+  Matrix grad_x(3, 2);
+  grad_x.fill(-7.5f);
+  const Matrix untouched = grad_x;
+  LayerGrads sink;
+  LayerBackwardScratch scratch;
+  fx.layer.backward(dev, fx.grad_out, fx.cache, grad_x, sink, scratch,
+                    InputGrad::kSkip);
+
+  EXPECT_TRUE(same_bits(grad_x, untouched));
+  EXPECT_TRUE(same_bits(sink.weight, ref_sink.weight));
+  EXPECT_TRUE(same_bits(sink.weight_self, ref_sink.weight_self));
+  EXPECT_TRUE(same_bits(sink.gamma, ref_sink.gamma));
+  EXPECT_TRUE(same_bits(sink.beta, ref_sink.beta));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -132,8 +132,8 @@ TEST_P(GemmTest, NtMatchesTransposedNaive) {
   Rng rng(m * 31 + k + n * 77);
   Matrix a = random_matrix(m, k, rng);
   Matrix bt = random_matrix(n, k, rng);  // B^T stored
-  Matrix c;
-  gemm_nt(a, bt, c);
+  Matrix c, b_scratch;
+  gemm_nt(a, bt, c, b_scratch);
   EXPECT_LT(max_abs_diff(c, naive_gemm(a, transpose(bt))), 1e-4f);
 }
 

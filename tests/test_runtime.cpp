@@ -4,7 +4,6 @@
 // non-multiple-of-block shapes), and a full DistTrainer::run().
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -109,18 +108,18 @@ TEST_P(GemmDeterminism, AllVariantsBitExactAcrossThreadCounts) {
   const Matrix at = random_matrix(k, m, 17 * m + n);
   const Matrix bt = random_matrix(n, k, 19 * k + m);
 
-  Matrix c1, c8, tn1, tn8, nt1, nt8;
+  Matrix c1, c8, tn1, tn8, nt1, nt8, b_scratch;
   {
     ThreadCountGuard guard(1);
     gemm(a, b, c1);
     gemm_tn(at, b, tn1);
-    gemm_nt(a, bt, nt1);
+    gemm_nt(a, bt, nt1, b_scratch);
   }
   {
     ThreadCountGuard guard(8);
     gemm(a, b, c8);
     gemm_tn(at, b, tn8);
-    gemm_nt(a, bt, nt8);
+    gemm_nt(a, bt, nt8, b_scratch);
   }
   EXPECT_EQ(max_abs_diff(c1, c8), 0.0f);
   EXPECT_EQ(max_abs_diff(tn1, tn8), 0.0f);
@@ -244,7 +243,7 @@ DatasetSpec runtime_spec() {
 }
 
 RunResult run_trainer(const Dataset& ds, const DistGraph& dist,
-                      Method method, int threads) {
+                      Method method, int threads, int num_layers = 3) {
   ThreadCountGuard guard(threads);
   const ClusterSpec cluster = ClusterSpec::machines(2, 2);
   ModelConfig mc;
@@ -252,7 +251,7 @@ RunResult run_trainer(const Dataset& ds, const DistGraph& dist,
   mc.in_dim = ds.spec.feature_dim;
   mc.hidden_dim = 16;
   mc.out_dim = ds.spec.num_classes;
-  mc.num_layers = 3;
+  mc.num_layers = num_layers;
   mc.dropout = 0.5f;  // dropout on: per-device Rng streams must hold up
   mc.layer_norm = true;
   TrainOptions opts;
@@ -276,21 +275,28 @@ TEST_P(TrainerDeterminism, FullRunBitIdenticalAcrossThreadCounts) {
       make_partitioner("multilevel")->partition(ds.graph, 4, part_rng);
   const DistGraph dist = build_dist_graph(ds.graph, part);
 
-  const RunResult serial = run_trainer(ds, dist, method, 1);
-  const RunResult parallel = run_trainer(ds, dist, method, 8);
-
-  ASSERT_EQ(serial.epochs.size(), parallel.epochs.size());
-  for (std::size_t e = 0; e < serial.epochs.size(); ++e) {
-    EXPECT_EQ(serial.epochs[e].train_loss, parallel.epochs[e].train_loss)
-        << "epoch " << e;
-    EXPECT_EQ(serial.epochs[e].val_acc, parallel.epochs[e].val_acc)
-        << "epoch " << e;
-    EXPECT_EQ(serial.epochs[e].test_acc, parallel.epochs[e].test_acc)
-        << "epoch " << e;
+  // The input layer computes no input gradient. At one layer it is also the
+  // output layer; at two, its incoming gradient comes straight from the
+  // output layer's halo exchange.
+  for (const int layers : {3, 2, 1}) {
+    const RunResult serial = run_trainer(ds, dist, method, 1, layers);
+    for (const int threads : {4, 8}) {
+      const RunResult parallel =
+          run_trainer(ds, dist, method, threads, layers);
+      ASSERT_EQ(serial.epochs.size(), parallel.epochs.size());
+      for (std::size_t e = 0; e < serial.epochs.size(); ++e) {
+        EXPECT_EQ(serial.epochs[e].train_loss, parallel.epochs[e].train_loss)
+            << layers << " layers, " << threads << " threads, epoch " << e;
+        EXPECT_EQ(serial.epochs[e].val_acc, parallel.epochs[e].val_acc)
+            << layers << " layers, " << threads << " threads, epoch " << e;
+        EXPECT_EQ(serial.epochs[e].test_acc, parallel.epochs[e].test_acc)
+            << layers << " layers, " << threads << " threads, epoch " << e;
+      }
+      EXPECT_EQ(serial.total_comm_bytes, parallel.total_comm_bytes);
+      EXPECT_EQ(serial.final_val_acc, parallel.final_val_acc);
+      EXPECT_EQ(serial.final_test_acc, parallel.final_test_acc);
+    }
   }
-  EXPECT_EQ(serial.total_comm_bytes, parallel.total_comm_bytes);
-  EXPECT_EQ(serial.final_val_acc, parallel.final_val_acc);
-  EXPECT_EQ(serial.final_test_acc, parallel.final_test_acc);
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, TrainerDeterminism,

@@ -6,12 +6,16 @@
 //    decode produces bit-identical floats.
 //  - Round-trip property tests at every dispatched ISA; corrupt/truncated
 //    streams still throw under the vector unpack path.
-//  - GEMM kernels bit-identical across ISAs on ragged shapes.
+//  - GEMM kernels bit-identical across ISAs on ragged shapes, and gemm_nt
+//    bit-identical to a scalar k-reduction (signed zeros and subnormals
+//    included) at every ISA and thread count.
 //  - Full training runs (all five methods) bit-identical across ISAs.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -284,6 +288,24 @@ Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
   return m;
 }
 
+/// Bit-for-bit equality: unlike max_abs_diff == 0, this sees a -0/+0 flip.
+bool same_bits(const Matrix& x, const Matrix& y) {
+  return x.same_shape(y) &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+/// Scoped global-pool override; restores the previous size on exit.
+class ThreadCountGuard {
+ public:
+  explicit ThreadCountGuard(int n) : prev_(num_threads()) {
+    set_num_threads(n);
+  }
+  ~ThreadCountGuard() { set_num_threads(prev_); }
+
+ private:
+  int prev_;
+};
+
 TEST(SimdGemm, AllVariantsBitIdenticalAcrossIsas) {
   Rng rng(5);
   // Ragged shapes straddle every vector width and tail case.
@@ -298,12 +320,12 @@ TEST(SimdGemm, AllVariantsBitIdenticalAcrossIsas) {
     for (std::size_t i = 0; i < s.m; i += 2)
       subset.push_back(static_cast<std::uint32_t>(i));
 
-    Matrix ref_nn, ref_tn, ref_nt, ref_rows(s.m, s.n);
+    Matrix ref_nn, ref_tn, ref_nt, ref_rows(s.m, s.n), scratch;
     {
       IsaGuard guard(Isa::kScalar);
       gemm(a, b, ref_nn);
       gemm_tn(at, b, ref_tn);
-      gemm_nt(a, bt, ref_nt);
+      gemm_nt(a, bt, ref_nt, scratch);
       gemm_rows(a, b, ref_rows, subset);
     }
     for (Isa isa : vector_isas()) {
@@ -311,14 +333,86 @@ TEST(SimdGemm, AllVariantsBitIdenticalAcrossIsas) {
       Matrix c_nn, c_tn, c_nt, c_rows(s.m, s.n);
       gemm(a, b, c_nn);
       gemm_tn(at, b, c_tn);
-      gemm_nt(a, bt, c_nt);
+      gemm_nt(a, bt, c_nt, scratch);
       gemm_rows(a, b, c_rows, subset);
-      EXPECT_EQ(max_abs_diff(c_nn, ref_nn), 0.0f)
+      EXPECT_TRUE(same_bits(c_nn, ref_nn))
           << isa_name(isa) << " nn " << s.m << "x" << s.k << "x" << s.n;
-      EXPECT_EQ(max_abs_diff(c_tn, ref_tn), 0.0f) << isa_name(isa) << " tn";
-      EXPECT_EQ(max_abs_diff(c_nt, ref_nt), 0.0f) << isa_name(isa) << " nt";
-      EXPECT_EQ(max_abs_diff(c_rows, ref_rows), 0.0f)
-          << isa_name(isa) << " rows";
+      EXPECT_TRUE(same_bits(c_tn, ref_tn)) << isa_name(isa) << " tn";
+      EXPECT_TRUE(same_bits(c_nt, ref_nt)) << isa_name(isa) << " nt";
+      EXPECT_TRUE(same_bits(c_rows, ref_rows)) << isa_name(isa) << " rows";
+    }
+  }
+}
+
+/// The scalar k-reduction gemm_nt used to run: each C[i][j] starts from +0
+/// and adds the unfused products a[i][p] * b[j][p] in ascending p, zero
+/// products included. `volatile` keeps the compiler from contracting the
+/// multiply-add into an FMA on targets that have one.
+Matrix scalar_nt_reference(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < b.rows(); ++j) {
+      float acc = 0.0f;
+      for (std::size_t p = 0; p < a.cols(); ++p) {
+        volatile float prod = a.at(i, p) * b.at(j, p);
+        acc += prod;
+      }
+      c.at(i, j) = acc;
+    }
+  return c;
+}
+
+/// A gradient-like A salted with exact +0, -0 and (negative) subnormals,
+/// plus one all-zero row and one row of only -0 and negative subnormals —
+/// rows whose exact sums are zero, where a -0 result would show.
+Matrix signed_zero_matrix(std::size_t r, std::size_t c, Rng& rng) {
+  Matrix m = random_matrix(r, c, rng);
+  const float specials[] = {0.0f, -0.0f, 1e-40f, -1e-40f, -3e-45f};
+  for (std::size_t i = 0; i < m.size(); ++i)
+    if (i % 3 == 0) m.data()[i] = specials[(i / 3) % 5];
+  for (std::size_t p = 0; p < c; ++p) {
+    m.at(0, p) = p % 2 ? -0.0f : 0.0f;
+    if (r > 1) m.at(1, p) = p % 2 ? -0.0f : -1e-40f;
+  }
+  return m;
+}
+
+TEST(SimdGemm, NtMatchesScalarKReductionBitForBit) {
+  Rng rng(41);
+  const std::size_t m = 37;  // several 8-row parallel bands plus a tail
+  for (const std::size_t k : {5ul, 130ul}) {  // 130 crosses the 128 k-tile
+    for (const std::size_t n : {10ul, 64ul}) {
+      const Matrix a = signed_zero_matrix(m, k, rng);
+      const Matrix b = random_matrix(n, k, rng);
+      const Matrix want = scalar_nt_reference(a, b);
+      std::vector<std::uint32_t> subset;
+      for (std::size_t i = 0; i < m; i += 3)
+        subset.push_back(static_cast<std::uint32_t>(i));
+      for (Isa isa : simd::supported_isas()) {
+        IsaGuard isa_guard(isa);
+        for (const int threads : {1, 4, 8}) {
+          ThreadCountGuard thread_guard(threads);
+          const std::string where = std::string(isa_name(isa)) +
+                                    " t=" + std::to_string(threads) +
+                                    " k=" + std::to_string(k) +
+                                    " n=" + std::to_string(n);
+          Matrix c, scratch;
+          gemm_nt(a, b, c, scratch);
+          EXPECT_TRUE(same_bits(c, want)) << where;
+
+          // Row subset: selected rows match the reference, the others keep
+          // their prior contents.
+          Matrix rows_c(m, n);
+          rows_c.fill(7.0f);
+          gemm_nt_rows(a, b, rows_c, subset, scratch);
+          Matrix rows_want(m, n);
+          rows_want.fill(7.0f);
+          for (const std::uint32_t i : subset)
+            std::memcpy(rows_want.row(i).data(), want.row(i).data(),
+                        n * sizeof(float));
+          EXPECT_TRUE(same_bits(rows_c, rows_want)) << where << " rows";
+        }
+      }
     }
   }
 }
@@ -418,18 +512,6 @@ TEST(SimdAggregate, GatherAxpyMatchesScalarKLoopAtEveryIsa) {
 }
 
 // ---- Full training runs across ISAs ---------------------------------------
-
-/// Scoped global-pool override; restores the previous size on exit.
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(int n) : prev_(num_threads()) {
-    set_num_threads(n);
-  }
-  ~ThreadCountGuard() { set_num_threads(prev_); }
-
- private:
-  int prev_;
-};
 
 class SimdTrainerEquality : public ::testing::TestWithParam<Method> {};
 
