@@ -214,10 +214,10 @@ TEST(Trainer, SingleDeviceDegenerateCase) {
 
 // ---- Pinned numerics --------------------------------------------------------
 //
-// Reference bit patterns of four methods' runs (4 devices, 6 epochs, dropout
-// on, a plan refresh every 3 epochs): per-epoch loss/val/test, total wire
-// bytes and the modeled mean epoch time. A change to the execution path must
-// reproduce them exactly; the CI passes at ADAQP_THREADS=1/4 and
+// Reference bit patterns of the five methods' runs (4 devices, 6 epochs,
+// dropout on, a plan refresh every 3 epochs): per-epoch loss/val/test, total
+// wire bytes and the modeled mean epoch time. A change to the execution path
+// must reproduce them exactly; the CI passes at ADAQP_THREADS=1/4 and
 // ADAQP_ISA=scalar check them across schedules and kernel ISAs.
 
 std::uint64_t bits_of(double v) {
@@ -346,6 +346,27 @@ TEST(PinnedNumerics, PipeGCN) {
                   0x3fe8666666666666ull, 0x3fe8cccccccccccdull},
                  1230720u,
                  0x3f15c6978a759cefull});
+}
+
+// SANCUS at a drift threshold of 1.0 skips broadcasts of hidden layers too,
+// so receivers train on stale boundary rows and the losses leave Vanilla's
+// from epoch 1; the wire carries fewer bytes than Vanilla's 1230720.
+TEST(PinnedNumerics, Sancus) {
+  const Dataset ds = pin_dataset();
+  const PinnedRun got = pin_of(pin_train(ds, Method::kSancus, /*drift=*/1.0));
+  const PinnedRun want{
+      {0x3ffd46631a7c5e52ull, 0x3fce666666666666ull, 0x3fd4cccccccccccdull,
+       0x3ffbc29d2a0f2177ull, 0x3fda666666666666ull, 0x3fdb333333333333ull,
+       0x3ffa4558168ee444ull, 0x3fe1333333333333ull, 0x3fe2666666666666ull,
+       0x3ff89844c895b6a1ull, 0x3fe2cccccccccccdull, 0x3fe5333333333333ull,
+       0x3ff7045086f65a37ull, 0x3fe6cccccccccccdull, 0x3fe8cccccccccccdull,
+       0x3ff6243811e23774ull, 0x3fe9333333333333ull, 0x3fe999999999999aull},
+      785588u,
+      0x3f22c711f31d0d04ull};
+  EXPECT_EQ(got.epochs, want.epochs);
+  EXPECT_EQ(got.total_comm_bytes, want.total_comm_bytes);
+  EXPECT_LT(got.total_comm_bytes, 1230720u);
+  EXPECT_EQ(got.avg_epoch_seconds, want.avg_epoch_seconds);
 }
 
 // Methods differ only by policy: SANCUS that never skips a broadcast (every
