@@ -1,10 +1,11 @@
-// Microbenchmarks of the aggregation / error-feedback kernel-matrix entries
+// Microbenchmarks of the aggregation / element-wise kernel-matrix entries
 // (google-benchmark): scale_row (aggregation self-term), gather_axpy (the
-// CSR-band neighbor gather behind aggregate_forward and its adjoint), and
-// the ef_fold / ef_residual pair the error-feedback state machine runs per
-// boundary message. Swept over every SIMD ISA the host supports, selected
-// per benchmark with an IsaGuard exactly as ADAQP_ISA would. Tracks the
-// kernel-matrix speedup target: >= 2x scalar throughput on AVX2-capable
+// CSR-band neighbor gather behind aggregate_forward and its adjoint),
+// ef_fold (the backward owner-accumulate folds each decoded boundary
+// gradient row with it) and ef_residual (x - deq(q(x)), the kernel for
+// encode-time error capture). Swept over every SIMD ISA the host supports,
+// selected per benchmark with an IsaGuard exactly as ADAQP_ISA would. Tracks
+// the kernel-matrix speedup target: >= 2x scalar throughput on AVX2-capable
 // hardware (recorded into BENCH_runtime.json by scripts/bench.sh).
 //
 // BM_Gemm/<variant>/<isa>/<rows>x<in>x<out> times the dense transforms of

@@ -10,7 +10,7 @@
 # async pipeline's measured exchange||central overlap efficiency. The run
 # record also carries the zero-allocation steady-state gate result
 # (bench_alloc_steady_state — the script aborts on a regression) and the
-# aggregation/error-feedback kernel speedups vs scalar per SIMD ISA
+# aggregation/element-wise fold kernel speedups vs scalar per SIMD ISA
 # (bench_aggregate_kernels).
 #
 # Env knobs:
@@ -213,7 +213,7 @@ alloc_cases=$(awk -F',' 'NR > 1 { n++ } END { print n + 0 }' "$acsv")
 alloc_warm=$(awk -F',' 'NR > 1 { s += $5 } END { print s + 0 }' "$acsv")
 append_entry "{\"bench\":\"bench_alloc_steady_state\",\"wall_seconds\":$alloc_wall,\"cases\":$alloc_cases,\"warm_allocs_total\":$alloc_warm,\"steady_state_zero_alloc\":true}"
 
-# Kernel matrix: aggregation / error-feedback kernel throughput per ISA at
+# Kernel matrix: aggregation / element-wise fold kernel throughput per ISA at
 # cache-resident sizes, recorded as speedup vs the scalar reference (the
 # >=2x-on-AVX2 target of the kernel-matrix roadmap item).
 echo "[bench.sh] bench_aggregate_kernels (ISA sweep) ..." >&2

@@ -16,7 +16,6 @@
 #include "memory/alloc_track.h"
 #include "obs/metrics.h"
 #include "obs/stopwatch.h"
-#include "pipeline/async_exchange.h"
 #include "pipeline/config.h"
 #include "pipeline/stage_graph.h"
 #include "pipeline/trace.h"
@@ -84,13 +83,6 @@ double allreduce_seconds(const ClusterSpec& cluster, std::size_t bytes) {
   }
   const double chunk = static_cast<double>(bytes) / n;
   return 2.0 * (n - 1) * (worst_theta * chunk + worst_gamma);
-}
-
-/// Copy `src` into `dst` reusing dst's capacity (Matrix copy-assignment
-/// would too, but this keeps the reshape explicit).
-void copy_matrix_into(const Matrix& src, Matrix& dst) {
-  dst.reshape_uninit(src.rows(), src.cols());
-  std::copy(src.data(), src.data() + src.size(), dst.data());
 }
 
 // ---- Race-checker annotations (ADAQP_RACECHECK) ---------------------------
@@ -222,20 +214,16 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
     }
   }
 
-  // ---- Memory subsystem: cache the stable param set and resolve every
-  // pool key the training loop will use on the main thread, pre-warming the
-  // capacities whose first natural use would otherwise fall in a
-  // steady-state epoch (docs/ARCHITECTURE.md, "Memory subsystem").
+  // ---- Memory subsystem: cache the stable param set and size the
+  // persistent scratch on the main thread, pre-warming the capacities whose
+  // first natural use would otherwise fall in a steady-state epoch
+  // (docs/ARCHITECTURE.md, "Memory subsystem").
   params_ = model_.params();
   grad_bytes_ = model_.grad_bytes();
 
   loss_sink_.resize(num_devices_);
   loss_prob_.resize(num_devices_);
-  for (int d = 0; d < num_devices_; ++d) {
-    loss_sink_[d] = &ws_.matrix(memory::Scratch::kLossGradSink, 0, d);
-    loss_prob_[d] = &ws_.doubles(memory::Scratch::kLossProb, 0, d);
-  }
-
+  device_loss_.resize(num_devices_);
   grad_flow_.resize(2);
   for (auto& flow : grad_flow_) flow.resize(num_devices_);
   bwd_sinks_.assign(num_layers_, std::vector<LayerGrads>(num_devices_));
@@ -248,7 +236,7 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
 
   if (policy.drift_skip) {
     // SANCUS first diffs against a previous broadcast in epoch 1, so
-    // resolve and pre-size its drift scratch and send masks here.
+    // pre-size its drift scratch and send masks here.
     sancus_last_bcast_.assign(num_layers_, std::vector<Matrix>(num_devices_));
     sancus_staleness_.assign(num_layers_,
                              std::vector<int>(num_devices_, 1 << 20));
@@ -262,49 +250,23 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
       const std::size_t dim = model_.layer_in_dim(l);
       for (int d = 0; d < num_devices_; ++d) {
         const std::size_t boundary = dist_.devices[d].boundary_span().size();
-        Matrix& snap = ws_.matrix(memory::Scratch::kSancusSnapshot, l, d);
-        Matrix& diff = ws_.matrix(memory::Scratch::kSancusDiff, l, d);
-        snap.reshape_uninit(boundary, dim);
-        diff.reshape_uninit(boundary, dim);
-        sancus_snapshot_[l].push_back(&snap);
-        sancus_diff_[l].push_back(&diff);
+        sancus_snapshot_[l].emplace_back(boundary, dim);
+        sancus_diff_[l].emplace_back(boundary, dim);
       }
     }
   }
 }
 
-double DistTrainer::compute_seconds(int layer, bool backward,
-                                    bool central_only, int device) const {
-  const DeviceGraph& dev = dist_.devices[device];
-  // Precomputed index views — no per-call row-vector builds.
-  const std::span<const NodeId> rows =
-      central_only ? dev.central_span() : dev.owned_span();
-  const std::size_t in = model_.layer_in_dim(layer);
-  const std::size_t out = model_.layer_out_dim(layer);
-  return backward ? layer_backward_seconds(cluster_, dev, rows, in, out)
-                  : layer_forward_seconds(cluster_, dev, rows, in, out);
-}
-
 double DistTrainer::max_compute_seconds(int layer, bool backward,
-                                        bool central_only) const {
-  double m = 0.0;
-  for (int d = 0; d < num_devices_; ++d)
-    m = std::max(m, compute_seconds(layer, backward, central_only, d));
-  return m;
-}
-
-double DistTrainer::marginal_compute_seconds_max(int layer,
-                                                 bool backward) const {
-  double m = 0.0;
+                                        RowSpan rows) const {
   const std::size_t in = model_.layer_in_dim(layer);
   const std::size_t out = model_.layer_out_dim(layer);
-  for (int d = 0; d < num_devices_; ++d) {
-    const DeviceGraph& dev = dist_.devices[d];
-    const double s =
-        backward
-            ? layer_backward_seconds(cluster_, dev, dev.marginal_nodes, in, out)
-            : layer_forward_seconds(cluster_, dev, dev.marginal_nodes, in, out);
-    m = std::max(m, s);
+  double m = 0.0;
+  for (const DeviceGraph& dev : dist_.devices) {
+    const std::span<const NodeId> span = (dev.*rows)();
+    m = std::max(m, backward
+                        ? layer_backward_seconds(cluster_, dev, span, in, out)
+                        : layer_forward_seconds(cluster_, dev, span, in, out));
   }
   return m;
 }
@@ -655,11 +617,13 @@ EpochBreakdown DistTrainer::compose_time(int layer, bool backward,
   const double tdq = stats.max_dequant_seconds();
   bd.quant = tq + tdq;
   if (overlap) {
-    const double central_s = max_compute_seconds(layer, backward, true);
-    bd.comp = marginal_compute_seconds_max(layer, backward);
+    const double central_s =
+        max_compute_seconds(layer, backward, &DeviceGraph::central_span);
+    bd.comp =
+        max_compute_seconds(layer, backward, &DeviceGraph::marginal_span);
     bd.total = tq + std::max(bd.comm, central_s) + tdq + bd.comp;
   } else {
-    bd.comp = max_compute_seconds(layer, backward, false);
+    bd.comp = max_compute_seconds(layer, backward, &DeviceGraph::owned_span);
     bd.total = tq + bd.comm + tdq + bd.comp;
   }
   return bd;
@@ -671,7 +635,7 @@ void DistTrainer::sancus_drift_pass(int l) {
   for (int d = 0; d < num_devices_; ++d) {
     // This device's outgoing boundary rows (precomputed union view).
     const std::span<const NodeId> boundary = dist_.devices[d].boundary_span();
-    Matrix& snapshot = *sancus_snapshot_[l][d];
+    Matrix& snapshot = sancus_snapshot_[l][d];
     snapshot.reshape_uninit(boundary.size(), acts_[l][d].cols());
     for (std::size_t i = 0; i < boundary.size(); ++i) {
       const auto src = acts_[l][d].row(boundary[i]);
@@ -681,17 +645,15 @@ void DistTrainer::sancus_drift_pass(int l) {
     if (sancus_staleness_[l][d] < opts_.sancus_max_staleness &&
         sancus_last_bcast_[l][d].same_shape(snapshot)) {
       const double base = sancus_last_bcast_[l][d].frobenius_norm();
-      Matrix& diff = *sancus_diff_[l][d];
-      copy_matrix_into(snapshot, diff);
+      Matrix& diff = sancus_diff_[l][d];
+      diff = snapshot;
       diff.axpy_inplace(-1.0f, sancus_last_bcast_[l][d]);
       const double drift = diff.frobenius_norm() / (base + 1e-12);
       bcast = drift > opts_.sancus_drift_threshold;
     }
     if (bcast) {
       sancus_staleness_[l][d] = 0;
-      // Copy, not move: the snapshot is pooled scratch and must keep its
-      // buffer for the next epoch.
-      copy_matrix_into(snapshot, sancus_last_bcast_[l][d]);
+      sancus_last_bcast_[l][d] = snapshot;
     } else {
       sancus_staleness_[l][d]++;
     }
@@ -756,7 +718,8 @@ EpochBreakdown DistTrainer::forward_layer(int l) {
     launch_deferred(forward_graph(l));
     EpochBreakdown bd;
     bd.comm = joined_comm;
-    bd.comp = max_compute_seconds(l, false, false);
+    bd.comp = max_compute_seconds(l, /*backward=*/false,
+                                  &DeviceGraph::owned_span);
     bd.total = std::max(bd.comp, bd.comm);
     return bd;
   }
@@ -771,27 +734,25 @@ EpochBreakdown DistTrainer::forward_pass(double& loss) {
   for (int l = 0; l < num_layers_; ++l) total.accumulate(forward_layer(l));
 
   // Loss values only (gradients handled in backward_pass); per-device terms
-  // computed concurrently into epoch-arena scratch, reduced in ascending
-  // device order. The gradient sink is pooled per device and re-zeroed
-  // because the losses accumulate into it.
-  double* device_loss =
-      ws_.arena().span<double>(static_cast<std::size_t>(num_devices_));
+  // computed concurrently into device_loss_, reduced in ascending device
+  // order. The gradient sink is persistent per device and re-zeroed because
+  // the losses accumulate into it.
   run_device_tasks([&](int d) {
-    Matrix& sink = *loss_sink_[d];
+    Matrix& sink = loss_sink_[d];
     sink.reshape_zero(acts_[num_layers_][d].rows(),
                       acts_[num_layers_][d].cols());
     if (!dataset_.spec.multi_label) {
-      device_loss[d] = softmax_cross_entropy(
+      device_loss_[d] = softmax_cross_entropy(
           acts_[num_layers_][d], train_rows_[d], train_labels_[d],
-          global_train_count_, sink, *loss_prob_[d]);
+          global_train_count_, sink, loss_prob_[d]);
     } else {
-      device_loss[d] =
+      device_loss_[d] =
           bce_with_logits(acts_[num_layers_][d], train_rows_[d],
                           train_targets_[d], global_train_count_, sink);
     }
   });
   loss = 0.0;
-  for (int d = 0; d < num_devices_; ++d) loss += device_loss[d];
+  for (int d = 0; d < num_devices_; ++d) loss += device_loss_[d];
   loss /= global_train_count_;
   return total;
 }
@@ -821,7 +782,8 @@ EpochBreakdown DistTrainer::backward_layer(int l) {
     for (int d = 0; d < num_devices_; ++d)
       model_.layer(l).apply_grads(bwd_sinks_[l][d]);
     EpochBreakdown bd;
-    bd.comp = max_compute_seconds(l, true, false);
+    bd.comp = max_compute_seconds(l, /*backward=*/true,
+                                  &DeviceGraph::owned_span);
     bd.total = bd.comp;
     if (l == 0) return bd;  // no gradient leaves the input layer
     // Trace gradient ranges for the assigner before any mutation, on the
@@ -855,7 +817,7 @@ EpochBreakdown DistTrainer::backward_pass() {
     if (!dataset_.spec.multi_label) {
       softmax_cross_entropy(acts_[num_layers_][d], train_rows_[d],
                             train_labels_[d], global_train_count_, g,
-                            *loss_prob_[d]);
+                            loss_prob_[d]);
     } else {
       bce_with_logits(acts_[num_layers_][d], train_rows_[d], train_targets_[d],
                       global_train_count_, g);
@@ -1035,11 +997,6 @@ void DistTrainer::refresh_plans() {
 EpochRecord DistTrainer::train_epoch() {
   EpochRecord rec;
   rec.epoch = epoch_;
-
-  // Epoch-arena scratch from the previous epoch dies here; pooled and
-  // persistent buffers keep their capacity (the steady-state contract,
-  // docs/ARCHITECTURE.md "Memory subsystem").
-  ws_.arena().reset();
 
   // Periodic bit-width (re-)assignment runs at the end of the traced
   // period. Decided up front: the assigner's refresh reads row ranges traced

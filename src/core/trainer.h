@@ -62,6 +62,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,9 +74,8 @@
 #include "dist/halo_exchange.h"
 #include "gnn/adam.h"
 #include "gnn/model.h"
-#include "memory/workspace.h"
 #include "obs/run_report.h"
-#include "pipeline/async_exchange.h"
+#include "pipeline/exchange_stages.h"
 #include "runtime/parallel_for.h"
 
 namespace adaqp {
@@ -189,9 +189,6 @@ class DistTrainer {
   /// same phase boundaries as the allocation report — the counterpart to
   /// EpochRecord::time's *modeled* seconds (core/timing.h).
   const obs::PhaseWall& last_wall_report() const { return last_wall_; }
-
-  /// The trainer's scratch-memory subsystem (exposed for tests/benches).
-  const memory::Workspace& workspace() const { return ws_; }
 
   /// The metrics capture of the current/most recent run() (exposed for
   /// tests). Disabled unless ADAQP_METRICS (or an obs::MetricsGuard) was
@@ -307,10 +304,12 @@ class DistTrainer {
   void capture_profile_segment(const pipeline::StageGraph& graph, int layer,
                                bool forward);
 
-  double compute_seconds(int layer, bool backward, bool central_only,
-                         int device) const;
-  double max_compute_seconds(int layer, bool backward, bool central_only) const;
-  double marginal_compute_seconds_max(int layer, bool backward) const;
+  /// Selects a device's row set: owned, central or marginal rows.
+  using RowSpan = std::span<const NodeId> (DeviceGraph::*)() const;
+
+  /// Modeled compute seconds of one layer pass over each device's `rows`
+  /// (core/timing.h), maxed over devices.
+  double max_compute_seconds(int layer, bool backward, RowSpan rows) const;
 
   const Dataset& dataset_;
   const DistGraph& dist_;
@@ -379,13 +378,8 @@ class DistTrainer {
   std::vector<std::vector<std::size_t>> last_layer1_pair_bytes_;
 
   // ---- Memory subsystem (zero-allocation steady state) --------------------
-  // The Workspace owns every pooled scratch buffer below; it is declared
-  // before anything that borrows from it so the borrowers' pointers die
-  // first. All pool keys are resolved on the main thread — at construction
-  // or during the warmup epoch — so steady-state epochs perform no pool
-  // inserts (rule 4 of the workspace ownership rules).
-  memory::Workspace ws_;
-
+  // Every scratch buffer below is a plain member, sized at construction or
+  // first grown during the warmup epoch; steady-state epochs only reuse it.
   std::vector<Param*> params_;   ///< cached model_.params() (stable set)
   std::size_t grad_bytes_ = 0;   ///< cached model_.grad_bytes()
   ExchangeStats stats_scratch_;  ///< reusable stats sink (main thread only)
@@ -401,10 +395,10 @@ class DistTrainer {
   std::vector<obs::Interval> iv_exchange_;  ///< overlap scratch (reserved)
   std::vector<obs::Interval> iv_compute_;
 
-  // Loss scratch, resolved from ws_ at construction (the pool is not
-  // thread-safe; device tasks only use the buffers they were handed).
-  std::vector<Matrix*> loss_sink_;                ///< per device
-  std::vector<std::vector<double>*> loss_prob_;   ///< per device
+  // Loss scratch; each device task writes only its own entries.
+  std::vector<Matrix> loss_sink_;                 ///< per device
+  std::vector<std::vector<double>> loss_prob_;    ///< per device
+  std::vector<double> device_loss_;               ///< per device
 
   // Backward activation-gradient ping-pong. The parity of the buffer that
   // holds layer l's incoming gradient is fixed ((num_layers-1-l) & 1), so
@@ -421,11 +415,10 @@ class DistTrainer {
   std::vector<std::vector<LayerGrads>> central_sinks_;
   std::vector<std::vector<LayerBackwardScratch>> bwd_scratch_;
 
-  // SANCUS drift scratch (pointers into ws_), pre-sized at construction so
-  // no key is first touched — and no capacity first grown — in a
-  // steady-state epoch.
-  std::vector<std::vector<Matrix*>> sancus_snapshot_;   ///< [layer][device]
-  std::vector<std::vector<Matrix*>> sancus_diff_;       ///< [layer][device]
+  // SANCUS drift scratch, pre-sized at construction so no capacity is
+  // first grown in a steady-state epoch.
+  std::vector<std::vector<Matrix>> sancus_snapshot_;   ///< [layer][device]
+  std::vector<std::vector<Matrix>> sancus_diff_;       ///< [layer][device]
 
   // The per-(layer, direction) stage graphs; each claims its own transport
   // channel at construction, in layer order, forward before backward.

@@ -5,7 +5,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "obs/stopwatch.h"
-#include "pipeline/async_exchange.h"
+#include "pipeline/exchange_stages.h"
 #include "quant/quantize.h"
 #include "runtime/thread_pool.h"
 #include "transport/transport.h"

@@ -10,7 +10,7 @@
 // ClusterSpec cost model under the paper's ring all2all schedule (Fig. 8).
 //
 // These synchronous entry points build the exchange's per-pair stages
-// (src/pipeline/async_exchange.h) into a one-shot stage graph and run it —
+// (src/pipeline/exchange_stages.h) into a one-shot stage graph and run it —
 // the same stages the trainer's persistent layer graphs hold, so there is
 // exactly one exchange implementation in the library. The trainer adds
 // compute stages to its graphs to overlap the exchange with the central-row
@@ -76,7 +76,7 @@ struct ExchangeStats {
 /// which private per-pair stochastic-rounding streams are derived — the
 /// mechanism that lets the trainer's layer graphs run messages concurrently
 /// with compute while staying bit-identical to this synchronous form (both
-/// are the same per-pair stages; see src/pipeline/async_exchange.h).
+/// are the same per-pair stages; see src/pipeline/exchange_stages.h).
 ExchangeStats exchange_halo_forward(const DistGraph& dist,
                                     std::vector<Matrix>& locals,
                                     const ExchangePlan& plan,

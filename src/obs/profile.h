@@ -31,7 +31,7 @@
 //     exactly, not approximately, in tests).
 //
 // Stage classification is by name, using the repo's stage naming scheme
-// (pipeline/async_exchange.cpp, core/trainer.cpp): "fwd/dX->dY" fused
+// (pipeline/exchange_stages.cpp, core/trainer.cpp): "fwd/dX->dY" fused
 // exchange stages, "bwd-enc/dX->dY" / "bwd-acc/dX" / "bwd-zero/dX" backward
 // wire stages, "L{l}/central|marginal/d{d}" compute stages, "L{l}b/fold".
 // Fused exchange stages cover encode+wire+decode inside one measured span;

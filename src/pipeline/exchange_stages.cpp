@@ -1,4 +1,4 @@
-#include "pipeline/async_exchange.h"
+#include "pipeline/exchange_stages.h"
 
 #include <algorithm>
 #include <utility>

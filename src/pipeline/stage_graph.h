@@ -15,7 +15,7 @@
 // stage and *when*, never what a stage computes. Stages must write disjoint
 // locations, keep any accumulation order internal to a single stage, and
 // use private RNG streams (see the per-pair streams in
-// pipeline/async_exchange.h) — then every schedule, async or serial, at any
+// pipeline/exchange_stages.h) — then every schedule, async or serial, at any
 // ADAQP_THREADS value, is bit-identical. tests/test_pipeline.cpp enforces
 // this end to end through DistTrainer.
 //
@@ -39,7 +39,7 @@
 //      trainer builds each per-layer graph once (warmup) and re-runs it
 //      every epoch with zero heap allocation. Stage closures must therefore
 //      read their per-epoch inputs through stable references (members,
-//      pooled scratch), never captured copies of per-epoch values.
+//      persistent scratch), never captured copies of per-epoch values.
 //   5. wait() rethrows the first stage exception; dependents of a failed
 //      stage are poisoned (never run). The destructor does NOT join — the
 //      owner must wait() a launched graph before destroying it (the

@@ -87,14 +87,15 @@ struct KernelTable {
   /// disjoint from the layer input).
   void (*scale_row)(float a, const float* src, float* dst, std::size_t n);
 
-  /// Error-feedback fold: dst[j] = a[j] + b[j] — one IEEE addition per
+  /// Element-wise fold: dst[j] = a[j] + b[j] — one IEEE addition per
   /// element, no accumulation, so bit-identity across ISAs is trivial.
-  /// dst may alias a (the in-place residual fold) but not partially
-  /// overlap it.
+  /// dst may alias a (the backward owner-accumulate folds in place) but
+  /// not partially overlap it.
   void (*ef_fold)(const float* a, const float* b, float* dst, std::size_t n);
 
-  /// Error-feedback residual: dst[j] = a[j] - b[j] — one IEEE subtraction
-  /// per element; same aliasing rule as ef_fold.
+  /// Element-wise residual: dst[j] = a[j] - b[j] — one IEEE subtraction
+  /// per element (x - deq(q(x)) for quantization-error capture); same
+  /// aliasing rule as ef_fold.
   void (*ef_residual)(const float* a, const float* b, float* dst,
                       std::size_t n);
 

@@ -1,10 +1,8 @@
-// The memory subsystem's invariants (docs/ARCHITECTURE.md, "Memory
-// subsystem"): the Arena bump allocator reuses its chunks across reset();
-// Workspace pool keys are stable and distinct; and — the tentpole contract —
-// after the warmup epoch every DistTrainer method runs a full training
-// epoch with ZERO heap allocations, on every method x async mode x thread
-// count, with bit-identical numerics between the cold (allocating) and warm
-// (pooled) epochs of independent runs.
+// The memory subsystem's contract (docs/ARCHITECTURE.md, "Memory
+// subsystem"): after the warmup epoch every DistTrainer method runs a full
+// training epoch with ZERO heap allocations, on every method x async mode x
+// thread count, with bit-identical numerics between the cold (allocating)
+// and warm (reusing) epochs of independent runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +14,6 @@
 #include "analysis/race_checker.h"
 #include "core/trainer.h"
 #include "memory/alloc_track.h"
-#include "memory/workspace.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "pipeline/config.h"
@@ -27,9 +24,6 @@
 namespace adaqp {
 namespace {
 
-using memory::Arena;
-using memory::Scratch;
-using memory::Workspace;
 using pipeline::AsyncModeGuard;
 
 /// Scoped global-pool override; restores the previous size on exit.
@@ -43,80 +37,6 @@ class ThreadCountGuard {
  private:
   int prev_;
 };
-
-// ---- Arena ----------------------------------------------------------------
-
-TEST(Arena, SpansAreCacheLineAlignedAndDisjoint) {
-  Arena arena(1 << 12);
-  float* a = arena.span<float>(100);
-  float* b = arena.span<float>(7);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 64, 0u);
-  // Writes must not overlap.
-  for (int i = 0; i < 100; ++i) a[i] = 1.0f;
-  for (int i = 0; i < 7; ++i) b[i] = 2.0f;
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a[i], 1.0f);
-}
-
-TEST(Arena, GrowsBeyondOneChunk) {
-  Arena arena(1 << 10);  // 1 KiB chunks, spans below exceed that
-  void* a = arena.allocate(4000);
-  void* b = arena.allocate(8000);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_GE(arena.capacity_bytes(), 12000u);
-  EXPECT_GE(arena.used_bytes(), 12000u);
-}
-
-TEST(Arena, ResetRetainsCapacityAndWarmPassesDoNotAllocate) {
-  Arena arena(1 << 12);
-  // Warmup pass sizes the arena.
-  for (int i = 0; i < 10; ++i) arena.span<double>(512);
-  const std::size_t cap = arena.capacity_bytes();
-  arena.reset();
-  EXPECT_EQ(arena.used_bytes(), 0u);
-  EXPECT_EQ(arena.capacity_bytes(), cap);
-  // Warm pass: identical span sequence, no heap traffic.
-  const std::uint64_t before = memory::alloc_count();
-  for (int rep = 0; rep < 5; ++rep) {
-    arena.reset();
-    for (int i = 0; i < 10; ++i) arena.span<double>(512);
-  }
-  EXPECT_EQ(memory::alloc_count() - before, 0u);
-  EXPECT_EQ(arena.capacity_bytes(), cap);
-}
-
-// ---- Workspace pool -------------------------------------------------------
-
-TEST(Workspace, KeysReturnStableDistinctBuffers) {
-  Workspace ws;
-  Matrix& m1 = ws.matrix(Scratch::kGeneric, 1, 2, 3);
-  Matrix& m2 = ws.matrix(Scratch::kGeneric, 1, 2, 4);
-  EXPECT_NE(&m1, &m2);
-  EXPECT_EQ(&m1, &ws.matrix(Scratch::kGeneric, 1, 2, 3));
-  // Same (layer, a, b) under a different kind is a different buffer.
-  EXPECT_NE(&m1, &ws.matrix(Scratch::kSancusSnapshot, 1, 2, 3));
-  // Typed pools are independent key spaces.
-  std::vector<float>& f = ws.floats(Scratch::kGeneric, 1, 2, 3);
-  EXPECT_EQ(&f, &ws.floats(Scratch::kGeneric, 1, 2, 3));
-  EXPECT_EQ(ws.pool_entries(), 4u);
-}
-
-TEST(Workspace, WarmLookupsDoNotAllocate) {
-  Workspace ws;
-  Matrix& m = ws.matrix(Scratch::kGeneric, 0, 0, 0);
-  m.reshape_zero(64, 32);  // capacity established
-  std::vector<float>& f = ws.floats(Scratch::kGeneric, 0, 0, 0);
-  f.assign(256, 0.0f);
-  const std::uint64_t before = memory::alloc_count();
-  for (int i = 0; i < 100; ++i) {
-    ws.matrix(Scratch::kGeneric, 0, 0, 0).reshape_uninit(64, 32);
-    ws.floats(Scratch::kGeneric, 0, 0, 0).assign(256, 1.0f);
-  }
-  EXPECT_EQ(memory::alloc_count() - before, 0u);
-}
 
 // ---- Zero-allocation steady state -----------------------------------------
 

@@ -437,7 +437,7 @@ TEST(SimdGemm, AxpyKernelHandlesRaggedTails) {
   }
 }
 
-// ---- Aggregation & error-feedback kernels ---------------------------------
+// ---- Aggregation & element-wise fold kernels ------------------------------
 
 /// The new kernel-matrix entries (scale_row, ef_fold, ef_residual,
 /// gather_axpy) must be bit-identical to the scalar reference on every

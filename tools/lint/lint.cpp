@@ -240,9 +240,9 @@ void lint_source_file(const fs::path& root, const fs::path& path) {
           has_token(code, "emplace_back") || has_token(code, "resize") ||
           has_token(code, "reserve") || has_token(code, "assign"))
         report(path, lineno, "hot-path-alloc",
-               "allocation/growth in a hot-path file — pool it (memory/"
-               "workspace.h) or annotate warmup-only lines with "
-               "lint:allow(hot-path-alloc)");
+               "allocation/growth in a hot-path file — make the buffer a "
+               "persistent member sized at construction, or annotate "
+               "warmup-only lines with lint:allow(hot-path-alloc)");
     }
 
     if (!in_transport && !allows(raw, "sockets-in-transport")) {
