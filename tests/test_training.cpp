@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/trainer.h"
@@ -215,8 +216,9 @@ TEST(Trainer, SingleDeviceDegenerateCase) {
 // ---- Pinned numerics --------------------------------------------------------
 //
 // Reference bit patterns of the five methods' runs (4 devices, 6 epochs,
-// dropout on, a plan refresh every 3 epochs): per-epoch loss/val/test, total
-// wire bytes and the modeled mean epoch time. A change to the execution path
+// dropout on, a plan refresh every 3 epochs), plus Vanilla on one device and
+// with SAGE-mean: per-epoch loss/val/test, total wire bytes and the modeled
+// mean epoch time. A change to the execution path
 // must reproduce them exactly; the CI passes at ADAQP_THREADS=1/4 and
 // ADAQP_ISA=scalar check them across schedules and kernel ISAs.
 
@@ -232,13 +234,16 @@ struct PinnedRun {
   std::uint64_t avg_epoch_seconds = 0;
 };
 
-RunResult pin_train(const Dataset& ds, Method method, double drift = 0.30) {
+RunResult pin_train(const Dataset& ds, Method method, double drift = 0.30,
+                    int devices = 4, Aggregator agg = Aggregator::kGcn) {
   Rng rng(4242);
-  const auto part = MultilevelPartitioner().partition(ds.graph, 4, rng);
+  const auto part = MultilevelPartitioner().partition(ds.graph, devices, rng);
   const DistGraph dist = build_dist_graph(ds.graph, part);
-  const ClusterSpec cluster = ClusterSpec::machines(2, 2);
+  const ClusterSpec cluster = devices > 1
+                                  ? ClusterSpec::machines(2, devices / 2)
+                                  : ClusterSpec::machines(1, 1);
   ModelConfig mc;
-  mc.aggregator = Aggregator::kGcn;
+  mc.aggregator = agg;
   mc.in_dim = ds.spec.feature_dim;
   mc.hidden_dim = 16;
   mc.out_dim = ds.num_classes();
@@ -274,18 +279,21 @@ Dataset pin_dataset() {
   return make_dataset(spec, rng);
 }
 
-void expect_pinned(Method method, const PinnedRun& want) {
-  const Dataset ds = pin_dataset();
-  const PinnedRun got = pin_of(pin_train(ds, method));
-  ASSERT_EQ(got.epochs.size(), want.epochs.size()) << method_name(method);
+void expect_pinned(const RunResult& run, const PinnedRun& want,
+                   const std::string& label) {
+  const PinnedRun got = pin_of(run);
+  ASSERT_EQ(got.epochs.size(), want.epochs.size()) << label;
   for (std::size_t i = 0; i < want.epochs.size(); ++i)
     EXPECT_EQ(got.epochs[i], want.epochs[i])
-        << method_name(method) << " epoch " << i / 3 << " field " << i % 3
+        << label << " epoch " << i / 3 << " field " << i % 3
         << " (loss, val, test)";
-  EXPECT_EQ(got.total_comm_bytes, want.total_comm_bytes)
-      << method_name(method);
-  EXPECT_EQ(got.avg_epoch_seconds, want.avg_epoch_seconds)
-      << method_name(method);
+  EXPECT_EQ(got.total_comm_bytes, want.total_comm_bytes) << label;
+  EXPECT_EQ(got.avg_epoch_seconds, want.avg_epoch_seconds) << label;
+}
+
+void expect_pinned(Method method, const PinnedRun& want) {
+  const Dataset ds = pin_dataset();
+  expect_pinned(pin_train(ds, method), want, method_name(method));
 }
 
 TEST(PinnedNumerics, Vanilla) {
@@ -346,6 +354,40 @@ TEST(PinnedNumerics, PipeGCN) {
                   0x3fe8666666666666ull, 0x3fe8cccccccccccdull},
                  1230720u,
                  0x3f15c6978a759cefull});
+}
+
+// One partition: no halo rows, no exchange, no allreduce (the shape of the
+// single-device benchmark workload).
+TEST(PinnedNumerics, SingleDevice) {
+  const Dataset ds = pin_dataset();
+  expect_pinned(
+      pin_train(ds, Method::kVanilla, /*drift=*/0.30, /*devices=*/1),
+      {{0x3ffd7f1f4a9bcb92ull, 0x3fd0000000000000ull, 0x3fd4cccccccccccdull,
+        0x3ffa57ba8fbe8bfeull, 0x3fd999999999999aull, 0x3fde666666666666ull,
+        0x3ff9639b21059f25ull, 0x3fe2000000000000ull, 0x3fe3333333333333ull,
+        0x3ff8670f41af66f9ull, 0x3fe599999999999aull, 0x3fe8000000000000ull,
+        0x3ff6d82fd91ca1ecull, 0x3fe799999999999aull, 0x3fe9333333333333ull,
+        0x3ff5f53f14a126e7ull, 0x3fe8666666666666ull, 0x3fe9333333333333ull},
+       0u,
+       0x3eebfc0165274388ull},
+      "single-device");
+}
+
+// SAGE-mean: the self path through W_self and its separate weight gradient.
+TEST(PinnedNumerics, VanillaSage) {
+  const Dataset ds = pin_dataset();
+  expect_pinned(
+      pin_train(ds, Method::kVanilla, /*drift=*/0.30, /*devices=*/4,
+                Aggregator::kSageMean),
+      {{0x4005b427bbbd95d5ull, 0x3fb999999999999aull, 0x3fce666666666666ull,
+        0x400351e0712be422ull, 0x3fcccccccccccccdull, 0x3fd0000000000000ull,
+        0x4002c8c74600742cull, 0x3fd7333333333333ull, 0x3fda666666666666ull,
+        0x3fff84388ae9ba91ull, 0x3fe0666666666666ull, 0x3fe0000000000000ull,
+        0x3ffcf4c946b77fd2ull, 0x3fe399999999999aull, 0x3fe3333333333333ull,
+        0x3ffb5668510fa0f0ull, 0x3fe6666666666666ull, 0x3fe5333333333333ull},
+       1230720u,
+       0x3f169ca7a89475fcull},
+      "vanilla-sage");
 }
 
 // SANCUS at a drift threshold of 1.0 skips broadcasts of hidden layers too,
