@@ -1,6 +1,6 @@
 // Microbenchmarks of the aggregation / element-wise kernel-matrix entries
 // (google-benchmark): scale_row (aggregation self-term), gather_axpy (the
-// CSR-band neighbor gather behind aggregate_forward and its adjoint),
+// CSR-band neighbor gather behind aggregate_forward),
 // ef_fold (the backward owner-accumulate folds each decoded boundary
 // gradient row with it) and ef_residual (x - deq(q(x)), the kernel for
 // encode-time error capture). Swept over every SIMD ISA the host supports,

@@ -70,21 +70,6 @@ constexpr MethodPolicy policy_of(Method method) {
   return kPolicies[static_cast<std::size_t>(method)];
 }
 
-/// Ring allreduce time for `bytes` of model gradients (numerics are already
-/// exact because devices share one weight/grad store).
-double allreduce_seconds(const ClusterSpec& cluster, std::size_t bytes) {
-  const int n = cluster.num_devices();
-  if (n <= 1) return 0.0;
-  double worst_theta = 0.0, worst_gamma = 0.0;
-  for (int d = 0; d < n; ++d) {
-    const LinkParams l = cluster.link(d, (d + 1) % n);
-    worst_theta = std::max(worst_theta, l.theta);
-    worst_gamma = std::max(worst_gamma, l.gamma);
-  }
-  const double chunk = static_cast<double>(bytes) / n;
-  return 2.0 * (n - 1) * (worst_theta * chunk + worst_gamma);
-}
-
 // ---- Race-checker annotations (ADAQP_RACECHECK) ---------------------------
 //
 // The compute stages of the overlapped forward/backward graphs declare their
@@ -769,15 +754,20 @@ EpochBreakdown DistTrainer::backward_layer(int l) {
       grad_x[d].reshape_zero(dist_.devices[d].num_local(),
                              model_.layer_in_dim(l));
   } else {
-    // Whole-row backward into per-device gradient sinks, concurrently; the
-    // shared parameter gradients are then reduced in ascending device
-    // order so the epoch is deterministic at any thread count.
-    // The input layer's gradient has no consumer: skip computing it.
+    // Whole-row backward (the adjoint over every owned row) into per-device
+    // gradient sinks, concurrently; the shared parameter gradients are then
+    // reduced in ascending device order so the epoch is deterministic at any
+    // thread count. The input layer's gradient has no consumer: skip
+    // computing it.
     const GnnLayer& layer = model_.layer(l);
     const InputGrad input_grad = l > 0 ? InputGrad::kCompute : InputGrad::kSkip;
     run_device_tasks([&](int d) {
-      layer.backward(dist_.devices[d], grads[d], caches_[l][d], grad_x[d],
-                     bwd_sinks_[l][d], bwd_scratch_[l][d], input_grad);
+      const DeviceGraph& dev = dist_.devices[d];
+      if (input_grad == InputGrad::kCompute)
+        grad_x[d].reshape_zero(dev.num_local(), model_.layer_in_dim(l));
+      layer.backward_rows(dev, grads[d], caches_[l][d], grad_x[d],
+                          bwd_sinks_[l][d], dev.owned_span(),
+                          bwd_scratch_[l][d], input_grad);
     });
     for (int d = 0; d < num_devices_; ++d)
       model_.layer(l).apply_grads(bwd_sinks_[l][d]);
@@ -1024,7 +1014,7 @@ EpochRecord DistTrainer::train_epoch() {
   rec.train_loss = loss;
 
   // Model-gradient synchronization (numerics already global; timing only).
-  const double sync = allreduce_seconds(cluster_, grad_bytes_);
+  const double sync = ring_allreduce_seconds(cluster_, grad_bytes_);
   adam_.step(params_);
   const std::uint64_t a3 = memory::alloc_count();
   const double w3 = obs::monotonic_us();

@@ -406,11 +406,12 @@ class DistTrainer {
   std::vector<std::vector<Matrix>> grad_flow_;    ///< [parity][device]
 
   // Persistent per-(layer, device) parameter-gradient sinks and backward
-  // temporaries: the whole-row backward writes bwd_sinks_; the overlapped
-  // backward writes its marginal-row partials there and its central-row
-  // partials into central_sinks_. One bwd_scratch_ entry (staging matrices
-  // and the transposed weight) serves both subsets of a device, so its
-  // central stage depends on its marginal stage.
+  // temporaries: the whole-row backward (backward_rows over every owned
+  // row) writes bwd_sinks_; the overlapped backward writes its marginal-row
+  // partials there and its central-row partials into central_sinks_. One
+  // bwd_scratch_ entry (staging matrices and the transposed weight) serves
+  // both subsets of a device, so its central stage depends on its marginal
+  // stage.
   std::vector<std::vector<LayerGrads>> bwd_sinks_;
   std::vector<std::vector<LayerGrads>> central_sinks_;
   std::vector<std::vector<LayerBackwardScratch>> bwd_scratch_;

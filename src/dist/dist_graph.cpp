@@ -77,20 +77,6 @@ DistGraph build_dist_graph(const Graph& g, const PartitionResult& part) {
     for (std::size_t i = dev.num_owned; i < dev.num_local(); ++i)
       dev.offsets[i + 1] = dev.offsets[i];
 
-    // Transpose CSR for the gather-form aggregation adjoint. Filling by
-    // ascending owned row v keeps every destination's source list ascending,
-    // matching the scatter kernel's per-destination accumulation order.
-    dev.in_offsets.assign(dev.num_local() + 1, 0);
-    for (NodeId u : dev.neighbor_ids) dev.in_offsets[u + 1]++;
-    for (std::size_t u = 0; u < dev.num_local(); ++u)
-      dev.in_offsets[u + 1] += dev.in_offsets[u];
-    dev.in_sources.resize(dev.neighbor_ids.size());
-    std::vector<EdgeIdx> cursor(dev.in_offsets.begin(),
-                                dev.in_offsets.end() - 1);
-    for (std::size_t v = 0; v < dev.num_owned; ++v)
-      for (NodeId u : dev.neighbors(static_cast<NodeId>(v)))
-        dev.in_sources[cursor[u]++] = static_cast<NodeId>(v);
-
     // Central/marginal split and send maps in one sweep over owned rows.
     dev.send_local.assign(k, {});
     dev.recv_local.assign(k, {});

@@ -77,15 +77,6 @@ struct DeviceGraph {
   std::vector<EdgeIdx> offsets;
   std::vector<NodeId> neighbor_ids;
 
-  /// Transpose CSR: for each local node u, the *owned* rows v with
-  /// u ∈ neighbors(v), ascending by v. This is the gather form of the
-  /// aggregation adjoint — each destination row's contributions arrive in
-  /// the same (source-ascending) order the scatter form produces, which
-  /// lets the adjoint parallelize over destination rows with disjoint
-  /// writes while staying bit-identical to the serial kernel.
-  std::vector<EdgeIdx> in_offsets;
-  std::vector<NodeId> in_sources;
-
   std::size_t num_local() const { return num_owned + num_halo; }
 
   /// Span views of the precomputed row lists (the preferred way to name a
@@ -111,17 +102,6 @@ struct DeviceGraph {
 
   std::span<const NodeId> neighbors(NodeId v) const {
     return {neighbor_ids.data() + offsets[v], degree(v)};
-  }
-
-  /// Owned in-neighbors of local node u (sources of the adjoint), ascending.
-  std::span<const NodeId> in_neighbors(NodeId u) const {
-    return {in_sources.data() + in_offsets[u],
-            static_cast<std::size_t>(in_offsets[u + 1] - in_offsets[u])};
-  }
-
-  /// True when the transpose CSR has been built (build_dist_graph does).
-  bool has_transpose() const {
-    return in_offsets.size() == num_local() + 1;
   }
 
   /// Total CSR entries of the given local rows.

@@ -121,6 +121,19 @@ ExchangeStats exchange_halo_backward(const DistGraph& dist,
       });
 }
 
+double ring_allreduce_seconds(const ClusterSpec& cluster, std::size_t bytes) {
+  const int n = cluster.num_devices();
+  if (n <= 1) return 0.0;
+  double worst_theta = 0.0, worst_gamma = 0.0;
+  for (int d = 0; d < n; ++d) {
+    const LinkParams l = cluster.link(d, (d + 1) % n);
+    worst_theta = std::max(worst_theta, l.theta);
+    worst_gamma = std::max(worst_gamma, l.gamma);
+  }
+  const double chunk = static_cast<double>(bytes) / n;
+  return 2.0 * (n - 1) * (worst_theta * chunk + worst_gamma);
+}
+
 double allreduce_sum(std::vector<Matrix>& per_device,
                      const ClusterSpec& cluster) {
   const int n = static_cast<int>(per_device.size());
@@ -134,17 +147,7 @@ double allreduce_sum(std::vector<Matrix>& per_device,
   }
   for (auto& m : per_device) m = sum;
 
-  // Ring allreduce: 2(n-1) rounds of bytes/n chunks, straggler-paced by the
-  // slowest ring link.
-  const std::size_t bytes = sum.size() * sizeof(float);
-  double worst_theta = 0.0, worst_gamma = 0.0;
-  for (int d = 0; d < n; ++d) {
-    const LinkParams l = cluster.link(d, (d + 1) % n);
-    worst_theta = std::max(worst_theta, l.theta);
-    worst_gamma = std::max(worst_gamma, l.gamma);
-  }
-  const double chunk = static_cast<double>(bytes) / n;
-  return 2.0 * (n - 1) * (worst_theta * chunk + worst_gamma);
+  return ring_allreduce_seconds(cluster, sum.size() * sizeof(float));
 }
 
 }  // namespace adaqp

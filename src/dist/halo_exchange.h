@@ -93,6 +93,11 @@ ExchangeStats exchange_halo_backward(const DistGraph& dist,
                                      const ClusterSpec& cluster,
                                      std::vector<Rng>& rngs);
 
+/// Simulated time of a ring allreduce of `bytes` over the cluster's devices:
+/// 2(n-1) rounds of bytes/n chunks, straggler-paced by the slowest ring link
+/// (0 for a single device).
+double ring_allreduce_seconds(const ClusterSpec& cluster, std::size_t bytes);
+
 /// Ring allreduce over same-shaped per-device matrices: every matrix is
 /// replaced by the elementwise sum. Returns the simulated time (0 for a
 /// single device); numerics are exact (no quantization on model gradients).

@@ -90,23 +90,6 @@ AggregatePlan build_aggregate_plan(const DeviceGraph& dev, Aggregator agg) {
       plan.coeff[e] = static_cast<float>(aggregation_coefficient(
           agg, dev.global_degree[dev.neighbor_ids[e]], dv));
   }
-  if (dev.has_transpose()) {
-    plan.in_coeff.resize(dev.in_sources.size());  // lint:allow(hot-path-alloc) plan build (refresh only)
-    plan.in_split.resize(dev.num_local());  // lint:allow(hot-path-alloc) plan build (refresh only)
-    for (std::size_t u = 0; u < dev.num_local(); ++u) {
-      const auto du = dev.global_degree[u];
-      const EdgeIdx begin = dev.in_offsets[u], end = dev.in_offsets[u + 1];
-      std::uint32_t split = static_cast<std::uint32_t>(end - begin);
-      for (EdgeIdx e = begin; e < end; ++e) {
-        const NodeId v = dev.in_sources[e];
-        plan.in_coeff[e] = static_cast<float>(
-            aggregation_coefficient(agg, du, dev.global_degree[v]));
-        if (v >= u && e - begin < split)
-          split = static_cast<std::uint32_t>(e - begin);
-      }
-      plan.in_split[u] = split;
-    }
-  }
   plan.ready = true;
   return plan;
 }
@@ -151,47 +134,6 @@ void aggregate_backward(const DeviceGraph& dev, const AggregatePlan& plan,
   }
 }
 
-void aggregate_backward(const DeviceGraph& dev, const AggregatePlan& plan,
-                        const Matrix& grad_out, Matrix& grad_x) {
-  if (!dev.has_transpose()) {
-    // Hand-built DeviceGraphs without a transpose CSR fall back to the
-    // serial scatter kernel (cold path; the identity-list build may
-    // allocate).
-    std::vector<NodeId> scratch;
-    aggregate_backward(dev, plan, grad_out, dev.owned_span_or(scratch),
-                       grad_x);
-    return;
-  }
-  ADAQP_CHECK(plan.ready && plan.in_split.size() == dev.num_local());
-  ADAQP_CHECK(grad_x.rows() == dev.num_local());
-  ADAQP_CHECK(grad_x.cols() == grad_out.cols());
-  ADAQP_CHECK(grad_out.rows() >= dev.num_owned);
-  const std::size_t dim = grad_out.cols();
-  const simd::KernelTable& kt = simd::kernels();
-  // Gather form over the transpose CSR, split around the self term at the
-  // precomputed in_split point — the same per-element accumulation order as
-  // the serial scatter (sources ascending, self inserted at the first
-  // source >= destination), so the result is bit-identical to it at any
-  // thread count and ISA.
-  parallel_for(dev.num_local(), kRowGrain, [&](std::size_t b, std::size_t e) {
-    for (std::size_t ui = b; ui < e; ++ui) {
-      const NodeId u = static_cast<NodeId>(ui);
-      float* dst = grad_x.row(u).data();
-      const EdgeIdx begin = dev.in_offsets[u];
-      const std::size_t count =
-          static_cast<std::size_t>(dev.in_offsets[u + 1] - begin);
-      const std::size_t split = plan.in_split[ui];
-      const NodeId* idx = dev.in_sources.data() + begin;
-      const float* cf = plan.in_coeff.data() + begin;
-      kt.gather_axpy(grad_out.data(), dim, idx, cf, split, dst, dim);
-      if (ui < dev.num_owned)
-        kt.axpy(plan.self_coeff[ui], grad_out.row(u).data(), dst, dim);
-      kt.gather_axpy(grad_out.data(), dim, idx + split, cf + split,
-                     count - split, dst, dim);
-    }
-  });
-}
-
 void aggregate_backward(const DeviceGraph& dev, Aggregator agg,
                         const Matrix& grad_out, std::span<const NodeId> rows,
                         Matrix& grad_x) {
@@ -216,47 +158,8 @@ void aggregate_backward(const DeviceGraph& dev, Aggregator agg,
 
 void aggregate_backward(const DeviceGraph& dev, Aggregator agg,
                         const Matrix& grad_out, Matrix& grad_x) {
-  if (!dev.has_transpose()) {
-    // Hand-built DeviceGraphs without a transpose CSR fall back to the
-    // serial scatter kernel.
-    std::vector<NodeId> all(dev.num_owned);
-    for (std::size_t i = 0; i < all.size(); ++i)
-      all[i] = static_cast<NodeId>(i);
-    aggregate_backward(dev, agg, grad_out, all, grad_x);
-    return;
-  }
-  ADAQP_CHECK(grad_x.rows() == dev.num_local());
-  ADAQP_CHECK(grad_x.cols() == grad_out.cols());
-  ADAQP_CHECK(grad_out.rows() >= dev.num_owned);
-  const std::size_t dim = grad_out.cols();
-  // Gather form over the transpose CSR: destination rows are disjoint across
-  // bands, and each destination accumulates its sources in ascending order
-  // with the self term inserted at source == destination — exactly the
-  // per-element addition order of the scatter kernel above, so the result is
-  // bit-identical to serial execution at any thread count.
-  parallel_for(dev.num_local(), kRowGrain, [&](std::size_t b, std::size_t e) {
-    for (std::size_t ui = b; ui < e; ++ui) {
-      const NodeId u = static_cast<NodeId>(ui);
-      auto dst = grad_x.row(u);
-      const bool owned = ui < dev.num_owned;
-      bool self_applied = !owned;
-      const auto apply_self = [&] {
-        const auto self_c =
-            static_cast<float>(self_coefficient(agg, dev.global_degree[u]));
-        const auto g = grad_out.row(u);
-        for (std::size_t c = 0; c < dim; ++c) dst[c] += self_c * g[c];
-        self_applied = true;
-      };
-      for (NodeId v : dev.in_neighbors(u)) {
-        if (!self_applied && v >= u) apply_self();
-        const auto coeff = static_cast<float>(aggregation_coefficient(
-            agg, dev.global_degree[u], dev.global_degree[v]));
-        const auto g = grad_out.row(v);
-        for (std::size_t c = 0; c < dim; ++c) dst[c] += coeff * g[c];
-      }
-      if (!self_applied) apply_self();
-    }
-  });
+  std::vector<NodeId> scratch;
+  aggregate_backward(dev, agg, grad_out, dev.owned_span_or(scratch), grad_x);
 }
 
 double aggregate_flops(const DeviceGraph& dev, std::span<const NodeId> rows,

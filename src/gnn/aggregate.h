@@ -46,17 +46,9 @@ struct AggregatePlan {
   std::vector<float> self_coeff;
   /// α(u,v) per forward CSR edge, aligned with DeviceGraph::neighbor_ids.
   std::vector<float> coeff;
-  /// α(u,v) per transpose CSR edge, aligned with DeviceGraph::in_sources.
-  std::vector<float> in_coeff;
-  /// Per local row u: the relative edge index within u's transpose band
-  /// where the self term is inserted (first source >= u) — splits the
-  /// adjoint's gather into two kernel calls around the self axpy so the
-  /// per-element accumulation order matches the serial scatter exactly.
-  std::vector<std::uint32_t> in_split;
 };
 
-/// Build the plan for (dev, agg). The transpose-CSR fields are filled only
-/// when dev.has_transpose().
+/// Build the plan for (dev, agg).
 AggregatePlan build_aggregate_plan(const DeviceGraph& dev, Aggregator agg);
 
 /// out (num_owned x dim) = aggregate over rows of x (num_local x dim),
@@ -75,10 +67,7 @@ void aggregate_backward(const DeviceGraph& dev, Aggregator agg,
                         const Matrix& grad_out, std::span<const NodeId> rows,
                         Matrix& grad_x);
 
-/// Full adjoint over all owned rows of grad_out. Runs the gather form over
-/// the device's transpose CSR, parallelized over destination rows with
-/// per-destination source order identical to the scatter kernel — so the
-/// result is bit-identical to the serial scatter at any thread count.
+/// Convenience: the adjoint over all owned rows of grad_out.
 void aggregate_backward(const DeviceGraph& dev, Aggregator agg,
                         const Matrix& grad_out, Matrix& grad_x);
 
@@ -95,11 +84,6 @@ void aggregate_forward(const DeviceGraph& dev, const AggregatePlan& plan,
 void aggregate_backward(const DeviceGraph& dev, const AggregatePlan& plan,
                         const Matrix& grad_out, std::span<const NodeId> rows,
                         Matrix& grad_x);
-
-/// Full adjoint (parallel gather over the transpose CSR) with precomputed
-/// coefficients. Bit-identical to the plan-less full form.
-void aggregate_backward(const DeviceGraph& dev, const AggregatePlan& plan,
-                        const Matrix& grad_out, Matrix& grad_x);
 
 // ---- FLOP accounting for the cost model ------------------------------------
 

@@ -19,8 +19,7 @@ void LayerNorm::init() {
 
 namespace {
 
-/// One LayerNorm row — shared by the full and row-subset forwards so both
-/// are bit-identical per row by construction.
+/// One LayerNorm row of the forward.
 inline void layer_norm_row(const Matrix& in, Matrix& out,
                            LayerNorm::Cache& cache, const Matrix& gamma,
                            const Matrix& beta, float epsilon, std::size_t r) {
@@ -45,9 +44,8 @@ inline void layer_norm_row(const Matrix& in, Matrix& out,
   }
 }
 
-/// One LayerNorm backward row — shared by the full and row-subset backwards
-/// so both are bit-identical per row by construction. dgamma / dbeta
-/// accumulate this row's contribution (caller fixes the row order).
+/// One LayerNorm backward row. dgamma / dbeta accumulate this row's
+/// contribution (caller fixes the row order).
 inline void layer_norm_backward_row(const Matrix& grad_out,
                                     const LayerNorm::Cache& cache,
                                     Matrix& grad_in, Matrix& dgamma,
@@ -78,16 +76,6 @@ inline void layer_norm_backward_row(const Matrix& grad_out,
 
 }  // namespace
 
-void LayerNorm::forward(const Matrix& in, Matrix& out, Cache& cache) const {
-  const std::size_t rows = in.rows(), dim = in.cols();
-  ADAQP_CHECK(gamma.value.cols() == dim);
-  out.reshape_uninit(rows, dim);  // every row is written below
-  cache.normalized.reshape_uninit(rows, dim);
-  cache.rstd.resize(rows);  // lint:allow(hot-path-alloc) capacity retained
-  for (std::size_t r = 0; r < rows; ++r)
-    layer_norm_row(in, out, cache, gamma.value, beta.value, epsilon, r);
-}
-
 void LayerNorm::forward_rows(const Matrix& in, Matrix& out, Cache& cache,
                              std::span<const NodeId> rows) const {
   ADAQP_CHECK(gamma.value.cols() == in.cols());
@@ -96,24 +84,6 @@ void LayerNorm::forward_rows(const Matrix& in, Matrix& out, Cache& cache,
   ADAQP_CHECK(cache.rstd.size() >= in.rows());
   for (NodeId r : rows)
     layer_norm_row(in, out, cache, gamma.value, beta.value, epsilon, r);
-}
-
-void LayerNorm::backward(const Matrix& grad_out, const Cache& cache,
-                         Matrix& grad_in) {
-  backward(grad_out, cache, grad_in, gamma.grad, beta.grad);
-}
-
-void LayerNorm::backward(const Matrix& grad_out, const Cache& cache,
-                         Matrix& grad_in, Matrix& dgamma,
-                         Matrix& dbeta) const {
-  const std::size_t rows = grad_out.rows(), dim = grad_out.cols();
-  ADAQP_CHECK(cache.normalized.same_shape(grad_out));
-  grad_in.reshape_uninit(rows, dim);  // every row is written below
-  if (dgamma.rows() != 1 || dgamma.cols() != dim) dgamma.reshape_zero(1, dim);
-  if (dbeta.rows() != 1 || dbeta.cols() != dim) dbeta.reshape_zero(1, dim);
-  for (std::size_t r = 0; r < rows; ++r)
-    layer_norm_backward_row(grad_out, cache, grad_in, dgamma, dbeta,
-                            gamma.value, r);
 }
 
 void LayerNorm::backward_rows(const Matrix& grad_out, const Cache& cache,
@@ -178,8 +148,8 @@ void GnnLayer::forward_prepare(const DeviceGraph& dev, LayerCache& cache,
     cache.ln.rstd.resize(owned);  // lint:allow(hot-path-alloc) capacity retained
   }
   if (training && config_.dropout > 0.0f) {
-    // Row-major over all owned rows: the exact draws dropout_forward makes,
-    // so pre-drawing here leaves the device stream bit-identical.
+    // Row-major over all owned rows, drawn once per epoch by dropout_mask,
+    // so the device stream does not depend on how the rows are split.
     dropout_mask(owned, config_.out_dim, config_.dropout, rng,
                  cache.drop_mask);
   } else {
@@ -226,8 +196,7 @@ void GnnLayer::forward_rows(const DeviceGraph& dev, const Matrix& x_local,
         std::copy(src.begin(), src.end(), cache.pre_act.row(v).begin());
       }
     }
-    // ReLU and the pre-drawn dropout mask, fused row-wise (identical
-    // arithmetic to relu_forward + the mask multiply of dropout_forward).
+    // ReLU and the pre-drawn dropout mask, fused row-wise.
     for (NodeId v : rows) {
       const auto src = cache.pre_act.row(v);
       const auto m = cache.drop_mask.row(v);
@@ -245,26 +214,12 @@ void GnnLayer::forward_rows(const DeviceGraph& dev, const Matrix& x_local,
   }
 }
 
-void GnnLayer::backward(const DeviceGraph& dev, const Matrix& grad_out,
-                        const LayerCache& cache, Matrix& grad_x) {
-  LayerGrads sink;
-  backward(dev, grad_out, cache, grad_x, sink);
-  apply_grads(sink);
-}
-
 void GnnLayer::apply_grads(const LayerGrads& sink) {
   if (!sink.weight.empty()) weight_.grad.add_inplace(sink.weight);
   if (!sink.weight_self.empty())
     weight_self_.grad.add_inplace(sink.weight_self);
   if (!sink.gamma.empty()) norm_.gamma.grad.add_inplace(sink.gamma);
   if (!sink.beta.empty()) norm_.beta.grad.add_inplace(sink.beta);
-}
-
-void GnnLayer::backward(const DeviceGraph& dev, const Matrix& grad_out,
-                        const LayerCache& cache, Matrix& grad_x,
-                        LayerGrads& sink) const {
-  LayerBackwardScratch scratch;
-  backward(dev, grad_out, cache, grad_x, sink, scratch, InputGrad::kCompute);
 }
 
 namespace {
@@ -278,83 +233,13 @@ inline void clear_once(Matrix& m) {
 
 }  // namespace
 
-void GnnLayer::backward(const DeviceGraph& dev, const Matrix& grad_out,
-                        const LayerCache& cache, Matrix& grad_x,
-                        LayerGrads& sink, LayerBackwardScratch& s,
-                        InputGrad input_grad) const {
-  ADAQP_CHECK(grad_out.rows() >= dev.num_owned);
-  ADAQP_CHECK(grad_out.cols() == config_.out_dim);
-  ADAQP_CHECK(cache.agg_plan.ready);
-
-  // Owned-row slice of the incoming gradient.
-  s.dh.reshape_uninit(dev.num_owned, config_.out_dim);
-  for (std::size_t r = 0; r < dev.num_owned; ++r) {
-    const auto src = grad_out.row(r);
-    std::copy(src.begin(), src.end(), s.dh.row(r).begin());
-  }
-
-  // Select the LayerNorm-adjoint source by pointer (a move would empty the
-  // persistent scratch member and force a reallocation next call).
-  const Matrix* dpre_norm = &s.dpre_norm;
-  if (!config_.is_output) {
-    dropout_backward(s.dh, cache.drop_mask, s.dpost_act);
-    relu_backward(cache.pre_act, s.dpost_act, s.dpre_act);
-    if (config_.layer_norm) {
-      sink.gamma.reshape_zero(1, config_.out_dim);
-      sink.beta.reshape_zero(1, config_.out_dim);
-      norm_.backward(s.dpre_act, cache.ln, s.dpre_norm, sink.gamma, sink.beta);
-    } else {
-      clear_once(sink.gamma);
-      clear_once(sink.beta);
-      dpre_norm = &s.dpre_act;
-    }
-  } else {
-    clear_once(sink.gamma);
-    clear_once(sink.beta);
-    dpre_norm = &s.dh;
-  }
-
-  // Dense transform backward (gemm_tn / gemm_nt overwrite their outputs,
-  // reshaping in place). Neighbor path: cache.mean_nbr for SAGE, cache.agg
-  // otherwise, with weight_; SAGE self path: cache.agg (owned input rows),
-  // weight_self_.
-  const bool sage = config_.aggregator == Aggregator::kSageMean;
-  gemm_tn(sage ? cache.mean_nbr : cache.agg, *dpre_norm, sink.weight);
-  if (sage)
-    gemm_tn(cache.agg, *dpre_norm, sink.weight_self);
-  else
-    clear_once(sink.weight_self);
-  if (input_grad == InputGrad::kSkip) return;
-
-  gemm_nt(*dpre_norm, weight_.value, s.dagg, s.wt);
-  grad_x.reshape_zero(dev.num_local(), config_.in_dim);
-  aggregate_backward(dev, cache.agg_plan, s.dagg, grad_x);
-  if (sage) {
-    gemm_nt(*dpre_norm, weight_self_.value, s.dself, s.wt);
-    for (std::size_t r = 0; r < dev.num_owned; ++r) {
-      auto dst = grad_x.row(r);
-      const auto src = s.dself.row(r);
-      for (std::size_t c = 0; c < config_.in_dim; ++c) dst[c] += src[c];
-    }
-  }
-}
-
-void GnnLayer::backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
-                             const LayerCache& cache, Matrix& grad_x,
-                             LayerGrads& sink,
-                             std::span<const NodeId> rows) const {
-  LayerBackwardScratch scratch;
-  backward_rows(dev, grad_out, cache, grad_x, sink, rows, scratch);
-}
-
 void GnnLayer::backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
                              const LayerCache& cache, Matrix& grad_x,
                              LayerGrads& sink, std::span<const NodeId> rows,
-                             LayerBackwardScratch& s) const {
+                             LayerBackwardScratch& s,
+                             InputGrad input_grad) const {
   ADAQP_CHECK(grad_out.rows() >= dev.num_owned);
   ADAQP_CHECK(grad_out.cols() == config_.out_dim);
-  ADAQP_CHECK(grad_x.rows() == dev.num_local());
-  ADAQP_CHECK(grad_x.cols() == config_.in_dim);
   ADAQP_CHECK(cache.agg_plan.ready);
   if (rows.empty()) {
     // Old contract: an empty subset contributes nothing. Leave the sink's
@@ -367,9 +252,8 @@ void GnnLayer::backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
   }
 
   // Epilogue adjoint of the subset rows: the pre-drawn dropout mask and the
-  // ReLU gate, fused row-wise (identical arithmetic to dropout_backward +
-  // relu_backward), then LayerNorm. Rows outside the subset are left
-  // uninitialized — every consumer below reads only the subset's rows.
+  // ReLU gate, fused row-wise, then LayerNorm. Rows outside the subset are
+  // left uninitialized — every consumer below reads only the subset's rows.
   s.dpre_norm.reshape_uninit(dev.num_owned, config_.out_dim);
   if (!config_.is_output) {
     s.dpre_act.reshape_uninit(dev.num_owned, config_.out_dim);
@@ -408,18 +292,24 @@ void GnnLayer::backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
   // Dense transform backward restricted to the subset. Weight-gradient
   // partials sum the subset's rows in span order; the input-gradient scatter
   // runs the serial per-source kernel, so contributions to a shared
-  // destination fold in span order too.
-  s.dagg.reshape_uninit(dev.num_owned, config_.in_dim);
-  if (config_.aggregator != Aggregator::kSageMean) {
-    clear_once(sink.weight_self);
-    gemm_tn_rows(cache.agg, s.dpre_norm, sink.weight, rows);
-    gemm_nt_rows(s.dpre_norm, weight_.value, s.dagg, rows, s.wt);
-    aggregate_backward(dev, cache.agg_plan, s.dagg, rows, grad_x);
-  } else {
-    gemm_tn_rows(cache.mean_nbr, s.dpre_norm, sink.weight, rows);
+  // destination fold in span order too. Neighbor path: cache.mean_nbr for
+  // SAGE, cache.agg otherwise, with weight_; SAGE self path: cache.agg
+  // (owned input rows), weight_self_.
+  const bool sage = config_.aggregator == Aggregator::kSageMean;
+  gemm_tn_rows(sage ? cache.mean_nbr : cache.agg, s.dpre_norm, sink.weight,
+               rows);
+  if (sage)
     gemm_tn_rows(cache.agg, s.dpre_norm, sink.weight_self, rows);
-    gemm_nt_rows(s.dpre_norm, weight_.value, s.dagg, rows, s.wt);
-    aggregate_backward(dev, cache.agg_plan, s.dagg, rows, grad_x);
+  else
+    clear_once(sink.weight_self);
+  if (input_grad == InputGrad::kSkip) return;
+
+  ADAQP_CHECK(grad_x.rows() == dev.num_local());
+  ADAQP_CHECK(grad_x.cols() == config_.in_dim);
+  s.dagg.reshape_uninit(dev.num_owned, config_.in_dim);
+  gemm_nt_rows(s.dpre_norm, weight_.value, s.dagg, rows, s.wt);
+  aggregate_backward(dev, cache.agg_plan, s.dagg, rows, grad_x);
+  if (sage) {
     s.dself.reshape_uninit(dev.num_owned, config_.in_dim);
     gemm_nt_rows(s.dpre_norm, weight_self_.value, s.dself, rows, s.wt);
     for (NodeId r : rows) {

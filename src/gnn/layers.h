@@ -46,27 +46,17 @@ struct LayerNorm {
     std::vector<float> rstd;  // 1/σ per row
   };
 
-  void forward(const Matrix& in, Matrix& out, Cache& cache) const;
-  /// Row-subset forward: normalize only the rows in `rows` of `in` into the
-  /// matching rows of `out`/`cache` (which must be pre-sized, e.g. by
-  /// GnnLayer::forward_prepare). Per-row arithmetic is identical to
-  /// forward(), so disjoint subsets compose bit-exactly and may run
-  /// concurrently.
+  /// Normalize the rows in `rows` of `in` into the matching rows of
+  /// `out`/`cache` (which must be pre-sized, e.g. by
+  /// GnnLayer::forward_prepare). Rows are independent, so disjoint subsets
+  /// may run concurrently.
   void forward_rows(const Matrix& in, Matrix& out, Cache& cache,
                     std::span<const NodeId> rows) const;
-  /// Accumulates into gamma.grad / beta.grad; writes grad_in.
-  void backward(const Matrix& grad_out, const Cache& cache, Matrix& grad_in);
-  /// Thread-safe variant: accumulates into caller-owned dgamma / dbeta
-  /// (resized to 1 x dim and zeroed when mis-shaped) instead of the shared
-  /// parameter gradients.
-  void backward(const Matrix& grad_out, const Cache& cache, Matrix& grad_in,
-                Matrix& dgamma, Matrix& dbeta) const;
-  /// Row-subset backward: the per-row adjoint of `rows` only. grad_in rows
-  /// outside the subset are untouched (grad_in must be pre-sized to
-  /// grad_out's shape); dgamma / dbeta accumulate the subset's rows in span
-  /// order, so per-subset partials folded in a fixed subset order are
-  /// deterministic and the full ascending row list reproduces backward()
-  /// bit for bit.
+  /// The per-row adjoint of `rows`. grad_in rows outside the subset are
+  /// untouched (grad_in must be pre-sized to grad_out's shape); dgamma /
+  /// dbeta (resized to 1 x dim and zeroed when mis-shaped) accumulate the
+  /// subset's rows in span order, so per-subset partials folded in a fixed
+  /// subset order are deterministic.
   void backward_rows(const Matrix& grad_out, const Cache& cache,
                      Matrix& grad_in, Matrix& dgamma, Matrix& dbeta,
                      std::span<const NodeId> rows) const;
@@ -116,13 +106,11 @@ struct LayerCache {
 /// one scratch must not overlap (the trainer's marginal and central
 /// backward stages of a device are serialized).
 struct LayerBackwardScratch {
-  Matrix dh;         // owned-row slice of grad_out (full backward only)
-  Matrix dpost_act;  // dropout adjoint staging
   Matrix dpre_act;   // ReLU adjoint staging
   Matrix dpre_norm;  // LayerNorm adjoint staging
   Matrix dagg;       // grad wrt aggregated input
   Matrix dself;      // SAGE only: grad through W_self
-  Matrix wt;         // transposed weight staging for gemm_nt / gemm_nt_rows
+  Matrix wt;         // transposed weight staging for gemm_nt_rows
 };
 
 /// Whether a backward call produces the gradient wrt the layer input. The
@@ -146,7 +134,7 @@ class GnnLayer {
                LayerCache& cache, Rng& rng, bool training) const;
 
   /// Pre-size the forward cache and draw the dropout mask for all owned
-  /// rows (row-major, exactly the stream consumption of dropout_forward).
+  /// rows (row-major, one dropout_mask call).
   /// This is the only part of the forward that touches the Rng, so after it
   /// returns, forward_rows calls over disjoint row subsets may run
   /// concurrently — the pipeline computes central rows while the halo
@@ -163,52 +151,30 @@ class GnnLayer {
                     Matrix& out, LayerCache& cache,
                     std::span<const NodeId> rows) const;
 
-  /// Backward from grad of owned output rows; accumulates weight grads and
-  /// writes grad wrt the layer input for *all* local rows into grad_x
-  /// (num_local x in_dim, overwritten). Serial convenience form: equivalent
-  /// to the sink overload followed by apply_grads.
-  void backward(const DeviceGraph& dev, const Matrix& grad_out,
-                const LayerCache& cache, Matrix& grad_x);
-
-  /// Thread-safe backward: writes this device's parameter-gradient
-  /// contributions into `sink` (overwritten) instead of the shared Param
-  /// gradients, so per-device backward passes can run concurrently. Callers
-  /// must fold sinks with apply_grads in a fixed device order afterwards.
-  void backward(const DeviceGraph& dev, const Matrix& grad_out,
-                const LayerCache& cache, Matrix& grad_x,
-                LayerGrads& sink) const;
-
-  /// Steady-state variant: identical arithmetic, but all per-call
-  /// temporaries live in the caller-provided `scratch` (reshaped in place),
-  /// so repeated calls with stable shapes perform no heap allocation. With
-  /// InputGrad::kSkip, grad_x is left untouched and only `sink` is written
-  /// (bit-identical to the kCompute sink).
-  void backward(const DeviceGraph& dev, const Matrix& grad_out,
-                const LayerCache& cache, Matrix& grad_x, LayerGrads& sink,
-                LayerBackwardScratch& scratch, InputGrad input_grad) const;
-
-  /// Row-subset backward (the adjoint mirror of forward_rows): epilogue
-  /// derivative, weight-gradient partial sums and input-gradient scatter of
-  /// the owned rows in `rows` only. Accumulates into grad_x (pre-sized
-  /// num_local x in_dim by the caller; NOT zeroed here) and overwrites
-  /// `sink` with this subset's partials. Central rows scatter only into
-  /// owned rows of grad_x; marginal rows also scatter into halo rows — so
-  /// the halo-gradient exchange depends only on the marginal subset, and
-  /// central-row backward can run while that exchange is in flight. Subsets
-  /// that share destination rows must be ordered (marginal before central in
-  /// the trainer's stage graph) and their sinks folded with apply_grads in a
-  /// fixed device-then-subset order; then any schedule is bit-identical.
-  /// backward_rows over the full owned list reproduces backward() bit for
-  /// bit.
-  void backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
-                     const LayerCache& cache, Matrix& grad_x, LayerGrads& sink,
-                     std::span<const NodeId> rows) const;
-
-  /// Steady-state variant of backward_rows (see the backward overload).
+  /// Row-subset backward (the adjoint mirror of forward_rows), and the
+  /// layer's only adjoint: epilogue derivative, weight-gradient partial sums
+  /// and input-gradient scatter of the owned rows in `rows` only. Overwrites
+  /// `sink` with this subset's parameter-gradient partials instead of
+  /// touching the shared Param gradients, so per-device calls may run
+  /// concurrently; callers fold sinks with apply_grads in a fixed
+  /// device-then-subset order afterwards. All per-call temporaries live in
+  /// `scratch` (reshaped in place), so repeated calls with stable shapes
+  /// perform no heap allocation.
+  ///
+  /// With InputGrad::kCompute, accumulates into grad_x (pre-sized
+  /// num_local x in_dim by the caller; NOT zeroed here). Central rows
+  /// scatter only into owned rows of grad_x; marginal rows also scatter into
+  /// halo rows — so the halo-gradient exchange depends only on the marginal
+  /// subset, and central-row backward can run while that exchange is in
+  /// flight. Subsets that share destination rows must be ordered (marginal
+  /// before central in the trainer's stage graph); then any schedule is
+  /// bit-identical. With InputGrad::kSkip, returns after the weight-gradient
+  /// GEMMs and neither checks nor touches grad_x.
   void backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
                      const LayerCache& cache, Matrix& grad_x, LayerGrads& sink,
                      std::span<const NodeId> rows,
-                     LayerBackwardScratch& scratch) const;
+                     LayerBackwardScratch& scratch,
+                     InputGrad input_grad = InputGrad::kCompute) const;
 
   /// Fold one device's contributions into the shared parameter gradients.
   void apply_grads(const LayerGrads& sink);

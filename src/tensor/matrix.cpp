@@ -242,19 +242,6 @@ void gemm_nt_rows(const Matrix& a, const Matrix& b, Matrix& c,
   gemm_rows(a, bt, c, rows);
 }
 
-void relu_forward(const Matrix& in, Matrix& out) {
-  out.reshape_uninit(in.rows(), in.cols());
-  for (std::size_t i = 0; i < in.size(); ++i)
-    out.data()[i] = in.data()[i] > 0.0f ? in.data()[i] : 0.0f;
-}
-
-void relu_backward(const Matrix& in, const Matrix& grad_out, Matrix& grad_in) {
-  ADAQP_CHECK(in.same_shape(grad_out));
-  grad_in.reshape_uninit(in.rows(), in.cols());
-  for (std::size_t i = 0; i < in.size(); ++i)
-    grad_in.data()[i] = in.data()[i] > 0.0f ? grad_out.data()[i] : 0.0f;
-}
-
 void dropout_mask(std::size_t rows, std::size_t cols, float p, Rng& rng,
                   Matrix& mask) {
   ADAQP_CHECK_MSG(p >= 0.0f && p < 1.0f, "dropout p=" << p);
@@ -266,26 +253,6 @@ void dropout_mask(std::size_t rows, std::size_t cols, float p, Rng& rng,
   const float keep_scale = 1.0f / (1.0f - p);
   for (std::size_t i = 0; i < mask.size(); ++i)
     mask.data()[i] = rng.uniform_float() < p ? 0.0f : keep_scale;
-}
-
-void dropout_forward(const Matrix& in, float p, Rng& rng, Matrix& out,
-                     Matrix& mask) {
-  dropout_mask(in.rows(), in.cols(), p, rng, mask);
-  out.reshape_uninit(in.rows(), in.cols());
-  if (p == 0.0f) {
-    std::copy(in.data(), in.data() + in.size(), out.data());
-    return;
-  }
-  for (std::size_t i = 0; i < in.size(); ++i)
-    out.data()[i] = in.data()[i] * mask.data()[i];
-}
-
-void dropout_backward(const Matrix& grad_out, const Matrix& mask,
-                      Matrix& grad_in) {
-  ADAQP_CHECK(grad_out.same_shape(mask));
-  grad_in.reshape_uninit(grad_out.rows(), grad_out.cols());
-  for (std::size_t i = 0; i < grad_out.size(); ++i)
-    grad_in.data()[i] = grad_out.data()[i] * mask.data()[i];
 }
 
 float max_abs_diff(const Matrix& a, const Matrix& b) {

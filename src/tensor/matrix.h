@@ -144,25 +144,13 @@ void gemm_nt_rows(const Matrix& a, const Matrix& b, Matrix& c,
 
 // ---- Elementwise / rowwise kernels ----------------------------------------
 
-/// out = relu(in); shapes must match.
-void relu_forward(const Matrix& in, Matrix& out);
-/// grad_in = grad_out ⊙ 1[in > 0].
-void relu_backward(const Matrix& in, const Matrix& grad_out, Matrix& grad_in);
-
 /// Draw an inverted-dropout multiplier mask (0 with prob p, else 1/(1-p))
-/// for a rows x cols matrix, consuming rng in row-major element order — the
-/// exact draws dropout_forward makes. Masks are value-independent, so the
-/// pipeline pre-draws them and applies them per row subset without changing
-/// the RNG stream.
+/// for a rows x cols matrix, consuming rng in row-major element order (no
+/// draws at p = 0); p must lie in [0, 1). Masks are value-independent, so
+/// the layers draw one per epoch and apply it per row subset without
+/// changing the RNG stream.
 void dropout_mask(std::size_t rows, std::size_t cols, float p, Rng& rng,
                   Matrix& mask);
-
-/// Inverted dropout: zero each element with prob p and scale survivors by
-/// 1/(1-p); `mask` records the applied multiplier for the backward pass.
-void dropout_forward(const Matrix& in, float p, Rng& rng, Matrix& out,
-                     Matrix& mask);
-void dropout_backward(const Matrix& grad_out, const Matrix& mask,
-                      Matrix& grad_in);
 
 /// Row max-abs difference between two same-shaped matrices.
 float max_abs_diff(const Matrix& a, const Matrix& b);

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <numeric>
+#include <vector>
 
 #include "common/rng.h"
 #include "dist/dist_graph.h"
@@ -79,8 +81,12 @@ TEST_P(LayerGradCheck, WeightAndInputGradientsMatchNumerics) {
   for (std::size_t i = 0; i < dev.num_owned; ++i)
     for (std::size_t c = 0; c < 4; ++c) grad_out.at(i, c) = r.at(i, c);
   layer.zero_grad();
-  Matrix grad_x;
-  layer.backward(dev, grad_out, cache, grad_x);
+  Matrix grad_x(dev.num_local(), 5);
+  LayerGrads sink;
+  LayerBackwardScratch scratch;
+  layer.backward_rows(dev, grad_out, cache, grad_x, sink, dev.owned_span(),
+                      scratch);
+  layer.apply_grads(sink);
 
   const float eps = 5e-3f;
   int checked = 0;
@@ -176,33 +182,19 @@ struct BackwardRowsFixture {
     grad_out = Matrix(dev.num_local(), 5);
     grad_out.fill_uniform(rng, -1.0f, 1.0f);
   }
+
+  /// The whole-row adjoint: backward_rows over every owned row of device 0
+  /// into a zeroed grad_x.
+  void full_backward(Matrix& grad_x, LayerGrads& sink) const {
+    const DeviceGraph& dev = dist.devices[0];
+    grad_x = Matrix(dev.num_local(), 6);
+    LayerBackwardScratch scratch;
+    layer.backward_rows(dev, grad_out, cache, grad_x, sink, dev.owned_span(),
+                        scratch);
+  }
 };
 
 class BackwardRows : public ::testing::TestWithParam<LayerCase> {};
-
-TEST_P(BackwardRows, FullOwnedListReproducesBackwardBitwise) {
-  const auto param = GetParam();
-  BackwardRowsFixture fx(param.agg, param.is_output);
-  const DeviceGraph& dev = fx.dist.devices[0];
-
-  Matrix ref_grad_x;
-  LayerGrads ref_sink;
-  fx.layer.backward(dev, fx.grad_out, fx.cache, ref_grad_x, ref_sink);
-
-  Matrix grad_x(dev.num_local(), 6);
-  LayerGrads sink;
-  fx.layer.backward_rows(dev, fx.grad_out, fx.cache, grad_x, sink,
-                         dev.owned_span());
-
-  EXPECT_EQ(max_abs_diff(grad_x, ref_grad_x), 0.0f);
-  EXPECT_EQ(max_abs_diff(sink.weight, ref_sink.weight), 0.0f);
-  if (!ref_sink.weight_self.empty())
-    EXPECT_EQ(max_abs_diff(sink.weight_self, ref_sink.weight_self), 0.0f);
-  if (!ref_sink.gamma.empty()) {
-    EXPECT_EQ(max_abs_diff(sink.gamma, ref_sink.gamma), 0.0f);
-    EXPECT_EQ(max_abs_diff(sink.beta, ref_sink.beta), 0.0f);
-  }
-}
 
 TEST_P(BackwardRows, MarginalPlusCentralSubsetsCoverFullBackward) {
   const auto param = GetParam();
@@ -211,26 +203,27 @@ TEST_P(BackwardRows, MarginalPlusCentralSubsetsCoverFullBackward) {
 
   Matrix ref_grad_x;
   LayerGrads ref_sink;
-  fx.layer.backward(dev, fx.grad_out, fx.cache, ref_grad_x, ref_sink);
+  fx.full_backward(ref_grad_x, ref_sink);
 
   // The trainer's decomposition: marginal-subset adjoint first (the sole
   // producer of halo gradient rows), then the central subset, per-subset
   // sinks folded afterwards.
   Matrix grad_x(dev.num_local(), 6);
   LayerGrads marginal_sink, central_sink;
+  LayerBackwardScratch scratch;
   fx.layer.backward_rows(dev, fx.grad_out, fx.cache, grad_x, marginal_sink,
-                         dev.marginal_span());
-  // Halo gradient rows are complete (and bit-identical to the full
-  // backward) before the central subset runs — the property that lets the
+                         dev.marginal_span(), scratch);
+  // Halo gradient rows are complete (and bit-identical to the whole-row
+  // adjoint) before the central subset runs — the property that lets the
   // halo-gradient exchange overlap central-row backward.
   for (std::size_t h = dev.num_owned; h < dev.num_local(); ++h)
     for (std::size_t c = 0; c < 6; ++c)
       EXPECT_EQ(grad_x.at(h, c), ref_grad_x.at(h, c)) << "halo row " << h;
   fx.layer.backward_rows(dev, fx.grad_out, fx.cache, grad_x, central_sink,
-                         dev.central_span());
+                         dev.central_span(), scratch);
 
-  // Owned rows and parameter partials differ from the full backward only by
-  // float summation order.
+  // Owned rows and parameter partials differ from the whole-row adjoint only
+  // by float summation order.
   for (std::size_t i = 0; i < grad_x.size(); ++i)
     EXPECT_NEAR(grad_x.data()[i], ref_grad_x.data()[i],
                 1e-4f * std::max(1.0f, std::fabs(ref_grad_x.data()[i])));
@@ -248,24 +241,23 @@ bool same_bits(const Matrix& x, const Matrix& y) {
 
 TEST_P(BackwardRows, SkippedInputGradientKeepsParamGradsBitwise) {
   // The trainer's input layer: parameter gradients only. The sink must be
-  // exactly the full backward's, and grad_x must not be touched at all.
+  // exactly the whole-row adjoint's, and grad_x must not be touched (nor its
+  // mis-sized shape checked) at all.
   const auto param = GetParam();
   BackwardRowsFixture fx(param.agg, param.is_output);
   const DeviceGraph& dev = fx.dist.devices[0];
 
   Matrix ref_grad_x;
   LayerGrads ref_sink;
-  LayerBackwardScratch ref_scratch;
-  fx.layer.backward(dev, fx.grad_out, fx.cache, ref_grad_x, ref_sink,
-                    ref_scratch, InputGrad::kCompute);
+  fx.full_backward(ref_grad_x, ref_sink);
 
   Matrix grad_x(3, 2);
   grad_x.fill(-7.5f);
   const Matrix untouched = grad_x;
   LayerGrads sink;
   LayerBackwardScratch scratch;
-  fx.layer.backward(dev, fx.grad_out, fx.cache, grad_x, sink, scratch,
-                    InputGrad::kSkip);
+  fx.layer.backward_rows(dev, fx.grad_out, fx.cache, grad_x, sink,
+                         dev.owned_span(), scratch, InputGrad::kSkip);
 
   EXPECT_TRUE(same_bits(grad_x, untouched));
   EXPECT_TRUE(same_bits(sink.weight, ref_sink.weight));
@@ -281,6 +273,21 @@ INSTANTIATE_TEST_SUITE_P(
                       LayerCase{Aggregator::kSageMean, false, true},
                       LayerCase{Aggregator::kSum, false, true}));
 
+std::vector<NodeId> all_rows(const Matrix& m) {
+  std::vector<NodeId> rows(m.rows());
+  std::iota(rows.begin(), rows.end(), NodeId{0});
+  return rows;
+}
+
+/// LayerNorm over every row of `in`, through the row-subset entry point.
+void ln_forward(const LayerNorm& ln, const Matrix& in, Matrix& out,
+                LayerNorm::Cache& cache) {
+  out = Matrix(in.rows(), in.cols());
+  cache.normalized = Matrix(in.rows(), in.cols());
+  cache.rstd.assign(in.rows(), 0.0f);
+  ln.forward_rows(in, out, cache, all_rows(in));
+}
+
 TEST(LayerNorm, ForwardNormalizesRows) {
   Rng rng(41);
   LayerNorm ln(6);
@@ -288,7 +295,7 @@ TEST(LayerNorm, ForwardNormalizesRows) {
   in.fill_uniform(rng, -5.0f, 5.0f);
   Matrix out;
   LayerNorm::Cache cache;
-  ln.forward(in, out, cache);
+  ln_forward(ln, in, out, cache);
   for (std::size_t r = 0; r < 3; ++r) {
     double mean = 0.0, var = 0.0;
     for (float v : out.row(r)) mean += v;
@@ -307,7 +314,7 @@ TEST(LayerNorm, AffineParamsApplied) {
   Matrix in(1, 2, {-1.0f, 1.0f});
   Matrix out;
   LayerNorm::Cache cache;
-  ln.forward(in, out, cache);
+  ln_forward(ln, in, out, cache);
   // Normalized row is (-1, 1) (up to epsilon); gamma/beta apply per column.
   EXPECT_NEAR(out.at(0, 0), -2.0f, 1e-3f);
   EXPECT_NEAR(out.at(0, 1), 2.0f, 1e-3f);
@@ -326,7 +333,7 @@ TEST(LayerNorm, GradientMatchesNumerics) {
   auto scalar = [&](const Matrix& input) {
     Matrix out;
     LayerNorm::Cache cache;
-    ln.forward(input, out, cache);
+    ln_forward(ln, input, out, cache);
     double acc = 0.0;
     for (std::size_t i = 0; i < out.size(); ++i)
       acc += static_cast<double>(out.data()[i]) * r.data()[i];
@@ -335,11 +342,12 @@ TEST(LayerNorm, GradientMatchesNumerics) {
 
   Matrix out;
   LayerNorm::Cache cache;
-  ln.forward(in, out, cache);
+  ln_forward(ln, in, out, cache);
   ln.gamma.zero_grad();
   ln.beta.zero_grad();
-  Matrix grad_in;
-  ln.backward(r, cache, grad_in);
+  Matrix grad_in(4, 5);
+  ln.backward_rows(r, cache, grad_in, ln.gamma.grad, ln.beta.grad,
+                   all_rows(r));
 
   const float eps = 1e-2f;
   for (std::size_t i = 0; i < in.size(); i += 3) {

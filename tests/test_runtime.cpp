@@ -165,26 +165,6 @@ TEST(AggregateDeterminism, ForwardAndAdjointBitExactAcrossThreadCounts) {
   }
 }
 
-TEST(AggregateDeterminism, GatherAdjointMatchesSerialScatter) {
-  // The transpose-CSR gather form must reproduce the scatter kernel exactly
-  // (same per-destination accumulation order), not just approximately.
-  Rng rng(78);
-  Graph g = erdos_renyi(150, 900, rng);
-  const auto part = MultilevelPartitioner().partition(g, 2, rng);
-  const DistGraph dist = build_dist_graph(g, part);
-  ThreadCountGuard guard(8);
-  for (const auto& dev : dist.devices) {
-    const Matrix gout = random_matrix(dev.num_owned, 7, 30 + dev.device);
-    Matrix gather(dev.num_local(), 7), scatter(dev.num_local(), 7);
-    aggregate_backward(dev, Aggregator::kGcn, gout, gather);
-    std::vector<NodeId> all(dev.num_owned);
-    for (std::size_t i = 0; i < all.size(); ++i)
-      all[i] = static_cast<NodeId>(i);
-    aggregate_backward(dev, Aggregator::kGcn, gout, all, scatter);
-    ASSERT_EQ(max_abs_diff(gather, scatter), 0.0f);
-  }
-}
-
 TEST(HaloExchangeDeterminism, QuantizedForwardBackwardBitExact) {
   Rng rng(79);
   Graph g = erdos_renyi(160, 800, rng);
