@@ -125,13 +125,22 @@ void aggregate_backward(const DeviceGraph& dev, const AggregatePlan& plan,
   ADAQP_CHECK(grad_x.cols() == grad_out.cols());
   const std::size_t dim = grad_out.cols();
   const simd::KernelTable& kt = simd::kernels();
-  for (NodeId v : rows) {
-    ADAQP_CHECK(v < dev.num_owned);
-    const float* g = grad_out.row(v).data();
-    kt.axpy(plan.self_coeff[v], g, grad_x.row(v).data(), dim);
-    for (EdgeIdx e = dev.offsets[v]; e < dev.offsets[v + 1]; ++e)
-      kt.axpy(plan.coeff[e], g, grad_x.row(dev.neighbor_ids[e]).data(), dim);
-  }
+  for (NodeId v : rows) ADAQP_CHECK(v < dev.num_owned);
+  // Sources share destination rows, so bands split the destinations: every
+  // band walks all sources in span order and applies only the contributions
+  // that land in its rows. Each element thus sums its sources in span order,
+  // bit-identical to a serial scatter at any thread count.
+  parallel_for(dev.num_local(), kRowGrain, [&](std::size_t lo, std::size_t hi) {
+    const auto mine = [&](NodeId u) { return u >= lo && u < hi; };
+    for (NodeId v : rows) {
+      const float* g = grad_out.row(v).data();
+      if (mine(v)) kt.axpy(plan.self_coeff[v], g, grad_x.row(v).data(), dim);
+      for (EdgeIdx e = dev.offsets[v]; e < dev.offsets[v + 1]; ++e) {
+        const NodeId u = dev.neighbor_ids[e];
+        if (mine(u)) kt.axpy(plan.coeff[e], g, grad_x.row(u).data(), dim);
+      }
+    }
+  });
 }
 
 void aggregate_backward(const DeviceGraph& dev, Aggregator agg,

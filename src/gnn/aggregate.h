@@ -79,8 +79,9 @@ void aggregate_forward(const DeviceGraph& dev, const AggregatePlan& plan,
                        const Matrix& x, std::span<const NodeId> rows,
                        Matrix& out);
 
-/// Row-subset adjoint (serial scatter) with precomputed coefficients.
-/// Bit-identical to the plan-less span form.
+/// Row-subset adjoint with precomputed coefficients. Parallel over bands of
+/// destination rows; every band applies the sources in span order, so the
+/// result is bit-identical to the plan-less span form at any thread count.
 void aggregate_backward(const DeviceGraph& dev, const AggregatePlan& plan,
                         const Matrix& grad_out, std::span<const NodeId> rows,
                         Matrix& grad_x);

@@ -290,9 +290,8 @@ void GnnLayer::backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
   }
 
   // Dense transform backward restricted to the subset. Weight-gradient
-  // partials sum the subset's rows in span order; the input-gradient scatter
-  // runs the serial per-source kernel, so contributions to a shared
-  // destination fold in span order too. Neighbor path: cache.mean_nbr for
+  // partials sum the subset's rows in span order, and the input-gradient
+  // scatter folds contributions to a shared destination in span order too. Neighbor path: cache.mean_nbr for
   // SAGE, cache.agg otherwise, with weight_; SAGE self path: cache.agg
   // (owned input rows), weight_self_.
   const bool sage = config_.aggregator == Aggregator::kSageMean;

@@ -161,6 +161,18 @@ TEST(AggregateDeterminism, ForwardAndAdjointBitExactAcrossThreadCounts) {
       }
       ASSERT_EQ(max_abs_diff(fwd1, fwd8), 0.0f);
       ASSERT_EQ(max_abs_diff(adj1, adj8), 0.0f);
+
+      // The plan-based kernels (the trainer's path; the adjoint bands over
+      // destination rows) reproduce the serial plan-less ones bit for bit.
+      const AggregatePlan plan = build_aggregate_plan(dev, agg);
+      Matrix plan_fwd(dev.num_owned, 9), plan_adj(dev.num_local(), 9);
+      {
+        ThreadCountGuard guard(8);
+        aggregate_forward(dev, plan, x, dev.owned_span(), plan_fwd);
+        aggregate_backward(dev, plan, gout, dev.owned_span(), plan_adj);
+      }
+      ASSERT_EQ(max_abs_diff(fwd1, plan_fwd), 0.0f);
+      ASSERT_EQ(max_abs_diff(adj1, plan_adj), 0.0f);
     }
   }
 }
