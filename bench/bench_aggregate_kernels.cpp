@@ -6,7 +6,7 @@
 // encode-time error capture). Swept over every SIMD ISA the host supports,
 // selected per benchmark with an IsaGuard exactly as ADAQP_ISA would. Tracks
 // the kernel-matrix speedup target: >= 2x scalar throughput on AVX2-capable
-// hardware (recorded into BENCH_runtime.json by scripts/bench.sh).
+// hardware.
 //
 // BM_Gemm/<variant>/<isa>/<rows>x<in>x<out> times the dense transforms of
 // one GNN layer over `rows` nodes, reported in FLOP/s (2·rows·in·out per

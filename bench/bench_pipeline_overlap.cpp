@@ -81,9 +81,9 @@ int main(int argc, char** argv) {
   // Classify stage spans: exchange work (forward pairs + backward
   // encode/accumulate) vs *forward* central/marginal compute. The backward
   // row-subset adjoints ("L<l>b/central/..." etc.) are deliberately
-  // excluded so this metric stays comparable across BENCH_runtime.json
-  // history; bench_table2_overlap_headroom part 2 measures the backward
-  // overlap separately.
+  // excluded so this stays a forward-only metric;
+  // bench_table2_overlap_headroom part 2 measures the backward overlap
+  // separately.
   std::vector<std::pair<double, double>> exchange_iv, central_iv, marginal_iv;
   for (const auto& e : rec.events()) {
     const auto iv = std::make_pair(e.ts_us, e.ts_us + e.dur_us);

@@ -277,9 +277,6 @@ DistTrainer::LayerGraph& DistTrainer::forward_graph(int l) {
   g.acct.init_storage(num_devices_);
   const pipeline::PairStages pair = pipeline::add_forward_exchange_stages(
       graph, dist_, acts_[l], fwd_plans_[l], g.acct);
-  for (const auto& row : pair.stage)
-    for (const int id : row)
-      if (id >= 0) g.exchange_ids.push_back(id);
 
   if (overlap_) {
     // Per-pair encode/wire/decode stages run concurrently with per-device
@@ -345,9 +342,6 @@ DistTrainer::LayerGraph& DistTrainer::forward_graph(int l) {
           },
           deps, std::move(acc));
     }
-    // The central compute is what the wire stages should hide under: their
-    // stage timestamps yield the realized overlap in the metrics report.
-    g.compute_ids = central;
   }
   // Warm the staging the 32-bit warmup rounds never touch: quantized
   // rounds draw per-column stochastic-rounding uniforms.
@@ -489,14 +483,8 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
     deps.accumulate = trace;    // owner's own owned-row writes are complete
     deps.zero = trace;          // last halo-row reader is done
   }
-  const pipeline::PairStages wire = pipeline::add_backward_exchange_stages(
-      graph, dist_, grad_x, bwd_plans_[l], g.acct, deps);
-  // Wire stages: per-pair encodes + owner accumulates.
-  for (const auto& row : wire.stage)
-    for (const int id : row)
-      if (id >= 0) g.exchange_ids.push_back(id);
-  for (const int id : wire.owner_stage)
-    if (id >= 0) g.exchange_ids.push_back(id);
+  pipeline::add_backward_exchange_stages(graph, dist_, grad_x, bwd_plans_[l],
+                                        g.acct, deps);
 
   if (overlap_) {
     // Shared parameter-gradient fold: one serial stage, concurrent with the
@@ -514,7 +502,7 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
                                              "central_sinks[" + dn + "]"));
       }
     }
-    const int fold_id = graph.add(
+    graph.add(
         prefix + "/fold",
         [this, &marginal_sinks, &central_sinks, l] {
           for (int d = 0; d < num_devices_; ++d) {
@@ -523,10 +511,6 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
           }
         },
         central, std::move(fold_acc));
-    // The compute running while the wire stages are in flight: central
-    // adjoints + the fold.
-    g.compute_ids = central;
-    g.compute_ids.push_back(fold_id);
   }
   // Warm the quantized rounds' uniform staging (the 32-bit build-epoch
   // rounds never draw any) and the owner-side decode accumulators.
@@ -541,7 +525,6 @@ void DistTrainer::run_layer_graph(LayerGraph& g, int layer, bool forward) {
   g.graph.reset();
   g.graph.run(async_pipeline_);
   finish_layer_graph(g, layer, forward);
-  capture_overlap(g, forward);
   capture_profile_segment(g.graph, layer, forward);
 }
 
@@ -875,24 +858,6 @@ void DistTrainer::capture_exchange_stats(const ExchangeStats& stats) {
     }
 }
 
-void DistTrainer::capture_overlap(const LayerGraph& g, bool forward) {
-  obs::EpochRow* row = capture_.row(epoch_);
-  if (row == nullptr || g.exchange_ids.empty() || g.compute_ids.empty())
-    return;
-  // Stage timestamps into the pre-reserved interval scratch; the interval
-  // math mutates in place and never grows beyond the reserved capacity.
-  iv_exchange_.clear();
-  iv_compute_.clear();
-  for (const int id : g.exchange_ids)
-    iv_exchange_.emplace_back(g.graph.stage_begin_us(id),
-                              g.graph.stage_end_us(id));
-  for (const int id : g.compute_ids)
-    iv_compute_.emplace_back(g.graph.stage_begin_us(id),
-                             g.graph.stage_end_us(id));
-  obs::accumulate_overlap(iv_exchange_, iv_compute_,
-                          forward ? row->fwd_overlap : row->bwd_overlap);
-}
-
 void DistTrainer::capture_profile_segment(const pipeline::StageGraph& graph,
                                           int layer, bool forward) {
   obs::ProfileCapture& prof = capture_.profile();
@@ -919,6 +884,14 @@ void DistTrainer::capture_profile_segment(const pipeline::StageGraph& graph,
   seg->layer = layer;
   seg->forward = forward;
   dag.compute(*seg, prof.pair_seconds(epoch_), num_devices_);
+  // The epoch row's realized overlap is the sum of its segments', in
+  // execution order; the profile is its only source.
+  if (obs::EpochRow* row = capture_.row(epoch_)) {
+    obs::OverlapAccum& acc = forward ? row->fwd_overlap : row->bwd_overlap;
+    acc.exchange_busy_s += seg->overlap.exchange_busy_s;
+    acc.compute_busy_s += seg->overlap.compute_busy_s;
+    acc.overlap_s += seg->overlap.overlap_s;
+  }
 
   // With a trace active, draw the segment's critical path as flow arrows
   // between the recorded stage spans (trace-enabled epochs are outside the
@@ -1165,8 +1138,6 @@ RunResult DistTrainer::run() {
   if (metrics_cfg.enabled) {
     capture_.init(opts_.epochs, num_devices_);
     const std::size_t nd = static_cast<std::size_t>(num_devices_);
-    iv_exchange_.reserve(nd * nd + nd);   // pair stages + owner accumulates
-    iv_compute_.reserve(nd + 1);          // central stages + fold
     // ADAQP_PROFILE (default on with metrics): critical-path profile rows
     // plus the shared DAG scratch, sized for the largest fused layer graph
     // — nd^2 pair stages, a handful of per-device stages, the fold — so

@@ -204,8 +204,6 @@ class DistTrainer {
   struct LayerGraph {
     pipeline::StageGraph graph;
     pipeline::ExchangeAccounting acct;
-    std::vector<int> exchange_ids;  ///< wire stages (overlap figures)
-    std::vector<int> compute_ids;   ///< central stages + fold; overlap only
     bool built = false;
     bool pending = false;   ///< deferred round armed, not yet joined
     double launch_us = 0.0;  ///< arm stamp for the join-latency histogram
@@ -247,8 +245,7 @@ class DistTrainer {
   LayerGraph& backward_graph(int l);
 
   /// Re-derive the per-pair RNG streams, re-arm and run one layer graph,
-  /// then finish it (below) and capture its realized overlap and
-  /// critical-path profile.
+  /// then finish it (below) and capture its critical-path profile.
   void run_layer_graph(LayerGraph& g, int layer, bool forward);
 
   /// The accounting tail of every completed layer-graph round, in place or
@@ -290,15 +287,13 @@ class DistTrainer {
   /// volumes). No-op unless run() enabled capture. Purely observational:
   /// writes pre-allocated capture storage only.
   void capture_exchange_stats(const ExchangeStats& stats);
-  /// Accumulate realized overlap between a layer graph's exchange stages
-  /// and its central-compute stages (stage timestamps, no tracing) into the
-  /// current epoch row. Direction picks fwd_overlap/bwd_overlap.
-  void capture_overlap(const LayerGraph& g, bool forward);
   /// Feed one executed layer graph into the critical-path profiler
   /// (obs/profile.h): every stage's name, timestamps and declared deps go
   /// into the pre-sized DAG scratch, the exchange split model comes from
   /// stats_scratch_, and the solved SegmentProfile lands in the profile
-  /// rows of the current epoch. With ADAQP_TRACE active it also emits
+  /// rows of the current epoch; the segment's realized exchange||compute
+  /// overlap also accumulates into the epoch row's fwd_overlap/bwd_overlap.
+  /// With ADAQP_TRACE active it also emits
   /// Chrome-trace flow arrows along the segment's critical path. No-op
   /// unless run() armed the profiler. Purely observational.
   void capture_profile_segment(const pipeline::StageGraph& graph, int layer,
@@ -387,13 +382,11 @@ class DistTrainer {
   obs::PhaseWall last_wall_;     ///< measured seconds of the last epoch
 
   // ---- Observability capture (src/obs/, docs/OBSERVABILITY.md) ------------
-  // run() sizes capture_ (epochs x devices) and reserves the interval
-  // scratch before the first epoch when ADAQP_METRICS enables a report;
-  // every per-epoch write below then lands in pre-allocated storage, so
-  // capture runs through steady-state epochs without allocating.
+  // run() sizes capture_ (epochs x devices) before the first epoch when
+  // ADAQP_METRICS enables a report; every per-epoch write below then lands
+  // in pre-allocated storage, so capture runs through steady-state epochs
+  // without allocating.
   obs::RunCapture capture_;
-  std::vector<obs::Interval> iv_exchange_;  ///< overlap scratch (reserved)
-  std::vector<obs::Interval> iv_compute_;
 
   // Loss scratch; each device task writes only its own entries.
   std::vector<Matrix> loss_sink_;                 ///< per device

@@ -307,10 +307,9 @@ void ProfileDag::compute(SegmentProfile& out, double* pair_s, int devices) {
   }
   if (!present[kCatWire]) out.zero_wire_cp_s = out.cp_s;
 
-  // Realized exchange || compute concurrency over the same stage sets the
-  // trainer feeds EpochRow's OverlapAccum (exchange = pair stages + owner
-  // accumulate; compute = central + fold), through the same interval
-  // arithmetic — the two reports cannot drift.
+  // Realized exchange || compute concurrency (exchange = pair stages + owner
+  // accumulate; compute = central + fold). The trainer sums it into
+  // EpochRow's OverlapAccum, so the two reports cannot drift.
   iv_exchange_.clear();
   iv_compute_.clear();
   for (std::size_t i = 0; i < count_; ++i) {

@@ -25,10 +25,12 @@
 //     of DistTrainer::run(); per-epoch capture then only writes
 //     pre-allocated storage (gated with the profiler armed in
 //     tests/test_profile.cpp).
-//  3. One interval implementation: the profiler's overlap numbers come from
-//     the same obs/stopwatch.h interval arithmetic, over the same stage
-//     sets, as EpochRow's OverlapAccum — the two cannot drift (asserted
-//     exactly, not approximately, in tests).
+//  3. One source of realized overlap: each segment's OverlapAccum (the
+//     obs/stopwatch.h interval arithmetic over its exchange and compute
+//     stages) is summed, in execution order, into EpochRow's per-direction
+//     OverlapAccum — the row holds no figure of its own, so with
+//     ADAQP_PROFILE=0 it carries zero overlap (exact agreement is asserted
+//     in tests).
 //
 // Stage classification is by name, using the repo's stage naming scheme
 // (pipeline/exchange_stages.cpp, core/trainer.cpp): "fwd/dX->dY" fused
@@ -120,8 +122,8 @@ struct SegmentProfile {
   /// cp_s − critical path recomputed with category c's weights zeroed:
   /// the seconds this segment shrinks if category c were free.
   std::array<double, kNumProfileCategories> sensitivity_s{};
-  /// Realized exchange||compute concurrency over the same stage sets as
-  /// EpochRow's per-direction OverlapAccum (exact agreement is tested).
+  /// Realized exchange||compute concurrency of this segment; the epoch
+  /// row's per-direction OverlapAccum is the sum of these.
   OverlapAccum overlap;
   /// Names of the critical-path stages in execution order, truncated at
   /// kMaxCpStages. Pointers into the owning StageGraph's stable Node

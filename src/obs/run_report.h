@@ -12,8 +12,8 @@
 //
 // `write_report()` runs once at the end of `run()` and is allowed to
 // allocate freely. The JSON schema is versioned (`adaqp-metrics-v1`) and
-// validated by `tools/metrics_schema_check.cpp`; `scripts/bench.sh` folds
-// the report into `BENCH_runtime.json`.
+// validated by `tools/metrics_schema_check.cpp`; `tools/profile_report.cpp`
+// summarizes its profile section.
 #pragma once
 
 #include <array>
@@ -78,8 +78,10 @@ struct EpochRow {
   std::uint64_t messages = 0;  ///< non-empty pair blocks moved
   std::array<std::uint64_t, kNumWidths> wire_bytes{};  ///< header-less, by width
 
-  // Realized exchange||compute concurrency from stage timestamps
-  // (AdaQP fused layer graphs; zero for methods without them).
+  // Realized exchange||compute concurrency: the sum of the epoch's profiled
+  // segments (obs/profile.h), so zero with ADAQP_PROFILE=0. Methods without
+  // compute stages in their layer graphs have zero compute_busy_s, and so
+  // zero efficiency().
   OverlapAccum fwd_overlap;
   OverlapAccum bwd_overlap;
 };

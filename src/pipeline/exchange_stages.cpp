@@ -256,12 +256,11 @@ PairStages add_forward_exchange_stages(StageGraph& graph,
   return out;
 }
 
-PairStages add_backward_exchange_stages(StageGraph& graph,
-                                        const DistGraph& dist,
-                                        std::vector<Matrix>& grads,
-                                        const ExchangePlan& plan,
-                                        ExchangeAccounting& acct,
-                                        const BackwardStageDeps& deps) {
+void add_backward_exchange_stages(StageGraph& graph, const DistGraph& dist,
+                                  std::vector<Matrix>& grads,
+                                  const ExchangePlan& plan,
+                                  ExchangeAccounting& acct,
+                                  const BackwardStageDeps& deps) {
   const int n = dist.num_devices();
   ADAQP_CHECK(static_cast<int>(grads.size()) == n);
   check_plan_shape(dist, plan, /*forward=*/false);
@@ -271,9 +270,8 @@ PairStages add_backward_exchange_stages(StageGraph& graph,
     return d < static_cast<int>(hook.size()) ? hook[d] : -1;
   };
 
-  PairStages out;
-  out.stage.assign(n, std::vector<int>(n, -1));
-  out.owner_stage.assign(n, -1);
+  // enc[d][p]: id of the encode stage for message d -> p, or -1.
+  std::vector<std::vector<int>> enc(n, std::vector<int>(n, -1));
 
   // Phase 1 stages — per-pair encode of the halo-row gradients bound for
   // owner p. Reads only the sender's halo rows; owners accumulate only into
@@ -302,7 +300,7 @@ PairStages add_backward_exchange_stages(StageGraph& graph,
                 acct.channel, /*direction=*/1, d, p))
           acc.push_back(analysis::write_of(slot, 1, name + ".wire_slot"));
       }
-      out.stage[d][p] = graph.add(
+      enc[d][p] = graph.add(
           name,
           [&dist, &grads, &plan, &acct, d, p] {
             if (!acct.sends(d, p)) return;
@@ -332,7 +330,7 @@ PairStages add_backward_exchange_stages(StageGraph& graph,
   for (int p = 0; p < n; ++p) {
     std::vector<int> acc_deps;
     for (int d = 0; d < n; ++d)
-      if (out.stage[d][p] >= 0) acc_deps.push_back(out.stage[d][p]);
+      if (enc[d][p] >= 0) acc_deps.push_back(enc[d][p]);
     if (acc_deps.empty()) continue;
     if (const int dep = extra_dep(deps.accumulate, p); dep >= 0)
       acc_deps.push_back(dep);
@@ -340,7 +338,7 @@ PairStages add_backward_exchange_stages(StageGraph& graph,
     AccessList acc;
     if (analysis::racecheck_enabled()) {
       for (int d = 0; d < n; ++d) {
-        if (out.stage[d][p] < 0) continue;
+        if (enc[d][p] < 0) continue;
         acc.push_back(analysis::read_of(&acct.blocks[d][p],
                                         sizeof(acct.blocks[d][p]),
                                         stage_name("bwd-enc", d, p) +
@@ -353,7 +351,7 @@ PairStages add_backward_exchange_stages(StageGraph& graph,
           acc.push_back(analysis::write_of(slot, 1, name + ".wire_slot"));
       }
     }
-    out.owner_stage[p] = graph.add(
+    graph.add(
         name,
         [&dist, &grads, &acct, p, n] {
           // Persistent per-owner staging (capacity kept across rounds); the
@@ -394,7 +392,7 @@ PairStages add_backward_exchange_stages(StageGraph& graph,
   for (int d = 0; d < n; ++d) {
     std::vector<int> zero_deps;
     for (int p = 0; p < n; ++p)
-      if (out.stage[d][p] >= 0) zero_deps.push_back(out.stage[d][p]);
+      if (enc[d][p] >= 0) zero_deps.push_back(enc[d][p]);
     if (const int dep = extra_dep(deps.zero, d); dep >= 0)
       zero_deps.push_back(dep);
     const DeviceGraph& dev = dist.devices[d];
@@ -416,7 +414,6 @@ PairStages add_backward_exchange_stages(StageGraph& graph,
         },
         zero_deps, std::move(acc));
   }
-  return out;
 }
 
 ExchangeStats finalize_exchange_stats(const ExchangeAccounting& acct,

@@ -37,14 +37,11 @@
 
 namespace adaqp::pipeline {
 
-/// Per-pair stage ids of one exchange added to a StageGraph.
+/// Per-pair stage ids of one forward exchange added to a StageGraph.
 struct PairStages {
-  /// stage[d][p]: id of the encode stage for message d -> p, or -1 when the
-  /// pair exchanges nothing.
+  /// stage[d][p]: id of the stage for message d -> p, or -1 when the pair
+  /// exchanges nothing.
   std::vector<std::vector<int>> stage;
-  /// Backward only: per-owner decode/accumulate stage ids (-1 when the
-  /// owner receives nothing).
-  std::vector<int> owner_stage;
 };
 
 /// Storage the exchange stages write into; owned by the caller and must
@@ -133,12 +130,11 @@ struct BackwardStageDeps {
 /// Add backward stages: per-pair encodes of halo-row gradients, per-owner
 /// accumulate stages (senders folded ascending), and per-device halo-zero
 /// stages gated on that device's encodes — plus any extra `deps` hooks.
-PairStages add_backward_exchange_stages(StageGraph& graph,
-                                        const DistGraph& dist,
-                                        std::vector<Matrix>& grads,
-                                        const ExchangePlan& plan,
-                                        ExchangeAccounting& acct,
-                                        const BackwardStageDeps& deps = {});
+void add_backward_exchange_stages(StageGraph& graph, const DistGraph& dist,
+                                  std::vector<Matrix>& grads,
+                                  const ExchangePlan& plan,
+                                  ExchangeAccounting& acct,
+                                  const BackwardStageDeps& deps = {});
 
 /// Fold the per-pair byte counts into ExchangeStats (kernel times in fixed
 /// (d, p) order, then the ring-all2all straggler time). Call after the

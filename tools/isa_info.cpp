@@ -2,8 +2,7 @@
 // the detected best and the full supported list with --verbose. Honors
 // ADAQP_ISA (and exits non-zero with its strict-parse message on a bad
 // value), so `ADAQP_ISA=... ./isa_info` answers "what would the library
-// actually run?". scripts/bench.sh records the plain output in every
-// BENCH_runtime.json run record.
+// actually run?".
 #include <cstring>
 #include <exception>
 #include <iostream>

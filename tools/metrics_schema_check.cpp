@@ -10,7 +10,7 @@
 // Exit 0 with a one-line summary when the report is schema-valid; exit 1
 // with the first violation otherwise. Unknown schema versions — of the
 // report or of the profile section — are violations, not warnings.
-// scripts/bench.sh and CI run this on every report they produce.
+// CI runs this on every report it uploads; ctest on a quickstart report.
 #include <cstdio>
 #include <fstream>
 #include <sstream>

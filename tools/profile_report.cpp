@@ -2,30 +2,22 @@
 // (docs/OBSERVABILITY.md, "Regression gate").
 //
 //   ./profile_report <current.json> [baseline.json]
-//       [--max-wall-regress-pct P]   (default 50)
-//       [--max-share-regress-pp P]   (default 15)
-//       [--warn-only]
 //
-// <current.json> is an ADAQP_METRICS run report carrying a profile section.
-// [baseline.json] is either another metrics report or a BENCH_runtime.json
-// history (schema adaqp-bench-v2) — in the latter case the newest run whose
-// metrics_report entry carries a profile summary becomes the baseline, so
-// scripts/bench.sh and CI gate every run against the recorded trajectory
-// with no extra bookkeeping.
+// Both files are ADAQP_METRICS run reports (schema adaqp-metrics-v1).
 //
 // Prints a top-down attribution of the current profile (epoch-mean over warm
-// epochs) with the critical path of its dominant segment, then — when a
-// baseline resolves — the comparison: attributed-wall growth in percent and
-// per-category share growth in percentage points. Exit 0 within thresholds
-// (or nothing to gate), 1 on a regression (suppressed by --warn-only), 2 on
-// usage/parse errors.
+// epochs) with the critical path of its dominant segment, then — given a
+// baseline — the comparison: attributed-wall growth in percent and
+// per-category share growth in percentage points, against fixed thresholds
+// (kMaxWallRegressPct, kMaxShareRegressPp). Exit 0 within thresholds, or
+// when the current report has no profile section (ADAQP_PROFILE=0); 1 on a
+// regression; 2 on usage/parse errors and on a baseline that is not a
+// metrics report with a profile section.
 //
 // Dependency-free on purpose (tools/json_mini.h, like metrics_schema_check):
 // the gate must not link the library it judges.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -47,9 +39,13 @@ const char* const kAttributionKeys[] = {
     "central_s", "marginal_s", "encode_s",    "wire_s",       "decode_s",
     "fold_s",    "other_s",    "optimizer_s", "scheduling_s", "serial_s"};
 
-/// Epoch-mean profile summary — the unit of comparison. Either computed
-/// from a metrics report's profile.epochs or read back from a bench
-/// history's profile summary object.
+// Regression thresholds: growth of the epoch-mean attributed wall, in
+// percent, and of any category's share of it, in percentage points.
+constexpr double kMaxWallRegressPct = 50.0;
+constexpr double kMaxShareRegressPp = 15.0;
+
+/// Epoch-mean profile summary of one metrics report — the unit of
+/// comparison.
 struct ProfileSummary {
   double attributed_wall_s = 0.0;
   std::map<std::string, double> attribution_s;
@@ -129,54 +125,6 @@ ProfileSummary summarize_metrics_report(const Value& root,
   return sum;
 }
 
-/// Read a pre-computed profile summary (the scripts/bench.sh
-/// metrics_summary "profile" object) back into a ProfileSummary.
-ProfileSummary summary_from_bench(const Value& profile,
-                                  const std::string& label) {
-  ProfileSummary sum;
-  sum.label = label;
-  sum.attributed_wall_s = num_or(profile, "mean_attributed_wall_s", 0.0);
-  sum.critical_path_s = num_or(profile, "mean_critical_path_s", 0.0);
-  sum.zero_wire_s = num_or(profile, "mean_zero_wire_s", 0.0);
-  sum.infinite_thread_s = num_or(profile, "mean_infinite_thread_s", 0.0);
-  if (const Value* attr = member(profile, "attribution_s"))
-    for (const char* k : kAttributionKeys)
-      sum.attribution_s[k] = num_or(*attr, k, 0.0);
-  sum.epochs = static_cast<int>(num_or(profile, "epochs", 0.0));
-  if (sum.epochs == 0 && sum.attributed_wall_s > 0.0) sum.epochs = 1;
-  return sum;
-}
-
-/// Baseline resolution: a metrics report is summarized directly; a bench
-/// history (adaqp-bench-v2) is scanned newest-first for a metrics_report
-/// entry whose summary carries a profile block.
-ProfileSummary resolve_baseline(const Value& root, const std::string& path) {
-  const Value* schema = member(root, "schema");
-  if (schema != nullptr && schema->type == Value::kString &&
-      schema->str == "adaqp-metrics-v1")
-    return summarize_metrics_report(root, path);
-  const Value* runs = member(root, "runs");
-  if (runs == nullptr || runs->type != Value::kArray) return ProfileSummary{};
-  for (std::size_t i = runs->array.size(); i-- > 0;) {
-    const Value* entries = member(*runs->array[i], "entries");
-    if (entries == nullptr || entries->type != Value::kArray) continue;
-    for (const ValuePtr& entry : entries->array) {
-      const Value* bench = member(*entry, "bench");
-      if (bench == nullptr || bench->type != Value::kString ||
-          bench->str != "metrics_report")
-        continue;
-      const Value* summary = member(*entry, "summary");
-      if (summary == nullptr) continue;
-      const Value* profile = member(*summary, "profile");
-      if (profile == nullptr) continue;
-      ProfileSummary sum = summary_from_bench(
-          *profile, path + " (run " + std::to_string(i) + ")");
-      if (sum.epochs > 0) return sum;
-    }
-  }
-  return ProfileSummary{};
-}
-
 void print_summary(const ProfileSummary& sum, const Value& root) {
   std::printf("profile_report: %s\n", sum.label.c_str());
   const Value* method = member(root, "method");
@@ -253,8 +201,7 @@ void print_summary(const ProfileSummary& sum, const Value& root) {
   }
 }
 
-int compare(const ProfileSummary& cur, const ProfileSummary& base,
-            double max_wall_pct, double max_share_pp, bool warn_only) {
+int compare(const ProfileSummary& cur, const ProfileSummary& base) {
   std::printf("profile_report: baseline %s (%d epoch(s), wall %.6f s)\n",
               base.label.c_str(), base.epochs, base.attributed_wall_s);
   int regressions = 0;
@@ -262,9 +209,9 @@ int compare(const ProfileSummary& cur, const ProfileSummary& base,
     const double pct = 100.0 *
                        (cur.attributed_wall_s - base.attributed_wall_s) /
                        base.attributed_wall_s;
-    const bool bad = pct > max_wall_pct;
+    const bool bad = pct > kMaxWallRegressPct;
     std::printf("  attributed wall: %+.1f%% (threshold +%.1f%%)%s\n", pct,
-                max_wall_pct, bad ? "  REGRESSION" : "");
+                kMaxWallRegressPct, bad ? "  REGRESSION" : "");
     regressions += bad ? 1 : 0;
   }
   for (const char* k : kAttributionKeys) {
@@ -280,64 +227,31 @@ int compare(const ProfileSummary& cur, const ProfileSummary& base,
             : 0.0;
     const double pp = cur_share - base_share;
     if (cur_share < 0.05 && base_share < 0.05) continue;
-    const bool bad = pp > max_share_pp;
+    const bool bad = pp > kMaxShareRegressPp;
     std::printf(
         "  %-14s share %5.1f%% -> %5.1f%% (%+.1f pp, threshold +%.1f pp)%s\n",
-        k, base_share, cur_share, pp, max_share_pp, bad ? "  REGRESSION" : "");
+        k, base_share, cur_share, pp, kMaxShareRegressPp,
+        bad ? "  REGRESSION" : "");
     regressions += bad ? 1 : 0;
   }
   if (regressions == 0) {
     std::printf("profile_report: PASS (no regression past thresholds)\n");
     return 0;
   }
-  std::printf("profile_report: %d regression(s) past thresholds%s\n",
-              regressions, warn_only ? " [warn-only]" : "");
-  return warn_only ? 0 : 1;
+  std::printf("profile_report: %d regression(s) past thresholds\n",
+              regressions);
+  return 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string current_path;
-  std::string baseline_path;
-  double max_wall_pct = 50.0;
-  double max_share_pp = 15.0;
-  bool warn_only = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "profile_report: %s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--max-wall-regress-pct") {
-      max_wall_pct = std::atof(next());
-    } else if (arg == "--max-share-regress-pp") {
-      max_share_pp = std::atof(next());
-    } else if (arg == "--warn-only") {
-      warn_only = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "profile_report: unknown flag %s\n", arg.c_str());
-      return 2;
-    } else if (current_path.empty()) {
-      current_path = arg;
-    } else if (baseline_path.empty()) {
-      baseline_path = arg;
-    } else {
-      std::fprintf(stderr, "profile_report: too many positional args\n");
-      return 2;
-    }
-  }
-  if (current_path.empty()) {
+  if (argc < 2 || argc > 3) {
     std::fprintf(stderr,
-                 "usage: profile_report <current.json> [baseline.json]\n"
-                 "  [--max-wall-regress-pct P] [--max-share-regress-pp P]\n"
-                 "  [--warn-only]\n");
+                 "usage: profile_report <current.json> [baseline.json]\n");
     return 2;
   }
-
+  const std::string current_path = argv[1];
   std::string error;
   const ValuePtr current = parse_file(current_path, error);
   if (current == nullptr) {
@@ -354,18 +268,27 @@ int main(int argc, char** argv) {
   }
   print_summary(cur, *current);
 
-  if (baseline_path.empty()) return 0;
+  if (argc < 3) return 0;
+  const std::string baseline_path = argv[2];
   const ValuePtr baseline = parse_file(baseline_path, error);
   if (baseline == nullptr) {
     std::fprintf(stderr, "profile_report: %s\n", error.c_str());
     return 2;
   }
-  const ProfileSummary base = resolve_baseline(*baseline, baseline_path);
+  // A baseline that cannot be compared is an error, not a pass: a gate
+  // that silently compares nothing looks exactly like one that passed.
+  const Value* schema = member(*baseline, "schema");
+  const ProfileSummary base =
+      schema != nullptr && schema->type == Value::kString &&
+              schema->str == "adaqp-metrics-v1"
+          ? summarize_metrics_report(*baseline, baseline_path)
+          : ProfileSummary{};
   if (base.epochs == 0) {
-    std::printf(
-        "profile_report: no profiled baseline in %s — nothing to gate\n",
-        baseline_path.c_str());
-    return 0;
+    std::fprintf(stderr,
+                 "profile_report: baseline %s is not an adaqp-metrics-v1 "
+                 "report with a profile section\n",
+                 baseline_path.c_str());
+    return 2;
   }
-  return compare(cur, base, max_wall_pct, max_share_pp, warn_only);
+  return compare(cur, base);
 }
