@@ -1245,7 +1245,6 @@ RunResult run_training(const Dataset& dataset, const ClusterSpec& cluster,
   mc.out_dim = dataset.num_classes();
   mc.num_layers = 3;
   mc.dropout = 0.5f;
-  mc.layer_norm = true;
 
   DistTrainer trainer(dataset, dist, cluster, mc, opts);
   return trainer.run();

@@ -172,7 +172,6 @@ class DistTrainer {
 
   GnnModel& model() { return model_; }
   const DistGraph& dist() const { return dist_; }
-  int current_epoch() const { return epoch_; }
   double assign_seconds() const { return assign_seconds_; }
   std::size_t total_comm_bytes() const { return total_comm_bytes_; }
 

@@ -23,8 +23,6 @@ double aggregation_coefficient(Aggregator agg, std::uint32_t deg_u,
                              static_cast<double>(deg_v + 1));
     case Aggregator::kSageMean:
       return deg_v == 0 ? 0.0 : 1.0 / static_cast<double>(deg_v);
-    case Aggregator::kSum:
-      return 1.0;
   }
   return 0.0;
 }
@@ -35,8 +33,6 @@ double self_coefficient(Aggregator agg, std::uint32_t deg_v) {
       return 1.0 / static_cast<double>(deg_v + 1);
     case Aggregator::kSageMean:
       return 0.0;  // SAGE handles the self path through W_self
-    case Aggregator::kSum:
-      return 1.0;
   }
   return 0.0;
 }

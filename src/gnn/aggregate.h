@@ -23,7 +23,6 @@ namespace adaqp {
 enum class Aggregator {
   kGcn,       ///< symmetric normalization 1/sqrt((d_u+1)(d_v+1)) + self term
   kSageMean,  ///< mean of neighbors; self path through a separate weight
-  kSum,       ///< GIN-style unweighted sum (neighbors + self), coefficient 1
 };
 
 /// Aggregation coefficient α(u,v) for an edge from u into v.

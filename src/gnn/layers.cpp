@@ -143,10 +143,8 @@ void GnnLayer::forward_prepare(const DeviceGraph& dev, LayerCache& cache,
   }
   if (config_.is_output) return;
   ensure(cache.pre_act, owned, config_.out_dim);
-  if (config_.layer_norm) {
-    ensure(cache.ln.normalized, owned, config_.out_dim);
-    cache.ln.rstd.resize(owned);  // lint:allow(hot-path-alloc) capacity retained
-  }
+  ensure(cache.ln.normalized, owned, config_.out_dim);
+  cache.ln.rstd.resize(owned);  // lint:allow(hot-path-alloc) capacity retained
   if (training && config_.dropout > 0.0f) {
     // Row-major over all owned rows, drawn once per epoch by dropout_mask,
     // so the device stream does not depend on how the rows are split.
@@ -188,14 +186,7 @@ void GnnLayer::forward_rows(const DeviceGraph& dev, const Matrix& x_local,
   }
 
   if (!config_.is_output) {
-    if (config_.layer_norm) {
-      norm_.forward_rows(cache.pre_norm, cache.pre_act, cache.ln, rows);
-    } else {
-      for (NodeId v : rows) {
-        const auto src = cache.pre_norm.row(v);
-        std::copy(src.begin(), src.end(), cache.pre_act.row(v).begin());
-      }
-    }
+    norm_.forward_rows(cache.pre_norm, cache.pre_act, cache.ln, rows);
     // ReLU and the pre-drawn dropout mask, fused row-wise.
     for (NodeId v : rows) {
       const auto src = cache.pre_act.row(v);
@@ -267,19 +258,10 @@ void GnnLayer::backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
         dst[c] = pre[c] > 0.0f ? dpost : 0.0f;
       }
     }
-    if (config_.layer_norm) {
-      sink.gamma.reshape_zero(1, config_.out_dim);
-      sink.beta.reshape_zero(1, config_.out_dim);
-      norm_.backward_rows(s.dpre_act, cache.ln, s.dpre_norm, sink.gamma,
-                          sink.beta, rows);
-    } else {
-      clear_once(sink.gamma);
-      clear_once(sink.beta);
-      for (NodeId r : rows) {
-        const auto src = s.dpre_act.row(r);
-        std::copy(src.begin(), src.end(), s.dpre_norm.row(r).begin());
-      }
-    }
+    sink.gamma.reshape_zero(1, config_.out_dim);
+    sink.beta.reshape_zero(1, config_.out_dim);
+    norm_.backward_rows(s.dpre_act, cache.ln, s.dpre_norm, sink.gamma,
+                        sink.beta, rows);
   } else {
     clear_once(sink.gamma);
     clear_once(sink.beta);
@@ -322,7 +304,7 @@ void GnnLayer::backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
 std::vector<Param*> GnnLayer::params() {
   std::vector<Param*> out{&weight_};
   if (weight_self_.size() > 0) out.push_back(&weight_self_);  // lint:allow(hot-path-alloc) setup; trainer caches result
-  if (!config_.is_output && config_.layer_norm) {
+  if (!config_.is_output) {
     out.push_back(&norm_.gamma);  // lint:allow(hot-path-alloc) setup; trainer caches result
     out.push_back(&norm_.beta);  // lint:allow(hot-path-alloc) setup; trainer caches result
   }
@@ -332,10 +314,6 @@ std::vector<Param*> GnnLayer::params() {
 std::vector<const Param*> GnnLayer::params() const {
   auto mutable_params = const_cast<GnnLayer*>(this)->params();
   return {mutable_params.begin(), mutable_params.end()};
-}
-
-void GnnLayer::zero_grad() {
-  for (Param* p : params()) p->zero_grad();
 }
 
 std::size_t GnnLayer::grad_bytes() const {

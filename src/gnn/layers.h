@@ -67,7 +67,6 @@ struct LayerConfig {
   std::size_t in_dim = 0;
   std::size_t out_dim = 0;
   bool is_output = false;   ///< output layer: no norm/activation/dropout
-  bool layer_norm = true;
   float dropout = 0.5f;
 };
 
@@ -182,8 +181,6 @@ class GnnLayer {
   /// All trainable parameters (for Adam / allreduce).
   std::vector<Param*> params();
   std::vector<const Param*> params() const;
-
-  void zero_grad();
 
   /// Bytes of all parameter gradients (model-gradient allreduce volume).
   std::size_t grad_bytes() const;

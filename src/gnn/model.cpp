@@ -18,7 +18,6 @@ GnnModel::GnnModel(const ModelConfig& config, Rng& rng) : config_(config) {
     lc.out_dim = l == config.num_layers - 1 ? config.out_dim
                                             : config.hidden_dim;
     lc.is_output = l == config.num_layers - 1;
-    lc.layer_norm = config.layer_norm;
     lc.dropout = config.dropout;
     layers_.emplace_back(lc);  // lint:allow(hot-path-alloc) ctor
     layers_.back().init_weights(rng);
@@ -32,41 +31,10 @@ std::vector<Param*> GnnModel::params() {
   return out;
 }
 
-void GnnModel::zero_grad() {
-  for (auto& layer : layers_) layer.zero_grad();
-}
-
-void GnnModel::scale_grads(float s) {
-  for (Param* p : params()) p->grad.scale_inplace(s);
-}
-
 std::size_t GnnModel::grad_bytes() const {
   std::size_t total = 0;
   for (const auto& layer : layers_) total += layer.grad_bytes();
   return total;
-}
-
-Matrix GnnModel::flatten_grads() const {
-  std::size_t total = 0;
-  for (const Param* p : const_cast<GnnModel*>(this)->params())
-    total += p->size();
-  Matrix flat(1, total);
-  std::size_t at = 0;
-  for (const Param* p : const_cast<GnnModel*>(this)->params()) {
-    std::copy(p->grad.data(), p->grad.data() + p->size(), flat.data() + at);
-    at += p->size();
-  }
-  return flat;
-}
-
-void GnnModel::unflatten_grads(const Matrix& flat) {
-  std::size_t at = 0;
-  for (Param* p : params()) {
-    ADAQP_CHECK(at + p->size() <= flat.size());
-    std::copy(flat.data() + at, flat.data() + at + p->size(), p->grad.data());
-    at += p->size();
-  }
-  ADAQP_CHECK(at == flat.size());
 }
 
 }  // namespace adaqp

@@ -30,13 +30,11 @@ struct ModelConfig {
   std::size_t out_dim = 0;
   int num_layers = 3;            ///< paper uses 3-layer models
   float dropout = 0.5f;
-  bool layer_norm = true;
 
   std::string name() const {
     switch (aggregator) {
       case Aggregator::kGcn: return "GCN";
       case Aggregator::kSageMean: return "GraphSAGE";
-      case Aggregator::kSum: return "GIN-sum";
     }
     return "?";
   }
@@ -56,15 +54,8 @@ class GnnModel {
   std::size_t layer_out_dim(int l) const { return layers_[l].config().out_dim; }
 
   std::vector<Param*> params();
-  void zero_grad();
-  /// Scale every parameter gradient by `s` (gradient averaging).
-  void scale_grads(float s);
   /// Total gradient bytes (model-gradient allreduce volume).
   std::size_t grad_bytes() const;
-
-  /// Flatten all grads into one matrix per device for allreduce simulation.
-  Matrix flatten_grads() const;
-  void unflatten_grads(const Matrix& flat);
 
  private:
   ModelConfig config_;

@@ -38,7 +38,6 @@ class Graph {
   }
 
   const std::vector<EdgeIdx>& offsets() const { return offsets_; }
-  const std::vector<NodeId>& neighbor_array() const { return neighbors_; }
 
   bool has_edge(NodeId u, NodeId v) const;
 

@@ -9,7 +9,6 @@
 namespace {
 
 constinit std::atomic<std::uint64_t> g_allocs{0};
-constinit std::atomic<std::uint64_t> g_deallocs{0};
 
 /// Allocate `size` bytes (never 0) or return nullptr. All replaced operator
 /// new forms funnel through here / through aligned_alloc_counted, so the
@@ -25,12 +24,6 @@ void* aligned_alloc_counted(std::size_t size, std::size_t align) noexcept {
   void* p = nullptr;
   if (posix_memalign(&p, align, size != 0 ? size : 1) != 0) return nullptr;
   return p;
-}
-
-void free_counted(void* p) noexcept {
-  if (p == nullptr) return;
-  g_deallocs.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
 }
 
 /// Standard retry loop for the throwing forms: give the installed
@@ -53,10 +46,6 @@ std::uint64_t alloc_count() {
   return g_allocs.load(std::memory_order_relaxed);
 }
 
-std::uint64_t dealloc_count() {
-  return g_deallocs.load(std::memory_order_relaxed);
-}
-
 bool track_enabled() {
   static const bool on = env::flag01("ADAQP_ALLOC_TRACK", false);
   return on;
@@ -74,9 +63,10 @@ const char* steady_state_definition() {
 // ---- Replaced global allocation functions ----------------------------------
 //
 // Every form is replaced so nothing escapes the count: plain, array,
-// nothrow, aligned, and the matching sized/aligned deletes. Allocation goes
-// through std::malloc, so sanitizer runs still intercept the underlying
-// allocation (ASan/TSan wrap malloc, not just operator new).
+// nothrow, aligned, and the matching sized/aligned deletes (which only pair
+// std::free with the malloc underneath). Allocation goes through
+// std::malloc, so sanitizer runs still intercept the underlying allocation
+// (ASan/TSan wrap malloc, not just operator new).
 
 void* operator new(std::size_t size) {
   return alloc_or_throw([size] { return alloc_counted(size); });
@@ -116,28 +106,28 @@ void* operator new[](std::size_t size, std::align_val_t align,
   return aligned_alloc_counted(size, static_cast<std::size_t>(align));
 }
 
-void operator delete(void* p) noexcept { free_counted(p); }
-void operator delete[](void* p) noexcept { free_counted(p); }
-void operator delete(void* p, std::size_t) noexcept { free_counted(p); }
-void operator delete[](void* p, std::size_t) noexcept { free_counted(p); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept {
-  free_counted(p);
+  std::free(p);
 }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  free_counted(p);
+  std::free(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept { free_counted(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { free_counted(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  free_counted(p);
+  std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  free_counted(p);
+  std::free(p);
 }
 void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  free_counted(p);
+  std::free(p);
 }
 void operator delete[](void* p, std::align_val_t,
                        const std::nothrow_t&) noexcept {
-  free_counted(p);
+  std::free(p);
 }

@@ -3,7 +3,7 @@
 //
 // Linking alloc_track.cpp into a binary replaces the global operator
 // new/delete (every form) with thin counting wrappers over std::malloc /
-// std::free. The counters are always on — two relaxed atomic increments per
+// std::free. The counter is always on — one relaxed atomic increment per
 // allocation, noise next to the allocation itself — so alloc_count() can be
 // sampled around any region to measure its heap traffic. The TU is part of
 // the adaqp static library and is pulled into a binary whenever anything it
@@ -24,8 +24,6 @@ namespace adaqp::memory {
 
 /// Total global operator-new calls (all forms) since process start.
 std::uint64_t alloc_count();
-/// Total global operator-delete calls on non-null pointers.
-std::uint64_t dealloc_count();
 
 /// ADAQP_ALLOC_TRACK=1 (strict parse, cached on first call). Controls the
 /// steady-state assertion, not the counting.

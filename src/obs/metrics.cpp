@@ -38,12 +38,6 @@ void Histogram::record(double v) {
   }
 }
 
-void Histogram::reset() {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
@@ -161,17 +155,6 @@ Registry::Snapshot Registry::snapshot() const {
     }
   }
   return snap;
-}
-
-void Registry::reset_values() {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  for (const Impl::Entry& e : impl_->entries) {
-    switch (e.kind) {
-      case Impl::kCounter: e.c->reset(); break;
-      case Impl::kGauge: e.g->reset(); break;
-      case Impl::kHistogram: e.h->reset(); break;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ class Counter {
  public:
   void add(std::uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -53,7 +52,6 @@ class Gauge {
   void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
   void add(std::int64_t d) { value_.fetch_add(d, std::memory_order_relaxed); }
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::int64_t> value_{0};
@@ -80,7 +78,6 @@ class Histogram {
   }
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
-  void reset();
 
  private:
   std::size_t num_bounds_ = 0;
@@ -117,9 +114,6 @@ class Registry {
   /// Copy of every instrument in registration order. Allocates — export
   /// and test use only.
   Snapshot snapshot() const;
-
-  /// Zero every registered instrument (tests).
-  void reset_values();
 
  private:
   Registry();

@@ -4,8 +4,11 @@
 // quality drives both the remote-neighbor ratio (Table 1) and the skew of
 // pairwise communication volumes (Fig. 2). We provide a multilevel
 // partitioner with the same architecture as METIS (heavy-edge-matching
-// coarsening → greedy initial partition → boundary refinement), a Fennel
-// streaming partitioner, and trivial baselines for tests and ablations.
+// coarsening → greedy initial partition → boundary refinement), which every
+// trainer, bench and example uses. Fennel (streaming), Range and Random stay
+// as cheaper fixtures with distinct cut shapes: tests use them where a
+// partition's exact layout matters more than its quality, and
+// examples/partition_explorer compares all four.
 #pragma once
 
 #include <memory>
@@ -72,20 +75,6 @@ class FennelPartitioner final : public Partitioner {
   double slack_;
 };
 
-/// Linear Deterministic Greedy (LDG) streaming partitioner (Stanton &
-/// Kliot): place each node in the part maximizing
-/// |neighbors already in part| * (1 - load/capacity).
-class LdgPartitioner final : public Partitioner {
- public:
-  explicit LdgPartitioner(double slack = 1.10) : slack_(slack) {}
-  PartitionResult partition(const Graph& g, int num_parts,
-                            Rng& rng) const override;
-  std::string name() const override { return "ldg"; }
-
- private:
-  double slack_;
-};
-
 /// METIS-style multilevel partitioner:
 ///  1. coarsen by heavy-edge matching until the graph is small,
 ///  2. partition the coarsest graph by greedy region growing,
@@ -108,7 +97,7 @@ class MultilevelPartitioner final : public Partitioner {
   Options opts_;
 };
 
-/// Factory by name ("random" | "range" | "fennel" | "ldg" | "multilevel").
+/// Factory by name ("random" | "range" | "fennel" | "multilevel").
 std::unique_ptr<Partitioner> make_partitioner(const std::string& name);
 
 }  // namespace adaqp

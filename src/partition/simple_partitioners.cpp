@@ -113,52 +113,10 @@ PartitionResult FennelPartitioner::partition(const Graph& g, int num_parts,
   return out;
 }
 
-PartitionResult LdgPartitioner::partition(const Graph& g, int num_parts,
-                                          Rng& rng) const {
-  ADAQP_CHECK(num_parts >= 1);
-  const std::size_t n = g.num_nodes();
-  PartitionResult out;
-  out.num_parts = num_parts;
-  out.part_of.assign(n, -1);
-  if (n == 0) return out;
-  const double cap = slack_ * static_cast<double>(n) / num_parts;
-
-  std::vector<std::size_t> load(num_parts, 0);
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  for (std::size_t i = n; i > 1; --i)
-    std::swap(order[i - 1], order[rng.uniform_int(i)]);
-
-  std::vector<int> nbr_count(num_parts);
-  for (NodeId v : order) {
-    std::fill(nbr_count.begin(), nbr_count.end(), 0);
-    for (NodeId u : g.neighbors(v))
-      if (out.part_of[u] >= 0) nbr_count[out.part_of[u]]++;
-    int best = -1;
-    double best_score = -std::numeric_limits<double>::infinity();
-    for (int p = 0; p < num_parts; ++p) {
-      if (static_cast<double>(load[p]) + 1.0 > cap) continue;
-      const double score = (static_cast<double>(nbr_count[p]) + 1e-9) *
-                           (1.0 - static_cast<double>(load[p]) / cap);
-      if (score > best_score) {
-        best_score = score;
-        best = p;
-      }
-    }
-    if (best < 0)
-      best = static_cast<int>(
-          std::min_element(load.begin(), load.end()) - load.begin());
-    out.part_of[v] = best;
-    load[best]++;
-  }
-  return out;
-}
-
 std::unique_ptr<Partitioner> make_partitioner(const std::string& name) {
   if (name == "random") return std::make_unique<RandomPartitioner>();
   if (name == "range") return std::make_unique<RangePartitioner>();
   if (name == "fennel") return std::make_unique<FennelPartitioner>();
-  if (name == "ldg") return std::make_unique<LdgPartitioner>();
   if (name == "multilevel") return std::make_unique<MultilevelPartitioner>();
   ADAQP_CHECK_MSG(false, "unknown partitioner '" << name << "'");
   return nullptr;

@@ -1,4 +1,4 @@
-// Data-parallel loop and task-group primitives on top of the thread pool.
+// Data-parallel loop primitives on top of the thread pool.
 //
 // parallel_for splits an index range into at most num_threads() contiguous
 // chunks. Chunk boundaries are a pure function of (n, grain, thread count),
@@ -14,11 +14,9 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "runtime/thread_pool.h"
 
@@ -77,23 +75,5 @@ void parallel_for_each(std::size_t n, Body&& body) {
       n, [](std::size_t i, void* p) { (*static_cast<BodyT*>(p))(i); },
       const_cast<void*>(static_cast<const void*>(std::addressof(body))));
 }
-
-/// A batch of heterogeneous tasks (typically one per simulated device)
-/// executed together on the global pool.
-class TaskGroup {
- public:
-  void add(std::function<void()> fn) { tasks_.push_back(std::move(fn)); }
-  std::size_t size() const { return tasks_.size(); }
-  bool empty() const { return tasks_.empty(); }
-
-  /// Run every added task (blocking), then clear the group for reuse.
-  void run_and_clear() {
-    parallel_for_each(tasks_.size(), [this](std::size_t i) { tasks_[i](); });
-    tasks_.clear();
-  }
-
- private:
-  std::vector<std::function<void()>> tasks_;
-};
 
 }  // namespace adaqp

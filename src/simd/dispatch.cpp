@@ -1,6 +1,5 @@
 // ISA resolution and the kernel registry (see isa.h / kernels.h).
 #include <atomic>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,22 +15,17 @@ namespace {
 /// -1 = no override, else static_cast<int>(Isa).
 std::atomic<int> g_override{-1};
 
-/// Cached merged table for the currently active ISA. Cleared (nullptr) by
+/// Cached table for the currently active ISA. Cleared (nullptr) by
 /// set/clear_isa_override so the next kernels() call re-resolves.
 std::atomic<const KernelTable*> g_active_table{nullptr};
-std::mutex g_resolve_mutex;
 
-/// Merged tables (ISA entries backfilled with scalar), built on demand;
-/// one slot per Isa enumerator.
-constexpr std::size_t kNumIsas = static_cast<std::size_t>(Isa::kNeon) + 1;
-KernelTable g_merged[kNumIsas];
-
+/// The scalar, AVX2 and AVX-512 tables set every entry, so the table of any
+/// supported ISA dispatches as is.
 const KernelTable* raw_table(Isa isa) {
   switch (isa) {
     case Isa::kScalar: return scalar_kernels();
     case Isa::kAvx2: return avx2_kernels();
     case Isa::kAvx512: return avx512_kernels();
-    case Isa::kNeon: return neon_kernels();
   }
   return nullptr;
 }
@@ -44,31 +38,6 @@ const KernelTable* raw_table(Isa isa) {
   throw std::runtime_error(msg.str());
 }
 
-/// Build the dispatch table for `isa`: every null entry falls back to the
-/// scalar reference, so a stub ISA (NEON today) still runs correctly.
-const KernelTable* merged_table(Isa isa) {
-  // The bound check is redundant (one slot per enumerator) but keeps GCC's
-  // array-bounds analysis quiet about the enum-indexed subscript.
-  const auto idx = static_cast<std::size_t>(isa);
-  KernelTable& merged = g_merged[idx < kNumIsas ? idx : 0];
-  const KernelTable* scalar = scalar_kernels();
-  const KernelTable* native = raw_table(isa);
-  merged = *scalar;
-  if (native != nullptr) {
-    if (native->row_minmax) merged.row_minmax = native->row_minmax;
-    if (native->quantize_pack) merged.quantize_pack = native->quantize_pack;
-    if (native->unpack_dequant) merged.unpack_dequant = native->unpack_dequant;
-    if (native->pack_bits) merged.pack_bits = native->pack_bits;
-    if (native->unpack_bits) merged.unpack_bits = native->unpack_bits;
-    if (native->axpy) merged.axpy = native->axpy;
-    if (native->scale_row) merged.scale_row = native->scale_row;
-    if (native->ef_fold) merged.ef_fold = native->ef_fold;
-    if (native->ef_residual) merged.ef_residual = native->ef_residual;
-    if (native->gather_axpy) merged.gather_axpy = native->gather_axpy;
-  }
-  return &merged;
-}
-
 }  // namespace
 
 const char* isa_name(Isa isa) {
@@ -76,7 +45,6 @@ const char* isa_name(Isa isa) {
     case Isa::kScalar: return "scalar";
     case Isa::kAvx2: return "avx2";
     case Isa::kAvx512: return "avx512";
-    case Isa::kNeon: return "neon";
   }
   return "unknown";
 }
@@ -85,10 +53,9 @@ Isa parse_isa(std::string_view value) {
   if (value == "scalar") return Isa::kScalar;
   if (value == "avx2") return Isa::kAvx2;
   if (value == "avx512") return Isa::kAvx512;
-  if (value == "neon") return Isa::kNeon;
   if (value == "native") return detected_isa();
   std::ostringstream msg;
-  msg << "ADAQP_ISA must be one of scalar|avx2|avx512|neon|native; "
+  msg << "ADAQP_ISA must be one of scalar|avx2|avx512|native; "
          "got \""
       << std::string(value) << "\"";
   throw std::runtime_error(msg.str());
@@ -101,8 +68,6 @@ Isa detected_isa() {
     return Isa::kAvx512;
   if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
   return Isa::kScalar;
-#elif defined(__aarch64__)
-  return Isa::kNeon;  // NEON is baseline on aarch64
 #else
   return Isa::kScalar;
 #endif
@@ -119,8 +84,6 @@ bool isa_supported(Isa isa) {
              __builtin_cpu_supports("avx512bw");
     default: return false;
   }
-#elif defined(__aarch64__)
-  return isa == Isa::kNeon;
 #else
   return false;
 #endif
@@ -128,7 +91,7 @@ bool isa_supported(Isa isa) {
 
 std::vector<Isa> supported_isas() {
   std::vector<Isa> out;
-  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512, Isa::kNeon})
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512})
     if (isa_supported(isa)) out.push_back(isa);
   return out;
 }
@@ -168,11 +131,8 @@ IsaGuard::~IsaGuard() {
 
 const KernelTable& kernels() {
   const KernelTable* table = g_active_table.load(std::memory_order_acquire);
-  if (table != nullptr) return *table;
-  std::lock_guard<std::mutex> lock(g_resolve_mutex);
-  table = g_active_table.load(std::memory_order_acquire);
   if (table == nullptr) {
-    table = merged_table(active_isa());
+    table = raw_table(active_isa());
     g_active_table.store(table, std::memory_order_release);
   }
   return *table;

@@ -1,9 +1,10 @@
 // Runtime ISA selection for the vector kernel library (src/simd/).
 //
 // The library ships one reference (scalar) implementation of every kernel
-// plus optional AVX2 / AVX-512 variants on x86-64 and a NEON stub
-// on aarch64, each compiled in its own translation unit with the matching
-// -m flags. Which variant runs is decided once at runtime:
+// plus AVX2 / AVX-512 variants on x86-64, each compiled in its own
+// translation unit with the matching -m flags. Other architectures run the
+// scalar reference, which by the contract below gives the same bits. Which
+// variant runs is decided once at runtime:
 //
 //   1. an in-process override installed via set_isa_override() (tests,
 //      benches and in-process sweeps), else
@@ -11,9 +12,9 @@
 //   3. cpuid detection of the best ISA the host supports.
 //
 // ADAQP_ISA parsing is strict, alongside ADAQP_ASYNC and ADAQP_THREADS:
-// accepted values are "scalar", "avx2", "avx512", "neon" and
-// "native" (= detected best); anything else throws std::runtime_error, as
-// does requesting an ISA the host cannot execute. Every kernel variant is
+// accepted values are "scalar", "avx2", "avx512" and "native" (= detected
+// best); anything else throws std::runtime_error, as does requesting an ISA
+// the host cannot execute. Every kernel variant is
 // wire-compatible by contract: codec streams are byte-identical and compute
 // kernels bit-identical across ISAs, so switching ISAs never changes
 // results, only throughput (tests/test_simd.cpp enforces this).
@@ -24,13 +25,12 @@
 
 namespace adaqp::simd {
 
-/// Kernel instruction-set variants, ordered weakest to strongest within an
-/// architecture. kScalar is the portable reference and always available.
+/// Kernel instruction-set variants, ordered weakest to strongest. kScalar
+/// is the portable reference and always available.
 enum class Isa {
   kScalar = 0,
   kAvx2,
   kAvx512,
-  kNeon,
 };
 
 /// Lower-case canonical name ("scalar", "avx2", ...), as accepted by
@@ -42,8 +42,7 @@ const char* isa_name(Isa isa);
 /// detected_isa()).
 Isa parse_isa(std::string_view value);
 
-/// Best ISA the host CPU can execute, via cpuid (x86) / architecture
-/// macros (aarch64).
+/// Best ISA the host CPU can execute, via cpuid (kScalar off x86).
 Isa detected_isa();
 
 /// True when the host can execute `isa`'s instructions.
@@ -58,7 +57,7 @@ std::vector<Isa> supported_isas();
 /// for an unsupported ISA.
 Isa active_isa();
 
-/// Force the dispatched ISA for the current process (pass kScalar..kNeon),
+/// Force the dispatched ISA for the current process (pass kScalar..kAvx512),
 /// or clear the override with clear_isa_override(). Throws if `isa` is not
 /// supported by the host. Takes effect on the next kernels() call; must not
 /// race with in-flight kernel work.

@@ -4,9 +4,8 @@
 // (kernels_scalar.cpp, kernels_avx2.cpp, ...) stay free of shared inline
 // code: a TU compiled with -mavx2 must never contribute an inline symbol
 // that a non-AVX host could end up executing, so this header is pure
-// declarations. kernels() returns the table for active_isa(); entries an
-// ISA does not implement are filled from the scalar reference table by the
-// registry, so callers never see a null pointer.
+// declarations. kernels() returns the table for active_isa(); every table
+// sets every entry.
 //
 // Determinism contract (what makes ADAQP_ISA a pure performance knob):
 //  - quantize_pack / unpack_dequant / pack_bits / unpack_bits produce
@@ -30,12 +29,9 @@
 //      integer packing, ...).
 //   2. Implement it in kernels_scalar.cpp — the reference, required; this
 //      is the behavior every other ISA must reproduce bit for bit.
-//   3. Optionally implement it in any kernels_<isa>.cpp; leave the slot
-//      null elsewhere — the registry backfills missing entries from the
-//      scalar table, so callers never see a null pointer.
-//   4. Wire the slot into dispatch.cpp's merged_table() so the backfill
-//      covers it.
-//   5. Extend tests/test_simd.cpp's cross-ISA sweep with the new kernel
+//   3. Implement it in kernels_avx2.cpp and kernels_avx512.cpp (a vector
+//      body over the scalar tail is enough); no table leaves a slot null.
+//   4. Extend tests/test_simd.cpp's cross-ISA sweep with the new kernel
 //      (byte- or bit-identity against scalar on every supported ISA).
 // Kernel TUs must stay free of shared inline code (the ODR note above),
 // and each TU keeps -ffp-contract=off (see CMakeLists.txt).
@@ -115,12 +111,11 @@ struct KernelTable {
 /// invalidates the cache. Thread-safe; throws on malformed ADAQP_ISA.
 const KernelTable& kernels();
 
-// Per-ISA table factories, defined one per translation unit. Return nullptr
-// when the library was not built for that architecture. Entries may be
-// null; the registry backfills them from scalar_kernels().
-const KernelTable* scalar_kernels();  // never null, all entries set
+// Per-ISA table factories, defined one per translation unit. Every entry of
+// a returned table is set. The x86 factories return nullptr when the
+// library was not built for x86; active_isa() never selects them then.
+const KernelTable* scalar_kernels();  // never null
 const KernelTable* avx2_kernels();
 const KernelTable* avx512_kernels();
-const KernelTable* neon_kernels();
 
 }  // namespace adaqp::simd

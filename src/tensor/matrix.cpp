@@ -88,7 +88,7 @@ void Matrix::scale_inplace(float alpha) {
 
 // GEMM kernels are cache-blocked over (j, k) tiles and parallelized over
 // row bands of C on the runtime's thread pool; the innermost j-loop is the
-// src/simd/ axpy microkernel (runtime-dispatched scalar/AVX2/AVX-512/NEON).
+// src/simd/ axpy microkernel (runtime-dispatched scalar/AVX2/AVX-512).
 // Every element C[i][j] accumulates its k products in ascending-k order
 // regardless of tile, band and vector-lane boundaries, and axpy is unfused
 // mul-then-add on every ISA, so results are bit-identical for every thread

@@ -75,10 +75,4 @@ const void* Inbox::slot(std::uint32_t channel, std::uint8_t direction,
   return &slots_[slot_key(channel, direction, src, dst)];
 }
 
-std::size_t Inbox::queued_frames() const {
-  std::size_t n = 0;
-  for (const auto& [key, q] : queues_) n += q.size();
-  return n;
-}
-
 }  // namespace adaqp::transport

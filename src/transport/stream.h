@@ -1,9 +1,6 @@
 // Byte-stream plumbing shared by the wire transports (docs/TRANSPORT.md):
 //
-//   ByteStream    minimal non-blocking octet stream (short reads and short
-//                 writes are the *normal* case, mirroring libharmonics'
-//                 stream_io layering the ROADMAP points at);
-//   MemoryPipe    in-process ByteStream — the fault decorator's wire;
+//   MemoryPipe    in-process octet pipe — the fault decorator's wire;
 //   FrameReader   incremental reassembly of framed messages from arbitrary
 //                 stream fragmentation, validating header + checksum;
 //   Inbox         tag-matched FIFO delivery queues + the stable
@@ -28,26 +25,15 @@
 
 namespace adaqp::transport {
 
-class ByteStream {
- public:
-  virtual ~ByteStream() = default;
-
-  /// Write up to data.size() bytes; returns how many were accepted
-  /// (possibly 0 when the stream would block). Never throws for back-
-  /// pressure — only for hard stream errors.
-  virtual std::size_t write_some(std::span<const std::uint8_t> data) = 0;
-
-  /// Read up to out.size() bytes into `out`; returns how many were read
-  /// (0 when nothing is available right now).
-  virtual std::size_t read_some(std::span<std::uint8_t> out) = 0;
-};
-
 /// Unbounded in-process byte pipe. Single-writer / single-reader under the
 /// owner's lock; used by FaultInjectingTransport as its in-process wire.
-class MemoryPipe final : public ByteStream {
+class MemoryPipe {
  public:
-  std::size_t write_some(std::span<const std::uint8_t> data) override;
-  std::size_t read_some(std::span<std::uint8_t> out) override;
+  /// Append every byte of `data`; returns data.size().
+  std::size_t write_some(std::span<const std::uint8_t> data);
+  /// Read up to out.size() bytes into `out`; returns how many were read
+  /// (0 when nothing is buffered).
+  std::size_t read_some(std::span<std::uint8_t> out);
 
   std::size_t pending() const { return buf_.size() - rd_; }
 
@@ -94,7 +80,6 @@ class Inbox {
                    int dst);
 
   bool empty() const { return queues_.empty(); }
-  std::size_t queued_frames() const;
 
  private:
   using TagKey = std::pair<std::uint64_t, std::uint64_t>;

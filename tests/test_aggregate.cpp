@@ -35,17 +35,6 @@ Matrix dense_gcn_matrix(const Graph& g) {
   return a;
 }
 
-/// Dense GIN-style sum matrix: A + I.
-Matrix dense_sum_matrix(const Graph& g) {
-  const std::size_t n = g.num_nodes();
-  Matrix a(n, n);
-  for (std::size_t v = 0; v < n; ++v) {
-    a.at(v, v) = 1.0f;
-    for (NodeId u : g.neighbors(static_cast<NodeId>(v))) a.at(v, u) = 1.0f;
-  }
-  return a;
-}
-
 /// Dense SAGE mean matrix: row v = 1/deg(v) over neighbors.
 Matrix dense_mean_matrix(const Graph& g) {
   const std::size_t n = g.num_nodes();
@@ -85,9 +74,8 @@ TEST_P(AggregatorKindTest, MatchesDensePropagationMatrix) {
   Matrix got;
   aggregate_forward(dist.devices[0], agg, x, got);
 
-  const Matrix a = agg == Aggregator::kGcn ? dense_gcn_matrix(g)
-                   : agg == Aggregator::kSum ? dense_sum_matrix(g)
-                                             : dense_mean_matrix(g);
+  const Matrix a =
+      agg == Aggregator::kGcn ? dense_gcn_matrix(g) : dense_mean_matrix(g);
   Matrix want;
   gemm(a, x, want);
   EXPECT_LT(max_abs_diff(got, want), 1e-5f);
@@ -163,8 +151,7 @@ TEST_P(AggregatorKindTest, RowSubsetMatchesFullRows) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, AggregatorKindTest,
                          ::testing::Values(Aggregator::kGcn,
-                                           Aggregator::kSageMean,
-                                           Aggregator::kSum));
+                                           Aggregator::kSageMean));
 
 TEST(AggregateFlops, CountsEdgesAndRows) {
   Graph g = star_graph(5);

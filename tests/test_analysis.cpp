@@ -369,7 +369,6 @@ TEST_P(RealSchedulesRacecheckClean, AllThreadCountsAsyncOnAndOff) {
       mc.out_dim = ds.spec.num_classes;
       mc.num_layers = 3;
       mc.dropout = 0.5f;
-      mc.layer_norm = true;
       TrainOptions opts;
       opts.method = method;
       opts.epochs = 3;

@@ -90,7 +90,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Case{"random", 2}, Case{"random", 4},
                       Case{"range", 2}, Case{"range", 4},
                       Case{"fennel", 2}, Case{"fennel", 4}, Case{"fennel", 8},
-                      Case{"ldg", 2}, Case{"ldg", 4}, Case{"ldg", 8},
                       Case{"multilevel", 2}, Case{"multilevel", 4},
                       Case{"multilevel", 8}));
 

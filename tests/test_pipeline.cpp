@@ -186,7 +186,6 @@ RunResult run_trainer(const Dataset& ds, const DistGraph& dist, Method method,
   mc.out_dim = ds.spec.num_classes;
   mc.num_layers = 3;
   mc.dropout = 0.5f;  // dropout on: the mask pre-draw must preserve streams
-  mc.layer_norm = true;
   TrainOptions opts;
   opts.method = method;
   opts.epochs = 6;
@@ -274,7 +273,6 @@ TrainerState run_and_capture(const Dataset& ds, const DistGraph& dist,
   mc.out_dim = ds.spec.num_classes;
   mc.num_layers = 3;
   mc.dropout = 0.5f;
-  mc.layer_norm = true;
   TrainOptions opts;
   opts.method = method;
   opts.epochs = 5;

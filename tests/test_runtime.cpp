@@ -73,19 +73,6 @@ TEST(ThreadPool, TaskExceptionsPropagateToCaller) {
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(TaskGroup, RunsEveryTaskAndClears) {
-  ThreadCountGuard guard(4);
-  std::vector<int> done(5, 0);
-  TaskGroup group;
-  for (std::size_t i = 0; i < done.size(); ++i)
-    group.add([&done, i] { done[i] = static_cast<int>(i) + 1; });
-  EXPECT_EQ(group.size(), 5u);
-  group.run_and_clear();
-  EXPECT_TRUE(group.empty());
-  for (std::size_t i = 0; i < done.size(); ++i)
-    EXPECT_EQ(done[i], static_cast<int>(i) + 1);
-}
-
 // ---- Kernel determinism across thread counts ------------------------------
 
 Matrix random_matrix(std::size_t r, std::size_t c, std::uint64_t seed) {
@@ -141,8 +128,7 @@ TEST(AggregateDeterminism, ForwardAndAdjointBitExactAcrossThreadCounts) {
   const auto part = MultilevelPartitioner().partition(g, 3, rng);
   const DistGraph dist = build_dist_graph(g, part);
 
-  for (const Aggregator agg :
-       {Aggregator::kGcn, Aggregator::kSageMean, Aggregator::kSum}) {
+  for (const Aggregator agg : {Aggregator::kGcn, Aggregator::kSageMean}) {
     for (const auto& dev : dist.devices) {
       const Matrix x = random_matrix(dev.num_local(), 9, 1000 + dev.device);
       const Matrix gout =
@@ -245,7 +231,6 @@ RunResult run_trainer(const Dataset& ds, const DistGraph& dist,
   mc.out_dim = ds.spec.num_classes;
   mc.num_layers = num_layers;
   mc.dropout = 0.5f;  // dropout on: per-device Rng streams must hold up
-  mc.layer_norm = true;
   TrainOptions opts;
   opts.method = method;
   opts.epochs = 6;

@@ -58,10 +58,9 @@ TEST(SimdDispatch, ParseAcceptsCanonicalNamesOnly) {
   EXPECT_EQ(simd::parse_isa("scalar"), Isa::kScalar);
   EXPECT_EQ(simd::parse_isa("avx2"), Isa::kAvx2);
   EXPECT_EQ(simd::parse_isa("avx512"), Isa::kAvx512);
-  EXPECT_EQ(simd::parse_isa("neon"), Isa::kNeon);
   EXPECT_EQ(simd::parse_isa("native"), simd::detected_isa());
   for (const char* bad :
-       {"", "AVX2", "avx-512", "sse42", "sse4.2", "best", "1", "0"})
+       {"", "AVX2", "avx-512", "sse42", "sse4.2", "neon", "best", "1", "0"})
     EXPECT_THROW(simd::parse_isa(bad), std::runtime_error) << bad;
 }
 
@@ -76,11 +75,7 @@ TEST(SimdDispatch, MalformedEnvValueRejected) {
 }
 
 TEST(SimdDispatch, UnsupportedIsaRequestRejected) {
-#if defined(__x86_64__) || defined(__i386__)
-  const Isa foreign = Isa::kNeon;  // never executable on x86
-#else
-  const Isa foreign = Isa::kAvx2;
-#endif
+  const Isa foreign = static_cast<Isa>(99);  // no host executes it
   ASSERT_FALSE(simd::isa_supported(foreign));
   EXPECT_THROW(simd::set_isa_override(foreign), std::runtime_error);
   ASSERT_EQ(setenv("ADAQP_ISA", isa_name(foreign), 1), 0);

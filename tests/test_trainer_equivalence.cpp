@@ -32,7 +32,6 @@ ModelConfig tiny_model(const DatasetSpec& spec, Aggregator agg) {
   mc.out_dim = spec.num_classes;
   mc.num_layers = 3;
   mc.dropout = 0.0f;  // determinism: quantization must be the only noise
-  mc.layer_norm = true;
   return mc;
 }
 

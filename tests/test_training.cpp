@@ -249,7 +249,6 @@ RunResult pin_train(const Dataset& ds, Method method, double drift = 0.30,
   mc.out_dim = ds.num_classes();
   mc.num_layers = 3;
   mc.dropout = 0.5f;
-  mc.layer_norm = true;
   TrainOptions opts;
   opts.method = method;
   opts.epochs = 6;
