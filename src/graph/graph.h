@@ -37,8 +37,6 @@ class Graph {
     return {neighbors_.data() + offsets_[v], degree(v)};
   }
 
-  const std::vector<EdgeIdx>& offsets() const { return offsets_; }
-
   bool has_edge(NodeId u, NodeId v) const;
 
   double average_degree() const {
