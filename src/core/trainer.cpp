@@ -187,6 +187,10 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
     bwd_graphs_.push_back(std::make_unique<LayerGraph>());
     bwd_graphs_.back()->acct.channel = transport::next_channel();
   }
+  // Evaluation's forward exchanges share one accounting on one channel,
+  // claimed once here, so evaluate() adds no channel (and no wire slots);
+  // every layer's exchange is a new round of it.
+  eval_acct_.channel = transport::next_channel();
 
   if (policy.defer) {
     pipegcn_bwd_scratch_.resize(num_layers_);
@@ -1080,14 +1084,22 @@ EpochRecord DistTrainer::train_epoch() {
 
 std::pair<double, double> DistTrainer::evaluate() {
   // Full-precision inference over private buffers (leaves training state —
-  // notably PipeGCN's stale halos — untouched).
+  // notably PipeGCN's stale halos — untouched). The exchange derives its
+  // per-pair streams from a private copy of the device streams, so training
+  // draws the same numbers with evaluation on or off; 32-bit messages draw
+  // nothing, so the copy changes no evaluation result either.
   std::vector<Matrix> x = features_;
-  const auto plan32 = [&](int /*l*/) {
-    return ExchangePlan::uniform_forward(dist_, 32);
-  };
+  std::vector<Rng> rngs = device_rngs_;
+  const ExchangePlan plan32 = ExchangePlan::uniform_forward(dist_, 32);
   std::vector<LayerCache> scratch(num_devices_);
   for (int l = 0; l < num_layers_; ++l) {
-    exchange_halo_forward(dist_, x, plan32(l), cluster_, device_rngs_);
+    // Arm the round before building the stages: the race-check annotations
+    // read the accounting's slots.
+    eval_acct_.init(num_devices_, rngs);
+    pipeline::StageGraph graph;
+    graph.set_label("evaluate/forward");
+    pipeline::add_forward_exchange_stages(graph, dist_, x, plan32, eval_acct_);
+    graph.run(async_pipeline_);
     std::vector<Matrix> next;
     next.reserve(num_devices_);
     for (int d = 0; d < num_devices_; ++d)

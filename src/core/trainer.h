@@ -413,6 +413,11 @@ class DistTrainer {
   std::vector<std::vector<Matrix>> sancus_snapshot_;   ///< [layer][device]
   std::vector<std::vector<Matrix>> sancus_diff_;       ///< [layer][device]
 
+  // Evaluation's forward exchange accounting, shared by its layers (one
+  // round each) on one transport channel claimed at construction, after the
+  // layer graphs'. One accounting keeps one layer's wire blocks, not all.
+  pipeline::ExchangeAccounting eval_acct_;
+
   // The per-(layer, direction) stage graphs; each claims its own transport
   // channel at construction, in layer order, forward before backward.
   // Declared last so they are destroyed (and a pending PipeGCN round

@@ -20,10 +20,11 @@
 //    ascending order — the same summation order as a serial d-outer sweep.
 //
 // Two owners build graphs from these stages, so there is exactly one
-// exchange implementation in the library: the trainer's persistent
-// per-(layer, direction) graphs (src/core/trainer.h), which PipeGCN also
-// launches in one epoch and joins in the next, and the one-shot
-// exchange_halo_forward / exchange_halo_backward (src/dist/halo_exchange.h).
+// exchange implementation in the library: the trainer (src/core/trainer.h)
+// — its persistent per-(layer, direction) graphs, which PipeGCN also
+// launches in one epoch and joins in the next, and evaluate()'s per-call
+// forward graphs — and the one-shot exchange_halo_forward /
+// exchange_halo_backward (src/dist/halo_exchange.h).
 #pragma once
 
 #include <vector>

@@ -118,10 +118,10 @@ class Transport {
 };
 
 /// Process-wide monotonically increasing exchange-channel ordinal. Every
-/// trainer layer graph claims one at construction and every one-shot
-/// exchange_halo_* call claims one per call; because that order is
-/// deterministic, replicated ranks derive identical channel ids without
-/// negotiation.
+/// trainer layer graph, and a trainer's evaluation, claims one at
+/// construction and every one-shot exchange_halo_* call claims one per
+/// call; because that order is deterministic, replicated ranks derive
+/// identical channel ids without negotiation.
 std::uint32_t next_channel();
 
 /// The active transport: the innermost ScopedTransport override when one is

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/trainer.h"
+#include "transport/transport.h"
 
 namespace adaqp {
 namespace {
@@ -235,7 +236,8 @@ struct PinnedRun {
 };
 
 RunResult pin_train(const Dataset& ds, Method method, double drift = 0.30,
-                    int devices = 4, Aggregator agg = Aggregator::kGcn) {
+                    int devices = 4, Aggregator agg = Aggregator::kGcn,
+                    bool eval_every_epoch = true) {
   Rng rng(4242);
   const auto part = MultilevelPartitioner().partition(ds.graph, devices, rng);
   const DistGraph dist = build_dist_graph(ds.graph, part);
@@ -255,6 +257,7 @@ RunResult pin_train(const Dataset& ds, Method method, double drift = 0.30,
   opts.seed = 31;
   opts.reassign_period = 3;
   opts.sancus_drift_threshold = drift;
+  opts.eval_every_epoch = eval_every_epoch;
   DistTrainer trainer(ds, dist, cluster, mc, opts);
   return trainer.run();
 }
@@ -298,14 +301,14 @@ void expect_pinned(Method method, const PinnedRun& want) {
 TEST(PinnedNumerics, Vanilla) {
   expect_pinned(Method::kVanilla,
                 {{0x3ffd46631a7c5e52ull, 0x3fce666666666666ull,
-                  0x3fd4cccccccccccdull, 0x3ffb950ba24ebb00ull,
-                  0x3fd999999999999aull, 0x3fdc000000000000ull,
-                  0x3ffa3baa1d06439aull, 0x3fe1333333333333ull,
-                  0x3fe2000000000000ull, 0x3ff862a4032fb8afull,
-                  0x3fe2cccccccccccdull, 0x3fe5333333333333ull,
-                  0x3ff6cc34fe48e262ull, 0x3fe6cccccccccccdull,
-                  0x3fe8cccccccccccdull, 0x3ff5ff0b891b5fc6ull,
-                  0x3fe9333333333333ull, 0x3fe9333333333333ull},
+                  0x3fd4cccccccccccdull, 0x3ffb43ceffa48a29ull,
+                  0x3fd8000000000000ull, 0x3fd8cccccccccccdull,
+                  0x3ffa6ea526429e09ull, 0x3fe0000000000000ull,
+                  0x3fe0cccccccccccdull, 0x3ff951855fd0734bull,
+                  0x3fe2000000000000ull, 0x3fe599999999999aull,
+                  0x3ff7a0cf6c4741dbull, 0x3fe599999999999aull,
+                  0x3fe8000000000000ull, 0x3ff5e6bb3135c00bull,
+                  0x3fe799999999999aull, 0x3fe8666666666666ull},
                  1230720u,
                  0x3f164e5091013587ull});
 }
@@ -313,14 +316,14 @@ TEST(PinnedNumerics, Vanilla) {
 TEST(PinnedNumerics, AdaQP) {
   expect_pinned(Method::kAdaQP,
                 {{0x3ffd46631a7c5e52ull, 0x3fce666666666666ull,
-                  0x3fd4cccccccccccdull, 0x3ffb9c282c8255c4ull,
-                  0x3fda666666666666ull, 0x3fdb333333333333ull,
-                  0x3ffa45547f22dccfull, 0x3fe1333333333333ull,
-                  0x3fe2000000000000ull, 0x3ff8659472c2c8a2ull,
-                  0x3fe2cccccccccccdull, 0x3fe5333333333333ull,
-                  0x3ff6c8567ef9bbc9ull, 0x3fe7333333333333ull,
-                  0x3fe8cccccccccccdull, 0x3ff5fd720c6ea94dull,
-                  0x3fe9333333333333ull, 0x3fe9333333333333ull},
+                  0x3fd4cccccccccccdull, 0x3ffb46c0f195b9eeull,
+                  0x3fd8000000000000ull, 0x3fd8cccccccccccdull,
+                  0x3ffa6568e6cbb587ull, 0x3fe0000000000000ull,
+                  0x3fe0666666666666ull, 0x3ff94edb5dec388dull,
+                  0x3fe2000000000000ull, 0x3fe599999999999aull,
+                  0x3ff79f24cc165f8bull, 0x3fe599999999999aull,
+                  0x3fe8000000000000ull, 0x3ff5e59321450779ull,
+                  0x3fe799999999999aull, 0x3fe8666666666666ull},
                  476480u,
                  0x3f1388ad4cb24b7full});
 }
@@ -328,14 +331,14 @@ TEST(PinnedNumerics, AdaQP) {
 TEST(PinnedNumerics, AdaQPUniform) {
   expect_pinned(Method::kAdaQPUniform,
                 {{0x3ffd46631a7c5e52ull, 0x3fce666666666666ull,
-                  0x3fd4cccccccccccdull, 0x3ffba4830cc6de7eull,
-                  0x3fda666666666666ull, 0x3fdc000000000000ull,
-                  0x3ffa2d00c31172d5ull, 0x3fe1333333333333ull,
-                  0x3fe2000000000000ull, 0x3ff863299c4d4170ull,
-                  0x3fe2cccccccccccdull, 0x3fe5333333333333ull,
-                  0x3ff6cc7aba46332full, 0x3fe6cccccccccccdull,
-                  0x3fe8cccccccccccdull, 0x3ff60dcb714d18a0ull,
-                  0x3fe9333333333333ull, 0x3fe9333333333333ull},
+                  0x3fd4cccccccccccdull, 0x3ffb3cd943cf319eull,
+                  0x3fd8cccccccccccdull, 0x3fd8cccccccccccdull,
+                  0x3ffa62c53ce3e8eeull, 0x3fe0666666666666ull,
+                  0x3fe1333333333333ull, 0x3ff957ad018cf9f3ull,
+                  0x3fe2000000000000ull, 0x3fe6000000000000ull,
+                  0x3ff7967c69891b6cull, 0x3fe599999999999aull,
+                  0x3fe8000000000000ull, 0x3ff5dd87ac8fd07cull,
+                  0x3fe799999999999aull, 0x3fe8666666666666ull},
                  465024u,
                  0x3f13a692d118cb3full});
 }
@@ -343,13 +346,13 @@ TEST(PinnedNumerics, AdaQPUniform) {
 TEST(PinnedNumerics, PipeGCN) {
   expect_pinned(Method::kPipeGCN,
                 {{0x3ffd46631a7c5e52ull, 0x3fce666666666666ull,
-                  0x3fd599999999999aull, 0x3ffc0c527c1b7399ull,
+                  0x3fd599999999999aull, 0x3ffc8984a4f7e087ull,
                   0x3fd8cccccccccccdull, 0x3fdc000000000000ull,
-                  0x3ffa624972a3bde0ull, 0x3fe0cccccccccccdull,
-                  0x3fe2666666666666ull, 0x3ff8a98ec7971b06ull,
-                  0x3fe4000000000000ull, 0x3fe6666666666666ull,
-                  0x3ff7bb8103ba9f43ull, 0x3fe6cccccccccccdull,
-                  0x3fe8666666666666ull, 0x3ff637ddafeaf0f7ull,
+                  0x3ffa1d72004b5a8dull, 0x3fe0cccccccccccdull,
+                  0x3fe199999999999aull, 0x3ff8ddaecd88b1b4ull,
+                  0x3fe3333333333333ull, 0x3fe6000000000000ull,
+                  0x3ff76f6bb166071dull, 0x3fe7333333333333ull,
+                  0x3fe8666666666666ull, 0x3ff669912f05cd03ull,
                   0x3fe8666666666666ull, 0x3fe8cccccccccccdull},
                  1230720u,
                  0x3f15c6978a759cefull});
@@ -362,11 +365,11 @@ TEST(PinnedNumerics, SingleDevice) {
   expect_pinned(
       pin_train(ds, Method::kVanilla, /*drift=*/0.30, /*devices=*/1),
       {{0x3ffd7f1f4a9bcb92ull, 0x3fd0000000000000ull, 0x3fd4cccccccccccdull,
-        0x3ffa57ba8fbe8bfeull, 0x3fd999999999999aull, 0x3fde666666666666ull,
-        0x3ff9639b21059f25ull, 0x3fe2000000000000ull, 0x3fe3333333333333ull,
-        0x3ff8670f41af66f9ull, 0x3fe599999999999aull, 0x3fe8000000000000ull,
-        0x3ff6d82fd91ca1ecull, 0x3fe799999999999aull, 0x3fe9333333333333ull,
-        0x3ff5f53f14a126e7ull, 0x3fe8666666666666ull, 0x3fe9333333333333ull},
+        0x3ffb03533bf1521full, 0x3fdb333333333333ull, 0x3fda666666666666ull,
+        0x3ff9877a62569201ull, 0x3fe199999999999aull, 0x3fe2cccccccccccdull,
+        0x3ff8c35f2271226bull, 0x3fe399999999999aull, 0x3fe599999999999aull,
+        0x3ff6f1a76acb415eull, 0x3fe6666666666666ull, 0x3fe8000000000000ull,
+        0x3ff5c152b63fa7c4ull, 0x3fe8000000000000ull, 0x3fe8666666666666ull},
        0u,
        0x3eebfc0165274388ull},
       "single-device");
@@ -379,11 +382,11 @@ TEST(PinnedNumerics, VanillaSage) {
       pin_train(ds, Method::kVanilla, /*drift=*/0.30, /*devices=*/4,
                 Aggregator::kSageMean),
       {{0x4005b427bbbd95d5ull, 0x3fb999999999999aull, 0x3fce666666666666ull,
-        0x400351e0712be422ull, 0x3fcccccccccccccdull, 0x3fd0000000000000ull,
-        0x4002c8c74600742cull, 0x3fd7333333333333ull, 0x3fda666666666666ull,
-        0x3fff84388ae9ba91ull, 0x3fe0666666666666ull, 0x3fe0000000000000ull,
-        0x3ffcf4c946b77fd2ull, 0x3fe399999999999aull, 0x3fe3333333333333ull,
-        0x3ffb5668510fa0f0ull, 0x3fe6666666666666ull, 0x3fe5333333333333ull},
+        0x4003ff9b321457b3ull, 0x3fc6666666666666ull, 0x3fd3333333333333ull,
+        0x4001829e63b06329ull, 0x3fda666666666666ull, 0x3fdccccccccccccdull,
+        0x40011ecd5d4c5915ull, 0x3fe2000000000000ull, 0x3fe3333333333333ull,
+        0x3ffd21ae24181766ull, 0x3fe799999999999aull, 0x3fe6000000000000ull,
+        0x3ffaae827fbda7eaull, 0x3fea000000000000ull, 0x3fe799999999999aull},
        1230720u,
        0x3f169ca7a89475fcull},
       "vanilla-sage");
@@ -397,13 +400,13 @@ TEST(PinnedNumerics, Sancus) {
   const PinnedRun got = pin_of(pin_train(ds, Method::kSancus, /*drift=*/1.0));
   const PinnedRun want{
       {0x3ffd46631a7c5e52ull, 0x3fce666666666666ull, 0x3fd4cccccccccccdull,
-       0x3ffbc29d2a0f2177ull, 0x3fda666666666666ull, 0x3fdb333333333333ull,
-       0x3ffa4558168ee444ull, 0x3fe1333333333333ull, 0x3fe2666666666666ull,
-       0x3ff89844c895b6a1ull, 0x3fe2cccccccccccdull, 0x3fe5333333333333ull,
-       0x3ff7045086f65a37ull, 0x3fe6cccccccccccdull, 0x3fe8cccccccccccdull,
-       0x3ff6243811e23774ull, 0x3fe9333333333333ull, 0x3fe999999999999aull},
-      785588u,
-      0x3f22c711f31d0d04ull};
+       0x3ffb4b1442c9b321ull, 0x3fd8000000000000ull, 0x3fd8000000000000ull,
+       0x3ffa8264180a3e5cull, 0x3fe0000000000000ull, 0x3fe0000000000000ull,
+       0x3ff95faade0dd107ull, 0x3fe199999999999aull, 0x3fe5333333333333ull,
+       0x3ff7ad691b559c2aull, 0x3fe5333333333333ull, 0x3fe8000000000000ull,
+       0x3ff612dc78898817ull, 0x3fe8000000000000ull, 0x3fe799999999999aull},
+      848876u,
+      0x3f240812130773faull};
   EXPECT_EQ(got.epochs, want.epochs);
   EXPECT_EQ(got.total_comm_bytes, want.total_comm_bytes);
   EXPECT_LT(got.total_comm_bytes, 1230720u);
@@ -419,6 +422,45 @@ TEST(PinnedNumerics, SancusWithoutSkippingIsVanilla) {
       pin_of(pin_train(ds, Method::kSancus, /*drift=*/-1.0));
   EXPECT_EQ(sancus.epochs, vanilla.epochs);
   EXPECT_EQ(sancus.total_comm_bytes, vanilla.total_comm_bytes);
+}
+
+// Evaluation observes and never steers: its exchanges draw from a private
+// copy of the training streams, so every epoch's loss is the same with
+// per-epoch evaluation on or off.
+TEST(Evaluation, LeavesTrainingLossesUntouched) {
+  const Dataset ds = pin_dataset();
+  for (const Method m : {Method::kVanilla, Method::kAdaQP,
+                         Method::kAdaQPUniform, Method::kPipeGCN,
+                         Method::kSancus}) {
+    const RunResult on = pin_train(ds, m, 0.30, 4, Aggregator::kGcn, true);
+    const RunResult off = pin_train(ds, m, 0.30, 4, Aggregator::kGcn, false);
+    ASSERT_EQ(on.epochs.size(), off.epochs.size()) << method_name(m);
+    for (std::size_t e = 0; e < on.epochs.size(); ++e)
+      EXPECT_EQ(bits_of(on.epochs[e].train_loss),
+                bits_of(off.epochs[e].train_loss))
+          << method_name(m) << " epoch " << e;
+  }
+}
+
+// Evaluation's exchanges run on a channel claimed at construction, so
+// repeated evaluate() calls claim none (a wire backend keeps a payload slot
+// per channel for the process lifetime).
+TEST(Evaluation, ClaimsNoTransportChannel) {
+  const Dataset ds = pin_dataset();
+  Rng rng(4242);
+  const auto part = MultilevelPartitioner().partition(ds.graph, 4, rng);
+  const DistGraph dist = build_dist_graph(ds.graph, part);
+  ModelConfig mc;
+  mc.in_dim = ds.spec.feature_dim;
+  mc.hidden_dim = 16;
+  mc.out_dim = ds.num_classes();
+  TrainOptions opts;
+  opts.method = Method::kVanilla;
+  opts.epochs = 1;
+  DistTrainer trainer(ds, dist, ClusterSpec::machines(2, 2), mc, opts);
+  const std::uint32_t before = transport::next_channel();
+  for (int i = 0; i < 3; ++i) trainer.evaluate();
+  EXPECT_EQ(transport::next_channel(), before + 1);
 }
 
 }  // namespace
