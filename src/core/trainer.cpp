@@ -347,8 +347,7 @@ DistTrainer::LayerGraph& DistTrainer::forward_graph(int l) {
           deps, std::move(acc));
     }
   }
-  // Warm the staging the 32-bit warmup rounds never touch: quantized
-  // rounds draw per-column stochastic-rounding uniforms.
+  // Reserve the wire blocks at the 32-bit build plan's (maximal) widths.
   g.acct.warm(dist_, fwd_plans_[l], /*forward=*/true, model_.layer_in_dim(l));
   return g;
 }
@@ -516,8 +515,8 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
         },
         central, std::move(fold_acc));
   }
-  // Warm the quantized rounds' uniform staging (the 32-bit build-epoch
-  // rounds never draw any) and the owner-side decode accumulators.
+  // Reserve the wire blocks at the 32-bit build plan's (maximal) widths and
+  // the owner-side decode accumulators.
   g.acct.warm(dist_, bwd_plans_[l], /*forward=*/false, in_dim);
   return g;
 }

@@ -97,9 +97,6 @@ void add_pair_slots(AccessList& out, ExchangeAccounting& acct, int d, int p,
   out.push_back(analysis::write_of(&acct.pair_rngs[d][p],
                                    sizeof(acct.pair_rngs[d][p]),
                                    tag + ".rng"));
-  out.push_back(analysis::write_of(&acct.uniforms[d][p],
-                                   sizeof(acct.uniforms[d][p]),
-                                   tag + ".uniforms"));
 }
 
 }  // namespace
@@ -107,7 +104,7 @@ void add_pair_slots(AccessList& out, ExchangeAccounting& acct, int d, int p,
 void ExchangeAccounting::init_storage(int n) {
   if (static_cast<int>(pair_bytes.size()) == n) return;
   // First init: size everything. Later inits rewrite in place, keeping
-  // every nested capacity (blocks, uniform buffers, decode staging) — the
+  // every nested capacity (blocks, decode staging) — the
   // steady-state exchange allocates nothing.
   pair_bytes.assign(n, std::vector<std::size_t>(n, 0));
   fp_bytes.assign(n, std::vector<std::size_t>(n, 0));
@@ -115,7 +112,6 @@ void ExchangeAccounting::init_storage(int n) {
       n, std::vector<std::array<std::uint64_t, obs::kNumWidths>>(
              n, std::array<std::uint64_t, obs::kNumWidths>{}));
   blocks.assign(n, std::vector<EncodedBlock>(n));
-  uniforms.assign(n, std::vector<std::vector<float>>(n));
   pair_rngs.assign(n, std::vector<Rng>(n));
   acc_decoded.resize(n);
   acc_seq.resize(n);
@@ -133,7 +129,6 @@ void ExchangeAccounting::warm(const DistGraph& dist, const ExchangePlan& plan,
       if (rows.empty()) continue;
       blocks[d][p].bytes.reserve(
           encoded_wire_bytes(rows.size(), cols, plan.bits[d][p]));
-      uniforms[d][p].reserve(cols);
     }
   }
   if (!forward) {
@@ -229,11 +224,10 @@ PairStages add_forward_exchange_stages(StageGraph& graph,
             if (!acct.sends(d, p)) return;
             const DeviceGraph& sender = dist.devices[d];
             const auto& bits = plan.bits[d][p];
-            // Persistent per-pair staging: block bytes and uniform buffer
-            // keep their warmed-up capacity across rounds.
+            // Persistent per-pair staging: block bytes keep their
+            // warmed-up capacity across rounds.
             encode_rows_into(locals[d], sender.send_local[p], bits,
-                             acct.pair_rngs[d][p], acct.uniforms[d][p],
-                             acct.blocks[d][p]);
+                             acct.pair_rngs[d][p], acct.blocks[d][p]);
             acct.pair_bytes[d][p] = acct.blocks[d][p].wire_bytes();
             acct.fp_bytes[d][p] =
                 quantized_fp_bytes(bits, locals[d].cols());
@@ -307,8 +301,7 @@ void add_backward_exchange_stages(StageGraph& graph, const DistGraph& dist,
             const DeviceGraph& sender = dist.devices[d];
             const auto& bits = plan.bits[d][p];
             encode_rows_into(grads[d], sender.recv_local[p], bits,
-                             acct.pair_rngs[d][p], acct.uniforms[d][p],
-                             acct.blocks[d][p]);
+                             acct.pair_rngs[d][p], acct.blocks[d][p]);
             acct.pair_bytes[d][p] = acct.blocks[d][p].wire_bytes();
             acct.fp_bytes[d][p] =
                 quantized_fp_bytes(bits, grads[d].cols());

@@ -9,12 +9,14 @@
 // thread count / schedule comes from two rules, mirroring what src/runtime/
 // did for parallel_for:
 //
-//  * Per-pair RNG streams. Stochastic-rounding draws come from a private
-//    stream per (sender, receiver) pair, derived serially when a round is
-//    armed (ExchangeAccounting::init: one next() per device stream, then a
-//    splitmix of that base with the peer index). No stage ever touches a
-//    shared Rng, so stage scheduling cannot reorder draws — and the serial
-//    reference schedule consumes the exact same streams.
+//  * Per-pair RNG streams. Each encode keys its stochastic rounding with
+//    one next() from a private stream per (sender, receiver) pair, derived
+//    serially when a round is armed (ExchangeAccounting::init: one next()
+//    per device stream, then a splitmix of that base with the peer index);
+//    the per-element draws are counter-based functions of that key
+//    (simd/kernels.h). No stage ever touches a shared Rng, so stage
+//    scheduling cannot reorder draws — and the serial reference schedule
+//    consumes the exact same streams.
 //  * Ascending-owner decode order. Backward accumulation into an owner's
 //    rows happens in a single per-owner stage that folds senders in
 //    ascending order — the same summation order as a serial d-outer sweep.
@@ -59,8 +61,6 @@ struct ExchangeAccounting {
   std::vector<std::vector<std::size_t>> fp_bytes;
   std::vector<std::vector<Rng>> pair_rngs;
   std::vector<std::vector<EncodedBlock>> blocks;  ///< per-pair wire staging
-  /// Per-pair stochastic-rounding draw buffers (see encode_rows_into).
-  std::vector<std::vector<std::vector<float>>> uniforms;
   /// Per-owner backward-accumulate staging: decoded rows + identity seq.
   std::vector<Matrix> acc_decoded;
   std::vector<std::vector<NodeId>> acc_seq;
@@ -93,8 +93,8 @@ struct ExchangeAccounting {
   /// Pre-reserve every per-pair staging buffer for the message shapes the
   /// (dist, plan) pair implies — wire blocks at the plan's current widths
   /// (call while the plan is still the maximal uniform-32 warmup plan),
-  /// stochastic-rounding buffers at one row width, backward decode staging
-  /// at each owner's largest inbound message. After warm(), the first
+  /// backward decode staging at each owner's largest inbound message.
+  /// After warm(), the first
   /// *execution* of the exchange stages is already allocation-free, even if
   /// it is deferred into a steady-state epoch.
   void warm(const DistGraph& dist, const ExchangePlan& plan, bool forward,

@@ -43,18 +43,17 @@ float get_f32(std::span<const std::uint8_t> bytes, std::size_t& pos) {
 EncodedBlock encode_rows(const Matrix& src, std::span<const NodeId> rows,
                          std::span<const int> bits, Rng& rng) {
   EncodedBlock block;
-  std::vector<float> uniform_scratch;
-  encode_rows_into(src, rows, bits, rng, uniform_scratch, block);
+  encode_rows_into(src, rows, bits, rng, block);
   return block;
 }
 
 void encode_rows_into(const Matrix& src, std::span<const NodeId> rows,
-                      std::span<const int> bits, Rng& rng,
-                      std::vector<float>& uniform_scratch, EncodedBlock& out) {
+                      std::span<const int> bits, Rng& rng, EncodedBlock& out) {
   ADAQP_CHECK_MSG(rows.size() == bits.size(),
                   "rows/bits arity mismatch: " << rows.size() << " vs "
                                                << bits.size());
   const obs::Stopwatch sw;  // per-block, not per-row: two clock reads total
+  const std::uint64_t key = rng.next();
   out.bytes.clear();  // keeps capacity — steady-state encodes don't allocate
   out.bytes.reserve(encoded_wire_bytes(rows.size(), src.cols(), bits));  // lint:allow(hot-path-alloc) warmup sizing; no-op when warm
   put_u32(out.bytes, kMagic);
@@ -68,8 +67,9 @@ void encode_rows_into(const Matrix& src, std::span<const NodeId> rows,
     // the block (no QuantizedVector temporary), then backfill the metadata.
     const std::size_t meta_at = out.bytes.size();
     out.bytes.resize(meta_at + 2 * sizeof(float));  // lint:allow(hot-path-alloc) pooled buffer, capacity retained
-    const QuantMeta meta = quantize_append(src.row(rows[i]), bits[i], rng,
-                                           out.bytes, uniform_scratch);
+    const QuantMeta meta =
+        quantize_append(src.row(rows[i]), bits[i], key,
+                        static_cast<std::uint32_t>(i), out.bytes);
     std::memcpy(out.bytes.data() + meta_at, &meta.zero_point, sizeof(float));
     std::memcpy(out.bytes.data() + meta_at + sizeof(float), &meta.scale,
                 sizeof(float));

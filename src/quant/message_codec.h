@@ -36,14 +36,22 @@ EncodedBlock encode_rows(const Matrix& src, std::span<const NodeId> rows,
                          std::span<const int> bits, Rng& rng);
 
 /// Steady-state form of encode_rows: rebuilds `out` in place (bytes cleared,
-/// capacity kept) with the stochastic-rounding uniforms in the caller-owned
-/// `uniform_scratch`. After a warmup call at the maximal payload size (the
+/// capacity kept). After a warmup call at the maximal payload size (the
 /// uniform 32-bit plan of epoch 0), repeated calls perform no heap
-/// allocation. Byte-identical to encode_rows and consumes the RNG stream
-/// identically.
+/// allocation. Byte-identical to encode_rows. Takes exactly one next() from
+/// `rng` per block as the block key; row i's stochastic rounding is keyed by
+/// (key, i), so its bytes do not depend on the other rows of the block.
 void encode_rows_into(const Matrix& src, std::span<const NodeId> rows,
-                      std::span<const int> bits, Rng& rng,
-                      std::vector<float>& uniform_scratch, EncodedBlock& out);
+                      std::span<const int> bits, Rng& rng, EncodedBlock& out);
+
+/// Forwarder kept for bench/e2e/e2e_bench.cpp, which still calls this
+/// 6-argument form; `uniforms` is unused.
+inline void encode_rows_into(const Matrix& src, std::span<const NodeId> rows,
+                             std::span<const int> bits, Rng& rng,
+                             std::vector<float>& /*uniforms*/,
+                             EncodedBlock& out) {
+  encode_rows_into(src, rows, bits, rng, out);
+}
 
 /// Decode a block into the `dst_rows[i]`-th row of `dst`, in order.
 /// Throws on malformed/corrupt streams (magic, bounds, dim mismatches).

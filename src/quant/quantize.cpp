@@ -11,8 +11,8 @@
 // dequantize, raw bit packing) dispatch through the src/simd/ kernel
 // registry; the scalar table entry is the reference implementation and the
 // vector variants are byte-identical by contract (see simd/kernels.h).
-// RNG draws stay in this wrapper, serial and in element order, so the
-// stream an encode consumes is independent of the dispatched ISA.
+// The rounding draws are counter-based and computed inside quantize_pack,
+// so an encode consumes no RNG stream beyond its key on any ISA.
 namespace adaqp {
 
 bool is_valid_bit_width(int bits) {
@@ -50,22 +50,29 @@ std::vector<std::uint32_t> unpack_bits(std::span<const std::uint8_t> packed,
   return out;
 }
 
-namespace {
-
-/// Uniform draws for stochastic rounding, one per element in element order
-/// — exactly the draws the pre-registry scalar loop made, so RNG streams
-/// are unchanged. The buffer is caller-owned (per encode stream, so
-/// concurrent per-pair encodes never share it) and only grows.
-std::span<const float> draw_uniforms(std::size_t n, Rng& rng,
-                                     std::vector<float>& u) {
-  if (u.size() < n) u.resize(n);
-  for (std::size_t i = 0; i < n; ++i) u[i] = rng.uniform_float();
-  return {u.data(), n};
+QuantizedVector quantize(std::span<const float> values, int bits, Rng& rng) {
+  QuantizedVector qv;
+  qv.bits = bits;
+  qv.dim = static_cast<std::uint32_t>(values.size());
+  const QuantMeta meta =
+      quantize_append(values, bits, rng.next(), /*row=*/0, qv.payload);
+  qv.zero_point = meta.zero_point;
+  qv.scale = meta.scale;
+  return qv;
 }
 
-QuantMeta quantize_payload(std::span<const float> values, int bits, Rng& rng,
-                           std::vector<float>& uniform_scratch,
-                           std::uint8_t* payload) {
+QuantMeta quantize_append(std::span<const float> values, int bits,
+                          std::uint64_t key, std::uint32_t row,
+                          std::vector<std::uint8_t>& out) {
+  ADAQP_CHECK(is_valid_bit_width(bits));
+  const std::size_t at = out.size();
+  if (bits == 32) {
+    out.resize(at + values.size() * sizeof(float));
+    std::memcpy(out.data() + at, values.data(), values.size() * sizeof(float));
+    return {};
+  }
+  out.resize(at + (values.size() * static_cast<std::size_t>(bits) + 7) / 8,
+             0);
   const auto& kernel = simd::kernels();
   float lo = 0.0f, hi = 0.0f;
   if (!values.empty())
@@ -79,58 +86,10 @@ QuantMeta quantize_payload(std::span<const float> values, int bits, Rng& rng,
   meta.zero_point = lo;
   const auto levels = static_cast<float>((1u << bits) - 1u);
   meta.scale = (hi - lo) / levels;
-  if (meta.scale > 0.0f) {
-    const auto u = draw_uniforms(values.size(), rng, uniform_scratch);
+  if (meta.scale > 0.0f)
     kernel.quantize_pack(bits, values.data(), values.size(), meta.zero_point,
-                         meta.scale, u.data(), payload);
-  }
+                         meta.scale, key, row, out.data() + at);
   return meta;
-}
-
-}  // namespace
-
-QuantizedVector quantize(std::span<const float> values, int bits, Rng& rng) {
-  ADAQP_CHECK(is_valid_bit_width(bits));
-  QuantizedVector qv;
-  qv.bits = bits;
-  qv.dim = static_cast<std::uint32_t>(values.size());
-
-  if (bits == 32) {
-    qv.payload.resize(values.size() * sizeof(float));
-    std::memcpy(qv.payload.data(), values.data(), qv.payload.size());
-    return qv;
-  }
-
-  qv.payload.assign((values.size() * static_cast<std::size_t>(bits) + 7) / 8,
-                    0);
-  std::vector<float> uniform_scratch;
-  const QuantMeta meta = quantize_payload(values, bits, rng, uniform_scratch,
-                                          qv.payload.data());
-  qv.zero_point = meta.zero_point;
-  qv.scale = meta.scale;
-  return qv;
-}
-
-QuantMeta quantize_append(std::span<const float> values, int bits, Rng& rng,
-                          std::vector<std::uint8_t>& out) {
-  std::vector<float> uniform_scratch;
-  return quantize_append(values, bits, rng, out, uniform_scratch);
-}
-
-QuantMeta quantize_append(std::span<const float> values, int bits, Rng& rng,
-                          std::vector<std::uint8_t>& out,
-                          std::vector<float>& uniform_scratch) {
-  ADAQP_CHECK(is_valid_bit_width(bits));
-  const std::size_t at = out.size();
-  if (bits == 32) {
-    out.resize(at + values.size() * sizeof(float));
-    std::memcpy(out.data() + at, values.data(), values.size() * sizeof(float));
-    return {};
-  }
-  out.resize(at + (values.size() * static_cast<std::size_t>(bits) + 7) / 8,
-             0);
-  return quantize_payload(values, bits, rng, uniform_scratch,
-                          out.data() + at);
 }
 
 void dequantize_payload(const std::uint8_t* payload, int bits,

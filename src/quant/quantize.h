@@ -40,7 +40,8 @@ struct QuantizedVector {
 /// assigner's time objective.
 std::size_t quantized_wire_bytes(std::size_t dim, int bits);
 
-/// Quantize `values` with stochastic rounding (Eqn. 4).
+/// Quantize `values` with stochastic rounding (Eqn. 4). Takes one next()
+/// from `rng` as the rounding key and quantizes as row 0 under it.
 QuantizedVector quantize(std::span<const float> values, int bits, Rng& rng);
 
 /// (zero-point, scale) metadata of one quantized vector.
@@ -51,19 +52,14 @@ struct QuantMeta {
 
 /// Quantize `values` and append the packed payload to `out` in place — the
 /// allocation-free form the wire codec uses to build blocks without a
-/// QuantizedVector temporary. Returns the (zero-point, scale) metadata.
-/// Byte-for-byte the payload quantize() would produce.
-QuantMeta quantize_append(std::span<const float> values, int bits, Rng& rng,
+/// QuantizedVector temporary (no heap allocation once `out`'s capacity has
+/// warmed up). Returns the (zero-point, scale) metadata. Element j rounds
+/// with the counter-based draw of (key, row, j) computed inside the kernel
+/// (simd/kernels.h), so the bytes depend only on the values, the width, the
+/// key and the row — not on the ISA, nor on what was quantized before.
+QuantMeta quantize_append(std::span<const float> values, int bits,
+                          std::uint64_t key, std::uint32_t row,
                           std::vector<std::uint8_t>& out);
-
-/// Steady-state form: the stochastic-rounding uniforms live in the
-/// caller-provided `uniform_scratch` (grown once to the row width), so
-/// repeated calls perform no heap allocation once `out`'s capacity and the
-/// scratch have warmed up. Byte-identical to the overload above, and the RNG
-/// stream consumption is unchanged (one draw per element, element order).
-QuantMeta quantize_append(std::span<const float> values, int bits, Rng& rng,
-                          std::vector<std::uint8_t>& out,
-                          std::vector<float>& uniform_scratch);
 
 /// Dequantize `dim` values packed at `bits` directly from a wire payload
 /// (Eqn. 5) — the in-place form decode_rows uses. `payload` must hold the

@@ -12,7 +12,9 @@
 //    byte-identical outputs across ISAs. Quantization arithmetic is the
 //    exact IEEE single-precision sequence of the scalar reference —
 //    subtract, divide, floor, compare, add, clamp — which every vector ISA
-//    reproduces lane-wise; integer packing is exact by nature. FMA
+//    reproduces lane-wise; the stochastic-rounding draws are 32-bit integer
+//    hashes of (key, row, column), converted to float exactly; integer
+//    packing is exact by nature. FMA
 //    contraction is disabled in every kernel TU (no fused multiply-add
 //    anywhere), so mul-then-add rounding matches the scalar path.
 //  - axpy keeps per-element accumulation order: element j of the output
@@ -42,6 +44,31 @@
 
 namespace adaqp::simd {
 
+// ---- Counter-based stochastic-rounding draws --------------------------------
+//
+// The uniform that rounds element `col` of block row `row` under a block
+// `key` is a pure function of the three, so it can be computed in SIMD
+// lanes, in any order, and reads the same on every ISA:
+//   seed = rounding_seed(key, row)                        (once per row)
+//   h    = mix32(seed + col * kRoundWeyl)
+//   u    = (h >> 8) * 2^-24                               (exact in float)
+// mix32 is a 32-bit multiply-xorshift finalizer:
+//   h ^= h >> 16; h *= kRoundMul1; h ^= h >> 15; h *= kRoundMul2; h ^= h >> 15
+// It is a bijection, as are the Weyl step and the seed's mixing of `row`,
+// so within one key no two elements of a row, and no two rows, share a
+// counter. Only 32-bit integer mul/xor/shift (modulo 2^32) is involved;
+// every quantize_pack reproduces h lane-wise from these constants.
+inline constexpr std::uint32_t kRoundWeyl = 0x9E3779B9u;
+inline constexpr std::uint32_t kRoundMul1 = 0x21F0AAADu;
+inline constexpr std::uint32_t kRoundMul2 = 0x735A2D97u;
+
+/// Per-row seed of the rounding draws: mixes all 64 key bits and the row.
+/// Defined in the scalar reference TU; vector kernels call it once per row.
+std::uint32_t rounding_seed(std::uint64_t key, std::uint32_t row);
+
+/// The reference draw u in [0, 1) for column `col` of a row with `seed`.
+float rounding_uniform(std::uint32_t seed, std::uint32_t col);
+
 struct KernelTable {
   /// Fused min/max scan of x[0..n). Requires n > 0; writes the row minimum
   /// to *lo and maximum to *hi (callers normalize the sign of zero so the
@@ -49,12 +76,14 @@ struct KernelTable {
   void (*row_minmax)(const float* x, std::size_t n, float* lo, float* hi);
 
   /// Stochastic-round quantize (paper Eqn. 4) fused with bit-packing.
-  /// bits in {2,4,8}; scale must be > 0; u[0..n) are pre-drawn uniforms in
-  /// [0,1) (drawn serially by the caller so the RNG stream is
-  /// ISA-independent). Writes ceil(n*bits/8) bytes to `out`, every byte
-  /// fully overwritten (trailing pad bits zero).
+  /// bits in {2,4,8}; scale must be > 0. Element i rounds up iff
+  /// rounding_uniform(rounding_seed(key, row), i) < its fractional part;
+  /// the draws are computed in-kernel and never stored. Writes
+  /// ceil(n*bits/8) bytes to `out`, every byte fully overwritten (trailing
+  /// pad bits zero).
   void (*quantize_pack)(int bits, const float* x, std::size_t n, float zp,
-                        float scale, const float* u, std::uint8_t* out);
+                        float scale, std::uint64_t key, std::uint32_t row,
+                        std::uint8_t* out);
 
   /// Unpack + dequantize (paper Eqn. 5): out[i] = q[i] * scale + zp,
   /// computed as an unfused multiply then add. bits in {2,4,8}; reads

@@ -45,6 +45,18 @@ void row_minmax(const float* x, std::size_t n, float* lo, float* hi) {
   *hi = h;
 }
 
+/// Rounding draws of 8 columns from their hash counters
+/// h = seed + col * kRoundWeyl: the reference mix32, lane-wise.
+inline __m256 uniform8(__m256i h) {
+  h = _mm256_xor_si256(h, _mm256_srli_epi32(h, 16));
+  h = _mm256_mullo_epi32(h, _mm256_set1_epi32(static_cast<int>(kRoundMul1)));
+  h = _mm256_xor_si256(h, _mm256_srli_epi32(h, 15));
+  h = _mm256_mullo_epi32(h, _mm256_set1_epi32(static_cast<int>(kRoundMul2)));
+  h = _mm256_xor_si256(h, _mm256_srli_epi32(h, 15));
+  return _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_srli_epi32(h, 8)),
+                       _mm256_set1_ps(0x1.0p-24f));
+}
+
 /// Quantize 8 lanes: the scalar per-element op sequence, lane-wise.
 inline __m256i quant8(__m256 v, __m256 uu, __m256 vzp, __m256 vs, __m256 vlev,
                       __m256 vone, __m256 vzero) {
@@ -56,17 +68,6 @@ inline __m256i quant8(__m256 v, __m256 uu, __m256 vzp, __m256 vs, __m256 vlev,
   __m256 r = _mm256_add_ps(fl, bump);
   r = _mm256_min_ps(_mm256_max_ps(r, vzero), vlev);
   return _mm256_cvttps_epi32(r);
-}
-
-inline std::uint32_t quant1(float x, float uu, float zp, float scale,
-                            float levels) {
-  const float xs = (x - zp) / scale;
-  const float fl = __builtin_floorf(xs);
-  const float frac = xs - fl;
-  float r = fl + (uu < frac ? 1.0f : 0.0f);
-  if (r < 0.0f) r = 0.0f;
-  if (r > levels) r = levels;
-  return static_cast<std::uint32_t>(r);
 }
 
 /// Narrow two 8-lane u32 vectors (values <= 255) to 16 bytes in order.
@@ -106,35 +107,44 @@ inline std::size_t pack16(int bits, __m128i bytes16, std::uint8_t* out) {
 }
 
 void quantize_pack(int bits, const float* x, std::size_t n, float zp,
-                   float scale, const float* u, std::uint8_t* out) {
+                   float scale, std::uint64_t key, std::uint32_t row,
+                   std::uint8_t* out) {
   const auto levels = static_cast<float>((1u << bits) - 1u);
   const __m256 vzp = _mm256_set1_ps(zp);
   const __m256 vs = _mm256_set1_ps(scale);
   const __m256 vlev = _mm256_set1_ps(levels);
   const __m256 vone = _mm256_set1_ps(1.0f);
   const __m256 vzero = _mm256_setzero_ps();
-  std::size_t i = 0;
-  while (i + 16 <= n) {
-    const __m256i q0 = quant8(_mm256_loadu_ps(x + i), _mm256_loadu_ps(u + i),
-                              vzp, vs, vlev, vone, vzero);
+  const __m256i half = _mm256_set1_epi32(static_cast<int>(8u * kRoundWeyl));
+  const __m256i step = _mm256_set1_epi32(static_cast<int>(16u * kRoundWeyl));
+  __m256i ctr = _mm256_add_epi32(
+      _mm256_set1_epi32(static_cast<int>(rounding_seed(key, row))),
+      _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                         _mm256_set1_epi32(static_cast<int>(kRoundWeyl))));
+  const auto quant16 = [&](const float* xi) {
+    const __m256i q0 = quant8(_mm256_loadu_ps(xi), uniform8(ctr), vzp, vs,
+                              vlev, vone, vzero);
     const __m256i q1 =
-        quant8(_mm256_loadu_ps(x + i + 8), _mm256_loadu_ps(u + i + 8), vzp,
-               vs, vlev, vone, vzero);
-    out += pack16(bits, narrow16(q0, q1), out);
-    i += 16;
-  }
+        quant8(_mm256_loadu_ps(xi + 8), uniform8(_mm256_add_epi32(ctr, half)),
+               vzp, vs, vlev, vone, vzero);
+    ctr = _mm256_add_epi32(ctr, step);
+    return narrow16(q0, q1);
+  };
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) out += pack16(bits, quant16(x + i), out);
   if (i < n) {
+    // Tail: the same lanes over a zero-padded copy; bytes past n are
+    // cleared before packing so the trailing pad bits stay zero.
     const std::size_t rem = n - i;
-    std::uint8_t s[16];
-    std::memset(s, 0, sizeof(s));
-    for (std::size_t t = 0; t < rem; ++t)
-      s[t] = static_cast<std::uint8_t>(
-          quant1(x[i + t], u[i + t], zp, scale, levels));
-    const std::size_t nbytes =
-        (rem * static_cast<std::size_t>(bits) + 7) / 8;
+    float pad[16] = {};
+    std::memcpy(pad, x + i, rem * sizeof(float));
+    const __m128i live =
+        _mm_cmpgt_epi8(_mm_set1_epi8(static_cast<char>(rem)),
+                       _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                     13, 14, 15));
     std::uint8_t tmp[16];
-    pack16(bits, _mm_loadu_si128(reinterpret_cast<const __m128i*>(s)), tmp);
-    std::memcpy(out, tmp, nbytes);
+    pack16(bits, _mm_and_si128(quant16(pad), live), tmp);
+    std::memcpy(out, tmp, (rem * static_cast<std::size_t>(bits) + 7) / 8);
   }
 }
 

@@ -38,6 +38,18 @@ void row_minmax(const float* x, std::size_t n, float* lo, float* hi) {
   *hi = h;
 }
 
+/// Rounding draws of 16 columns from their hash counters
+/// h = seed + col * kRoundWeyl: the reference mix32, lane-wise.
+inline __m512 uniform16(__m512i h) {
+  h = _mm512_xor_si512(h, _mm512_srli_epi32(h, 16));
+  h = _mm512_mullo_epi32(h, _mm512_set1_epi32(static_cast<int>(kRoundMul1)));
+  h = _mm512_xor_si512(h, _mm512_srli_epi32(h, 15));
+  h = _mm512_mullo_epi32(h, _mm512_set1_epi32(static_cast<int>(kRoundMul2)));
+  h = _mm512_xor_si512(h, _mm512_srli_epi32(h, 15));
+  return _mm512_mul_ps(_mm512_cvtepi32_ps(_mm512_srli_epi32(h, 8)),
+                       _mm512_set1_ps(0x1.0p-24f));
+}
+
 /// Quantize 16 lanes: the scalar per-element op sequence, lane-wise.
 /// 0x09 = round toward -inf (floor), suppress precision exceptions.
 inline __m512i quant16(__m512 v, __m512 uu, __m512 vzp, __m512 vs,
@@ -49,17 +61,6 @@ inline __m512i quant16(__m512 v, __m512 uu, __m512 vzp, __m512 vs,
   __m512 r = _mm512_mask_add_ps(fl, up, fl, vone);
   r = _mm512_min_ps(_mm512_max_ps(r, vzero), vlev);
   return _mm512_cvttps_epi32(r);
-}
-
-inline std::uint32_t quant1(float x, float uu, float zp, float scale,
-                            float levels) {
-  const float xs = (x - zp) / scale;
-  const float fl = __builtin_floorf(xs);
-  const float frac = xs - fl;
-  float r = fl + (uu < frac ? 1.0f : 0.0f);
-  if (r < 0.0f) r = 0.0f;
-  if (r > levels) r = levels;
-  return static_cast<std::uint32_t>(r);
 }
 
 /// Pack 16 byte-values (each < 2^bits) into ceil(16*bits/8) output bytes
@@ -89,32 +90,39 @@ inline std::size_t pack16(int bits, __m128i bytes16, std::uint8_t* out) {
 }
 
 void quantize_pack(int bits, const float* x, std::size_t n, float zp,
-                   float scale, const float* u, std::uint8_t* out) {
+                   float scale, std::uint64_t key, std::uint32_t row,
+                   std::uint8_t* out) {
   const auto levels = static_cast<float>((1u << bits) - 1u);
   const __m512 vzp = _mm512_set1_ps(zp);
   const __m512 vs = _mm512_set1_ps(scale);
   const __m512 vlev = _mm512_set1_ps(levels);
   const __m512 vone = _mm512_set1_ps(1.0f);
   const __m512 vzero = _mm512_setzero_ps();
+  const __m512i lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                         11, 12, 13, 14, 15);
+  const __m512i weyl = _mm512_set1_epi32(static_cast<int>(kRoundWeyl));
+  const __m512i step = _mm512_set1_epi32(static_cast<int>(16u * kRoundWeyl));
+  __m512i ctr = _mm512_add_epi32(
+      _mm512_set1_epi32(static_cast<int>(rounding_seed(key, row))),
+      _mm512_mullo_epi32(lane, weyl));
   std::size_t i = 0;
-  while (i + 16 <= n) {
-    const __m512i q = quant16(_mm512_loadu_ps(x + i), _mm512_loadu_ps(u + i),
-                              vzp, vs, vlev, vone, vzero);
+  for (; i + 16 <= n; i += 16) {
+    const __m512i q = quant16(_mm512_loadu_ps(x + i), uniform16(ctr), vzp, vs,
+                              vlev, vone, vzero);
     out += pack16(bits, _mm512_cvtepi32_epi8(q), out);
-    i += 16;
+    ctr = _mm512_add_epi32(ctr, step);
   }
   if (i < n) {
+    // Tail: the same lanes under a load mask; lanes past n are zeroed
+    // before packing so the trailing pad bits stay zero.
     const std::size_t rem = n - i;
-    std::uint8_t s[16];
-    std::memset(s, 0, sizeof(s));
-    for (std::size_t t = 0; t < rem; ++t)
-      s[t] = static_cast<std::uint8_t>(
-          quant1(x[i + t], u[i + t], zp, scale, levels));
-    const std::size_t nbytes =
-        (rem * static_cast<std::size_t>(bits) + 7) / 8;
+    const auto m = static_cast<__mmask16>((1u << rem) - 1u);
+    const __m512i q = _mm512_maskz_mov_epi32(
+        m, quant16(_mm512_maskz_loadu_ps(m, x + i), uniform16(ctr), vzp, vs,
+                   vlev, vone, vzero));
     std::uint8_t tmp[16];
-    pack16(bits, _mm_loadu_si128(reinterpret_cast<const __m128i*>(s)), tmp);
-    std::memcpy(out, tmp, nbytes);
+    pack16(bits, _mm512_cvtepi32_epi8(q), tmp);
+    std::memcpy(out, tmp, (rem * static_cast<std::size_t>(bits) + 7) / 8);
   }
 }
 

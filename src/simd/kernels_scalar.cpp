@@ -1,14 +1,39 @@
 // Scalar reference kernels — the portable implementation every vector ISA
 // must match bit-for-bit (wire streams byte-identical, float outputs
 // bit-identical). The arithmetic here is the original quant/quantize.cpp
-// hot-loop sequence, verbatim; keep it boring. Built with -ffp-contract=off
-// like every kernel TU so no platform fuses the dequant multiply-add.
+// hot-loop sequence, verbatim; keep it boring. It also defines the
+// counter-based rounding draws (kernels.h) that every vector quantize_pack
+// reproduces lane-wise. Built with -ffp-contract=off like every kernel TU
+// so no platform fuses the dequant multiply-add.
 #include <cstddef>
 #include <cstdint>
 
 #include "simd/kernels.h"
 
 namespace adaqp::simd {
+namespace {
+
+std::uint32_t mix32(std::uint32_t h) {
+  h ^= h >> 16;
+  h *= kRoundMul1;
+  h ^= h >> 15;
+  h *= kRoundMul2;
+  h ^= h >> 15;
+  return h;
+}
+
+}  // namespace
+
+std::uint32_t rounding_seed(std::uint64_t key, std::uint32_t row) {
+  const auto lo = static_cast<std::uint32_t>(key);
+  const auto hi = static_cast<std::uint32_t>(key >> 32);
+  return mix32(hi ^ mix32(lo ^ mix32(row + kRoundWeyl)));
+}
+
+float rounding_uniform(std::uint32_t seed, std::uint32_t col) {
+  return static_cast<float>(mix32(seed + col * kRoundWeyl) >> 8) * 0x1.0p-24f;
+}
+
 namespace {
 
 void row_minmax(const float* x, std::size_t n, float* lo, float* hi) {
@@ -23,7 +48,9 @@ void row_minmax(const float* x, std::size_t n, float* lo, float* hi) {
 }
 
 void quantize_pack(int bits, const float* x, std::size_t n, float zp,
-                   float scale, const float* u, std::uint8_t* out) {
+                   float scale, std::uint64_t key, std::uint32_t row,
+                   std::uint8_t* out) {
+  const std::uint32_t seed = rounding_seed(key, row);
   const auto levels = static_cast<float>((1u << bits) - 1u);
   const std::size_t nbytes = (n * static_cast<std::size_t>(bits) + 7) / 8;
   for (std::size_t b = 0; b < nbytes; ++b) out[b] = 0;
@@ -31,7 +58,8 @@ void quantize_pack(int bits, const float* x, std::size_t n, float zp,
     const float xs = (x[i] - zp) / scale;
     const float fl = __builtin_floorf(xs);
     const float frac = xs - fl;
-    float r = fl + (u[i] < frac ? 1.0f : 0.0f);
+    const float u = rounding_uniform(seed, static_cast<std::uint32_t>(i));
+    float r = fl + (u < frac ? 1.0f : 0.0f);
     if (r < 0.0f) r = 0.0f;
     if (r > levels) r = levels;
     const auto q = static_cast<std::uint32_t>(r);

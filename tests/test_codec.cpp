@@ -1,6 +1,12 @@
 // Tests for the message wire codec, including failure injection.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "quant/message_codec.h"
 #include "quant/quantize.h"
@@ -77,6 +83,83 @@ TEST(Codec, PredictedBytesExactForRaggedDimsAndAllBitMixes) {
                 encoded_wire_bytes(rows.size(), dim, bits))
           << "dim=" << dim << " mix size=" << bits.size();
     }
+  }
+}
+
+/// Byte range [offset, offset + size) of row i in a block encoded at `bits`.
+std::pair<std::size_t, std::size_t> row_span(const std::vector<int>& bits,
+                                             std::size_t dim, std::size_t i) {
+  std::size_t offset = 12;  // magic + count + dim
+  for (std::size_t j = 0; j < i; ++j)
+    offset += 1 + quantized_wire_bytes(dim, bits[j]);
+  return {offset, 1 + quantized_wire_bytes(dim, bits[i])};
+}
+
+std::vector<std::uint8_t> row_bytes(const EncodedBlock& block,
+                                    const std::vector<int>& bits,
+                                    std::size_t dim, std::size_t i) {
+  const auto [offset, size] = row_span(bits, dim, i);
+  return {block.bytes.begin() + static_cast<std::ptrdiff_t>(offset),
+          block.bytes.begin() + static_cast<std::ptrdiff_t>(offset + size)};
+}
+
+// Row i's stochastic rounding is keyed by (block key, i): its bytes (width
+// tag, zero-point, scale, payload) stay the same when the other rows'
+// values or widths change, and when the block ends after row i.
+TEST(Codec, RowBytesDependOnlyOnTheRowAndItsPosition) {
+  const std::size_t dim = 37;
+  Rng data_rng(21);
+  const Matrix src = random_matrix(6, dim, data_rng);
+  const Matrix other = random_matrix(6, dim, data_rng);
+  const std::vector<NodeId> rows = {0, 1, 2, 3, 4, 5};
+  const std::vector<int> bits = {4, 2, 8, 32, 4, 2};
+  const std::vector<int> other_bits = {8, 4, 2, 2, 32, 8};
+  const auto encode = [&](const Matrix& m, std::span<const NodeId> r,
+                          std::span<const int> b) {
+    Rng rng(99);
+    return encode_rows(m, r, b, rng);
+  };
+  const EncodedBlock base = encode(src, rows, bits);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto want = row_bytes(base, bits, dim, i);
+    // Other rows' values change.
+    Matrix mixed = other;
+    for (std::size_t c = 0; c < dim; ++c) mixed.at(i, c) = src.at(i, c);
+    EXPECT_EQ(row_bytes(encode(mixed, rows, bits), bits, dim, i), want)
+        << "values, row " << i;
+    // Other rows' widths change.
+    std::vector<int> widths = other_bits;
+    widths[i] = bits[i];
+    EXPECT_EQ(row_bytes(encode(src, rows, widths), widths, dim, i), want)
+        << "widths, row " << i;
+    // The block ends after row i.
+    const std::span<const NodeId> prefix(rows.data(), i + 1);
+    const std::span<const int> prefix_bits(bits.data(), i + 1);
+    const EncodedBlock cut = encode(src, prefix, prefix_bits);
+    const auto [offset, size] = row_span(bits, dim, i);
+    ASSERT_EQ(cut.wire_bytes(), offset + size);
+    EXPECT_EQ(row_bytes(cut, bits, dim, i), want) << "prefix, row " << i;
+  }
+}
+
+// One encode takes exactly one next() from the caller's stream, whatever
+// the block holds: no rows, 32-bit rows only, or quantized rows.
+TEST(Codec, EncodeTakesOneRngDrawPerBlock) {
+  Rng data_rng(22);
+  const Matrix src = random_matrix(5, 19, data_rng);
+  const std::vector<NodeId> rows = {0, 1, 2, 3, 4};
+  const std::vector<std::vector<int>> mixes = {
+      {}, {32}, {32, 32, 32}, {2}, {4, 8, 2, 32, 4}};
+  for (const auto& bits : mixes) {
+    Rng rng(7), mirror(7);
+    EncodedBlock block;
+    encode_rows_into(src, std::span(rows.data(), bits.size()), bits, rng,
+                     block);
+    encode_rows_into(src, std::span(rows.data(), bits.size()), bits, rng,
+                     block);
+    mirror.next();
+    mirror.next();
+    EXPECT_EQ(rng.next(), mirror.next()) << bits.size() << " rows";
   }
 }
 

@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
 #include "quant/quantize.h"
+#include "simd/kernels.h"
 
 namespace adaqp {
 namespace {
@@ -193,7 +195,64 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, TheoremOneTest,
     ::testing::Values(QuantCase{2, 8}, QuantCase{2, 64}, QuantCase{4, 8},
                       QuantCase{4, 64}, QuantCase{8, 32}, QuantCase{2, 256},
-                      QuantCase{8, 256}));
+                      QuantCase{8, 256}, QuantCase{4, 1024},
+                      QuantCase{2, 4096}));
+
+// ---- Counter-based rounding draws (simd/kernels.h) --------------------------
+
+// The reference draw over structured keys (0, 1, 2, ..., and the 32-bit
+// boundaries) and random ones, rows on both sides of 2^16, and a row's
+// first 1024 columns: mean within 5 standard errors of 1/2, and a 16-bin
+// histogram under the chi-square bound (15 degrees of freedom, p ~ 1e-4).
+TEST(RoundingDraw, ReferenceDrawIsUniform) {
+  std::vector<std::uint64_t> keys = {0xFFFFFFFFull, 0x100000000ull,
+                                     0xFFFFFFFFFFFFFFFFull};
+  for (std::uint64_t k = 0; k < 32; ++k) keys.push_back(k);
+  Rng key_rng(2024);
+  for (int k = 0; k < 29; ++k) keys.push_back(key_rng.next());
+  const std::uint32_t rows[] = {0u, 1u, 65536u, 0xFFFFFFFFu};
+  const std::uint32_t cols = 1024;
+  std::vector<double> bins(16, 0.0);
+  double sum = 0.0, count = 0.0;
+  for (std::uint64_t key : keys) {
+    for (std::uint32_t row : rows) {
+      const std::uint32_t seed = simd::rounding_seed(key, row);
+      for (std::uint32_t col = 0; col < cols; ++col) {
+        const float u = simd::rounding_uniform(seed, col);
+        ASSERT_GE(u, 0.0f);
+        ASSERT_LT(u, 1.0f);
+        sum += u;
+        bins[static_cast<std::size_t>(u * 16.0f)] += 1.0;
+        count += 1.0;
+      }
+    }
+  }
+  EXPECT_NEAR(sum / count, 0.5, 5.0 * std::sqrt(1.0 / 12.0 / count));
+  double chi2 = 0.0;
+  const double expected = count / 16.0;
+  for (double b : bins) chi2 += (b - expected) * (b - expected) / expected;
+  EXPECT_LT(chi2, 44.3) << "16-bin chi-square over " << count << " draws";
+}
+
+// The scalar kernel rounds element i up exactly when the reference draw of
+// (key, row, i) is below its fractional part: with every fraction at 1/2,
+// the payload spells out which draws fell below 1/2.
+TEST(RoundingDraw, ScalarKernelRoundsWithTheReferenceDraw) {
+  const std::size_t n = 200;
+  std::vector<float> x(n);
+  for (std::size_t i = 0; i < n; ++i) x[i] = static_cast<float>(i) + 0.5f;
+  const std::uint64_t key = 0x0123456789ABCDEFull;
+  const std::uint32_t row = 70000;
+  std::vector<std::uint8_t> out(n);
+  simd::scalar_kernels()->quantize_pack(8, x.data(), n, 0.0f, 1.0f, key, row,
+                                        out.data());
+  const std::uint32_t seed = simd::rounding_seed(key, row);
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool up =
+        simd::rounding_uniform(seed, static_cast<std::uint32_t>(i)) < 0.5f;
+    EXPECT_EQ(out[i], i + (up ? 1 : 0)) << "element " << i;
+  }
+}
 
 TEST(Quantize, HigherBitsLowerError) {
   Rng rng(8);

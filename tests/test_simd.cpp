@@ -4,6 +4,8 @@
 //  - Codec byte-identity: encoded wire streams are byte-identical across
 //    every host-supported ISA for ragged dims and all bit-width mixes, and
 //    decode produces bit-identical floats.
+//  - quantize_pack called directly: in-kernel rounding draws byte-identical
+//    to the scalar reference for any key, row and length.
 //  - Round-trip property tests at every dispatched ISA; corrupt/truncated
 //    streams still throw under the vector unpack path.
 //  - GEMM kernels bit-identical across ISAs on ragged shapes, and gemm_nt
@@ -12,6 +14,7 @@
 //  - Full training runs (all five methods) bit-identical across ISAs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -158,6 +161,47 @@ TEST(SimdQuantize, PayloadAndMetadataByteIdenticalAcrossIsas) {
             << isa_name(isa) << " b=" << bits << " n=" << n;
         EXPECT_EQ(qv.zero_point, ref.zero_point) << isa_name(isa);
         EXPECT_EQ(qv.scale, ref.scale) << isa_name(isa);
+      }
+    }
+  }
+}
+
+/// The kernel's in-lane rounding draws against the scalar reference, called
+/// directly: quantize() always rounds as row 0 under a fresh key, so only
+/// this reaches chosen keys, high rows and every vector-body/tail split.
+/// Output buffers start as different garbage, so a byte the kernel fails to
+/// overwrite also shows.
+TEST(SimdQuantize, QuantizePackKernelByteIdenticalAcrossIsas) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 33; ++n) sizes.push_back(n);
+  for (std::size_t n : {64ul, 100ul, 257ul, 1000ul}) sizes.push_back(n);
+  const std::uint64_t keys[] = {0ull, 0xFFFFFFFFull, 0xFFFFFFFF00000000ull,
+                                0x8000000000000001ull, 0x0123456789ABCDEFull};
+  const std::uint32_t rows[] = {0u, 1u, 65535u, 65536u, 1000003u,
+                                0xFFFFFFFFu};
+  const simd::KernelTable& ref = *simd::scalar_kernels();
+  Rng data_rng(71);
+  for (int bits : {2, 4, 8}) {
+    const float scale = 6.0f / static_cast<float>((1u << bits) - 1u);
+    for (std::size_t n : sizes) {
+      std::vector<float> x(n);
+      for (auto& v : x) v = static_cast<float>(data_rng.uniform(-3.0, 3.0));
+      const std::size_t nbytes = (n * static_cast<std::size_t>(bits) + 7) / 8;
+      for (std::uint64_t key : keys) {
+        for (std::uint32_t row : rows) {
+          std::vector<std::uint8_t> want(nbytes, 0xAA);
+          ref.quantize_pack(bits, x.data(), n, -3.0f, scale, key, row,
+                            want.data());
+          for (Isa isa : vector_isas()) {
+            IsaGuard guard(isa);
+            std::vector<std::uint8_t> got(nbytes, 0x55);
+            simd::kernels().quantize_pack(bits, x.data(), n, -3.0f, scale,
+                                          key, row, got.data());
+            EXPECT_EQ(got, want) << isa_name(isa) << " b=" << bits
+                                 << " n=" << n << " key=" << key
+                                 << " row=" << row;
+          }
+        }
       }
     }
   }
