@@ -316,28 +316,28 @@ TEST(PinnedNumerics, Vanilla) {
 TEST(PinnedNumerics, AdaQP) {
   expect_pinned(Method::kAdaQP,
                 {{0x3ffd46631a7c5e52ull, 0x3fce666666666666ull,
-                  0x3fd4cccccccccccdull, 0x3ffb46c0f195b9eeull,
+                  0x3fd4cccccccccccdull, 0x3ffb42ed8c5972a5ull,
                   0x3fd8000000000000ull, 0x3fd8cccccccccccdull,
-                  0x3ffa6568e6cbb587ull, 0x3fe0000000000000ull,
-                  0x3fe0666666666666ull, 0x3ff94edb5dec388dull,
+                  0x3ffa6d6e7a56418dull, 0x3fe0000000000000ull,
+                  0x3fe0cccccccccccdull, 0x3ff94df26ca7650full,
                   0x3fe2000000000000ull, 0x3fe599999999999aull,
-                  0x3ff79f24cc165f8bull, 0x3fe599999999999aull,
-                  0x3fe8000000000000ull, 0x3ff5e59321450779ull,
+                  0x3ff79d24f8e0c0f2ull, 0x3fe599999999999aull,
+                  0x3fe799999999999aull, 0x3ff5e7c8bd1b0adfull,
                   0x3fe799999999999aull, 0x3fe8666666666666ull},
-                 476480u,
-                 0x3f1388ad4cb24b7full});
+                 476924u,
+                 0x3f138a206280485full});
 }
 
 TEST(PinnedNumerics, AdaQPUniform) {
   expect_pinned(Method::kAdaQPUniform,
                 {{0x3ffd46631a7c5e52ull, 0x3fce666666666666ull,
-                  0x3fd4cccccccccccdull, 0x3ffb3cd943cf319eull,
-                  0x3fd8cccccccccccdull, 0x3fd8cccccccccccdull,
-                  0x3ffa62c53ce3e8eeull, 0x3fe0666666666666ull,
-                  0x3fe1333333333333ull, 0x3ff957ad018cf9f3ull,
-                  0x3fe2000000000000ull, 0x3fe6000000000000ull,
-                  0x3ff7967c69891b6cull, 0x3fe599999999999aull,
-                  0x3fe8000000000000ull, 0x3ff5dd87ac8fd07cull,
+                  0x3fd4cccccccccccdull, 0x3ffb4d5fd791f154ull,
+                  0x3fd8000000000000ull, 0x3fd8000000000000ull,
+                  0x3ffa6a9f7ae9bb2eull, 0x3fe0000000000000ull,
+                  0x3fe0cccccccccccdull, 0x3ff94cea14278d3bull,
+                  0x3fe2000000000000ull, 0x3fe599999999999aull,
+                  0x3ff79a98ca18ebeaull, 0x3fe599999999999aull,
+                  0x3fe799999999999aull, 0x3ff5e7755acfc4faull,
                   0x3fe799999999999aull, 0x3fe8666666666666ull},
                  465024u,
                  0x3f13a692d118cb3full});
