@@ -53,7 +53,7 @@ class Rng {
   }
 
   /// Uniform float in [0, 1) with 24 bits of precision (fast path used by
-  /// stochastic rounding, where one draw is needed per tensor element).
+  /// dropout masks, where one draw is needed per tensor element).
   float uniform_float() {
     return static_cast<float>(next() >> 40) * 0x1.0p-24f;
   }

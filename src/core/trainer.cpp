@@ -1085,8 +1085,8 @@ std::pair<double, double> DistTrainer::evaluate() {
   // Full-precision inference over private buffers (leaves training state —
   // notably PipeGCN's stale halos — untouched). The exchange derives its
   // per-pair streams from a private copy of the device streams, so training
-  // draws the same numbers with evaluation on or off; 32-bit messages draw
-  // nothing, so the copy changes no evaluation result either.
+  // draws the same numbers with evaluation on or off; 32-bit messages are
+  // never rounded, so the copy changes no evaluation result either.
   std::vector<Matrix> x = features_;
   std::vector<Rng> rngs = device_rngs_;
   const ExchangePlan plan32 = ExchangePlan::uniform_forward(dist_, 32);
