@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "obs/profile.h"
 #include "pipeline/config.h"
 #include "pipeline/trace.h"
 #include "runtime/thread_pool.h"
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
   for (const auto& e : rec.events()) {
     const auto iv = std::make_pair(e.ts_us, e.ts_us + e.dur_us);
     const bool backward = e.name->find("b/") != std::string::npos;
-    if (e.name->rfind("fwd/", 0) == 0 || e.name->rfind("bwd-", 0) == 0)
+    if (obs::is_exchange(obs::classify_stage(*e.name)))
       exchange_iv.push_back(iv);
     else if (!backward && e.name->find("/central/") != std::string::npos)
       central_iv.push_back(iv);

@@ -7,7 +7,7 @@
 // Part 2 extends the static headroom table with the *realized* overlap of
 // the full-duplex backward pass: it runs AdaQP under the trace recorder and
 // measures, from actual stage timestamps, how much of the halo-gradient
-// exchange (bwd-enc / bwd-acc / bwd-zero stages) executed concurrently with
+// exchange (bwd-enc / bwd-acc stages) executed concurrently with
 // the central-row backward adjoints (L*b/central stages). On a
 // 1-hardware-thread host the scheduler degrades to inline execution and the
 // measured overlap is ~0 by construction; run with ADAQP_THREADS > 1 on a
@@ -24,6 +24,7 @@
 
 #include "bench_common.h"
 #include "core/timing.h"
+#include "obs/profile.h"
 #include "pipeline/trace.h"
 #include "quant/message_codec.h"
 #include "runtime/thread_pool.h"
@@ -62,7 +63,8 @@ void measure_backward_overlap(bool quick, const std::string& trace_path) {
       bwd_marginal_iv;
   for (const auto& e : rec.events()) {
     const auto iv = std::make_pair(e.ts_us, e.ts_us + e.dur_us);
-    if (e.name->rfind("bwd-", 0) == 0)
+    const obs::StageClass cls = obs::classify_stage(*e.name);
+    if (obs::is_exchange(cls) && !cls.fused_forward)
       bwd_exchange_iv.push_back(iv);
     else if (e.name->find("b/central/") != std::string::npos)
       bwd_central_iv.push_back(iv);

@@ -278,9 +278,9 @@ DistTrainer::LayerGraph& DistTrainer::forward_graph(int l) {
   pipeline::StageGraph& graph = g.graph;
   const std::string prefix = "L" + std::to_string(l);
   graph.set_label(prefix + "/forward");
-  g.acct.init_storage(num_devices_);
-  const pipeline::PairStages pair = pipeline::add_forward_exchange_stages(
-      graph, dist_, acts_[l], fwd_plans_[l], g.acct);
+  const std::vector<std::vector<int>> pair_stage =
+      pipeline::add_forward_exchange_stages(graph, dist_, acts_[l],
+                                            fwd_plans_[l], g.acct);
 
   if (overlap_) {
     // Per-pair encode/wire/decode stages run concurrently with per-device
@@ -323,7 +323,7 @@ DistTrainer::LayerGraph& DistTrainer::forward_graph(int l) {
       const std::string dn = "d" + std::to_string(d);
       std::vector<int> deps{central[d]};
       for (int p : dev.halo_senders)
-        if (pair.stage[p][d] >= 0) deps.push_back(pair.stage[p][d]);
+        if (pair_stage[p][d] >= 0) deps.push_back(pair_stage[p][d]);
       AccessList acc;
       if (analysis::racecheck_enabled()) {
         // Marginal rows aggregate halo neighbors too, so the read covers the
@@ -347,8 +347,6 @@ DistTrainer::LayerGraph& DistTrainer::forward_graph(int l) {
           deps, std::move(acc));
     }
   }
-  // Reserve the wire blocks at the 32-bit build plan's (maximal) widths.
-  g.acct.warm(dist_, fwd_plans_[l], /*forward=*/true, model_.layer_in_dim(l));
   return g;
 }
 
@@ -365,11 +363,9 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
   std::vector<Matrix>& grad_x = policy_of(opts_.method).defer
                                     ? pipegcn_bwd_scratch_[l]
                                     : grad_flow_[(num_layers_ - l) & 1];
-  const std::size_t in_dim = model_.layer_in_dim(l);
   pipeline::StageGraph& graph = g.graph;
   const std::string prefix = "L" + std::to_string(l) + "b";
   graph.set_label(prefix + "/backward");
-  g.acct.init_storage(num_devices_);
 
   // Overlapped backward: determinism at any schedule comes from the same
   // rules as the forward split — disjoint writes per stage (marginal
@@ -461,7 +457,7 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
       const DeviceGraph& dev = dist_.devices[d];
       const std::string dn = "d" + std::to_string(d);
       // Assigner range trace: needs the complete local adjoint but must
-      // precede the exchange's mutations (owner accumulate, halo zero). The
+      // precede the exchange's only mutation, the owner accumulate. The
       // stage stays in the persistent graph every epoch; its body only
       // traces on epochs whose plan refresh reads the ranges.
       AccessList acc;
@@ -482,9 +478,8 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
           },
           {central[d]}, std::move(acc));
     }
-    deps.encode = marginal;     // halo rows are complete
-    deps.accumulate = trace;    // owner's own owned-row writes are complete
-    deps.zero = trace;          // last halo-row reader is done
+    deps.encode = marginal;   // halo rows are complete
+    deps.accumulate = trace;  // owner's own writes and the trace are done
   }
   pipeline::add_backward_exchange_stages(graph, dist_, grad_x, bwd_plans_[l],
                                         g.acct, deps);
@@ -515,9 +510,6 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
         },
         central, std::move(fold_acc));
   }
-  // Reserve the wire blocks at the 32-bit build plan's (maximal) widths and
-  // the owner-side decode accumulators.
-  g.acct.warm(dist_, bwd_plans_[l], /*forward=*/false, in_dim);
   return g;
 }
 
@@ -533,8 +525,11 @@ void DistTrainer::run_layer_graph(LayerGraph& g, int layer, bool forward) {
 
 void DistTrainer::finish_layer_graph(const LayerGraph& g, int layer,
                                      bool forward) {
-  pipeline::finalize_exchange_stats_into(g.acct, dist_, cluster_,
-                                         stats_scratch_);
+  // Figures derive from the plan the round was encoded at: PipeGCN's plans
+  // stay 32-bit while its rounds are in flight.
+  pipeline::finalize_exchange_stats_into(
+      g.acct, dist_, forward ? fwd_plans_[layer] : bwd_plans_[layer],
+      model_.layer_in_dim(layer), cluster_, stats_scratch_);
   total_comm_bytes_ += stats_scratch_.total_bytes();
   // Deferred traffic lands in the epoch row of the epoch that *joins* it
   // (one after the launch); the end-of-run drain past the last epoch only
@@ -827,9 +822,8 @@ double DistTrainer::pipegcn_backward(int l, std::vector<Matrix>& grad_x) {
         for (std::size_t c = 0; c < dst.size(); ++c) dst[c] += src[c];
       }
     }
-    // Re-stage: zero the owned rows the next exchange accumulates into,
-    // copy this epoch's outbound halo contributions, then drop them locally
-    // (they are being shipped).
+    // Re-stage: zero the owned rows the next exchange accumulates into and
+    // copy this epoch's outbound halo contributions.
     for (std::size_t i = 0; i < dev.num_owned; ++i) {
       auto row = scratch[d].row(i);
       std::fill(row.begin(), row.end(), 0.0f);
@@ -837,8 +831,6 @@ double DistTrainer::pipegcn_backward(int l, std::vector<Matrix>& grad_x) {
     for (std::size_t h = dev.num_owned; h < dev.num_local(); ++h) {
       const auto src = grad_x[d].row(h);
       std::copy(src.begin(), src.end(), scratch[d].row(h).begin());
-      auto row = grad_x[d].row(h);
-      std::fill(row.begin(), row.end(), 0.0f);
     }
   }
   launch_deferred(g);
@@ -1092,8 +1084,6 @@ std::pair<double, double> DistTrainer::evaluate() {
   const ExchangePlan plan32 = ExchangePlan::uniform_forward(dist_, 32);
   std::vector<LayerCache> scratch(num_devices_);
   for (int l = 0; l < num_layers_; ++l) {
-    // Arm the round before building the stages: the race-check annotations
-    // read the accounting's slots.
     eval_acct_.init(num_devices_, rngs);
     pipeline::StageGraph graph;
     graph.set_label("evaluate/forward");

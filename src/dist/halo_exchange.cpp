@@ -43,10 +43,10 @@ bool parallel_exchange_ok() {
 
 /// One exchange round over a local stage graph on a fresh wire channel:
 /// derive the per-pair RNG streams, build the stages, run them, finalize.
-template <typename AddStages>
-ExchangeStats run_one_shot(const DistGraph& dist, const ClusterSpec& cluster,
-                           std::vector<Rng>& rngs, const char* label,
-                           const AddStages& add_stages) {
+ExchangeStats run_one_shot(const DistGraph& dist, std::vector<Matrix>& mats,
+                           const ExchangePlan& plan,
+                           const ClusterSpec& cluster, std::vector<Rng>& rngs,
+                           bool forward) {
   const int n = dist.num_devices();
   ADAQP_CHECK(cluster.num_devices() == n);
   ADAQP_CHECK(static_cast<int>(rngs.size()) == n);
@@ -56,13 +56,21 @@ ExchangeStats run_one_shot(const DistGraph& dist, const ClusterSpec& cluster,
   // without negotiation (see transport::next_channel()).
   acct.channel = transport::next_channel();
   acct.init(n, rngs);
-  graph.set_label(label);
-  add_stages(graph, acct);
+  if (forward) {
+    graph.set_label("halo-exchange/forward");
+    pipeline::add_forward_exchange_stages(graph, dist, mats, plan, acct);
+  } else {
+    graph.set_label("halo-exchange/backward");
+    pipeline::add_backward_exchange_stages(graph, dist, mats, plan, acct);
+  }
   const double start_us = obs::monotonic_us();
   graph.run(parallel_exchange_ok());
   obs::instruments().exchange_submit_to_join_us.record(obs::monotonic_us() -
                                                        start_us);
-  return pipeline::finalize_exchange_stats(acct, dist, cluster);
+  ExchangeStats stats;
+  pipeline::finalize_exchange_stats_into(acct, dist, plan, mats.front().cols(),
+                                         cluster, stats);
+  return stats;
 }
 
 }  // namespace
@@ -102,11 +110,7 @@ ExchangeStats exchange_halo_forward(const DistGraph& dist,
                                     const ExchangePlan& plan,
                                     const ClusterSpec& cluster,
                                     std::vector<Rng>& rngs) {
-  return run_one_shot(
-      dist, cluster, rngs, "halo-exchange/forward",
-      [&](pipeline::StageGraph& graph, pipeline::ExchangeAccounting& acct) {
-        pipeline::add_forward_exchange_stages(graph, dist, locals, plan, acct);
-      });
+  return run_one_shot(dist, locals, plan, cluster, rngs, /*forward=*/true);
 }
 
 ExchangeStats exchange_halo_backward(const DistGraph& dist,
@@ -114,11 +118,7 @@ ExchangeStats exchange_halo_backward(const DistGraph& dist,
                                      const ExchangePlan& plan,
                                      const ClusterSpec& cluster,
                                      std::vector<Rng>& rngs) {
-  return run_one_shot(
-      dist, cluster, rngs, "halo-exchange/backward",
-      [&](pipeline::StageGraph& graph, pipeline::ExchangeAccounting& acct) {
-        pipeline::add_backward_exchange_stages(graph, dist, grads, plan, acct);
-      });
+  return run_one_shot(dist, grads, plan, cluster, rngs, /*forward=*/false);
 }
 
 double ring_allreduce_seconds(const ClusterSpec& cluster, std::size_t bytes) {

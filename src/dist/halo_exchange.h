@@ -2,8 +2,8 @@
 //
 // The forward exchange ships every device's boundary (send-map) rows to the
 // peers that mirror them as halo; the backward exchange ships halo-row
-// gradient contributions back to their owners, accumulates them there, and
-// zeroes the halo rows (they were consumed). Both directions push every
+// gradient contributions back to their owners and accumulates them there
+// (the halo rows are left as they were). Both directions push every
 // message through the real wire codec (quant/message_codec) at the
 // per-message bit-widths of an ExchangePlan, so numerics are bit-exact with
 // what a physical cluster would compute, while *time* is accounted by the
@@ -85,8 +85,7 @@ ExchangeStats exchange_halo_forward(const DistGraph& dist,
 
 /// Backward halo exchange: for every pair (d, p), encode the halo rows
 /// grads[d][recv_local[p]] at plan.bits[d][p] and *accumulate* them into the
-/// owner's rows grads[p][send_local[d]]; afterwards every halo row is zeroed
-/// (its contribution has been shipped).
+/// owner's rows grads[p][send_local[d]]. Halo rows are read, never written.
 ExchangeStats exchange_halo_backward(const DistGraph& dist,
                                      std::vector<Matrix>& grads,
                                      const ExchangePlan& plan,

@@ -73,8 +73,6 @@ StageClass classify_stage(std::string_view name) {
     // Owner-side dequantize + accumulate.
     cls.category = kCatDecode;
     parse_pair(name, cls);
-  } else if (starts("bwd-zero/")) {
-    cls.category = kCatOther;
   } else if (name.find("/central") != std::string_view::npos) {
     cls.category = kCatCentral;
   } else if (name.find("/marginal") != std::string_view::npos) {
@@ -315,9 +313,7 @@ void ProfileDag::compute(SegmentProfile& out, double* pair_s, int devices) {
   for (std::size_t i = 0; i < count_; ++i) {
     const Stage& st = stages_[i];
     if (st.end_us <= st.begin_us) continue;
-    const bool exchange =
-        st.cls.fused_forward || st.cls.fused_backward ||
-        (st.cls.category == kCatDecode);
+    const bool exchange = is_exchange(st.cls);
     const bool compute =
         st.cls.category == kCatCentral || st.cls.category == kCatFold;
     if (exchange) iv_exchange_.push_back({st.begin_us, st.end_us});

@@ -34,8 +34,8 @@
 //
 // Stage classification is by name, using the repo's stage naming scheme
 // (pipeline/exchange_stages.cpp, core/trainer.cpp): "fwd/dX->dY" fused
-// exchange stages, "bwd-enc/dX->dY" / "bwd-acc/dX" / "bwd-zero/dX" backward
-// wire stages, "L{l}/central|marginal/d{d}" compute stages, "L{l}b/fold".
+// exchange stages, "bwd-enc/dX->dY" / "bwd-acc/dX" backward wire stages,
+// "L{l}/central|marginal/d{d}" compute stages, "L{l}b/fold".
 // Fused exchange stages cover encode+wire+decode inside one measured span;
 // their span is split across the three categories in proportion to the
 // cost model's quantize : comm : dequantize seconds for that layer-epoch
@@ -65,9 +65,9 @@ namespace adaqp::obs {
 // ---------------------------------------------------------------------------
 
 /// Semantic attribution buckets for stage time. kCatOther absorbs stages
-/// with no wire/compute meaning (range traces, halo zeroing); the epoch
-/// rollup additionally reports optimizer / scheduling / serial components
-/// that are not stage categories (EpochProfile).
+/// with no wire/compute meaning (range traces); the epoch rollup
+/// additionally reports optimizer / scheduling / serial components that are
+/// not stage categories (EpochProfile).
 enum ProfileCategory : int {
   kCatCentral = 0,   ///< central-row compute (hides under the wire)
   kCatMarginal,      ///< marginal-row compute (on the critical path by design)
@@ -75,7 +75,7 @@ enum ProfileCategory : int {
   kCatWire,          ///< modeled transfer share of exchange stages
   kCatDecode,        ///< unpack + dequantize (+ owner-side accumulate)
   kCatFold,          ///< shared parameter-gradient fold
-  kCatOther,         ///< range traces, halo zeroing, unrecognized stages
+  kCatOther,         ///< range traces, unrecognized stages
   kNumProfileCategories
 };
 
@@ -95,6 +95,13 @@ struct StageClass {
 /// Pure and allocation-free; understands the repo's stage naming scheme and
 /// files anything else under kCatOther.
 StageClass classify_stage(std::string_view name);
+
+/// True for the stages of an exchange: the fused forward pair stages, the
+/// backward sender stages and the owner-side accumulate.
+inline bool is_exchange(const StageClass& cls) {
+  return cls.fused_forward || cls.fused_backward ||
+         cls.category == kCatDecode;
+}
 
 // ---------------------------------------------------------------------------
 // Per-segment results

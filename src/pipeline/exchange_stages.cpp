@@ -67,7 +67,7 @@ std::string stage_name(const char* kind, int d, int p) {
 // Each stage declares exactly the bytes it touches: row sets of the device
 // matrices (row-granular, so the checker can prove e.g. that encodes reading
 // halo rows never collide with owner accumulation into owned rows) plus the
-// per-pair accounting slots. Built only when the checker is enabled.
+// per-pair staging slots. Built only when the checker is enabled.
 
 using analysis::AccessList;
 using analysis::BufferAccess;
@@ -82,45 +82,65 @@ void add_rows(AccessList& out, const Matrix& m,
                            rows.data(), rows.size(), mode, label);
 }
 
-/// The stats/RNG/staging slots every encode stage owns exclusively.
-void add_pair_slots(AccessList& out, ExchangeAccounting& acct, int d, int p,
-                    const std::string& tag) {
-  out.push_back(analysis::write_of(&acct.pair_bytes[d][p],
-                                   sizeof(acct.pair_bytes[d][p]),
-                                   tag + ".pair_bytes"));
-  out.push_back(analysis::write_of(&acct.fp_bytes[d][p],
-                                   sizeof(acct.fp_bytes[d][p]),
-                                   tag + ".fp_bytes"));
-  out.push_back(analysis::write_of(&acct.pair_width_bytes[d][p],
-                                   sizeof(acct.pair_width_bytes[d][p]),
-                                   tag + ".pair_width_bytes"));
+transport::FrameTag frame_tag(const ExchangeAccounting& acct,
+                              std::uint8_t direction, int d, int p) {
+  return {acct.channel, acct.round, direction, static_cast<std::uint8_t>(d),
+          static_cast<std::uint8_t>(p)};
+}
+
+/// The one sender body of both directions: encode `rows` of `src` at `bits`
+/// with the pair's private stream into its persistent block (capacity kept
+/// across rounds) and ship it. Returns the message's frame tag.
+transport::FrameTag encode_and_send(const Matrix& src,
+                                    const std::vector<NodeId>& rows,
+                                    std::span<const int> bits,
+                                    ExchangeAccounting& acct,
+                                    std::uint8_t direction, int d, int p) {
+  EncodedBlock& block = acct.blocks[d][p];
+  encode_rows_into(src, rows, bits, acct.pair_rngs[d][p], block);
+  const transport::FrameTag tag = frame_tag(acct, direction, d, p);
+  transport::active().send(tag, block.bytes);
+  return tag;
+}
+
+/// Race-checker annotations of one sender stage: the rows it encodes, and
+/// the per-pair block, RNG stream and (wire backends only) inbox slot it
+/// owns exclusively. Wire backends move the delivered payload into a stable
+/// per-pair inbox slot the receiving side decodes from; declaring that
+/// write covers the encode -> deliver -> decode chain.
+void add_sender_slots(AccessList& out, const Matrix& src,
+                      const std::vector<NodeId>& rows,
+                      const std::string& rows_label, ExchangeAccounting& acct,
+                      std::uint8_t direction, int d, int p,
+                      const std::string& name) {
+  add_rows(out, src, rows, kRead, rows_label);
+  out.push_back(analysis::write_of(&acct.blocks[d][p],
+                                   sizeof(acct.blocks[d][p]), name + ".block"));
   out.push_back(analysis::write_of(&acct.pair_rngs[d][p],
                                    sizeof(acct.pair_rngs[d][p]),
-                                   tag + ".rng"));
+                                   name + ".rng"));
+  if (const void* slot =
+          transport::active().pair_slot(acct.channel, direction, d, p))
+    out.push_back(analysis::write_of(slot, 1, name + ".wire_slot"));
+}
+
+/// Size the [sender][receiver] slot tables. Idempotent: later calls keep
+/// every nested capacity (blocks, decode staging), so the steady-state
+/// exchange allocates nothing.
+void size_slots(ExchangeAccounting& acct, int n) {
+  if (static_cast<int>(acct.blocks.size()) == n) return;
+  acct.blocks.assign(n, std::vector<EncodedBlock>(n));
+  acct.pair_rngs.assign(n, std::vector<Rng>(n));
+  acct.acc_decoded.resize(n);
+  acct.acc_seq.resize(n);
 }
 
 }  // namespace
 
-void ExchangeAccounting::init_storage(int n) {
-  if (static_cast<int>(pair_bytes.size()) == n) return;
-  // First init: size everything. Later inits rewrite in place, keeping
-  // every nested capacity (blocks, decode staging) — the
-  // steady-state exchange allocates nothing.
-  pair_bytes.assign(n, std::vector<std::size_t>(n, 0));
-  fp_bytes.assign(n, std::vector<std::size_t>(n, 0));
-  pair_width_bytes.assign(
-      n, std::vector<std::array<std::uint64_t, obs::kNumWidths>>(
-             n, std::array<std::uint64_t, obs::kNumWidths>{}));
-  blocks.assign(n, std::vector<EncodedBlock>(n));
-  pair_rngs.assign(n, std::vector<Rng>(n));
-  acc_decoded.resize(n);
-  acc_seq.resize(n);
-}
-
 void ExchangeAccounting::warm(const DistGraph& dist, const ExchangePlan& plan,
                               bool forward, std::size_t cols) {
   const int n = dist.num_devices();
-  init_storage(n);
+  size_slots(*this, n);
   for (int d = 0; d < n; ++d) {
     const DeviceGraph& dev = dist.devices[d];
     for (int p = 0; p < n; ++p) {
@@ -154,16 +174,9 @@ void ExchangeAccounting::warm(const DistGraph& dist, const ExchangePlan& plan,
 
 void ExchangeAccounting::init(int n, std::vector<Rng>& device_rngs) {
   ++round;  // first round is 1; round 0 is reserved for hellos
-  if (static_cast<int>(pair_bytes.size()) != n) {
-    init_storage(n);
-  } else {
-    for (auto& row : pair_bytes) std::fill(row.begin(), row.end(), 0);
-    for (auto& row : fp_bytes) std::fill(row.begin(), row.end(), 0);
-    for (auto& row : pair_width_bytes)
-      for (auto& slot : row) slot.fill(0);
-    for (auto& row : blocks)
-      for (auto& b : row) b.bytes.clear();
-  }
+  size_slots(*this, n);
+  for (auto& row : blocks)
+    for (auto& b : row) b.bytes.clear();
   // Per-pair streams, derived serially: one next() per device stream (in
   // ascending device order), splitmixed with the peer index. Identical for
   // every schedule, and no stage ever touches the shared device streams.
@@ -177,77 +190,52 @@ void ExchangeAccounting::init(int n, std::vector<Rng>& device_rngs) {
   }
 }
 
-PairStages add_forward_exchange_stages(StageGraph& graph,
-                                       const DistGraph& dist,
-                                       std::vector<Matrix>& locals,
-                                       const ExchangePlan& plan,
-                                       ExchangeAccounting& acct) {
+std::vector<std::vector<int>> add_forward_exchange_stages(
+    StageGraph& graph, const DistGraph& dist, std::vector<Matrix>& locals,
+    const ExchangePlan& plan, ExchangeAccounting& acct) {
   const int n = dist.num_devices();
   ADAQP_CHECK(static_cast<int>(locals.size()) == n);
   check_plan_shape(dist, plan, /*forward=*/true);
   for (int d = 0; d < n; ++d)
     ADAQP_CHECK(locals[d].rows() == dist.devices[d].num_local());
+  acct.warm(dist, plan, /*forward=*/true, locals.front().cols());
 
-  PairStages out;
-  out.stage.assign(n, std::vector<int>(n, -1));
+  std::vector<std::vector<int>> stage(n, std::vector<int>(n, -1));
   for (int d = 0; d < n; ++d) {
     const DeviceGraph& dev = dist.devices[d];
     for (int p = 0; p < n; ++p) {
       if (p == d || dev.send_local[p].empty()) continue;
       // One stage per message: encode the sender's owned rows with the
       // pair's private stream and decode straight into the receiver's halo
-      // rows. Each stage writes its own halo-row slice and stats slots, so
-      // all forward stages are mutually independent.
+      // rows. Each stage writes its own halo-row slice and per-pair slots,
+      // so all forward stages are mutually independent.
       const std::string name = stage_name("fwd", d, p);
       AccessList acc;
       if (analysis::racecheck_enabled()) {
-        add_rows(acc, locals[d], dev.send_local[p], kRead,
-                 "x[d" + std::to_string(d) + "].boundary_rows(d" +
-                     std::to_string(p) + ")");
+        add_sender_slots(acc, locals[d], dev.send_local[p],
+                         "x[d" + std::to_string(d) + "].boundary_rows(d" +
+                             std::to_string(p) + ")",
+                         acct, /*direction=*/0, d, p, name);
         add_rows(acc, locals[p], dist.devices[p].recv_local[d], kWrite,
                  "x[d" + std::to_string(p) + "].halo_rows(d" +
                      std::to_string(d) + ")");
-        acc.push_back(analysis::write_of(&acct.blocks[d][p],
-                                         sizeof(acct.blocks[d][p]),
-                                         name + ".block"));
-        add_pair_slots(acc, acct, d, p, name);
-        // Wire backends move the delivered payload into a stable per-pair
-        // inbox slot this stage then decodes from; declare that write so
-        // the checker covers the encode -> deliver -> decode chain.
-        if (const void* slot = transport::active().pair_slot(
-                acct.channel, /*direction=*/0, d, p))
-          acc.push_back(analysis::write_of(slot, 1, name + ".wire_slot"));
       }
-      out.stage[d][p] = graph.add(
+      stage[d][p] = graph.add(
           name,
           [&dist, &locals, &plan, &acct, d, p] {
             if (!acct.sends(d, p)) return;
-            const DeviceGraph& sender = dist.devices[d];
-            const auto& bits = plan.bits[d][p];
-            // Persistent per-pair staging: block bytes keep their
-            // warmed-up capacity across rounds.
-            encode_rows_into(locals[d], sender.send_local[p], bits,
-                             acct.pair_rngs[d][p], acct.blocks[d][p]);
-            acct.pair_bytes[d][p] = acct.blocks[d][p].wire_bytes();
-            acct.fp_bytes[d][p] =
-                quantized_fp_bytes(bits, locals[d].cols());
-            accumulate_width_bytes(bits, locals[d].cols(),
-                                   acct.pair_width_bytes[d][p]);
-            // Ship the encoded block and decode whatever the transport
-            // delivers — under loopback that is the block itself, zero-copy.
-            transport::Transport& tp = transport::active();
-            const transport::FrameTag tag{acct.channel, acct.round,
-                                          /*direction=*/0,
-                                          static_cast<std::uint8_t>(d),
-                                          static_cast<std::uint8_t>(p)};
-            tp.send(tag, acct.blocks[d][p].bytes);
-            decode_rows(tp.recv(tag, acct.blocks[d][p].bytes), locals[p],
-                        dist.devices[p].recv_local[d]);
+            const transport::FrameTag tag =
+                encode_and_send(locals[d], dist.devices[d].send_local[p],
+                                plan.bits[d][p], acct, /*direction=*/0, d, p);
+            // Decode whatever the transport delivers — under loopback that
+            // is the block itself, zero-copy.
+            decode_rows(transport::active().recv(tag, acct.blocks[d][p].bytes),
+                        locals[p], dist.devices[p].recv_local[d]);
           },
           {}, std::move(acc));
     }
   }
-  return out;
+  return stage;
 }
 
 void add_backward_exchange_stages(StageGraph& graph, const DistGraph& dist,
@@ -260,6 +248,7 @@ void add_backward_exchange_stages(StageGraph& graph, const DistGraph& dist,
   check_plan_shape(dist, plan, /*forward=*/false);
   for (int d = 0; d < n; ++d)
     ADAQP_CHECK(grads[d].rows() == dist.devices[d].num_local());
+  acct.warm(dist, plan, /*forward=*/false, grads.front().cols());
   const auto extra_dep = [](const std::vector<int>& hook, int d) {
     return d < static_cast<int>(hook.size()) ? hook[d] : -1;
   };
@@ -279,39 +268,20 @@ void add_backward_exchange_stages(StageGraph& graph, const DistGraph& dist,
       if (p == d || dev.recv_local[p].empty()) continue;
       const std::string name = stage_name("bwd-enc", d, p);
       AccessList acc;
-      if (analysis::racecheck_enabled()) {
-        add_rows(acc, grads[d], dev.recv_local[p], kRead,
-                 "grad[d" + std::to_string(d) + "].halo_rows(d" +
-                     std::to_string(p) + ")");
-        acc.push_back(analysis::write_of(&acct.blocks[d][p],
-                                         sizeof(acct.blocks[d][p]),
-                                         name + ".block"));
-        add_pair_slots(acc, acct, d, p, name);
-        // The send side of the wire path; ordered against the owner's
-        // recv/decode by the enc -> acc dependency below, and annotated on
-        // the same slot so a schedule that broke that edge would flag.
-        if (const void* slot = transport::active().pair_slot(
-                acct.channel, /*direction=*/1, d, p))
-          acc.push_back(analysis::write_of(slot, 1, name + ".wire_slot"));
-      }
+      // The send side of the wire path; ordered against the owner's
+      // recv/decode by the enc -> acc dependency below, and annotated on
+      // the same slot so a schedule that broke that edge would flag.
+      if (analysis::racecheck_enabled())
+        add_sender_slots(acc, grads[d], dev.recv_local[p],
+                         "grad[d" + std::to_string(d) + "].halo_rows(d" +
+                             std::to_string(p) + ")",
+                         acct, /*direction=*/1, d, p, name);
       enc[d][p] = graph.add(
           name,
           [&dist, &grads, &plan, &acct, d, p] {
             if (!acct.sends(d, p)) return;
-            const DeviceGraph& sender = dist.devices[d];
-            const auto& bits = plan.bits[d][p];
-            encode_rows_into(grads[d], sender.recv_local[p], bits,
-                             acct.pair_rngs[d][p], acct.blocks[d][p]);
-            acct.pair_bytes[d][p] = acct.blocks[d][p].wire_bytes();
-            acct.fp_bytes[d][p] =
-                quantized_fp_bytes(bits, grads[d].cols());
-            accumulate_width_bytes(bits, grads[d].cols(),
-                                   acct.pair_width_bytes[d][p]);
-            const transport::FrameTag tag{acct.channel, acct.round,
-                                          /*direction=*/1,
-                                          static_cast<std::uint8_t>(d),
-                                          static_cast<std::uint8_t>(p)};
-            transport::active().send(tag, acct.blocks[d][p].bytes);
+            encode_and_send(grads[d], dist.devices[d].recv_local[p],
+                            plan.bits[d][p], acct, /*direction=*/1, d, p);
           },
           enc_deps, std::move(acc));
     }
@@ -347,28 +317,20 @@ void add_backward_exchange_stages(StageGraph& graph, const DistGraph& dist,
     graph.add(
         name,
         [&dist, &grads, &acct, p, n] {
-          // Persistent per-owner staging (capacity kept across rounds); the
-          // fold runs through the kernel table's elementwise add.
+          // Persistent per-owner staging, sized by warm() for the largest
+          // inbound message; the fold runs through the kernel table's
+          // elementwise add.
           Matrix& decoded = acct.acc_decoded[p];
-          std::vector<NodeId>& seq = acct.acc_seq[p];
+          const std::vector<NodeId>& seq = acct.acc_seq[p];
           const auto& kt = simd::kernels();
           for (int d = 0; d < n; ++d) {
             if (d == p || acct.blocks[d][p].bytes.empty()) continue;
             const auto& owner_rows = dist.devices[p].send_local[d];
             decoded.reshape_uninit(owner_rows.size(), grads[p].cols());
-            if (seq.size() < owner_rows.size()) {
-              const std::size_t old = seq.size();
-              seq.resize(owner_rows.size());
-              for (std::size_t i = old; i < seq.size(); ++i)
-                seq[i] = static_cast<NodeId>(i);
-            }
-            const transport::FrameTag tag{acct.channel, acct.round,
-                                          /*direction=*/1,
-                                          static_cast<std::uint8_t>(d),
-                                          static_cast<std::uint8_t>(p)};
-            decode_rows(
-                transport::active().recv(tag, acct.blocks[d][p].bytes),
-                decoded, {seq.data(), owner_rows.size()});
+            const transport::FrameTag tag =
+                frame_tag(acct, /*direction=*/1, d, p);
+            decode_rows(transport::active().recv(tag, acct.blocks[d][p].bytes),
+                        decoded, {seq.data(), owner_rows.size()});
             for (std::size_t i = 0; i < owner_rows.size(); ++i) {
               auto dst = grads[p].row(owner_rows[i]);
               kt.ef_fold(dst.data(), decoded.row(i).data(), dst.data(),
@@ -378,82 +340,55 @@ void add_backward_exchange_stages(StageGraph& graph, const DistGraph& dist,
         },
         acc_deps, std::move(acc));
   }
-
-  // Phase 3 stages — zero each device's halo rows once its own encodes (and
-  // any extra halo-row reader hooked in via deps.zero) are done: their
-  // contribution has been shipped.
-  for (int d = 0; d < n; ++d) {
-    std::vector<int> zero_deps;
-    for (int p = 0; p < n; ++p)
-      if (enc[d][p] >= 0) zero_deps.push_back(enc[d][p]);
-    if (const int dep = extra_dep(deps.zero, d); dep >= 0)
-      zero_deps.push_back(dep);
-    const DeviceGraph& dev = dist.devices[d];
-    if (dev.num_halo == 0) continue;
-    AccessList acc;
-    if (analysis::racecheck_enabled())
-      acc.push_back(analysis::row_range(
-          grads[d].data(), grads[d].cols() * sizeof(float), dev.num_owned,
-          dev.num_local(), kWrite,
-          "grad[d" + std::to_string(d) + "].halo_rows"));
-    graph.add(
-        stage_name("bwd-zero", d, -1),
-        [&dist, &grads, d] {
-          const DeviceGraph& device = dist.devices[d];
-          for (std::size_t h = device.num_owned; h < device.num_local(); ++h) {
-            auto row = grads[d].row(h);
-            std::fill(row.begin(), row.end(), 0.0f);
-          }
-        },
-        zero_deps, std::move(acc));
-  }
-}
-
-ExchangeStats finalize_exchange_stats(const ExchangeAccounting& acct,
-                                      const DistGraph& dist,
-                                      const ClusterSpec& cluster) {
-  ExchangeStats stats;
-  finalize_exchange_stats_into(acct, dist, cluster, stats);
-  return stats;
 }
 
 void finalize_exchange_stats_into(const ExchangeAccounting& acct,
                                   const DistGraph& dist,
+                                  const ExchangePlan& plan, std::size_t dim,
                                   const ClusterSpec& cluster,
                                   ExchangeStats& stats) {
   const int n = dist.num_devices();
-  // Same-shaped copy-assigns reuse the destination's capacity, so repeated
+  // Same-sized resizes keep the destination's capacity, so repeated
   // finalizes into the same stats object allocate nothing.
-  stats.pair_bytes = acct.pair_bytes;
-  stats.pair_width_bytes = acct.pair_width_bytes;
+  stats.pair_bytes.resize(n);
+  stats.pair_width_bytes.resize(n);
   stats.messages = 0;
   stats.quant_seconds.assign(n, 0.0);
   stats.dequant_seconds.assign(n, 0.0);
   stats.comm_seconds = 0.0;
+  std::array<std::uint64_t, obs::kNumWidths> width_total{};
   // Kernel times fold in fixed (d, p) order so the receiver-indexed dequant
   // accumulation is schedule-independent.
-  for (int d = 0; d < n; ++d)
+  for (int d = 0; d < n; ++d) {
+    stats.pair_bytes[d].resize(n);
+    stats.pair_width_bytes[d].resize(n);
     for (int p = 0; p < n; ++p) {
-      if (acct.fp_bytes[d][p] == 0) continue;
-      const double t = cluster.quant_seconds(acct.fp_bytes[d][p]);
+      const std::size_t bytes = acct.blocks[d][p].wire_bytes();
+      auto& widths = stats.pair_width_bytes[d][p];
+      stats.pair_bytes[d][p] = bytes;
+      if (bytes == 0) {  // masked or empty pair: no message
+        widths.fill(0);
+        continue;
+      }
+      ++stats.messages;
+      const auto& bits = plan.bits[d][p];
+      accumulate_width_bytes(bits, dim, widths);
+      for (int w = 0; w < obs::kNumWidths; ++w)
+        width_total[static_cast<std::size_t>(w)] +=
+            widths[static_cast<std::size_t>(w)];
+      const std::size_t fp = quantized_fp_bytes(bits, dim);
+      if (fp == 0) continue;
+      const double t = cluster.quant_seconds(fp);
       stats.quant_seconds[d] += t;
       stats.dequant_seconds[p] += t;
     }
+  }
   if (n > 1)
     stats.comm_seconds =
         RingAllToAll(n).total_seconds(cluster, stats.pair_bytes);
   // Global instruments: one round, its message count, and wire bytes by
   // width. Purely observational — nothing reads these back.
   const obs::Instruments& ins = obs::instruments();
-  std::array<std::uint64_t, obs::kNumWidths> width_total{};
-  for (int d = 0; d < n; ++d)
-    for (int p = 0; p < n; ++p) {
-      if (acct.pair_bytes[d][p] == 0) continue;
-      ++stats.messages;
-      for (int w = 0; w < obs::kNumWidths; ++w)
-        width_total[static_cast<std::size_t>(w)] +=
-            acct.pair_width_bytes[d][p][static_cast<std::size_t>(w)];
-    }
   ins.exchange_rounds.add(1);
   ins.exchange_messages.add(stats.messages);
   for (int w = 0; w < obs::kNumWidths; ++w)

@@ -40,25 +40,15 @@
 
 namespace adaqp::pipeline {
 
-/// Per-pair stage ids of one forward exchange added to a StageGraph.
-struct PairStages {
-  /// stage[d][p]: id of the stage for message d -> p, or -1 when the pair
-  /// exchanges nothing.
-  std::vector<std::vector<int>> stage;
-};
-
 /// Storage the exchange stages write into; owned by the caller and must
 /// outlive the graph execution. All slots are indexed [sender][receiver]
 /// and written by exactly one stage, so no synchronization is needed.
 /// Re-init()s rewrite every slot in place (capacities kept), so a
 /// steady-state exchange performs no heap allocation after its first round.
+/// The stages only encode, send, receive and decode: every traffic figure is
+/// derived afterwards from the blocks and the plan
+/// (finalize_exchange_stats_into).
 struct ExchangeAccounting {
-  std::vector<std::vector<std::size_t>> pair_bytes;
-  /// pair_bytes split by bit-width tag (see ExchangeStats::pair_width_bytes
-  /// for the exact byte attribution). Written by the pair's encode stage.
-  std::vector<std::vector<std::array<std::uint64_t, obs::kNumWidths>>>
-      pair_width_bytes;
-  std::vector<std::vector<std::size_t>> fp_bytes;
   std::vector<std::vector<Rng>> pair_rngs;
   std::vector<std::vector<EncodedBlock>> blocks;  ///< per-pair wire staging
   /// Per-owner backward-accumulate staging: decoded rows + identity seq.
@@ -80,34 +70,30 @@ struct ExchangeAccounting {
   std::uint32_t channel = 0;
   std::uint32_t round = 0;
 
-  /// Arm one round: advance `round`, zero the per-pair byte counts and wire
-  /// blocks in place, and derive the per-pair RNG streams (one draw from
-  /// each device_rngs[d], in ascending d).
+  /// Arm one round: advance `round`, empty the wire blocks in place, and
+  /// derive the per-pair RNG streams (one draw from each device_rngs[d], in
+  /// ascending d).
   void init(int n, std::vector<Rng>& device_rngs);
 
-  /// Size the [sender][receiver] slot tables without deriving RNG streams
-  /// (init() does both). Idempotent; lets a graph be *built* against this
-  /// accounting before its first round is armed.
-  void init_storage(int n);
-
-  /// Pre-reserve every per-pair staging buffer for the message shapes the
-  /// (dist, plan) pair implies — wire blocks at the plan's current widths
-  /// (call while the plan is still the maximal uniform-32 warmup plan),
-  /// backward decode staging at each owner's largest inbound message.
-  /// After warm(), the first
-  /// *execution* of the exchange stages is already allocation-free, even if
-  /// it is deferred into a steady-state epoch.
+  /// Size the slot tables and pre-reserve every per-pair staging buffer for
+  /// the message shapes the (dist, plan) pair implies — wire blocks at the
+  /// plan's current widths, backward decode staging at each owner's largest
+  /// inbound message. The stage builders call it, so a graph is built
+  /// against sized storage; built while the plan is still the maximal
+  /// uniform-32 warmup plan, the first *execution* of the exchange stages is
+  /// already allocation-free, even if it is deferred into a steady-state
+  /// epoch.
   void warm(const DistGraph& dist, const ExchangePlan& plan, bool forward,
             std::size_t cols);
 };
 
 /// Add one stage per forward message (encode sender rows, decode into the
 /// receiver's halo rows; disjoint writes). No dependencies between stages.
-PairStages add_forward_exchange_stages(StageGraph& graph,
-                                       const DistGraph& dist,
-                                       std::vector<Matrix>& locals,
-                                       const ExchangePlan& plan,
-                                       ExchangeAccounting& acct);
+/// Returns stage[d][p]: the id of the stage for message d -> p, or -1 when
+/// the pair exchanges nothing.
+std::vector<std::vector<int>> add_forward_exchange_stages(
+    StageGraph& graph, const DistGraph& dist, std::vector<Matrix>& locals,
+    const ExchangePlan& plan, ExchangeAccounting& acct);
 
 /// Extra stage dependencies threaded into one backward exchange — the hooks
 /// that let exchange stages interleave with row-subset backward compute
@@ -117,37 +103,36 @@ PairStages add_forward_exchange_stages(StageGraph& graph,
 ///   accumulate[p] gates bwd-acc/p on the stage that finishes p's own
 ///                 writes to its owned rows (owner accumulation adds into
 ///                 boundary rows, which the central-row adjoint also
-///                 scatters into);
-///   zero[d]       gates bwd-zero/d on the last *reader* of d's halo rows
-///                 (e.g. the assigner's range trace).
+///                 scatters into) and on the last reader of p's gradient
+///                 rows that must see them before the accumulate (e.g. the
+///                 assigner's range trace).
 /// Entries are stage ids or -1 (no extra dep); an empty vector skips that
 /// hook entirely.
 struct BackwardStageDeps {
   std::vector<int> encode;
   std::vector<int> accumulate;
-  std::vector<int> zero;
 };
 
-/// Add backward stages: per-pair encodes of halo-row gradients, per-owner
-/// accumulate stages (senders folded ascending), and per-device halo-zero
-/// stages gated on that device's encodes — plus any extra `deps` hooks.
+/// Add backward stages: per-pair encodes of halo-row gradients and
+/// per-owner accumulate stages (senders folded ascending), plus any extra
+/// `deps` hooks. The halo rows are left as they were: nothing downstream
+/// reads them before they are rewritten.
 void add_backward_exchange_stages(StageGraph& graph, const DistGraph& dist,
                                   std::vector<Matrix>& grads,
                                   const ExchangePlan& plan,
                                   ExchangeAccounting& acct,
                                   const BackwardStageDeps& deps = {});
 
-/// Fold the per-pair byte counts into ExchangeStats (kernel times in fixed
-/// (d, p) order, then the ring-all2all straggler time). Call after the
-/// graph has completed.
-ExchangeStats finalize_exchange_stats(const ExchangeAccounting& acct,
-                                      const DistGraph& dist,
-                                      const ClusterSpec& cluster);
-
-/// In-place form: rewrites `stats` reusing its capacity (no allocation once
-/// the shapes have stabilized).
+/// Derive one completed round's ExchangeStats into `stats`, reusing its
+/// capacity (no allocation once the shapes have stabilized). Pair bytes are
+/// the sizes of the blocks the pairs sent (an empty block is a masked or
+/// empty pair: no message, 0 bytes); the width split and the quantize /
+/// dequantize kernel times come from `plan`, the plan the round was encoded
+/// at, over `dim` columns. Kernel times fold in fixed (d, p) order, then the
+/// ring-all2all straggler time. Call after the graph has completed.
 void finalize_exchange_stats_into(const ExchangeAccounting& acct,
                                   const DistGraph& dist,
+                                  const ExchangePlan& plan, std::size_t dim,
                                   const ClusterSpec& cluster,
                                   ExchangeStats& stats);
 

@@ -5,8 +5,10 @@
 #include "dist/halo_exchange.h"
 #include "graph/generators.h"
 #include "partition/partitioner.h"
+#include "pipeline/exchange_stages.h"
 #include "quant/message_codec.h"
 #include "quant/quantize.h"
+#include "transport/transport.h"
 
 namespace adaqp {
 namespace {
@@ -108,7 +110,83 @@ TEST(HaloForward, NoQuantCostAtFullPrecision) {
   EXPECT_EQ(stats.max_dequant_seconds(), 0.0);
 }
 
-TEST(HaloBackward, AccumulatesIntoOwnersAndClearsHalos) {
+TEST(HaloForward, MaskedMixedWidthRoundAccounting) {
+  // One forward round built directly from the stage builder, with a send
+  // mask and a plan mixing every width: the derived per-pair figures must
+  // match what each pair actually sent.
+  Fixture f(4);
+  Rng rng(9);
+  const std::size_t dim = 6;
+  auto locals = f.random_locals(dim, rng);
+  constexpr float kPoison = -7.0f;
+  for (const auto& dev : f.dist.devices)
+    for (std::size_t h = dev.num_owned; h < dev.num_local(); ++h) {
+      auto row = locals[dev.device].row(h);
+      std::fill(row.begin(), row.end(), kPoison);
+    }
+  ExchangePlan plan = ExchangePlan::uniform_forward(f.dist, 32);
+  const int widths[] = {2, 4, 8, 32};
+  for (int d = 0; d < 4; ++d)
+    for (int p = 0; p < 4; ++p)
+      for (std::size_t i = 0; i < plan.bits[d][p].size(); ++i)
+        plan.bits[d][p][i] = widths[(static_cast<std::size_t>(d + p) + i) % 4];
+  pipeline::ExchangeAccounting acct;
+  acct.channel = transport::next_channel();
+  acct.active.assign(4, std::vector<std::uint8_t>(4, 1));
+  const auto masked = [](int d, int p) { return p == (d + 1) % 4; };
+  for (int d = 0; d < 4; ++d)
+    for (int p = 0; p < 4; ++p)
+      if (masked(d, p)) acct.active[d][p] = 0;
+  acct.init(4, f.rngs);
+  pipeline::StageGraph graph;
+  pipeline::add_forward_exchange_stages(graph, f.dist, locals, plan, acct);
+  graph.run(/*async=*/false);
+  ExchangeStats stats;
+  pipeline::finalize_exchange_stats_into(acct, f.dist, plan, dim, f.cluster,
+                                         stats);
+
+  int masked_pairs = 0;
+  std::uint64_t messages = 0;
+  std::vector<double> quant(4, 0.0), dequant(4, 0.0);
+  for (int d = 0; d < 4; ++d)
+    for (int p = 0; p < 4; ++p) {
+      const auto& rows = f.dist.devices[d].send_local[p];
+      const auto& widths_of_pair = stats.pair_width_bytes[d][p];
+      std::uint64_t width_sum = 0;
+      for (const std::uint64_t b : widths_of_pair) width_sum += b;
+      if (d == p || rows.empty() || masked(d, p)) {
+        EXPECT_EQ(stats.pair_bytes[d][p], 0u) << d << "->" << p;
+        EXPECT_EQ(width_sum, 0u) << d << "->" << p;
+        if (d == p || rows.empty()) continue;
+        ++masked_pairs;
+        for (const NodeId h : f.dist.devices[p].recv_local[d])
+          for (const float v : locals[p].row(h))
+            ASSERT_EQ(v, kPoison) << "masked " << d << "->" << p;
+        continue;
+      }
+      ++messages;
+      const auto& bits = plan.bits[d][p];
+      EXPECT_EQ(stats.pair_bytes[d][p],
+                encoded_wire_bytes(rows.size(), dim, bits));
+      EXPECT_EQ(width_sum + 12, stats.pair_bytes[d][p]) << d << "->" << p;
+      std::size_t quantized_rows = 0;
+      for (const int b : bits)
+        if (b != 32) ++quantized_rows;
+      const double t =
+          f.cluster.quant_seconds(quantized_rows * dim * sizeof(float));
+      quant[d] += t;
+      dequant[p] += t;
+    }
+  ASSERT_GT(masked_pairs, 0);
+  ASSERT_GT(messages, 0u);
+  EXPECT_EQ(stats.messages, messages);
+  for (int d = 0; d < 4; ++d) {
+    EXPECT_DOUBLE_EQ(stats.quant_seconds[d], quant[d]) << "device " << d;
+    EXPECT_DOUBLE_EQ(stats.dequant_seconds[d], dequant[d]) << "device " << d;
+  }
+}
+
+TEST(HaloBackward, AccumulatesIntoOwners) {
   Fixture f(3);
   Rng rng(6);
   const std::size_t dim = 5;
@@ -142,9 +220,6 @@ TEST(HaloBackward, AccumulatesIntoOwnersAndClearsHalos) {
         ASSERT_NEAR(got[c], want[c], 1e-5f)
             << "dev " << dev.device << " owned row " << i;
     }
-    for (std::size_t h = dev.num_owned; h < dev.num_local(); ++h)
-      for (float v : grads[dev.device].row(h))
-        ASSERT_EQ(v, 0.0f) << "halo row not cleared";
   }
 }
 

@@ -6,10 +6,12 @@
 // thread-count invariance lives in tests/test_runtime.cpp.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +19,7 @@
 
 #include "core/trainer.h"
 #include "pipeline/config.h"
+#include "pipeline/exchange_stages.h"
 #include "pipeline/stage_graph.h"
 #include "pipeline/trace.h"
 #include "runtime/thread_pool.h"
@@ -332,6 +335,65 @@ INSTANTIATE_TEST_SUITE_P(Methods, BackwardOverlapStateEquality,
                                            Method::kAdaQPUniform,
                                            Method::kPipeGCN,
                                            Method::kSancus));
+
+// ---- Backward exchange stage shape ----------------------------------------
+
+TEST(BackwardExchangeStages, OnlyPairEncodesAndOwnerAccumulates) {
+  // The backward exchange is one bwd-enc stage per non-empty pair and one
+  // bwd-acc stage per owner with inbound messages, nothing else; each
+  // accumulate waits on exactly its inbound encodes plus its hook.
+  Rng rng(314);
+  const Dataset ds = make_dataset(pipeline_spec(), rng);
+  Rng part_rng(27);
+  const auto part =
+      make_partitioner("multilevel")->partition(ds.graph, 4, part_rng);
+  const DistGraph dist = build_dist_graph(ds.graph, part);
+  const int n = dist.num_devices();
+  std::vector<Matrix> grads;
+  for (const DeviceGraph& dev : dist.devices)
+    grads.emplace_back(dev.num_local(), 3);
+  const ExchangePlan plan = ExchangePlan::uniform_backward(dist, 32);
+  pipeline::ExchangeAccounting acct;
+  StageGraph graph;
+  pipeline::BackwardStageDeps deps;
+  for (int d = 0; d < n; ++d) {
+    deps.encode.push_back(graph.add("enc-hook/" + std::to_string(d), [] {}));
+    deps.accumulate.push_back(
+        graph.add("acc-hook/" + std::to_string(d), [] {}));
+  }
+  const int first = static_cast<int>(graph.size());
+  pipeline::add_backward_exchange_stages(graph, dist, grads, plan, acct,
+                                         deps);
+
+  std::map<std::string, int> id_of;
+  for (int id = first; id < static_cast<int>(graph.size()); ++id)
+    id_of.emplace(graph.stage_name(id), id);
+  std::map<std::string, std::vector<int>> expected;  // name -> sorted deps
+  for (int p = 0; p < n; ++p) {
+    std::vector<int> inbound;
+    for (int d = 0; d < n; ++d) {
+      if (d == p || dist.devices[d].recv_local[p].empty()) continue;
+      const std::string enc =
+          "bwd-enc/d" + std::to_string(d) + "->d" + std::to_string(p);
+      expected[enc] = {deps.encode[d]};
+      ASSERT_TRUE(id_of.count(enc)) << "missing " << enc;
+      inbound.push_back(id_of[enc]);
+    }
+    if (inbound.empty()) continue;
+    inbound.push_back(deps.accumulate[p]);
+    std::sort(inbound.begin(), inbound.end());
+    expected["bwd-acc/d" + std::to_string(p)] = inbound;
+  }
+  ASSERT_GT(expected.size(), 0u);
+  EXPECT_EQ(id_of.size(), expected.size());
+  for (const auto& [name, id] : id_of) {
+    const auto want = expected.find(name);
+    ASSERT_TRUE(want != expected.end()) << "unexpected stage " << name;
+    std::vector<int> got = graph.stage_deps(id);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want->second) << name;
+  }
+}
 
 // ---- Trace recorder -------------------------------------------------------
 
