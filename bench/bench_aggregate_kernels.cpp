@@ -11,7 +11,8 @@
 // BM_Gemm/<variant>/<isa>/<rows>x<in>x<out> times the dense transforms of
 // one GNN layer over `rows` nodes, reported in FLOP/s (2·rows·in·out per
 // call): nn = forward X·W, nt = input gradient dY·Wᵀ, tn = weight gradient
-// Xᵀ·dY, nt_rows = the input gradient over the full owned-row span. The
+// Xᵀ·dY; rows, nt_rows and tn_rows are the same three products over the
+// full owned-row span, the row-list forms training runs. The
 // GEMMs run on the runtime pool, so rates are per wall second at
 // ADAQP_THREADS threads; ADAQP_THREADS=1 gives per-core figures.
 #include <benchmark/benchmark.h>
@@ -106,7 +107,7 @@ void BM_GatherAxpy(benchmark::State& state, Isa isa, std::size_t degree,
                           degree * dim * sizeof(float));
 }
 
-enum class GemmVariant { kNn, kNt, kTn, kNtRows };
+enum class GemmVariant { kNn, kNt, kTn, kRows, kNtRows, kTnRows };
 
 Matrix make_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   Matrix m(rows, cols);
@@ -124,17 +125,20 @@ void BM_Gemm(benchmark::State& state, Isa isa, GemmVariant variant,
   std::vector<std::uint32_t> all_rows(rows);
   for (std::size_t i = 0; i < rows; ++i)
     all_rows[i] = static_cast<std::uint32_t>(i);
-  Matrix c(variant == GemmVariant::kNtRows ? rows : 0,
-           variant == GemmVariant::kNtRows ? in : 0);
+  Matrix c;  // gemm_rows and gemm_nt_rows write into a pre-sized C
+  if (variant == GemmVariant::kRows) c = Matrix(rows, out);
+  if (variant == GemmVariant::kNtRows) c = Matrix(rows, in);
   Matrix scratch;
   for (auto _ : state) {
     switch (variant) {
       case GemmVariant::kNn: gemm(x, w, c); break;
       case GemmVariant::kNt: gemm_nt(dy, w, c, scratch); break;
       case GemmVariant::kTn: gemm_tn(x, dy, c); break;
+      case GemmVariant::kRows: gemm_rows(x, w, c, all_rows); break;
       case GemmVariant::kNtRows:
         gemm_nt_rows(dy, w, c, all_rows, scratch);
         break;
+      case GemmVariant::kTnRows: gemm_tn_rows(x, dy, c, all_rows); break;
     }
     benchmark::DoNotOptimize(c.data());
   }
@@ -172,7 +176,9 @@ int main(int argc, char** argv) {
         {"nn", GemmVariant::kNn},
         {"nt", GemmVariant::kNt},
         {"tn", GemmVariant::kTn},
-        {"nt_rows", GemmVariant::kNtRows}};
+        {"rows", GemmVariant::kRows},
+        {"nt_rows", GemmVariant::kNtRows},
+        {"tn_rows", GemmVariant::kTnRows}};
     const struct { std::size_t rows, in, out; } shapes[] = {{3000, 64, 64},
                                                             {12000, 32, 64}};
     for (const auto& [name, variant] : variants)

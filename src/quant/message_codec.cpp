@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/stopwatch.h"
 #include "quant/quantize.h"
+#include "simd/kernels.h"
 
 namespace adaqp {
 
@@ -16,10 +17,10 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0xADA9B10Cu;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  const std::size_t at = out.size();
-  out.resize(at + 4);  // lint:allow(hot-path-alloc) pooled buffer, capacity retained
-  std::memcpy(out.data() + at, &v, 4);
+/// Writes v at `at` and returns the position after it.
+std::uint8_t* put_u32(std::uint8_t* at, std::uint32_t v) {
+  std::memcpy(at, &v, 4);
+  return at + 4;
 }
 
 std::uint32_t get_u32(std::span<const std::uint8_t> bytes, std::size_t& pos) {
@@ -54,25 +55,28 @@ void encode_rows_into(const Matrix& src, std::span<const NodeId> rows,
                                                << bits.size());
   const obs::Stopwatch sw;  // per-block, not per-row: two clock reads total
   const std::uint64_t key = rng.next();
-  out.bytes.clear();  // keeps capacity — steady-state encodes don't allocate
-  out.bytes.reserve(encoded_wire_bytes(rows.size(), src.cols(), bits));  // lint:allow(hot-path-alloc) warmup sizing; no-op when warm
-  put_u32(out.bytes, kMagic);
-  put_u32(out.bytes, static_cast<std::uint32_t>(rows.size()));
-  put_u32(out.bytes, static_cast<std::uint32_t>(src.cols()));
+  const std::size_t dim = src.cols();
+  // Size the block once, then write every byte in place: header, and per
+  // row its tag, (zero-point, scale) and payload. Retained bytes are all
+  // overwritten, so the resize only zero-fills when the block grows.
+  out.bytes.resize(encoded_wire_bytes(rows.size(), dim, bits));  // lint:allow(hot-path-alloc) warmup sizing; no-op when warm
+  std::uint8_t* at = out.bytes.data();
+  at = put_u32(at, kMagic);
+  at = put_u32(at, static_cast<std::uint32_t>(rows.size()));
+  at = put_u32(at, static_cast<std::uint32_t>(dim));
+  const simd::KernelTable& kt = simd::kernels();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     ADAQP_CHECK_MSG(rows[i] < src.rows(),
                     "row " << rows[i] << " out of range " << src.rows());
-    out.bytes.push_back(static_cast<std::uint8_t>(bits[i]));  // lint:allow(hot-path-alloc) pooled buffer, capacity retained
-    // Reserve the (zero-point, scale) slots, quantize+pack straight into
-    // the block (no QuantizedVector temporary), then backfill the metadata.
-    const std::size_t meta_at = out.bytes.size();
-    out.bytes.resize(meta_at + 2 * sizeof(float));  // lint:allow(hot-path-alloc) pooled buffer, capacity retained
+    *at++ = static_cast<std::uint8_t>(bits[i]);
+    std::uint8_t* meta_at = at;
+    at += 2 * sizeof(float);
     const QuantMeta meta =
-        quantize_append(src.row(rows[i]), bits[i], key,
-                        static_cast<std::uint32_t>(i), out.bytes);
-    std::memcpy(out.bytes.data() + meta_at, &meta.zero_point, sizeof(float));
-    std::memcpy(out.bytes.data() + meta_at + sizeof(float), &meta.scale,
-                sizeof(float));
+        quantize_into(kt, src.row(rows[i]), bits[i], key,
+                      static_cast<std::uint32_t>(i), at);
+    std::memcpy(meta_at, &meta.zero_point, sizeof(float));
+    std::memcpy(meta_at + sizeof(float), &meta.scale, sizeof(float));
+    at += quantized_wire_bytes(dim, bits[i]) - 2 * sizeof(float);
   }
   const obs::Instruments& ins = obs::instruments();
   ins.codec_encode_calls.add(1);

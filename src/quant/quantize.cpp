@@ -64,19 +64,26 @@ QuantizedVector quantize(std::span<const float> values, int bits, Rng& rng) {
 QuantMeta quantize_append(std::span<const float> values, int bits,
                           std::uint64_t key, std::uint32_t row,
                           std::vector<std::uint8_t>& out) {
-  ADAQP_CHECK(is_valid_bit_width(bits));
   const std::size_t at = out.size();
+  out.resize(at + quantized_wire_bytes(values.size(), bits) -
+             2 * sizeof(float));
+  return quantize_into(simd::kernels(), values, bits, key, row,
+                       out.data() + at);
+}
+
+QuantMeta quantize_into(const simd::KernelTable& kt,
+                        std::span<const float> values, int bits,
+                        std::uint64_t key, std::uint32_t row,
+                        std::uint8_t* out) {
+  ADAQP_CHECK(is_valid_bit_width(bits));
+  // An empty row has no payload, and `out` may then be null.
+  if (values.empty()) return {};
   if (bits == 32) {
-    out.resize(at + values.size() * sizeof(float));
-    std::memcpy(out.data() + at, values.data(), values.size() * sizeof(float));
+    std::memcpy(out, values.data(), values.size() * sizeof(float));
     return {};
   }
-  out.resize(at + (values.size() * static_cast<std::size_t>(bits) + 7) / 8,
-             0);
-  const auto& kernel = simd::kernels();
   float lo = 0.0f, hi = 0.0f;
-  if (!values.empty())
-    kernel.row_minmax(values.data(), values.size(), &lo, &hi);
+  kt.row_minmax(values.data(), values.size(), &lo, &hi);
   // Normalize the sign of zero: which of -0.0f/+0.0f a min/max reduction
   // returns depends on lane order, and the zero point goes on the wire.
   // x + 0.0f maps -0.0f to +0.0f and leaves every other value unchanged.
@@ -87,8 +94,11 @@ QuantMeta quantize_append(std::span<const float> values, int bits,
   const auto levels = static_cast<float>((1u << bits) - 1u);
   meta.scale = (hi - lo) / levels;
   if (meta.scale > 0.0f)
-    kernel.quantize_pack(bits, values.data(), values.size(), meta.zero_point,
-                         meta.scale, key, row, out.data() + at);
+    kt.quantize_pack(bits, values.data(), values.size(), meta.zero_point,
+                     meta.scale, key, row, out);
+  else  // a constant row: every level is 0
+    std::memset(out, 0,
+                (values.size() * static_cast<std::size_t>(bits) + 7) / 8);
   return meta;
 }
 

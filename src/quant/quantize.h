@@ -17,6 +17,10 @@
 
 #include "common/rng.h"
 
+namespace adaqp::simd {
+struct KernelTable;
+}  // namespace adaqp::simd
+
 namespace adaqp {
 
 /// Candidate bit-widths from the paper's set B = {2, 4, 8}; 32 = passthrough.
@@ -60,6 +64,16 @@ struct QuantMeta {
 QuantMeta quantize_append(std::span<const float> values, int bits,
                           std::uint64_t key, std::uint32_t row,
                           std::vector<std::uint8_t>& out);
+
+/// Raw-pointer form of quantize_append for callers that size their buffer
+/// once: writes the payload — quantized_wire_bytes(values.size(), bits)
+/// minus the 8 metadata bytes — to `out`, every byte, through the kernel
+/// table `kt` (looked up once by the caller). Same bytes and metadata as
+/// quantize_append.
+QuantMeta quantize_into(const simd::KernelTable& kt,
+                        std::span<const float> values, int bits,
+                        std::uint64_t key, std::uint32_t row,
+                        std::uint8_t* out);
 
 /// Dequantize `dim` values packed at `bits` directly from a wire payload
 /// (Eqn. 5) — the in-place form decode_rows uses. `payload` must hold the

@@ -17,10 +17,24 @@
 //    packing is exact by nature. FMA
 //    contraction is disabled in every kernel TU (no fused multiply-add
 //    anywhere), so mul-then-add rounding matches the scalar path.
-//  - axpy keeps per-element accumulation order: element j of the output
-//    depends only on (a, b[j], c[j]), so the GEMM loops that call it per
-//    k-step preserve their k-ascending per-element accumulation and stay
-//    bit-identical across ISAs and thread counts.
+//  - Every product kernel (axpy, gather_axpy, outer_block) keeps each
+//    output element's own accumulation chain: element (r, j) adds its
+//    unfused a·b products one at a time, in the order the caller lists
+//    them (ascending k, or span order), onto its prior value. Vector lanes
+//    run across the output columns j, never across the reduction, so a
+//    lane boundary, a register tile or a masked tail cannot reorder a
+//    chain.
+//  - Row-tile rule (gather_axpy): a tile of up to 64 output columns is
+//    loaded once, held in registers for the whole reduction and stored
+//    once; a wider row takes further tiles, each reducing in the same
+//    order. Holding the tile changes where partial sums live, not the
+//    sequence of roundings.
+//  - Outer-product rule (outer_block): an MR-row block of C (64 columns on
+//    AVX-512, 16 on AVX2) is held in registers while the shared-dim list is
+//    walked once in order; each element still sees one add per list entry,
+//    in list order.
+//  Hence the GEMMs and the aggregation built on these slots are
+//  bit-identical across ISAs and thread counts.
 // Inputs are assumed finite; NaN propagation is unspecified (the scalar
 // path would throw from pack-range checks, vector paths clamp).
 //
@@ -69,6 +83,9 @@ std::uint32_t rounding_seed(std::uint64_t key, std::uint32_t row);
 /// The reference draw u in [0, 1) for column `col` of a row with `seed`.
 float rounding_uniform(std::uint32_t seed, std::uint32_t col);
 
+/// Row count of one outer_block call: the MR of the weight-gradient tile.
+inline constexpr std::size_t kOuterBlockRows = 4;
+
 struct KernelTable {
   /// Fused min/max scan of x[0..n). Requires n > 0; writes the row minimum
   /// to *lo and maximum to *hi (callers normalize the sign of zero so the
@@ -101,8 +118,9 @@ struct KernelTable {
   void (*unpack_bits)(int bits, const std::uint8_t* packed, std::size_t n,
                       std::uint32_t* out);
 
-  /// GEMM row-band microkernel: c[j] += a * b[j] for j in [0, n), each
-  /// element an independent unfused multiply-add.
+  /// Row update: c[j] += a * b[j] for j in [0, n), each element an
+  /// independent unfused multiply-add (Matrix::axpy_inplace and the
+  /// aggregation backward scatter).
   void (*axpy)(float a, const float* b, float* c, std::size_t n);
 
   /// Aggregation self-term: dst[j] = a * src[j] for j in [0, n) — a pure
@@ -124,16 +142,29 @@ struct KernelTable {
   void (*ef_residual)(const float* a, const float* b, float* dst,
                       std::size_t n);
 
-  /// Aggregation gather band: for each k ascending in [0, count),
-  /// dst[j] += coeffs[k] * base[idx[k] * stride + j] for j in [0, n).
-  /// The k loop is strictly serial per element (vectorization is across j,
-  /// the feature channels), so every dst element sees the identical
-  /// k-ascending unfused multiply-add chain on every ISA and thread count —
-  /// the same argument that keeps gemm's k-loop bit-identical. dst must not
-  /// alias any gathered row.
+  /// Register-resident row reduction — the aggregation gather and, with
+  /// idx == nullptr, one GEMM row: for each k ascending in [0, count),
+  /// dst[j] += coeffs[k] * base[row(k) * stride + j] for j in [0, n), where
+  /// row(k) = idx[k], or k when idx is nullptr. Each dst tile of up to 64
+  /// columns is loaded once, reduced over all of k in registers and stored
+  /// once (the row-tile rule above); the k loop stays strictly serial per
+  /// element, so every ISA computes the same unfused multiply-add chain.
+  /// dst must not alias any gathered row.
   void (*gather_axpy)(const float* base, std::size_t stride,
                       const std::uint32_t* idx, const float* coeffs,
                       std::size_t count, float* dst, std::size_t n);
+
+  /// Weight-gradient outer-product block: for each p in list order,
+  /// c[r * ldc + j] += a[row(p) * lda + r] * b[row(p) * ldb + j] for r in
+  /// [0, mr) and j in [0, n), where row(p) = rows[p], or p when rows is
+  /// nullptr, and 1 <= mr <= kOuterBlockRows. Each column block of c is
+  /// held in registers across the whole list (the outer-product rule
+  /// above), so element (r, j) sums its products in list order on every
+  /// ISA. c must not alias a or b.
+  void (*outer_block)(const float* a, std::size_t lda, const float* b,
+                      std::size_t ldb, const std::uint32_t* rows,
+                      std::size_t count, float* c, std::size_t ldc,
+                      std::size_t mr, std::size_t n);
 };
 
 /// Table for active_isa(), resolved once and cached; set_isa_override()

@@ -305,29 +305,122 @@ void ef_residual(const float* a, const float* b, float* dst, std::size_t n) {
   for (; j < n; ++j) dst[j] = a[j] - b[j];
 }
 
+/// Lane mask of the last vector of a tile `width` columns wide.
+inline __m256i last_mask(std::size_t width) {
+  const auto tail = static_cast<int>(width - 8 * ((width - 1) / 8));
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(tail),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// Every loop over a tile's vectors or rows is fully unrolled by pragma.
+// Left to itself, GCC 12 keeps the store loop below rolled (its branch),
+// so it addresses the accumulator array in memory and stores every
+// accumulator to the stack on each reduction step.
+
+/// Loads vector v of an NV-vector tile: the first NV-1 are full, the last
+/// is masked by `last` (all lanes for a full tile); masked-off lanes read
+/// as +0 without touching memory and are never stored.
+template <int NV>
+inline __m256 tile_load(const float* p, int v, __m256i last) {
+  return v + 1 < NV ? _mm256_loadu_ps(p + 8 * v)
+                    : _mm256_maskload_ps(p + 8 * v, last);
+}
+
+template <int NV>
+inline void tile_store(float* p, int v, __m256i last, __m256 x) {
+  if (v + 1 < NV)
+    _mm256_storeu_ps(p + 8 * v, x);
+  else
+    _mm256_maskstore_ps(p + 8 * v, last, x);
+}
+
+/// One register-resident tile of gather_axpy: NV ymm accumulators (up to
+/// 64 columns in 8) loaded once, reduced over every k in order, stored
+/// once.
+template <int NV>
+void gather_tile(const float* base, std::size_t stride,
+                 const std::uint32_t* idx, const float* coeffs,
+                 std::size_t count, float* dst, __m256i last) {
+  __m256 acc[NV];
+  #pragma GCC unroll 16
+  for (int v = 0; v < NV; ++v) acc[v] = tile_load<NV>(dst, v, last);
+  for (std::size_t k = 0; k < count; ++k) {
+    const __m256 ck = _mm256_set1_ps(coeffs[k]);
+    const float* src = base + (idx ? idx[k] : k) * stride;
+    #pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v)
+      acc[v] = _mm256_add_ps(acc[v],
+                             _mm256_mul_ps(ck, tile_load<NV>(src, v, last)));
+  }
+  #pragma GCC unroll 16
+  for (int v = 0; v < NV; ++v) tile_store<NV>(dst, v, last, acc[v]);
+}
+
 void gather_axpy(const float* base, std::size_t stride,
                  const std::uint32_t* idx, const float* coeffs,
                  std::size_t count, float* dst, std::size_t n) {
-  // k stays a serial outer loop (the determinism contract); only the
-  // feature channels j are vectorized, with the same unfused mul-then-add
-  // per element the scalar reference performs.
-  for (std::size_t k = 0; k < count; ++k) {
-    const float ck = coeffs[k];
-    const float* src = base + static_cast<std::size_t>(idx[k]) * stride;
-    const __m256 vc = _mm256_set1_ps(ck);
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      const __m256 p0 = _mm256_mul_ps(vc, _mm256_loadu_ps(src + j));
-      const __m256 p1 = _mm256_mul_ps(vc, _mm256_loadu_ps(src + j + 8));
-      _mm256_storeu_ps(dst + j, _mm256_add_ps(_mm256_loadu_ps(dst + j), p0));
-      _mm256_storeu_ps(dst + j + 8,
-                       _mm256_add_ps(_mm256_loadu_ps(dst + j + 8), p1));
+  using Tile = void (*)(const float*, std::size_t, const std::uint32_t*,
+                        const float*, std::size_t, float*, __m256i);
+  static constexpr Tile kTiles[] = {gather_tile<1>, gather_tile<2>,
+                                    gather_tile<3>, gather_tile<4>,
+                                    gather_tile<5>, gather_tile<6>,
+                                    gather_tile<7>, gather_tile<8>};
+  for (std::size_t j = 0; j < n; j += 64) {
+    const std::size_t w = n - j < 64 ? n - j : 64;
+    kTiles[(w - 1) / 8](base + j, stride, idx, coeffs, count, dst + j,
+                         last_mask(w));
+  }
+}
+
+/// One MR x (8*NV) block of outer_block. AVX2 has 16 ymm registers, so the
+/// block holds 16 columns (MR*NV = 8 accumulators at MR = 4) and leaves
+/// room for the B row and the broadcast; wider blocks would spill.
+template <int MR, int NV>
+void outer_tile(const float* a, std::size_t lda, const float* b,
+                std::size_t ldb, const std::uint32_t* rows, std::size_t count,
+                float* c, std::size_t ldc, __m256i last) {
+  __m256 acc[MR][NV];
+  #pragma GCC unroll 16
+  for (int r = 0; r < MR; ++r)
+    #pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v)
+      acc[r][v] = tile_load<NV>(c + r * ldc, v, last);
+  for (std::size_t p = 0; p < count; ++p) {
+    const std::size_t s = rows ? rows[p] : p;
+    const float* arow = a + s * lda;
+    const float* brow = b + s * ldb;
+    __m256 bv[NV];
+    #pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) bv[v] = tile_load<NV>(brow, v, last);
+    #pragma GCC unroll 16
+    for (int r = 0; r < MR; ++r) {
+      const __m256 ar = _mm256_set1_ps(arow[r]);
+      #pragma GCC unroll 16
+      for (int v = 0; v < NV; ++v)
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(ar, bv[v]));
     }
-    for (; j + 8 <= n; j += 8)
-      _mm256_storeu_ps(
-          dst + j, _mm256_add_ps(_mm256_loadu_ps(dst + j),
-                                 _mm256_mul_ps(vc, _mm256_loadu_ps(src + j))));
-    for (; j < n; ++j) dst[j] += ck * src[j];
+  }
+  #pragma GCC unroll 16
+  for (int r = 0; r < MR; ++r)
+    #pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v)
+      tile_store<NV>(c + r * ldc, v, last, acc[r][v]);
+}
+
+void outer_block(const float* a, std::size_t lda, const float* b,
+                 std::size_t ldb, const std::uint32_t* rows, std::size_t count,
+                 float* c, std::size_t ldc, std::size_t mr, std::size_t n) {
+  using Tile = void (*)(const float*, std::size_t, const float*, std::size_t,
+                        const std::uint32_t*, std::size_t, float*,
+                        std::size_t, __m256i);
+  static constexpr Tile kTiles[4][2] = {{outer_tile<1, 1>, outer_tile<1, 2>},
+                                        {outer_tile<2, 1>, outer_tile<2, 2>},
+                                        {outer_tile<3, 1>, outer_tile<3, 2>},
+                                        {outer_tile<4, 1>, outer_tile<4, 2>}};
+  for (std::size_t j = 0; j < n; j += 16) {
+    const std::size_t w = n - j < 16 ? n - j : 16;
+    kTiles[mr - 1][(w - 1) / 8](a, lda, b + j, ldb, rows, count, c + j, ldc,
+                                last_mask(w));
   }
 }
 
@@ -335,7 +428,7 @@ const KernelTable kTable = {
     row_minmax, quantize_pack, unpack_dequant,
     pack_bits_k, unpack_bits_k, axpy,
     scale_row,  ef_fold,       ef_residual,
-    gather_axpy,
+    gather_axpy, outer_block,
 };
 
 }  // namespace

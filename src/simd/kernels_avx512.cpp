@@ -269,26 +269,118 @@ void ef_residual(const float* a, const float* b, float* dst, std::size_t n) {
   }
 }
 
+/// Lane mask of the last vector of an NV-vector tile `width` columns wide.
+inline __mmask16 last_mask(std::size_t width) {
+  const std::size_t tail = width - 16 * ((width - 1) / 16);
+  return static_cast<__mmask16>((1u << tail) - 1u);
+}
+
+// Every loop over a tile's vectors or rows is fully unrolled by pragma.
+// Left to itself, GCC 12 keeps the store loop below rolled (its branch),
+// so it addresses the accumulator array in memory and stores every
+// accumulator to the stack on each reduction step.
+
+/// Loads vector v of an NV-vector tile: the first NV-1 are full, the last
+/// is masked by `last` (all lanes for a full tile); masked-off lanes read
+/// as +0 and are never stored.
+template <int NV>
+inline __m512 tile_load(const float* p, int v, __mmask16 last) {
+  return v + 1 < NV ? _mm512_loadu_ps(p + 16 * v)
+                    : _mm512_maskz_loadu_ps(last, p + 16 * v);
+}
+
+template <int NV>
+inline void tile_store(float* p, int v, __mmask16 last, __m512 x) {
+  if (v + 1 < NV)
+    _mm512_storeu_ps(p + 16 * v, x);
+  else
+    _mm512_mask_storeu_ps(p + 16 * v, last, x);
+}
+
+/// One register-resident tile of gather_axpy: NV zmm accumulators (up to
+/// 64 columns) loaded once, reduced over every k in order, stored once.
+template <int NV>
+void gather_tile(const float* base, std::size_t stride,
+                 const std::uint32_t* idx, const float* coeffs,
+                 std::size_t count, float* dst, __mmask16 last) {
+  __m512 acc[NV];
+  #pragma GCC unroll 16
+  for (int v = 0; v < NV; ++v) acc[v] = tile_load<NV>(dst, v, last);
+  for (std::size_t k = 0; k < count; ++k) {
+    const __m512 ck = _mm512_set1_ps(coeffs[k]);
+    const float* src = base + (idx ? idx[k] : k) * stride;
+    #pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v)
+      acc[v] = _mm512_add_ps(acc[v],
+                             _mm512_mul_ps(ck, tile_load<NV>(src, v, last)));
+  }
+  #pragma GCC unroll 16
+  for (int v = 0; v < NV; ++v) tile_store<NV>(dst, v, last, acc[v]);
+}
+
 void gather_axpy(const float* base, std::size_t stride,
                  const std::uint32_t* idx, const float* coeffs,
                  std::size_t count, float* dst, std::size_t n) {
-  // k stays a serial outer loop (the determinism contract); only the
-  // feature channels j are vectorized, unfused mul-then-add per element.
-  for (std::size_t k = 0; k < count; ++k) {
-    const float ck = coeffs[k];
-    const float* src = base + static_cast<std::size_t>(idx[k]) * stride;
-    const __m512 vc = _mm512_set1_ps(ck);
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      const __m512 p = _mm512_mul_ps(vc, _mm512_loadu_ps(src + j));
-      _mm512_storeu_ps(dst + j, _mm512_add_ps(_mm512_loadu_ps(dst + j), p));
+  using Tile = void (*)(const float*, std::size_t, const std::uint32_t*,
+                        const float*, std::size_t, float*, __mmask16);
+  static constexpr Tile kTiles[] = {gather_tile<1>, gather_tile<2>,
+                                    gather_tile<3>, gather_tile<4>};
+  for (std::size_t j = 0; j < n; j += 64) {
+    const std::size_t w = n - j < 64 ? n - j : 64;
+    kTiles[(w - 1) / 16](base + j, stride, idx, coeffs, count, dst + j,
+                         last_mask(w));
+  }
+}
+
+/// One MR x (16*NV) block of outer_block: MR*NV zmm accumulators (16 at
+/// MR = NV = 4) held across the whole list.
+template <int MR, int NV>
+void outer_tile(const float* a, std::size_t lda, const float* b,
+                std::size_t ldb, const std::uint32_t* rows, std::size_t count,
+                float* c, std::size_t ldc, __mmask16 last) {
+  __m512 acc[MR][NV];
+  #pragma GCC unroll 16
+  for (int r = 0; r < MR; ++r)
+    #pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v)
+      acc[r][v] = tile_load<NV>(c + r * ldc, v, last);
+  for (std::size_t p = 0; p < count; ++p) {
+    const std::size_t s = rows ? rows[p] : p;
+    const float* arow = a + s * lda;
+    const float* brow = b + s * ldb;
+    __m512 bv[NV];
+    #pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) bv[v] = tile_load<NV>(brow, v, last);
+    #pragma GCC unroll 16
+    for (int r = 0; r < MR; ++r) {
+      const __m512 ar = _mm512_set1_ps(arow[r]);
+      #pragma GCC unroll 16
+      for (int v = 0; v < NV; ++v)
+        acc[r][v] = _mm512_add_ps(acc[r][v], _mm512_mul_ps(ar, bv[v]));
     }
-    if (j < n) {
-      const __mmask16 m = static_cast<__mmask16>((1u << (n - j)) - 1u);
-      const __m512 p = _mm512_mul_ps(vc, _mm512_maskz_loadu_ps(m, src + j));
-      _mm512_mask_storeu_ps(
-          dst + j, m, _mm512_add_ps(_mm512_maskz_loadu_ps(m, dst + j), p));
-    }
+  }
+  #pragma GCC unroll 16
+  for (int r = 0; r < MR; ++r)
+    #pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v)
+      tile_store<NV>(c + r * ldc, v, last, acc[r][v]);
+}
+
+void outer_block(const float* a, std::size_t lda, const float* b,
+                 std::size_t ldb, const std::uint32_t* rows, std::size_t count,
+                 float* c, std::size_t ldc, std::size_t mr, std::size_t n) {
+  using Tile = void (*)(const float*, std::size_t, const float*, std::size_t,
+                        const std::uint32_t*, std::size_t, float*,
+                        std::size_t, __mmask16);
+  static constexpr Tile kTiles[4][4] = {
+      {outer_tile<1, 1>, outer_tile<1, 2>, outer_tile<1, 3>, outer_tile<1, 4>},
+      {outer_tile<2, 1>, outer_tile<2, 2>, outer_tile<2, 3>, outer_tile<2, 4>},
+      {outer_tile<3, 1>, outer_tile<3, 2>, outer_tile<3, 3>, outer_tile<3, 4>},
+      {outer_tile<4, 1>, outer_tile<4, 2>, outer_tile<4, 3>, outer_tile<4, 4>}};
+  for (std::size_t j = 0; j < n; j += 64) {
+    const std::size_t w = n - j < 64 ? n - j : 64;
+    kTiles[mr - 1][(w - 1) / 16](a, lda, b + j, ldb, rows, count, c + j, ldc,
+                                 last_mask(w));
   }
 }
 
@@ -296,7 +388,7 @@ const KernelTable kTable = {
     row_minmax, quantize_pack, unpack_dequant,
     pack_bits_k, unpack_bits_k, axpy,
     scale_row,  ef_fold,       ef_residual,
-    gather_axpy,
+    gather_axpy, outer_block,
 };
 
 }  // namespace

@@ -118,8 +118,24 @@ void gather_axpy(const float* base, std::size_t stride,
                  std::size_t count, float* dst, std::size_t n) {
   for (std::size_t k = 0; k < count; ++k) {
     const float ck = coeffs[k];
-    const float* src = base + static_cast<std::size_t>(idx[k]) * stride;
+    const std::size_t r = idx ? idx[k] : k;
+    const float* src = base + r * stride;
     for (std::size_t j = 0; j < n; ++j) dst[j] += ck * src[j];
+  }
+}
+
+void outer_block(const float* a, std::size_t lda, const float* b,
+                 std::size_t ldb, const std::uint32_t* rows, std::size_t count,
+                 float* c, std::size_t ldc, std::size_t mr, std::size_t n) {
+  for (std::size_t p = 0; p < count; ++p) {
+    const std::size_t s = rows ? rows[p] : p;
+    const float* arow = a + s * lda;
+    const float* brow = b + s * ldb;
+    for (std::size_t r = 0; r < mr; ++r) {
+      const float ar = arow[r];
+      float* crow = c + r * ldc;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += ar * brow[j];
+    }
   }
 }
 
@@ -127,7 +143,7 @@ const KernelTable kTable = {
     row_minmax, quantize_pack, unpack_dequant,
     pack_bits_k, unpack_bits_k, axpy,
     scale_row,  ef_fold,       ef_residual,
-    gather_axpy,
+    gather_axpy, outer_block,
 };
 
 }  // namespace

@@ -86,21 +86,23 @@ void Matrix::scale_inplace(float alpha) {
   for (auto& v : data_) v *= alpha;
 }
 
-// GEMM kernels are cache-blocked over (j, k) tiles and parallelized over
-// row bands of C on the runtime's thread pool; the innermost j-loop is the
-// src/simd/ axpy microkernel (runtime-dispatched scalar/AVX2/AVX-512).
-// Every element C[i][j] accumulates its k products in ascending-k order
-// regardless of tile, band and vector-lane boundaries, and axpy is unfused
-// mul-then-add on every ISA, so results are bit-identical for every thread
-// count and ISA. gemm_nt transposes its (small, weight-sized) B into a
-// caller-owned scratch and runs the same kernel, so it shares that order
-// and those guarantees. Adequate for the matrix sizes in this library
-// without pulling in a BLAS dependency.
+// GEMMs are parallelized over row bands of C on the runtime's thread pool
+// and run on two register-resident slots of the src/simd/ kernel table
+// (runtime-dispatched scalar/AVX2/AVX-512):
+//  - gemm / gemm_rows (and gemm_nt* on their transposed B) compute each C
+//    row as one gather_axpy over the rows of B, coefficients A[i,:] in
+//    ascending k, onto a +0 row;
+//  - gemm_tn / gemm_tn_rows compute MR-row blocks of C with outer_block,
+//    walking the shared dim in span order.
+// Each C element therefore adds its unfused products one at a time, in
+// ascending k (or span order), starting from +0 — the scalar k-reduction —
+// whatever the tile, band, vector width or thread count. The all-rows forms
+// are the row-list forms with a null list, so each pair shares one body.
+// Adequate for the matrix sizes in this library without a BLAS dependency.
 namespace {
 
-constexpr std::size_t kRowGrain = 8;    ///< min C rows per parallel band
-constexpr std::size_t kBlockK = 128;    ///< shared-dim tile
-constexpr std::size_t kBlockN = 512;    ///< output-column tile
+constexpr std::size_t kRowGrain = 8;  ///< min C rows per parallel band
+constexpr std::size_t kSpanChunk = 256;  ///< gemm_tn list entries per pass
 
 /// bt = b^T, reshaped in place (the steady-state form: no allocation once
 /// bt has held a matrix this large).
@@ -112,32 +114,59 @@ void transpose_into(const Matrix& b, Matrix& bt) {
       bt.data()[c * rows + r] = b.data()[r * cols + c];
 }
 
+/// C[i,:] = A[i,:] * B for i = rows[t], t in [0, count), or i = t when rows
+/// is null. Bands over the list write disjoint C rows.
+void gemm_rows_body(const Matrix& a, const Matrix& b, Matrix& c,
+                    const std::uint32_t* rows, std::size_t count) {
+  const std::size_t k = a.cols(), n = b.cols();
+  const auto gather_axpy = simd::kernels().gather_axpy;
+  parallel_for(count, kRowGrain, [&](std::size_t t0, std::size_t t1) {
+    for (std::size_t t = t0; t < t1; ++t) {
+      const std::size_t i = rows ? rows[t] : t;
+      ADAQP_CHECK(i < a.rows());
+      float* crow = c.data() + i * n;
+      std::fill_n(crow, n, 0.0f);
+      gather_axpy(b.data(), n, nullptr, a.data() + i * k, k, crow, n);
+    }
+  });
+}
+
+/// C = A[rows]^T * B[rows] over the shared-dim list (null: all of A's
+/// rows), one outer_block per MR-row block of C; bands own whole blocks.
+/// The list is walked in chunks of kSpanChunk entries, every block of the
+/// band finishing a chunk before the next, so the chunk's A and B rows are
+/// read from cache by all of the band's blocks. A block's C tile is stored
+/// and reloaded between chunks — an exact round trip — so each element
+/// still adds its products one at a time in list order.
+void gemm_tn_body(const Matrix& a, const Matrix& b, Matrix& c,
+                  const std::uint32_t* rows, std::size_t count) {
+  const std::size_t m = a.cols(), n = b.cols();
+  c.reshape_zero(m, n);
+  constexpr std::size_t mr = simd::kOuterBlockRows;
+  const auto outer_block = simd::kernels().outer_block;
+  parallel_for((m + mr - 1) / mr, kRowGrain / mr,
+               [&](std::size_t b0, std::size_t b1) {
+    for (std::size_t p0 = 0; p0 < count; p0 += kSpanChunk) {
+      const std::size_t len = std::min(kSpanChunk, count - p0);
+      // A null list indexes rows directly: shift the bases instead.
+      const std::size_t shift = rows ? 0 : p0;
+      const std::uint32_t* chunk = rows ? rows + p0 : nullptr;
+      for (std::size_t blk = b0; blk < b1; ++blk) {
+        const std::size_t i = blk * mr;
+        outer_block(a.data() + shift * m + i, m, b.data() + shift * n, n,
+                    chunk, len, c.data() + i * n, n, std::min(mr, m - i), n);
+      }
+    }
+  });
+}
+
 }  // namespace
 
 void gemm(const Matrix& a, const Matrix& b, Matrix& c) {
   ADAQP_CHECK_MSG(a.cols() == b.rows(), "gemm: inner dims " << a.cols()
                                                             << " vs " << b.rows());
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  c.reshape_zero(m, n);
-  const auto axpy = simd::kernels().axpy;
-  parallel_for(m, kRowGrain, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t jj = 0; jj < n; jj += kBlockN) {
-      const std::size_t jhi = std::min(jj + kBlockN, n);
-      for (std::size_t pp = 0; pp < k; pp += kBlockK) {
-        const std::size_t phi = std::min(pp + kBlockK, k);
-        for (std::size_t i = r0; i < r1; ++i) {
-          const float* arow = a.data() + i * k;
-          float* crow = c.data() + i * n;
-          for (std::size_t p = pp; p < phi; ++p) {
-            const float av = arow[p];
-            if (av == 0.0f) continue;
-            const float* brow = b.data() + p * n;
-            axpy(av, brow + jj, crow + jj, jhi - jj);
-          }
-        }
-      }
-    }
-  });
+  c.reshape_uninit(a.rows(), b.cols());
+  gemm_rows_body(a, b, c, nullptr, a.rows());
 }
 
 void gemm_rows(const Matrix& a, const Matrix& b, Matrix& c,
@@ -146,57 +175,13 @@ void gemm_rows(const Matrix& a, const Matrix& b, Matrix& c,
                                             << a.cols() << " vs " << b.rows());
   ADAQP_CHECK_MSG(c.rows() == a.rows() && c.cols() == b.cols(),
                   "gemm_rows: C must be pre-sized");
-  const std::size_t k = a.cols(), n = b.cols();
-  // Same (j, k) tiling and per-element k-ascending accumulation as gemm,
-  // applied to the selected rows only; bands over `rows` write disjoint C
-  // rows, so any thread count is bit-identical to serial.
-  const auto axpy = simd::kernels().axpy;
-  parallel_for(rows.size(), kRowGrain, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t idx = r0; idx < r1; ++idx) {
-      const std::size_t i = rows[idx];
-      ADAQP_CHECK(i < a.rows());
-      float* crow = c.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0f;
-      const float* arow = a.data() + i * k;
-      for (std::size_t jj = 0; jj < n; jj += kBlockN) {
-        const std::size_t jhi = std::min(jj + kBlockN, n);
-        for (std::size_t pp = 0; pp < k; pp += kBlockK) {
-          const std::size_t phi = std::min(pp + kBlockK, k);
-          for (std::size_t p = pp; p < phi; ++p) {
-            const float av = arow[p];
-            if (av == 0.0f) continue;
-            const float* brow = b.data() + p * n;
-            axpy(av, brow + jj, crow + jj, jhi - jj);
-          }
-        }
-      }
-    }
-  });
+  gemm_rows_body(a, b, c, rows.data(), rows.size());
 }
 
 void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c) {
   ADAQP_CHECK_MSG(a.rows() == b.rows(),
                   "gemm_tn: shared dim " << a.rows() << " vs " << b.rows());
-  const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  c.reshape_zero(m, n);
-  const auto axpy = simd::kernels().axpy;
-  parallel_for(m, kRowGrain, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t jj = 0; jj < n; jj += kBlockN) {
-      const std::size_t jhi = std::min(jj + kBlockN, n);
-      for (std::size_t pp = 0; pp < k; pp += kBlockK) {
-        const std::size_t phi = std::min(pp + kBlockK, k);
-        for (std::size_t p = pp; p < phi; ++p) {
-          const float* arow = a.data() + p * m;
-          const float* brow = b.data() + p * n;
-          for (std::size_t i = i0; i < i1; ++i) {
-            const float av = arow[i];
-            if (av == 0.0f) continue;
-            axpy(av, brow + jj, c.data() + i * n + jj, jhi - jj);
-          }
-        }
-      }
-    }
-  });
+  gemm_tn_body(a, b, c, nullptr, a.rows());
 }
 
 void gemm_tn_rows(const Matrix& a, const Matrix& b, Matrix& c,
@@ -204,27 +189,8 @@ void gemm_tn_rows(const Matrix& a, const Matrix& b, Matrix& c,
   ADAQP_CHECK_MSG(a.rows() == b.rows(),
                   "gemm_tn_rows: shared dim " << a.rows() << " vs "
                                               << b.rows());
-  const std::size_t m = a.cols(), n = b.cols();
-  c.reshape_zero(m, n);
   for (const std::uint32_t p : rows) ADAQP_CHECK(p < a.rows());
-  // Shared-dim iteration follows the span order (no k-tiling: the subset is
-  // the tile), so every C element accumulates its products in `rows` order —
-  // ascending-p for the full owned list, matching gemm_tn bit for bit.
-  const auto axpy = simd::kernels().axpy;
-  parallel_for(m, kRowGrain, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t jj = 0; jj < n; jj += kBlockN) {
-      const std::size_t jhi = std::min(jj + kBlockN, n);
-      for (const std::uint32_t p : rows) {
-        const float* arow = a.data() + static_cast<std::size_t>(p) * m;
-        const float* brow = b.data() + static_cast<std::size_t>(p) * n;
-        for (std::size_t i = i0; i < i1; ++i) {
-          const float av = arow[i];
-          if (av == 0.0f) continue;
-          axpy(av, brow + jj, c.data() + i * n + jj, jhi - jj);
-        }
-      }
-    }
-  });
+  gemm_tn_body(a, b, c, rows.data(), rows.size());
 }
 
 void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, Matrix& bt) {
@@ -250,9 +216,18 @@ void dropout_mask(std::size_t rows, std::size_t cols, float p, Rng& rng,
     mask.fill(1.0f);
     return;
   }
-  const float keep_scale = 1.0f / (1.0f - p);
-  for (std::size_t i = 0; i < mask.size(); ++i)
-    mask.data()[i] = rng.uniform_float() < p ? 0.0f : keep_scale;
+  // Branch-free: the drop test indexes a two-entry table. A ternary here
+  // compiles to a compare-and-branch that mispredicts on every other
+  // element near p = 0.5. The draws come from a local copy of the stream
+  // (kept in registers, written back once), one per element in row-major
+  // order.
+  const float value[2] = {1.0f / (1.0f - p), 0.0f};
+  Rng local = rng;
+  float* out = mask.data();
+  const std::size_t size = mask.size();
+  for (std::size_t i = 0; i < size; ++i)
+    out[i] = value[local.uniform_float() < p];
+  rng = local;
 }
 
 float max_abs_diff(const Matrix& a, const Matrix& b) {

@@ -102,14 +102,24 @@ class Matrix {
 };
 
 // ---- GEMM variants (C is overwritten) -------------------------------------
+//
+// Every variant computes each C element as the scalar k-reduction: unfused
+// a·b products added one at a time in ascending k (or, for the row-list
+// forms of gemm_tn, in list order), starting from +0 — bit-identical across
+// ISAs and thread counts (matrix.cpp, simd/kernels.h). Products whose A
+// element is ±0 are added like any other, and for finite B skipping them
+// would give the same bits: under round-to-nearest a sum starting from +0
+// is never −0 (x + y is −0 only when both are −0), and adding a ±0 product
+// to any other value leaves it unchanged. Only a non-finite B (inf/NaN
+// weights, an already broken run) makes a zero product NaN.
 
 /// C = A * B             (m x k) * (k x n)
 void gemm(const Matrix& a, const Matrix& b, Matrix& c);
 /// Row-subset product: C[r,:] = (A * B)[r,:] for each r in `rows`; other
-/// rows of C are untouched. C must be pre-sized to (A.rows x B.cols). Each
-/// computed row uses the same tiling and k-ascending accumulation as gemm,
-/// so it is bit-identical to the corresponding row of the full product —
-/// the property the pipeline's central/marginal forward split rests on.
+/// rows of C are untouched. C must be pre-sized to (A.rows x B.cols). gemm
+/// is the all-rows case of the same body, so each computed row is
+/// bit-identical to the corresponding row of the full product — the
+/// property the pipeline's central/marginal forward split rests on.
 void gemm_rows(const Matrix& a, const Matrix& b, Matrix& c,
                std::span<const std::uint32_t> rows);
 /// C = A^T * B           (k x m)^T * (k x n)
@@ -127,13 +137,7 @@ void gemm_tn_rows(const Matrix& a, const Matrix& b, Matrix& c,
 /// B (a weight in this library, at most a few thousand elements) is
 /// transposed into the caller-owned scratch `bt` (reshaped in place, so a
 /// persistent scratch makes repeated calls allocation-free), then C = A * bt
-/// runs through gemm's vector kernel. Each C[i][j] is therefore the same
-/// sum a scalar k-reduction computes: unfused a·b products added in
-/// ascending k, starting from +0. gemm skips products whose A element is
-/// ±0; for finite B that skip is exact, because under round-to-nearest the
-/// accumulator is never −0 and adding a ±0 product leaves any other value
-/// unchanged. Only a non-finite B (inf/NaN weights, an already broken run)
-/// can differ from the scalar reduction.
+/// runs through gemm, so each C[i][j] is the scalar k-reduction above.
 void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, Matrix& bt);
 /// Row-subset product: C[r,:] = (A * B^T)[r,:] for each r in `rows`; other
 /// rows of C are untouched. C must be pre-sized to (A.rows x B.rows). Runs

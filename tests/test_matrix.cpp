@@ -168,6 +168,22 @@ TEST(Dropout, SurvivorScaleKeepsExpectation) {
   EXPECT_NEAR(mask.sum() / mask.size(), 1.0, 0.05);
 }
 
+TEST(Dropout, MaskMatchesReferenceDrawOrder) {
+  // One uniform_float() per element in row-major order, dropped iff u < p;
+  // the caller's stream ends where the element-by-element loop leaves it.
+  for (const float p : {0.1f, 0.5f, 0.9f}) {
+    Rng rng(11), ref_rng(11);
+    Matrix mask;
+    dropout_mask(37, 29, p, rng, mask);
+    const float keep = 1.0f / (1.0f - p);
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      const float want = ref_rng.uniform_float() < p ? 0.0f : keep;
+      ASSERT_EQ(mask.data()[i], want) << "p=" << p << " element " << i;
+    }
+    EXPECT_EQ(rng.next(), ref_rng.next()) << "p=" << p;
+  }
+}
+
 TEST(Dropout, InvalidProbabilityThrows) {
   Rng rng(7);
   Matrix mask;

@@ -9,8 +9,9 @@
 //  - Round-trip property tests at every dispatched ISA; corrupt/truncated
 //    streams still throw under the vector unpack path.
 //  - GEMM kernels bit-identical across ISAs on ragged shapes, and gemm_nt
-//    bit-identical to a scalar k-reduction (signed zeros and subnormals
-//    included) at every ISA and thread count.
+//    and gemm_tn_rows bit-identical to a scalar reduction in k or span
+//    order (signed zeros and subnormals included) at every ISA and thread
+//    count.
 //  - Full training runs (all five methods) bit-identical across ISAs.
 #include <gtest/gtest.h>
 
@@ -456,6 +457,100 @@ TEST(SimdGemm, NtMatchesScalarKReductionBitForBit) {
   }
 }
 
+/// The weight-gradient reduction gemm_tn_rows must equal: each C[i][j]
+/// starts from +0 and adds the unfused products a[p][i] * b[p][j] one at a
+/// time in `rows` order, zero products included.
+Matrix scalar_tn_reference(const Matrix& a, const Matrix& b,
+                           const std::vector<std::uint32_t>& rows) {
+  Matrix c(a.cols(), b.cols());
+  for (std::size_t i = 0; i < a.cols(); ++i)
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      float acc = 0.0f;
+      for (const std::uint32_t p : rows) {
+        volatile float prod = a.at(p, i) * b.at(p, j);
+        acc += prod;
+      }
+      c.at(i, j) = acc;
+    }
+  return c;
+}
+
+TEST(SimdGemm, TnRowsMatchesScalarSpanOrderReductionBitForBit) {
+  Rng rng(43);
+  // 400 shared rows: both the subset and the full list cross the
+  // 256-entry pass over the list, so a block's C tile is stored and
+  // reloaded mid-reduction.
+  const std::size_t kShared = 400;
+  // The pipeline's order: marginal rows first, then central ones, each
+  // ascending; every seventh row is left out.
+  std::vector<std::uint32_t> subset, all(kShared);
+  for (std::uint32_t p = 0; p < kShared; ++p)
+    if (p % 4 == 1 && p % 7 != 0) subset.push_back(p);
+  for (std::uint32_t p = 0; p < kShared; ++p)
+    if (p % 4 != 1 && p % 7 != 0) subset.push_back(p);
+  for (std::uint32_t p = 0; p < kShared; ++p) all[p] = p;
+  for (const std::size_t m : {1ul, 3ul, 5ul, 48ul}) {  // MR remainders
+    for (const std::size_t n : {10ul, 64ul, 130ul}) {
+      Matrix a = signed_zero_matrix(kShared, m, rng);
+      for (std::size_t p = 0; p < kShared; ++p)  // a column of ±0 only
+        a.at(p, m - 1) = p % 2 ? -0.0f : 0.0f;
+      const Matrix b = random_matrix(kShared, n, rng);
+      const Matrix want_rows = scalar_tn_reference(a, b, subset);
+      const Matrix want_all = scalar_tn_reference(a, b, all);
+      for (Isa isa : simd::supported_isas()) {
+        IsaGuard isa_guard(isa);
+        for (const int threads : {1, 4, 8}) {
+          ThreadCountGuard thread_guard(threads);
+          const std::string where = std::string(isa_name(isa)) +
+                                    " t=" + std::to_string(threads) +
+                                    " m=" + std::to_string(m) +
+                                    " n=" + std::to_string(n);
+          Matrix c;
+          gemm_tn_rows(a, b, c, subset);
+          EXPECT_TRUE(same_bits(c, want_rows)) << where << " rows";
+          gemm_tn(a, b, c);
+          EXPECT_TRUE(same_bits(c, want_all)) << where << " all";
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdGemm, OuterBlockAccumulatesOntoCAtEveryIsa) {
+  // The kernel called directly: C starts non-zero, so its prior value must
+  // head every element's chain; every MR and column tail, listed and null
+  // row lists.
+  const std::size_t kRows = 11, kLda = 7, kLdb = 131, kLdc = 133;
+  Rng rng(47);
+  std::vector<float> a(kRows * kLda), b(kRows * kLdb);
+  for (float& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  for (float& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  const std::vector<std::uint32_t> rows = {9, 2, 2, 10, 0, 5, 7};
+  for (const bool listed : {true, false}) {
+    const std::uint32_t* list = listed ? rows.data() : nullptr;
+    const std::size_t count = listed ? rows.size() : kRows;
+    for (std::size_t mr = 1; mr <= simd::kOuterBlockRows; ++mr) {
+      for (const std::size_t n : {1ul, 7ul, 16ul, 17ul, 63ul, 64ul, 65ul,
+                                  129ul}) {
+        std::vector<float> ref(simd::kOuterBlockRows * kLdc, 0.25f);
+        {
+          IsaGuard guard(Isa::kScalar);
+          simd::kernels().outer_block(a.data(), kLda, b.data(), kLdb, list,
+                                      count, ref.data(), kLdc, mr, n);
+        }
+        for (Isa isa : vector_isas()) {
+          IsaGuard guard(isa);
+          std::vector<float> c(simd::kOuterBlockRows * kLdc, 0.25f);
+          simd::kernels().outer_block(a.data(), kLda, b.data(), kLdb, list,
+                                      count, c.data(), kLdc, mr, n);
+          EXPECT_EQ(c, ref) << isa_name(isa) << " listed=" << listed
+                            << " mr=" << mr << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdGemm, AxpyKernelHandlesRaggedTails) {
   for (Isa isa : simd::supported_isas()) {
     IsaGuard guard(isa);
@@ -520,11 +615,14 @@ TEST(SimdAggregate, NewKernelsBitIdenticalAcrossIsasOnRaggedTails) {
 TEST(SimdAggregate, GatherAxpyMatchesScalarKLoopAtEveryIsa) {
   // A small row pool gathered in a fixed k-ascending order: every dst
   // element must see the identical unfused multiply-add chain on every ISA.
-  const std::size_t kRows = 13, kStride = 37;
+  // Widths straddle the 64-column register tile; a null index gathers rows
+  // 0..count-1 (the GEMM row form).
+  const std::size_t kRows = 13, kStride = 131;
   Rng rng(7);
   std::vector<float> base(kRows * kStride);
   for (float& v : base) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  for (std::size_t n : {1ul, 3ul, 8ul, 16ul, 17ul, 37ul}) {
+  for (std::size_t n :
+       {1ul, 3ul, 8ul, 16ul, 17ul, 37ul, 63ul, 64ul, 65ul, 129ul}) {
     for (std::size_t count : {0ul, 1ul, 2ul, 5ul, 13ul}) {
       std::vector<std::uint32_t> idx(count);
       std::vector<float> coeffs(count);
@@ -532,19 +630,23 @@ TEST(SimdAggregate, GatherAxpyMatchesScalarKLoopAtEveryIsa) {
         idx[k] = static_cast<std::uint32_t>((k * 5 + 3) % kRows);
         coeffs[k] = static_cast<float>(rng.uniform(0.1, 1.5));
       }
-      std::vector<float> ref(n, 0.25f);
-      {
-        IsaGuard guard(Isa::kScalar);
-        simd::kernels().gather_axpy(base.data(), kStride, idx.data(),
-                                    coeffs.data(), count, ref.data(), n);
-      }
-      for (Isa isa : vector_isas()) {
-        IsaGuard guard(isa);
-        std::vector<float> dst(n, 0.25f);
-        simd::kernels().gather_axpy(base.data(), kStride, idx.data(),
-                                    coeffs.data(), count, dst.data(), n);
-        EXPECT_EQ(dst, ref)
-            << isa_name(isa) << " n=" << n << " count=" << count;
+      for (const bool indexed : {true, false}) {
+        const std::uint32_t* rows = indexed ? idx.data() : nullptr;
+        std::vector<float> ref(n, 0.25f);
+        {
+          IsaGuard guard(Isa::kScalar);
+          simd::kernels().gather_axpy(base.data(), kStride, rows,
+                                      coeffs.data(), count, ref.data(), n);
+        }
+        for (Isa isa : vector_isas()) {
+          IsaGuard guard(isa);
+          std::vector<float> dst(n, 0.25f);
+          simd::kernels().gather_axpy(base.data(), kStride, rows,
+                                      coeffs.data(), count, dst.data(), n);
+          EXPECT_EQ(dst, ref) << isa_name(isa) << " n=" << n
+                              << " count=" << count
+                              << " indexed=" << indexed;
+        }
       }
     }
   }
