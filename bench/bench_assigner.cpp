@@ -68,7 +68,7 @@ void BM_AssignFullPlan(benchmark::State& state) {
     benchmark::DoNotOptimize(plan.bits.data());
   }
 }
-BENCHMARK(BM_AssignFullPlan)->Arg(4)->Arg(8);
+BENCHMARK(BM_AssignFullPlan)->Arg(4)->Arg(8)->Arg(24);
 
 void BM_MessageBetas(benchmark::State& state) {
   Rng rng(8);
@@ -84,13 +84,15 @@ void BM_MessageBetas(benchmark::State& state) {
   std::vector<std::vector<float>> ranges(4);
   for (int d = 0; d < 4; ++d)
     ranges[d].assign(dist.devices[d].num_local(), 1.0f);
+  const Direction dir =
+      state.range(0) == 0 ? Direction::kForward : Direction::kBackward;
   for (auto _ : state) {
-    auto betas = message_betas(dist, Aggregator::kGcn, Direction::kForward,
-                               ranges, 64);
+    auto betas = message_betas(dist, Aggregator::kGcn, dir, ranges, 64);
     benchmark::DoNotOptimize(betas.data());
   }
 }
-BENCHMARK(BM_MessageBetas);
+// 0 = forward (send lists), 1 = backward (receive lists).
+BENCHMARK(BM_MessageBetas)->ArgName("bwd")->Arg(0)->Arg(1);
 
 }  // namespace
 

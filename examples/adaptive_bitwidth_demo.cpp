@@ -26,8 +26,9 @@ int main() {
   // Trace ranges straight from the features (what the Assigner does with
   // layer-0 inputs during training).
   const auto locals = scatter_to_devices(ds.features, dist);
-  std::vector<std::vector<float>> ranges;
-  for (const auto& m : locals) ranges.push_back(row_ranges_of(m));
+  std::vector<std::vector<float>> ranges(locals.size());
+  for (std::size_t d = 0; d < locals.size(); ++d)
+    row_ranges_of_into(locals[d], ranges[d]);
 
   Table table({"lambda", "2-bit", "4-bit", "8-bit", "avg bits", "variance",
                "straggler Z (us)", "solve (ms)"});

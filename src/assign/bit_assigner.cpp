@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/stopwatch.h"
 #include "quant/quantize.h"
+#include "runtime/parallel_for.h"
 
 namespace adaqp {
 
@@ -22,38 +23,20 @@ double variance_factor(int bits) {
   return 1.0 / (levels * levels);
 }
 
-/// Greedy MCKP: minimize Σ β_g·varfac(b_g) subject to Σ Dsum_g·b_g ≤ budget.
-/// Starts everything at 2 bits and applies upgrade steps (2→4, then 4→8) in
-/// order of variance-reduction per unit weight; the marginal ratios are
-/// strictly diminishing per group, so this is the exact LP-relaxation
-/// optimum rounded down to an integral solution.
-struct KnapsackResult {
-  std::vector<int> bits;
-  double variance = 0.0;
-  double used_weight = 0.0;
-  bool feasible = true;
+/// One upgrade step of one group: 2→4 or 4→8 bits.
+struct UpgradeStep {
+  double ratio;  ///< variance reduction per unit of added weight
+  std::uint32_t group;
+  int to_bits;
+  double dweight;
 };
 
-KnapsackResult solve_knapsack(const std::vector<MessageGroup>& groups,
-                              double budget) {
-  KnapsackResult res;
-  res.bits.assign(groups.size(), 2);
-  double weight = 0.0;
-  for (const auto& g : groups) weight += 2.0 * static_cast<double>(g.dim_sum);
-  if (weight > budget) {
-    // Even the all-2-bit assignment misses the deadline; the round solution
-    // keeps it (Z candidates below the all-2-bit straggler time are pruned
-    // by the caller, so this only happens for deliberately tight probes).
-    res.feasible = false;
-  }
-  struct Step {
-    double ratio;
-    std::uint32_t group;
-    int to_bits;
-    double dvar;
-    double dweight;
-  };
-  std::vector<Step> steps;
+/// A pair's upgrade steps in greedy order (descending ratio). The order does
+/// not depend on the budget, so solve_round builds it once per pair and
+/// reuses it for every candidate Z.
+std::vector<UpgradeStep> upgrade_steps(
+    const std::vector<MessageGroup>& groups) {
+  std::vector<UpgradeStep> steps;
   steps.reserve(groups.size() * 2);
   for (std::uint32_t i = 0; i < groups.size(); ++i) {
     const double beta = groups[i].beta_sum;
@@ -61,29 +44,52 @@ KnapsackResult solve_knapsack(const std::vector<MessageGroup>& groups,
     if (dim == 0.0) continue;
     const double dvar24 = beta * (variance_factor(2) - variance_factor(4));
     const double dvar48 = beta * (variance_factor(4) - variance_factor(8));
-    steps.push_back({dvar24 / (2.0 * dim), i, 4, dvar24, 2.0 * dim});
-    steps.push_back({dvar48 / (4.0 * dim), i, 8, dvar48, 4.0 * dim});
+    steps.push_back({dvar24 / (2.0 * dim), i, 4, 2.0 * dim});
+    steps.push_back({dvar48 / (4.0 * dim), i, 8, 4.0 * dim});
   }
   // Stable sort so that equal-ratio steps keep insertion order (2→4 was
   // inserted before 4→8 per group), preserving the upgrade-chain invariant
   // even for zero-β groups.
   std::stable_sort(steps.begin(), steps.end(),
-                   [](const Step& a, const Step& b) { return a.ratio > b.ratio; });
+                   [](const UpgradeStep& a, const UpgradeStep& b) {
+                     return a.ratio > b.ratio;
+                   });
+  return steps;
+}
+
+/// Σ 2·Dsum_g: the weight of the all-2-bit assignment.
+double base_weight(const std::vector<MessageGroup>& groups) {
+  double weight = 0.0;
+  for (const auto& g : groups) weight += 2.0 * static_cast<double>(g.dim_sum);
+  return weight;
+}
+
+/// Greedy MCKP: minimize Σ β_g·varfac(b_g) subject to Σ Dsum_g·b_g ≤ budget.
+/// Starts everything at 2 bits and applies `steps` (upgrade_steps' order);
+/// the marginal ratios are strictly diminishing per group, so this is the
+/// exact LP-relaxation optimum rounded down to an integral solution. When
+/// even the all-2-bit weight exceeds the budget the all-2 assignment stands
+/// (Z candidates below the all-2-bit straggler time are pruned by the
+/// caller). Writes `bits` and returns the assignment's variance.
+double solve_knapsack(const std::vector<MessageGroup>& groups,
+                      const std::vector<UpgradeStep>& steps, double weight,
+                      double budget, std::vector<int>& bits) {
+  bits.assign(groups.size(), 2);
   // Relative slack absorbs rounding when the budget equals an assignment's
   // exact weight (e.g. the all-8 candidate of the straggler pair).
   const double budget_slack = budget * 1e-12 + 1e-9;
   for (const auto& s : steps) {
     // A 4→8 step only applies after the matching 2→4 step; the ratio order
     // guarantees that because dvar24/2D > dvar48/4D for every group.
-    if (res.bits[s.group] != s.to_bits - s.to_bits / 2) continue;
+    if (bits[s.group] != s.to_bits - s.to_bits / 2) continue;
     if (weight + s.dweight > budget + budget_slack) continue;
-    res.bits[s.group] = s.to_bits;
+    bits[s.group] = s.to_bits;
     weight += s.dweight;
   }
-  res.used_weight = weight;
+  double variance = 0.0;
   for (std::size_t i = 0; i < groups.size(); ++i)
-    res.variance += groups[i].beta_sum * variance_factor(res.bits[i]);
-  return res;
+    variance += groups[i].beta_sum * variance_factor(bits[i]);
+  return variance;
 }
 
 double pair_time(const RoundProblem::Pair& pair, const std::vector<int>& bits) {
@@ -162,25 +168,33 @@ RoundSolution solve_round(const RoundProblem& problem, double lambda) {
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
 
+  const std::size_t num_pairs = problem.pairs.size();
+  std::vector<std::vector<UpgradeStep>> steps(num_pairs);
+  std::vector<double> weights(num_pairs);
+  for (std::size_t p = 0; p < num_pairs; ++p) {
+    steps[p] = upgrade_steps(problem.pairs[p].groups);
+    weights[p] = base_weight(problem.pairs[p].groups);
+  }
+  // `sol` and `best` trade bit buffers on every improvement, so the loop
+  // allocates nothing once both have held a full solution.
+  RoundSolution sol;
   for (double z : candidates) {
     if (z + 1e-15 < scale.z_floor) continue;  // infeasible even at 2 bits
-    RoundSolution sol;
-    sol.bits.resize(problem.pairs.size());
+    sol.bits.resize(num_pairs);
     sol.variance = 0.0;
     double realized_z = 0.0;
-    for (std::size_t p = 0; p < problem.pairs.size(); ++p) {
+    for (std::size_t p = 0; p < num_pairs; ++p) {
       const auto& pair = problem.pairs[p];
       const double budget =
           pair.theta > 0.0 ? (z - pair.gamma) / pair.theta
                            : std::numeric_limits<double>::infinity();
-      KnapsackResult k = solve_knapsack(pair.groups, budget);
-      sol.bits[p] = std::move(k.bits);
-      sol.variance += k.variance;
+      sol.variance += solve_knapsack(pair.groups, steps[p], weights[p],
+                                     budget, sol.bits[p]);
       realized_z = std::max(realized_z, pair_time(pair, sol.bits[p]));
     }
     sol.z = realized_z;
     sol.objective = scale.scalarize(lambda, sol.variance, sol.z);
-    if (sol.objective < best.objective) best = std::move(sol);
+    if (sol.objective < best.objective) std::swap(best, sol);
   }
   return best;
 }
@@ -230,12 +244,6 @@ RoundSolution solve_round_bruteforce(const RoundProblem& problem,
   return best;
 }
 
-std::vector<float> row_ranges_of(const Matrix& m) {
-  std::vector<float> ranges;
-  row_ranges_of_into(m, ranges);
-  return ranges;
-}
-
 void row_ranges_of_into(const Matrix& m, std::vector<float>& ranges) {
   ranges.assign(m.rows(), 0.0f);
   for (std::size_t r = 0; r < m.rows(); ++r) {
@@ -255,42 +263,50 @@ std::vector<std::vector<std::vector<double>>> message_betas(
     const std::vector<std::vector<float>>& row_ranges, std::size_t dim) {
   const int n = dist.num_devices();
   ADAQP_CHECK(static_cast<int>(row_ranges.size()) == n);
-
-  std::vector<std::vector<std::vector<double>>> betas(n);
   for (int d = 0; d < n; ++d) {
-    const DeviceGraph& dev = dist.devices[d];
     // A range per local row, traced in the epoch the refresh runs; a
     // missing trace must not read out of bounds.
-    ADAQP_CHECK_MSG(row_ranges[d].size() == dev.num_local(),
+    ADAQP_CHECK_MSG(row_ranges[d].size() == dist.devices[d].num_local(),
                     "message_betas: device " << d << " has "
                                              << row_ranges[d].size()
                                              << " traced ranges for "
-                                             << dev.num_local()
+                                             << dist.devices[d].num_local()
                                              << " local rows");
+  }
+
+  // One task per device; device d writes only betas[d].
+  std::vector<std::vector<std::vector<double>>> betas(n);
+  parallel_for_each(static_cast<std::size_t>(n), [&](std::size_t di) {
+    const int d = static_cast<int>(di);
+    const DeviceGraph& dev = dist.devices[d];
+    const auto beta = [&](double alpha_sq, NodeId row) {
+      const double range = row_ranges[d][row];
+      return alpha_sq * static_cast<double>(dim) * static_cast<double>(range) *
+             range / 6.0;
+    };
     betas[d].resize(n);
     if (dir == Direction::kForward) {
       // Message k → peer p: k is an owned node; its aggregation targets on p
-      // are exactly its halo neighbors owned by p (graph symmetry).
-      // Precompute per (owned node, peer) Σ α².
+      // are exactly its halo neighbors owned by p (graph symmetry). One walk
+      // per owned node fills alpha_sq[k·n + p] = Σ α²(k→u) over those u, each
+      // entry summed in neighbor order.
+      std::vector<double> alpha_sq(dev.num_owned * static_cast<std::size_t>(n),
+                                   0.0);
+      for (std::size_t k = 0; k < dev.num_owned; ++k) {
+        for (NodeId u : dev.neighbors(static_cast<NodeId>(k))) {
+          if (u < dev.num_owned) continue;  // local target
+          const int p = dist.partition.part_of[dev.global_of_local[u]];
+          // α(k → u) as used when u aggregates k.
+          const double a = aggregation_coefficient(agg, dev.global_degree[k],
+                                                   dev.global_degree[u]);
+          alpha_sq[k * n + p] += a * a;
+        }
+      }
       for (int p = 0; p < n; ++p) {
         const auto& sends = dev.send_local[p];
-        betas[d][p].assign(sends.size(), 0.0);
-        for (std::size_t i = 0; i < sends.size(); ++i) {
-          const NodeId k = sends[i];
-          double alpha_sq = 0.0;
-          for (NodeId u : dev.neighbors(k)) {
-            if (u < dev.num_owned) continue;  // local target
-            const NodeId gu = dev.global_of_local[u];
-            if (dist.partition.part_of[gu] != p) continue;
-            // α(k → u) as used when u aggregates k.
-            const double a = aggregation_coefficient(
-                agg, dev.global_degree[k], dev.global_degree[u]);
-            alpha_sq += a * a;
-          }
-          const double range = row_ranges[d][k];
-          betas[d][p][i] = alpha_sq * static_cast<double>(dim) *
-                           static_cast<double>(range) * range / 6.0;
-        }
+        betas[d][p].resize(sends.size());
+        for (std::size_t i = 0; i < sends.size(); ++i)
+          betas[d][p][i] = beta(alpha_sq[sends[i] * n + p], sends[i]);
       }
     } else {
       // Backward message: gradient of halo node v sent back to owner p; the
@@ -309,16 +325,12 @@ std::vector<std::vector<std::vector<double>>> message_betas(
       }
       for (int p = 0; p < n; ++p) {
         const auto& recvs = dev.recv_local[p];
-        betas[d][p].assign(recvs.size(), 0.0);
-        for (std::size_t i = 0; i < recvs.size(); ++i) {
-          const NodeId v = recvs[i];
-          const double range = row_ranges[d][v];
-          betas[d][p][i] = alpha_sq_halo[v] * static_cast<double>(dim) *
-                           static_cast<double>(range) * range / 6.0;
-        }
+        betas[d][p].resize(recvs.size());
+        for (std::size_t i = 0; i < recvs.size(); ++i)
+          betas[d][p][i] = beta(alpha_sq_halo[recvs[i]], recvs[i]);
       }
     }
-  }
+  });
   return betas;
 }
 
@@ -339,17 +351,24 @@ ExchangePlan assign_bit_widths(const DistGraph& dist,
                           ? ExchangePlan::uniform_forward(dist, 8)
                           : ExchangePlan::uniform_backward(dist, 8);
 
-  AssignReport rep;
+  // The ring schedule gives every (src, dst) pair to exactly one round, so
+  // each round is built, solved and written back into the plan as one pool
+  // task. Its report terms land in its own slot and are summed below in
+  // round order, as a sequential solve would; a round with no pairs keeps
+  // +0.0 terms, whose addition changes no sum.
+  struct RoundTotals {
+    double variance = 0.0, z = 0.0, objective = 0.0;
+    std::size_t num_groups = 0;
+  };
   const RingAllToAll ring(n);
-  for (int round = 1; round <= ring.num_rounds(); ++round) {
+  std::vector<RoundTotals> totals(
+      static_cast<std::size_t>(std::max(ring.num_rounds(), 0)));
+  parallel_for_each(totals.size(), [&](std::size_t r) {
+    const int round = static_cast<int>(r) + 1;
     RoundProblem problem;
-    // Remember, per problem pair, the grouping (message indices per group)
-    // so the solution can be written back into the plan.
-    struct PairMeta {
-      int src, dst;
-      std::vector<std::vector<std::uint32_t>> group_members;
-    };
-    std::vector<PairMeta> metas;
+    // Per problem pair, its messages in β order: group g holds positions
+    // [g·group_size, (g+1)·group_size) of it.
+    std::vector<std::vector<std::uint32_t>> orders;
     for (int src = 0; src < n; ++src) {
       const int dst = ring.send_peer(src, round);
       const auto& list = dir == Direction::kForward
@@ -370,37 +389,38 @@ ExchangePlan assign_bit_widths(const DistGraph& dist,
       // θ in seconds per (dim·bit): bits→bytes is /8.
       pair.theta = link.theta / 8.0;
       pair.gamma = link.gamma;
-      PairMeta meta;
-      meta.src = src;
-      meta.dst = dst;
       for (std::size_t at = 0; at < order.size(); at += opts.group_size) {
         MessageGroup group;
-        std::vector<std::uint32_t> members;
         for (std::size_t i = at;
              i < std::min(order.size(), at + opts.group_size); ++i) {
           group.beta_sum += b[order[i]];
           group.dim_sum += dim;
-          members.push_back(order[i]);
         }
-        pair.groups.push_back(std::move(group));
-        meta.group_members.push_back(std::move(members));
+        pair.groups.push_back(group);
       }
-      rep.num_groups += pair.groups.size();
+      totals[r].num_groups += pair.groups.size();
       problem.pairs.push_back(std::move(pair));
-      metas.push_back(std::move(meta));
+      orders.push_back(std::move(order));
     }
-    if (problem.pairs.empty()) continue;
+    if (problem.pairs.empty()) return;
 
     const RoundSolution sol = solve_round(problem, opts.lambda);
-    rep.total_variance += sol.variance;
-    rep.total_z += sol.z;
-    rep.total_objective += sol.objective;
-    for (std::size_t p = 0; p < metas.size(); ++p) {
-      const auto& meta = metas[p];
-      for (std::size_t g = 0; g < meta.group_members.size(); ++g)
-        for (std::uint32_t idx : meta.group_members[g])
-          plan.bits[meta.src][meta.dst][idx] = sol.bits[p][g];
+    totals[r].variance = sol.variance;
+    totals[r].z = sol.z;
+    totals[r].objective = sol.objective;
+    for (std::size_t p = 0; p < orders.size(); ++p) {
+      auto& bits = plan.bits[problem.pairs[p].src][problem.pairs[p].dst];
+      for (std::size_t i = 0; i < orders[p].size(); ++i)
+        bits[orders[p][i]] = sol.bits[p][i / opts.group_size];
     }
+  });
+
+  AssignReport rep;
+  for (const RoundTotals& t : totals) {
+    rep.num_groups += t.num_groups;
+    rep.total_variance += t.variance;
+    rep.total_z += t.z;
+    rep.total_objective += t.objective;
   }
 
   // Observability: solve count/latency and the realized bit-width

@@ -35,7 +35,6 @@ namespace adaqp {
 struct MessageGroup {
   double beta_sum = 0.0;      ///< Σ β_k over member messages
   std::size_t dim_sum = 0;    ///< Σ D_k (time-objective weight per bit)
-  std::vector<std::uint32_t> members;  ///< positions in the pair's send list
 };
 
 /// All data of one ring round: the (send) pairs active in that round.
@@ -91,12 +90,10 @@ std::vector<std::vector<std::vector<double>>> message_betas(
     const DistGraph& dist, Aggregator agg, Direction dir,
     const std::vector<std::vector<float>>& row_ranges, std::size_t dim);
 
-/// Per-local-row (max − min) of a matrix (the traced numerical range).
-std::vector<float> row_ranges_of(const Matrix& m);
-
-/// In-place form of row_ranges_of: rewrites `out` reusing its capacity, so
-/// repeated range traces allocate nothing once the shapes have stabilized
-/// (the steady-state contract, docs/ARCHITECTURE.md).
+/// Per-local-row (max − min) of a matrix (the traced numerical range),
+/// written into `out` reusing its capacity, so repeated range traces
+/// allocate nothing once the shapes have stabilized (the steady-state
+/// contract, docs/ARCHITECTURE.md).
 void row_ranges_of_into(const Matrix& m, std::vector<float>& out);
 
 /// Build an exchange plan for one layer/direction by solving every ring

@@ -1,7 +1,9 @@
 // Tests for the bi-objective bit-width assigner (GUROBI substitute).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "assign/bit_assigner.h"
@@ -9,6 +11,7 @@
 #include "graph/generators.h"
 #include "partition/partitioner.h"
 #include "quant/quantize.h"
+#include "runtime/thread_pool.h"
 
 namespace adaqp {
 namespace {
@@ -210,9 +213,85 @@ TEST(MessageBetas, UntracedRangesRejected) {
                  std::runtime_error);
 }
 
+/// The forward β as a walk of k's neighbours once per peer p that k is sent
+/// to: Σ α²(k→u) over halo neighbours u owned by p, in neighbour order.
+std::vector<std::vector<std::vector<double>>> per_peer_forward_betas(
+    const DistGraph& dist, Aggregator agg,
+    const std::vector<std::vector<float>>& ranges, std::size_t dim) {
+  const int n = dist.num_devices();
+  std::vector<std::vector<std::vector<double>>> betas(n);
+  for (int d = 0; d < n; ++d) {
+    const DeviceGraph& dev = dist.devices[d];
+    betas[d].resize(n);
+    for (int p = 0; p < n; ++p) {
+      const auto& sends = dev.send_local[p];
+      betas[d][p].assign(sends.size(), 0.0);
+      for (std::size_t i = 0; i < sends.size(); ++i) {
+        const NodeId k = sends[i];
+        double alpha_sq = 0.0;
+        for (NodeId u : dev.neighbors(k)) {
+          if (u < dev.num_owned) continue;
+          if (dist.partition.part_of[dev.global_of_local[u]] != p) continue;
+          const double a = aggregation_coefficient(
+              agg, dev.global_degree[k], dev.global_degree[u]);
+          alpha_sq += a * a;
+        }
+        const double range = ranges[d][k];
+        betas[d][p][i] = alpha_sq * static_cast<double>(dim) *
+                         static_cast<double>(range) * range / 6.0;
+      }
+    }
+  }
+  return betas;
+}
+
+TEST(MessageBetas, ForwardTableMatchesPerPeerWalk) {
+  Rng rng(31);
+  DcSbmParams params;
+  params.num_nodes = 1500;
+  params.num_blocks = 6;
+  params.avg_degree = 12.0;
+  params.intra_prob = 0.6;
+  const DcSbm sbm = dc_sbm(params, rng);
+  const int devices = 6;
+  const auto part = MultilevelPartitioner().partition(sbm.graph, devices, rng);
+  const DistGraph dist = build_dist_graph(sbm.graph, part);
+  // Some rows are sent to several peers, so one walk must split by peer.
+  std::size_t messages = 0, boundary = 0;
+  for (const DeviceGraph& dev : dist.devices) {
+    for (const auto& sends : dev.send_local) messages += sends.size();
+    boundary += dev.boundary_rows.size();
+  }
+  ASSERT_GT(messages, boundary);
+  std::vector<std::vector<float>> ranges(devices);
+  for (int d = 0; d < devices; ++d) {
+    ranges[d].resize(dist.devices[d].num_local());
+    for (auto& x : ranges[d]) x = static_cast<float>(rng.uniform(0.01, 5.0));
+  }
+  for (const Aggregator agg : {Aggregator::kGcn, Aggregator::kSageMean}) {
+    const auto want = per_peer_forward_betas(dist, agg, ranges, 48);
+    const auto got =
+        message_betas(dist, agg, Direction::kForward, ranges, 48);
+    std::size_t compared = 0;
+    ASSERT_EQ(got.size(), want.size());
+    for (int d = 0; d < devices; ++d) {
+      ASSERT_EQ(got[d].size(), want[d].size());
+      for (int p = 0; p < devices; ++p) {
+        ASSERT_EQ(got[d][p].size(), want[d][p].size());
+        for (std::size_t i = 0; i < want[d][p].size(); ++i, ++compared)
+          EXPECT_EQ(got[d][p][i], want[d][p][i])
+              << "device " << d << " peer " << p << " message " << i;
+      }
+    }
+    EXPECT_GT(compared, 500u);
+  }
+}
+
 TEST(RowRanges, ComputesMaxMinusMin) {
   Matrix m(2, 3, {1.0f, -2.0f, 5.0f, 4.0f, 4.0f, 4.0f});
-  const auto ranges = row_ranges_of(m);
+  std::vector<float> ranges{9.0f, 9.0f, 9.0f};  // stale, longer: rewritten
+  row_ranges_of_into(m, ranges);
+  ASSERT_EQ(ranges.size(), 2u);
   EXPECT_FLOAT_EQ(ranges[0], 7.0f);
   EXPECT_FLOAT_EQ(ranges[1], 0.0f);
 }
@@ -317,6 +396,115 @@ TEST(AssignPlan, GroupSizeOneMatchesPerMessageAssignment) {
   // slack covers the greedy knapsack's integrality gap.
   EXPECT_LE(report_fine.total_objective,
             report_coarse.total_objective + 0.15);
+}
+
+/// Scoped global-pool override; restores the previous size on exit.
+class ThreadCountGuard {
+ public:
+  explicit ThreadCountGuard(int n) : prev_(num_threads()) {
+    set_num_threads(n);
+  }
+  ~ThreadCountGuard() { set_num_threads(prev_); }
+
+ private:
+  int prev_;
+};
+
+/// FNV-1a over 64-bit words.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
+
+struct PinnedSolve {
+  std::uint64_t digest = 0;  ///< every plan bit and report total
+  std::vector<AssignReport> reports;
+};
+
+/// Forward and backward plans for GCN and SAGE-mean on a fixed DC-SBM graph
+/// partitioned over `devices` (4 per machine), digested in a fixed order.
+PinnedSolve pinned_solve(int devices) {
+  Rng rng(2024);
+  DcSbmParams params;
+  params.num_nodes = 3000;
+  params.num_blocks = 12;
+  params.avg_degree = 10.0;
+  params.intra_prob = 0.75;
+  params.block_size_exponent = 0.5;
+  const DcSbm sbm = dc_sbm(params, rng);
+  const auto part =
+      MultilevelPartitioner().partition(sbm.graph, devices, rng);
+  const DistGraph dist = build_dist_graph(sbm.graph, part);
+  const ClusterSpec cluster = ClusterSpec::machines(devices / 4, 4);
+  std::vector<std::vector<float>> ranges(devices);
+  Rng r2(2025);
+  for (int d = 0; d < devices; ++d) {
+    ranges[d].resize(dist.devices[d].num_local());
+    for (auto& x : ranges[d]) x = static_cast<float>(r2.uniform(0.05, 3.0));
+  }
+  AssignerOptions opts;
+  opts.group_size = 16;
+  PinnedSolve out;
+  Digest digest;
+  for (const Aggregator agg : {Aggregator::kGcn, Aggregator::kSageMean})
+    for (const Direction dir : {Direction::kForward, Direction::kBackward}) {
+      AssignReport report;
+      const ExchangePlan plan = assign_bit_widths(dist, cluster, agg, dir,
+                                                  ranges, 64, opts, &report);
+      for (const auto& per_device : plan.bits)
+        for (const auto& per_peer : per_device) {
+          digest.add(static_cast<std::uint64_t>(per_peer.size()));
+          for (const int b : per_peer)
+            digest.add(static_cast<std::uint64_t>(b));
+        }
+      digest.add(report.total_variance);
+      digest.add(report.total_z);
+      digest.add(report.total_objective);
+      digest.add(static_cast<std::uint64_t>(report.num_groups));
+      out.reports.push_back(report);
+    }
+  out.digest = digest.h;
+  return out;
+}
+
+// Every plan bit and report total, pinned at 8 and 24 devices and bit-equal
+// for every pool size: the ring rounds may be solved on any worker, in any
+// order, without changing a bit width or a reported sum.
+TEST(AssignPlan, PinnedPlanDigest) {
+  const std::pair<int, std::uint64_t> pins[] = {
+      {8, 0xb1875b734cb6cdeaull},
+      {24, 0x36ae911eef9e459aull},
+  };
+  for (const auto& [devices, want] : pins) {
+    std::vector<PinnedSolve> runs;
+    for (const int threads : {1, 4, 8}) {
+      const ThreadCountGuard guard(threads);
+      runs.push_back(pinned_solve(devices));
+      EXPECT_EQ(runs.back().digest, want)
+          << "devices " << devices << " threads " << threads << " digest 0x"
+          << std::hex << runs.back().digest << std::dec;
+    }
+    for (std::size_t t = 1; t < runs.size(); ++t) {
+      ASSERT_EQ(runs[t].reports.size(), runs[0].reports.size());
+      for (std::size_t i = 0; i < runs[0].reports.size(); ++i) {
+        const AssignReport& a = runs[0].reports[i];
+        const AssignReport& b = runs[t].reports[i];
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.total_variance),
+                  std::bit_cast<std::uint64_t>(b.total_variance));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.total_z),
+                  std::bit_cast<std::uint64_t>(b.total_z));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.total_objective),
+                  std::bit_cast<std::uint64_t>(b.total_objective));
+        EXPECT_EQ(a.num_groups, b.num_groups);
+      }
+    }
+  }
 }
 
 TEST(UniformSampling, ProducesOnlyCandidateWidths) {
