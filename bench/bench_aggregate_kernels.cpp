@@ -15,6 +15,12 @@
 // full owned-row span, the row-list forms training runs. The
 // GEMMs run on the runtime pool, so rates are per wall second at
 // ADAQP_THREADS threads; ADAQP_THREADS=1 gives per-core figures.
+//
+// BM_LayerNorm/{fwd,bwd}/<rows>x<dim>/t<N> and
+// BM_EpilogueAdjoint/<rows>x<dim>/t<N> time a hidden layer's per-row glue
+// over every row on an N-thread pool: the LayerNorm forward, its adjoint
+// (with the span-order dγ/dβ pass) and the ReLU x dropout adjoint. That
+// code is compiled for the base ISA, so these carry no ISA sweep.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -24,6 +30,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "gnn/layers.h"
+#include "runtime/thread_pool.h"
 #include "simd/isa.h"
 #include "simd/kernels.h"
 #include "tensor/matrix.h"
@@ -148,6 +156,69 @@ void BM_Gemm(benchmark::State& state, Isa isa, GemmVariant variant,
       benchmark::Counter::kIsRate);
 }
 
+/// Global pool size for one benchmark; restores the previous size.
+class PoolThreads {
+ public:
+  explicit PoolThreads(int n) : prev_(num_threads()) { set_num_threads(n); }
+  ~PoolThreads() { set_num_threads(prev_); }
+  PoolThreads(const PoolThreads&) = delete;
+  PoolThreads& operator=(const PoolThreads&) = delete;
+
+ private:
+  int prev_;
+};
+
+std::vector<NodeId> iota_rows(std::size_t rows) {
+  std::vector<NodeId> out(rows);
+  for (std::size_t i = 0; i < rows; ++i) out[i] = static_cast<NodeId>(i);
+  return out;
+}
+
+void BM_LayerNorm(benchmark::State& state, bool backward, std::size_t rows,
+                  std::size_t dim, int threads) {
+  PoolThreads pool(threads);
+  LayerNorm ln(dim);
+  const Matrix in = make_matrix(rows, dim, 41);
+  const Matrix dy = make_matrix(rows, dim, 42);
+  const std::vector<NodeId> all = iota_rows(rows);
+  Matrix out(rows, dim), grad_in(rows, dim), dgamma(1, dim), dbeta(1, dim);
+  LayerNorm::Cache cache;
+  cache.normalized = Matrix(rows, dim);
+  cache.rstd.assign(rows, 0.0f);
+  ln.forward_rows(in, out, cache, all);
+  for (auto _ : state) {
+    if (backward) {
+      ln.backward_rows(dy, cache, grad_in, dgamma, dbeta, all);
+      benchmark::DoNotOptimize(grad_in.data());
+    } else {
+      ln.forward_rows(in, out, cache, all);
+      benchmark::DoNotOptimize(out.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          rows);
+}
+
+void BM_EpilogueAdjoint(benchmark::State& state, std::size_t rows,
+                        std::size_t dim, int threads) {
+  PoolThreads pool(threads);
+  const Matrix dy = make_matrix(rows, dim, 43);
+  const Matrix pre = make_matrix(rows, dim, 44);  // about half positive
+  Rng rng(45);
+  Matrix mask;
+  dropout_mask(rows, dim, 0.5f, rng, mask);
+  const std::vector<NodeId> all = iota_rows(rows);
+  Matrix dst(rows, dim);
+  for (auto _ : state) {
+    epilogue_adjoint_rows(dy, mask, pre, dst, all);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          rows);
+}
+
 }  // namespace
 
 // Registered (not macro-declared) so every case can sweep the host's
@@ -190,6 +261,18 @@ int main(int argc, char** argv) {
                 .c_str(),
             BM_Gemm, isa, variant, sh.rows, sh.in, sh.out)
             ->UseRealTime();  // pool threads do the work: rate by wall time
+  }
+  for (int threads : {1, 4}) {
+    const std::string shape = "/12000x64/t" + std::to_string(threads);
+    for (const auto& [name, backward] :
+         {std::pair{"fwd", false}, std::pair{"bwd", true}})
+      benchmark::RegisterBenchmark(
+          ("BM_LayerNorm/" + std::string(name) + shape).c_str(), BM_LayerNorm,
+          backward, 12000, 64, threads)
+          ->UseRealTime();
+    benchmark::RegisterBenchmark(("BM_EpilogueAdjoint" + shape).c_str(),
+                                 BM_EpilogueAdjoint, 12000, 64, threads)
+        ->UseRealTime();
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

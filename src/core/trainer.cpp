@@ -96,6 +96,16 @@ BufferAccess rc_row_range(const Matrix& m, std::size_t row_begin,
                              row_end, mode, std::move(label));
 }
 
+/// `tag` followed by `index` ("L2", "d7"): the layer and device parts of
+/// stage and race-check labels. Appended, not `"d" + std::to_string(d)`:
+/// GCC 12 inlines that operator+ into a memcpy it then flags with a false
+/// -Wrestrict.
+std::string indexed_label(const char* tag, int index) {
+  std::string s = tag;
+  s += std::to_string(index);
+  return s;
+}
+
 }  // namespace
 
 DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
@@ -210,7 +220,6 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
   params_ = model_.params();
   grad_bytes_ = model_.grad_bytes();
 
-  loss_sink_.resize(num_devices_);
   loss_prob_.resize(num_devices_);
   device_loss_.resize(num_devices_);
   grad_flow_.resize(2);
@@ -276,7 +285,7 @@ DistTrainer::LayerGraph& DistTrainer::forward_graph(int l) {
   // re-armed in place forever after: the stage lambdas read fwd_plans_[l]
   // (stable address) at run time.
   pipeline::StageGraph& graph = g.graph;
-  const std::string prefix = "L" + std::to_string(l);
+  const std::string prefix = indexed_label("L", l);
   graph.set_label(prefix + "/forward");
   const std::vector<std::vector<int>> pair_stage =
       pipeline::add_forward_exchange_stages(graph, dist_, acts_[l],
@@ -291,7 +300,7 @@ DistTrainer::LayerGraph& DistTrainer::forward_graph(int l) {
     std::vector<int> central(num_devices_, -1);
     for (int d = 0; d < num_devices_; ++d) {
       const DeviceGraph& dev = dist_.devices[d];
-      const std::string dn = "d" + std::to_string(d);
+      const std::string dn = indexed_label("d", d);
       AccessList acc;
       if (analysis::racecheck_enabled()) {
         // Central rows aggregate only owned neighbors (layers.h), so the
@@ -320,7 +329,7 @@ DistTrainer::LayerGraph& DistTrainer::forward_graph(int l) {
     }
     for (int d = 0; d < num_devices_; ++d) {
       const DeviceGraph& dev = dist_.devices[d];
-      const std::string dn = "d" + std::to_string(d);
+      const std::string dn = indexed_label("d", d);
       std::vector<int> deps{central[d]};
       for (int p : dev.halo_senders)
         if (pair_stage[p][d] >= 0) deps.push_back(pair_stage[p][d]);
@@ -364,7 +373,7 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
                                     ? pipegcn_bwd_scratch_[l]
                                     : grad_flow_[(num_layers_ - l) & 1];
   pipeline::StageGraph& graph = g.graph;
-  const std::string prefix = "L" + std::to_string(l) + "b";
+  const std::string prefix = indexed_label("L", l) + "b";
   graph.set_label(prefix + "/backward");
 
   // Overlapped backward: determinism at any schedule comes from the same
@@ -385,7 +394,7 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
     std::vector<int> trace(num_devices_, -1);
     for (int d = 0; d < num_devices_; ++d) {
       const DeviceGraph& dev = dist_.devices[d];
-      const std::string dn = "d" + std::to_string(d);
+      const std::string dn = indexed_label("d", d);
       // Marginal-row adjoint: produces every halo gradient row this device
       // will ship, unblocking its encode stages. Marginal and central share
       // the per-(layer, device) scratch — they are serialized per device.
@@ -421,7 +430,7 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
     }
     for (int d = 0; d < num_devices_; ++d) {
       const DeviceGraph& dev = dist_.devices[d];
-      const std::string dn = "d" + std::to_string(d);
+      const std::string dn = indexed_label("d", d);
       // Central-row adjoint: owned-row writes only — this is the compute
       // that runs while the halo-gradient exchange is on the wire.
       AccessList acc;
@@ -455,7 +464,7 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
     }
     for (int d = 0; d < num_devices_; ++d) {
       const DeviceGraph& dev = dist_.devices[d];
-      const std::string dn = "d" + std::to_string(d);
+      const std::string dn = indexed_label("d", d);
       // Assigner range trace: needs the complete local adjoint but must
       // precede the exchange's only mutation, the owner accumulate. The
       // stage stays in the persistent graph every epoch; its body only
@@ -491,7 +500,7 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
     if (analysis::racecheck_enabled()) {
       fold_acc.push_back(analysis::write_of(&layer, sizeof(layer), "layer"));
       for (int d = 0; d < num_devices_; ++d) {
-        const std::string dn = "d" + std::to_string(d);
+        const std::string dn = indexed_label("d", d);
         fold_acc.push_back(analysis::read_of(&marginal_sinks[d],
                                              sizeof(marginal_sinks[d]),
                                              "marginal_sinks[" + dn + "]"));
@@ -699,22 +708,26 @@ EpochBreakdown DistTrainer::forward_pass(double& loss) {
   EpochBreakdown total;
   for (int l = 0; l < num_layers_; ++l) total.accumulate(forward_layer(l));
 
-  // Loss values only (gradients handled in backward_pass); per-device terms
-  // computed concurrently into device_loss_, reduced in ascending device
-  // order. The gradient sink is persistent per device and re-zeroed because
-  // the losses accumulate into it.
+  // One loss pass per device, concurrently: the value goes to device_loss_
+  // (reduced in ascending device order below) and the gradient wrt the
+  // logits to grad_flow_[0], where backward_pass starts. At layer l the
+  // incoming gradient lives in grad_flow_[(num_layers_-1-l) % 2] and the
+  // input gradient in the other — fixed per layer across epochs, which is
+  // what lets the persistent exchanges and stage graphs bind them once.
+  std::vector<Matrix>& logits_grad = grad_flow_[0];
   run_device_tasks([&](int d) {
-    Matrix& sink = loss_sink_[d];
-    sink.reshape_zero(acts_[num_layers_][d].rows(),
-                      acts_[num_layers_][d].cols());
+    Matrix& g = logits_grad[d];
+    // reshape_zero, not uninit: the losses accumulate into their sink.
+    g.reshape_zero(acts_[num_layers_][d].rows(),
+                   acts_[num_layers_][d].cols());
     if (!dataset_.spec.multi_label) {
       device_loss_[d] = softmax_cross_entropy(
           acts_[num_layers_][d], train_rows_[d], train_labels_[d],
-          global_train_count_, sink, loss_prob_[d]);
+          global_train_count_, g, loss_prob_[d]);
     } else {
       device_loss_[d] =
           bce_with_logits(acts_[num_layers_][d], train_rows_[d],
-                          train_targets_[d], global_train_count_, sink);
+                          train_targets_[d], global_train_count_, g);
     }
   });
   loss = 0.0;
@@ -774,27 +787,7 @@ EpochBreakdown DistTrainer::backward_layer(int l) {
 }
 
 EpochBreakdown DistTrainer::backward_pass() {
-  // Loss gradients wrt logits — one device task each (disjoint outputs).
-  // Gradients flow through the two persistent ping-pong buffer sets: at
-  // layer l, the incoming grad lives in grad_flow_[(num_layers_-1-l) % 2]
-  // and the input grad in the other — fixed per layer across epochs, which
-  // is what lets the persistent exchanges and stage graphs bind them once.
-  std::vector<Matrix>& logits_grad = grad_flow_[0];
-  run_device_tasks([&](int d) {
-    Matrix& g = logits_grad[d];
-    // reshape_zero, not uninit: the losses accumulate into their sink.
-    g.reshape_zero(acts_[num_layers_][d].rows(),
-                   acts_[num_layers_][d].cols());
-    if (!dataset_.spec.multi_label) {
-      softmax_cross_entropy(acts_[num_layers_][d], train_rows_[d],
-                            train_labels_[d], global_train_count_, g,
-                            loss_prob_[d]);
-    } else {
-      bce_with_logits(acts_[num_layers_][d], train_rows_[d], train_targets_[d],
-                      global_train_count_, g);
-    }
-  });
-
+  // Starts from the logits gradient forward_pass left in grad_flow_[0].
   EpochBreakdown total;
   for (int l = num_layers_ - 1; l >= 0; --l)
     total.accumulate(backward_layer(l));

@@ -388,7 +388,6 @@ class DistTrainer {
   obs::RunCapture capture_;
 
   // Loss scratch; each device task writes only its own entries.
-  std::vector<Matrix> loss_sink_;                 ///< per device
   std::vector<std::vector<double>> loss_prob_;    ///< per device
   std::vector<double> device_loss_;               ///< per device
 

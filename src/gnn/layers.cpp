@@ -3,12 +3,32 @@
 // "Memory subsystem").
 #include "gnn/layers.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "runtime/parallel_for.h"
 
 namespace adaqp {
+
+namespace {
+
+constexpr std::size_t kRowGrain = 32;  ///< min rows per parallel band
+
+/// Run fn(r) for every row of `rows` in parallel_for bands. Every caller
+/// writes only row r of its outputs, so any banding is bit-identical to the
+/// serial loop. Inside a pool task (every multi-device call) the region
+/// runs inline as one band.
+template <typename Fn>
+void for_each_row(std::span<const NodeId> rows, const Fn& fn) {
+  parallel_for(rows.size(), kRowGrain, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) fn(rows[i]);
+  });
+}
+
+}  // namespace
 
 LayerNorm::LayerNorm(std::size_t dim) : gamma(1, dim), beta(1, dim) { init(); }
 
@@ -44,22 +64,18 @@ inline void layer_norm_row(const Matrix& in, Matrix& out,
   }
 }
 
-/// One LayerNorm backward row. dgamma / dbeta accumulate this row's
-/// contribution (caller fixes the row order).
+/// One LayerNorm backward row of grad_in (dgamma / dbeta are a separate
+/// span-order pass, see LayerNorm::backward_rows).
 inline void layer_norm_backward_row(const Matrix& grad_out,
                                     const LayerNorm::Cache& cache,
-                                    Matrix& grad_in, Matrix& dgamma,
-                                    Matrix& dbeta, const Matrix& gamma,
+                                    Matrix& grad_in, const Matrix& gamma,
                                     std::size_t r) {
   const std::size_t dim = grad_out.cols();
   const auto dy = grad_out.row(r);
   const auto xh = cache.normalized.row(r);
   auto dx = grad_in.row(r);
-  // dγ += Σ_r dy⊙x̂ ; dβ += Σ_r dy
   double mean_dxhat = 0.0, mean_dxhat_xhat = 0.0;
   for (std::size_t c = 0; c < dim; ++c) {
-    dgamma.data()[c] += dy[c] * xh[c];
-    dbeta.data()[c] += dy[c];
     const double dxh = static_cast<double>(dy[c]) * gamma.data()[c];
     mean_dxhat += dxh;
     mean_dxhat_xhat += dxh * xh[c];
@@ -82,8 +98,9 @@ void LayerNorm::forward_rows(const Matrix& in, Matrix& out, Cache& cache,
   ADAQP_CHECK(out.same_shape(in));
   ADAQP_CHECK(cache.normalized.same_shape(in));
   ADAQP_CHECK(cache.rstd.size() >= in.rows());
-  for (NodeId r : rows)
+  for_each_row(rows, [&](NodeId r) {
     layer_norm_row(in, out, cache, gamma.value, beta.value, epsilon, r);
+  });
 }
 
 void LayerNorm::backward_rows(const Matrix& grad_out, const Cache& cache,
@@ -94,9 +111,45 @@ void LayerNorm::backward_rows(const Matrix& grad_out, const Cache& cache,
   ADAQP_CHECK(grad_in.same_shape(grad_out));
   if (dgamma.rows() != 1 || dgamma.cols() != dim) dgamma.reshape_zero(1, dim);
   if (dbeta.rows() != 1 || dbeta.cols() != dim) dbeta.reshape_zero(1, dim);
-  for (NodeId r : rows)
-    layer_norm_backward_row(grad_out, cache, grad_in, dgamma, dbeta,
-                            gamma.value, r);
+  for_each_row(rows, [&](NodeId r) {
+    layer_norm_backward_row(grad_out, cache, grad_in, gamma.value, r);
+  });
+  // dγ += Σ_r dy⊙x̂ ; dβ += Σ_r dy — one serial pass in span order, so each
+  // element sums its rows in the same order at any thread count. The column
+  // loop carries no dependence and vectorizes.
+  float* __restrict dg = dgamma.data();
+  float* __restrict db = dbeta.data();
+  for (NodeId r : rows) {
+    const float* __restrict dy = grad_out.row(r).data();
+    const float* __restrict xh = cache.normalized.row(r).data();
+    for (std::size_t c = 0; c < dim; ++c) {
+      dg[c] += dy[c] * xh[c];
+      db[c] += dy[c];
+    }
+  }
+}
+
+void epilogue_adjoint_rows(const Matrix& grad_out, const Matrix& drop_mask,
+                           const Matrix& pre_act, Matrix& dst,
+                           std::span<const NodeId> rows) {
+  const std::size_t dim = pre_act.cols();
+  ADAQP_CHECK(grad_out.cols() == dim && drop_mask.same_shape(pre_act));
+  ADAQP_CHECK(dst.same_shape(pre_act));
+  for_each_row(rows, [&](NodeId r) {
+    const float* __restrict dy = grad_out.row(r).data();
+    const float* __restrict m = drop_mask.row(r).data();
+    const float* __restrict pre = pre_act.row(r).data();
+    float* __restrict out = dst.row(r).data();
+    for (std::size_t c = 0; c < dim; ++c) {
+      // The select as a mask: all-ones keeps dpost's bits (-0, inf and NaN
+      // included), zero (pre <= 0 or NaN) gives +0. Written as a ternary it
+      // compiles to a compare-and-branch per element, which mispredicts on
+      // about half of the LayerNorm outputs.
+      const float dpost = dy[c] * m[c];
+      const std::uint32_t keep = -static_cast<std::uint32_t>(pre[c] > 0.0f);
+      out[c] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(dpost) & keep);
+    }
+  });
 }
 
 GnnLayer::GnnLayer(const LayerConfig& config)
@@ -173,22 +226,22 @@ void GnnLayer::forward_rows(const DeviceGraph& dev, const Matrix& x_local,
     aggregate_forward(dev, cache.agg_plan, x_local, rows, cache.mean_nbr);
     gemm_rows(cache.mean_nbr, weight_.value, cache.pre_norm, rows);
     // Self path uses the owned rows of x (cached for dW_self).
-    for (NodeId v : rows) {
+    for_each_row(rows, [&](NodeId v) {
       const auto src = x_local.row(v);
       std::copy(src.begin(), src.end(), cache.agg.row(v).begin());
-    }
+    });
     gemm_rows(cache.agg, weight_self_.value, cache.self_scratch, rows);
-    for (NodeId v : rows) {
+    for_each_row(rows, [&](NodeId v) {
       auto dst = cache.pre_norm.row(v);
       const auto src = cache.self_scratch.row(v);
       for (std::size_t c = 0; c < config_.out_dim; ++c) dst[c] += src[c];
-    }
+    });
   }
 
   if (!config_.is_output) {
     norm_.forward_rows(cache.pre_norm, cache.pre_act, cache.ln, rows);
     // ReLU and the pre-drawn dropout mask, fused row-wise.
-    for (NodeId v : rows) {
+    for_each_row(rows, [&](NodeId v) {
       const auto src = cache.pre_act.row(v);
       const auto m = cache.drop_mask.row(v);
       auto dst = out.row(v);
@@ -196,12 +249,12 @@ void GnnLayer::forward_rows(const DeviceGraph& dev, const Matrix& x_local,
         const float a = src[c] > 0.0f ? src[c] : 0.0f;
         dst[c] = a * m[c];
       }
-    }
+    });
   } else {
-    for (NodeId v : rows) {
+    for_each_row(rows, [&](NodeId v) {
       const auto src = cache.pre_norm.row(v);
       std::copy(src.begin(), src.end(), out.row(v).begin());
-    }
+    });
   }
 }
 
@@ -248,16 +301,8 @@ void GnnLayer::backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
   s.dpre_norm.reshape_uninit(dev.num_owned, config_.out_dim);
   if (!config_.is_output) {
     s.dpre_act.reshape_uninit(dev.num_owned, config_.out_dim);
-    for (NodeId r : rows) {
-      const auto dy = grad_out.row(r);
-      const auto m = cache.drop_mask.row(r);
-      const auto pre = cache.pre_act.row(r);
-      auto dst = s.dpre_act.row(r);
-      for (std::size_t c = 0; c < config_.out_dim; ++c) {
-        const float dpost = dy[c] * m[c];
-        dst[c] = pre[c] > 0.0f ? dpost : 0.0f;
-      }
-    }
+    epilogue_adjoint_rows(grad_out, cache.drop_mask, cache.pre_act,
+                          s.dpre_act, rows);
     sink.gamma.reshape_zero(1, config_.out_dim);
     sink.beta.reshape_zero(1, config_.out_dim);
     norm_.backward_rows(s.dpre_act, cache.ln, s.dpre_norm, sink.gamma,
@@ -265,10 +310,10 @@ void GnnLayer::backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
   } else {
     clear_once(sink.gamma);
     clear_once(sink.beta);
-    for (NodeId r : rows) {
+    for_each_row(rows, [&](NodeId r) {
       const auto src = grad_out.row(r);
       std::copy(src.begin(), src.end(), s.dpre_norm.row(r).begin());
-    }
+    });
   }
 
   // Dense transform backward restricted to the subset. Weight-gradient
@@ -293,11 +338,11 @@ void GnnLayer::backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
   if (sage) {
     s.dself.reshape_uninit(dev.num_owned, config_.in_dim);
     gemm_nt_rows(s.dpre_norm, weight_self_.value, s.dself, rows, s.wt);
-    for (NodeId r : rows) {
+    for_each_row(rows, [&](NodeId r) {
       auto dst = grad_x.row(r);
       const auto src = s.dself.row(r);
       for (std::size_t c = 0; c < config_.in_dim; ++c) dst[c] += src[c];
-    }
+    });
   }
 }
 

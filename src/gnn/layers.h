@@ -49,18 +49,29 @@ struct LayerNorm {
   /// Normalize the rows in `rows` of `in` into the matching rows of
   /// `out`/`cache` (which must be pre-sized, e.g. by
   /// GnnLayer::forward_prepare). Rows are independent, so disjoint subsets
-  /// may run concurrently.
+  /// may run concurrently, and the rows of one call run in parallel_for
+  /// bands.
   void forward_rows(const Matrix& in, Matrix& out, Cache& cache,
                     std::span<const NodeId> rows) const;
-  /// The per-row adjoint of `rows`. grad_in rows outside the subset are
-  /// untouched (grad_in must be pre-sized to grad_out's shape); dgamma /
-  /// dbeta (resized to 1 x dim and zeroed when mis-shaped) accumulate the
-  /// subset's rows in span order, so per-subset partials folded in a fixed
-  /// subset order are deterministic.
+  /// The per-row adjoint of `rows`, in parallel_for row bands. grad_in rows
+  /// outside the subset are untouched (grad_in must be pre-sized to
+  /// grad_out's shape); dgamma / dbeta (resized to 1 x dim and zeroed when
+  /// mis-shaped) accumulate the subset's rows in span order in one serial
+  /// pass, so per-subset partials folded in a fixed subset order are
+  /// deterministic.
   void backward_rows(const Matrix& grad_out, const Cache& cache,
                      Matrix& grad_in, Matrix& dgamma, Matrix& dbeta,
                      std::span<const NodeId> rows) const;
 };
+
+/// The ReLU x dropout adjoint of the listed rows:
+/// dst = pre_act > 0 ? grad_out * drop_mask : +0, element for element and
+/// bit for bit (a NaN pre_act selects +0; a selected product keeps its -0,
+/// inf or NaN). Rows outside `rows` are untouched; `dst` must be pre-sized
+/// to pre_act's shape.
+void epilogue_adjoint_rows(const Matrix& grad_out, const Matrix& drop_mask,
+                           const Matrix& pre_act, Matrix& dst,
+                           std::span<const NodeId> rows);
 
 struct LayerConfig {
   Aggregator aggregator = Aggregator::kGcn;

@@ -165,7 +165,8 @@ struct Instruments {
   Histogram& exchange_submit_to_join_us;  ///< async submit() -> wait() latency
 
   Counter& pipeline_stages;           ///< stage-graph stages executed
-  Counter& pool_tasks;                ///< batched pool tasks executed
+  Counter& pool_tasks;                ///< tasks run through the batch slot
+                                      ///< (inline regions do not count)
   Counter& pool_detached_tasks;       ///< detached pool tasks executed
   Gauge& pool_detached_depth;         ///< current detached-queue depth
 

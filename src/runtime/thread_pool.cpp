@@ -210,9 +210,9 @@ void ThreadPool::run(std::size_t num_tasks, RawTask fn, void* ctx) {
   if (num_tasks == 0) return;
   if (num_threads_ <= 1 || num_tasks == 1 || in_worker()) {
     // Inline path: exceptions propagate directly; a nested call never
-    // touches the pool state, so outer batches are unaffected.
+    // touches the pool state, so outer batches are unaffected. Not counted
+    // in pool_tasks, which counts only tasks claimed from the batch slot.
     for (std::size_t i = 0; i < num_tasks; ++i) fn(i, ctx);
-    obs::instruments().pool_tasks.add(num_tasks);
     return;
   }
   Impl* im = impl_;

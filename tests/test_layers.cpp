@@ -3,9 +3,13 @@
 // PyTorch autograd (DESIGN.md §2).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -13,6 +17,7 @@
 #include "gnn/layers.h"
 #include "gnn/model.h"
 #include "graph/generators.h"
+#include "runtime/thread_pool.h"
 
 namespace adaqp {
 namespace {
@@ -261,6 +266,61 @@ TEST_P(BackwardRows, SkippedInputGradientKeepsParamGradsBitwise) {
   EXPECT_TRUE(same_bits(sink.beta, ref_sink.beta));
 }
 
+TEST(BackwardRows, EpilogueAdjointMatchesSelectAtSpecialValues) {
+  // Row i of pre_act holds one special value; column j picks a (dy, mask)
+  // pair whose product dpost is -0, +-inf, NaN or an ordinary number. The
+  // adjoint must equal `pre > 0 ? dy * m : 0.0f` bit for bit.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> pres{0.0f, -0.0f,
+                                std::numeric_limits<float>::denorm_min(),
+                                kNaN, 1.0f, -1.0f};
+  const std::vector<std::pair<float, float>> dy_mask{
+      {-0.0f, 2.0f}, {-1.0f, 0.0f}, {3e38f, 2.0f}, {-3e38f, 2.0f},
+      {kNaN, 2.0f},  {kInf, 0.0f},  {0.5f, 2.0f}};
+  const std::size_t cols = dy_mask.size();
+
+  Graph g = grid_graph(4, 4);
+  const DistGraph dist = whole_graph(g);
+  const DeviceGraph& dev = dist.devices[0];
+  ASSERT_GE(dev.num_owned, pres.size());
+  LayerConfig lc;
+  lc.in_dim = 3;
+  lc.out_dim = cols;
+  lc.dropout = 0.5f;
+  GnnLayer layer(lc);
+  Rng rng(77);
+  layer.init_weights(rng);
+  Matrix x(dev.num_local(), 3);
+  x.fill_uniform(rng, -1.0f, 1.0f);
+  Matrix out(dev.num_local(), cols);
+  LayerCache cache;
+  layer.forward(dev, x, out, cache, rng, /*training=*/true);
+
+  Matrix grad_out(dev.num_local(), cols);
+  grad_out.fill_uniform(rng, -1.0f, 1.0f);
+  for (std::size_t i = 0; i < pres.size(); ++i)
+    for (std::size_t j = 0; j < cols; ++j) {
+      cache.pre_act.at(i, j) = pres[i];
+      grad_out.at(i, j) = dy_mask[j].first;
+      cache.drop_mask.at(i, j) = dy_mask[j].second;
+    }
+
+  Matrix grad_x(dev.num_local(), 3);
+  LayerGrads sink;
+  LayerBackwardScratch scratch;
+  layer.backward_rows(dev, grad_out, cache, grad_x, sink, dev.owned_span(),
+                      scratch);
+  for (std::size_t i = 0; i < dev.num_owned; ++i)
+    for (std::size_t j = 0; j < cols; ++j) {
+      const float dpost = grad_out.at(i, j) * cache.drop_mask.at(i, j);
+      const float want = cache.pre_act.at(i, j) > 0.0f ? dpost : 0.0f;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(scratch.dpre_act.at(i, j)),
+                std::bit_cast<std::uint32_t>(want))
+          << "row " << i << " col " << j;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Cases, BackwardRows,
     ::testing::Values(LayerCase{Aggregator::kGcn, false},
@@ -362,6 +422,121 @@ TEST(LayerNorm, GradientMatchesNumerics) {
     ln.gamma.value.data()[i] = orig;
     EXPECT_NEAR(ln.gamma.grad.data()[i], (fp - fm) / (2.0 * eps), 2e-2);
   }
+}
+
+/// The serial per-row LayerNorm forward and adjoint (dγ / dβ accumulated
+/// row by row inside the adjoint loop): the reference the banded kernels
+/// must reproduce bit for bit.
+void ln_reference_forward(const LayerNorm& ln, const Matrix& in, Matrix& out,
+                          LayerNorm::Cache& cache,
+                          std::span<const NodeId> rows) {
+  const std::size_t dim = in.cols();
+  for (NodeId r : rows) {
+    const auto x = in.row(r);
+    double mean = 0.0;
+    for (float v : x) mean += v;
+    mean /= static_cast<double>(dim);
+    double var = 0.0;
+    for (float v : x) {
+      const double d = v - mean;
+      var += d * d;
+    }
+    var /= static_cast<double>(dim);
+    const auto rstd = static_cast<float>(1.0 / std::sqrt(var + ln.epsilon));
+    cache.rstd[r] = rstd;
+    for (std::size_t c = 0; c < dim; ++c) {
+      cache.normalized.at(r, c) = (x[c] - static_cast<float>(mean)) * rstd;
+      out.at(r, c) = cache.normalized.at(r, c) * ln.gamma.value.at(0, c) +
+                     ln.beta.value.at(0, c);
+    }
+  }
+}
+
+void ln_reference_backward(const LayerNorm& ln, const Matrix& grad_out,
+                           const LayerNorm::Cache& cache, Matrix& grad_in,
+                           Matrix& dgamma, Matrix& dbeta,
+                           std::span<const NodeId> rows) {
+  const std::size_t dim = grad_out.cols();
+  for (NodeId r : rows) {
+    const auto dy = grad_out.row(r);
+    const auto xh = cache.normalized.row(r);
+    double mean_dxhat = 0.0, mean_dxhat_xhat = 0.0;
+    for (std::size_t c = 0; c < dim; ++c) {
+      dgamma.at(0, c) += dy[c] * xh[c];
+      dbeta.at(0, c) += dy[c];
+      const double dxh = static_cast<double>(dy[c]) * ln.gamma.value.at(0, c);
+      mean_dxhat += dxh;
+      mean_dxhat_xhat += dxh * xh[c];
+    }
+    mean_dxhat /= static_cast<double>(dim);
+    mean_dxhat_xhat /= static_cast<double>(dim);
+    for (std::size_t c = 0; c < dim; ++c) {
+      const double dxh = static_cast<double>(dy[c]) * ln.gamma.value.at(0, c);
+      grad_in.at(r, c) = static_cast<float>(
+          cache.rstd[r] * (dxh - mean_dxhat - xh[c] * mean_dxhat_xhat));
+    }
+  }
+}
+
+TEST(LayerNorm, RowsBitIdenticalAcrossThreadCounts) {
+  // 600 rows of 37 columns (a vector tail); the list is every 7th row
+  // ("marginal") then the others except the last 20 ("central"), so it is
+  // non-ascending and leaves rows the kernels must not touch.
+  constexpr std::size_t kRows = 600, kDim = 37;
+  Rng rng(91);
+  LayerNorm ln(kDim);
+  ln.gamma.value.fill_uniform(rng, 0.5f, 1.5f);
+  ln.beta.value.fill_uniform(rng, -0.5f, 0.5f);
+  Matrix in(kRows, kDim);
+  in.fill_uniform(rng, -3.0f, 3.0f);
+  Matrix grad_out(kRows, kDim);
+  grad_out.fill_uniform(rng, -2.0f, 2.0f);
+  std::vector<NodeId> rows;
+  for (NodeId r = 0; r < kRows; r += 7) rows.push_back(r);
+  for (NodeId r = 0; r < kRows - 20; ++r)
+    if (r % 7 != 0) rows.push_back(r);
+
+  const auto fresh = [&](Matrix& out, LayerNorm::Cache& cache,
+                         Matrix& grad_in, Matrix& dgamma, Matrix& dbeta) {
+    out = Matrix(kRows, kDim);
+    out.fill(-9.0f);
+    cache.normalized = Matrix(kRows, kDim);
+    cache.normalized.fill(-8.0f);
+    cache.rstd.assign(kRows, -7.0f);
+    grad_in = Matrix(kRows, kDim);
+    grad_in.fill(-6.0f);
+    dgamma = Matrix(1, kDim);
+    dgamma.fill(0.25f);
+    dbeta = Matrix(1, kDim);
+    dbeta.fill(-0.5f);
+  };
+  Matrix ref_out, ref_grad_in, ref_dgamma, ref_dbeta;
+  LayerNorm::Cache ref_cache;
+  fresh(ref_out, ref_cache, ref_grad_in, ref_dgamma, ref_dbeta);
+  ln_reference_forward(ln, in, ref_out, ref_cache, rows);
+  ln_reference_backward(ln, grad_out, ref_cache, ref_grad_in, ref_dgamma,
+                        ref_dbeta, rows);
+
+  const int prev = num_threads();
+  for (int threads : {1, 4, 8}) {
+    set_num_threads(threads);
+    Matrix out, grad_in, dgamma, dbeta;
+    LayerNorm::Cache cache;
+    fresh(out, cache, grad_in, dgamma, dbeta);
+    ln.forward_rows(in, out, cache, rows);
+    ln.backward_rows(grad_out, cache, grad_in, dgamma, dbeta, rows);
+    EXPECT_TRUE(same_bits(out, ref_out)) << threads << " threads";
+    EXPECT_TRUE(same_bits(cache.normalized, ref_cache.normalized))
+        << threads << " threads";
+    EXPECT_EQ(std::memcmp(cache.rstd.data(), ref_cache.rstd.data(),
+                          kRows * sizeof(float)),
+              0)
+        << threads << " threads";
+    EXPECT_TRUE(same_bits(grad_in, ref_grad_in)) << threads << " threads";
+    EXPECT_TRUE(same_bits(dgamma, ref_dgamma)) << threads << " threads";
+    EXPECT_TRUE(same_bits(dbeta, ref_dbeta)) << threads << " threads";
+  }
+  set_num_threads(prev);
 }
 
 TEST(Model, LayerDimensionChain) {

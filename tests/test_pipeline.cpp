@@ -107,8 +107,13 @@ TEST(StageGraph, ManyIndependentStagesAllRun) {
   ThreadCountGuard guard(4);
   StageGraph g;
   std::vector<std::atomic<int>> hits(64);
-  for (int i = 0; i < 64; ++i)
-    g.add("s" + std::to_string(i), [&hits, i] { hits[i]++; });
+  for (int i = 0; i < 64; ++i) {
+    // Appended: GCC 12 flags `"s" + std::to_string(i)` with a false
+    // -Wrestrict.
+    std::string name = "s";
+    name += std::to_string(i);
+    g.add(name, [&hits, i] { hits[i]++; });
+  }
   g.run(/*async=*/true);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }

@@ -10,6 +10,7 @@
 #include "core/trainer.h"
 #include "dist/halo_exchange.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 #include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 
@@ -71,6 +72,37 @@ TEST(ThreadPool, TaskExceptionsPropagateToCaller) {
   std::vector<int> hits(16, 0);
   parallel_for_each(hits.size(), [&](std::size_t i) { hits[i] = 1; });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPool, PoolTasksCountOnlyBatchSlotTasks) {
+  const obs::Counter& tasks = obs::instruments().pool_tasks;
+  const auto noop = [](std::size_t, void*) {};
+  {
+    // A nested region runs inline on the worker: only the 4 outer tasks
+    // count.
+    ThreadCountGuard guard(4);
+    const std::uint64_t before = tasks.value();
+    const auto nested = [](std::size_t, void*) {
+      global_pool().run(3, [](std::size_t, void*) {}, nullptr);
+    };
+    global_pool().run(4, nested, nullptr);
+    EXPECT_EQ(tasks.value() - before, 4u);
+  }
+  {
+    ThreadCountGuard guard(1);
+    const std::uint64_t before = tasks.value();
+    global_pool().run(4, noop, nullptr);
+    EXPECT_EQ(tasks.value() - before, 0u);
+  }
+  {
+    ThreadCountGuard guard(4);
+    std::uint64_t before = tasks.value();
+    global_pool().run(1, noop, nullptr);
+    EXPECT_EQ(tasks.value() - before, 0u);
+    before = tasks.value();
+    parallel_for(4, 1, [](std::size_t, std::size_t) {});
+    EXPECT_EQ(tasks.value() - before, 4u);
+  }
 }
 
 // ---- Kernel determinism across thread counts ------------------------------
