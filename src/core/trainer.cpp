@@ -20,6 +20,7 @@
 #include "pipeline/stage_graph.h"
 #include "pipeline/trace.h"
 #include "runtime/thread_pool.h"
+#include "simd/kernels.h"
 #include "transport/transport.h"
 
 namespace adaqp {
@@ -806,26 +807,22 @@ double DistTrainer::pipegcn_backward(int l, std::vector<Matrix>& grad_x) {
   const bool had_pending = g.pending;
   const double comm = join_deferred(g, l, /*forward=*/false);
   std::vector<Matrix>& scratch = pipegcn_bwd_scratch_[l];
-  for (int d = 0; d < num_devices_; ++d) {
+  // One pool task per device: the layer's backward round has joined, and
+  // the forward rounds still in flight touch only acts_. Owned rows come
+  // first and rows are contiguous, so each step is one flat span.
+  const simd::KernelTable& kt = simd::kernels();
+  run_device_tasks([&](int d) {
     const DeviceGraph& dev = dist_.devices[d];
-    if (had_pending) {
-      for (std::size_t i = 0; i < dev.num_owned; ++i) {
-        auto dst = grad_x[d].row(i);
-        const auto src = scratch[d].row(i);
-        for (std::size_t c = 0; c < dst.size(); ++c) dst[c] += src[c];
-      }
-    }
+    float* gx = grad_x[d].data();
+    float* staged = scratch[d].data();
+    const std::size_t owned = dev.num_owned * grad_x[d].cols();
+    const std::size_t local = dev.num_local() * grad_x[d].cols();
+    if (had_pending) kt.ef_fold(gx, staged, gx, owned);
     // Re-stage: zero the owned rows the next exchange accumulates into and
     // copy this epoch's outbound halo contributions.
-    for (std::size_t i = 0; i < dev.num_owned; ++i) {
-      auto row = scratch[d].row(i);
-      std::fill(row.begin(), row.end(), 0.0f);
-    }
-    for (std::size_t h = dev.num_owned; h < dev.num_local(); ++h) {
-      const auto src = grad_x[d].row(h);
-      std::copy(src.begin(), src.end(), scratch[d].row(h).begin());
-    }
-  }
+    std::fill(staged, staged + owned, 0.0f);
+    std::copy(gx + owned, gx + local, staged + owned);
+  });
   launch_deferred(g);
   return comm;
 }

@@ -62,26 +62,24 @@ Isa parse_isa(std::string_view value) {
 }
 
 Isa detected_isa() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw"))
-    return Isa::kAvx512;
-  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
+  for (Isa isa : {Isa::kAvx512, Isa::kAvx2})
+    if (isa_supported(isa)) return isa;
   return Isa::kScalar;
-#else
-  return Isa::kScalar;
-#endif
 }
 
 bool isa_supported(Isa isa) {
   if (isa == Isa::kScalar) return true;
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_cpu_init();
+  // Both vector tables run the PCLMULQDQ CRC-32 body (kernels.h).
   switch (isa) {
-    case Isa::kAvx2: return __builtin_cpu_supports("avx2");
+    case Isa::kAvx2:
+      return __builtin_cpu_supports("avx2") &&
+             __builtin_cpu_supports("pclmul");
     case Isa::kAvx512:
       return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512bw");
+             __builtin_cpu_supports("avx512bw") &&
+             __builtin_cpu_supports("pclmul");
     default: return false;
   }
 #else

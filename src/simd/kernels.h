@@ -35,6 +35,9 @@
 //    in list order.
 //  Hence the GEMMs and the aggregation built on these slots are
 //  bit-identical across ISAs and thread counts.
+//  - crc32 is integer polynomial arithmetic over GF(2): every ISA returns
+//    the standard CRC-32 value, so wire frames and their checksums do not
+//    depend on which table computed them.
 // Inputs are assumed finite; NaN propagation is unspecified (the scalar
 // path would throw from pack-range checks, vector paths clamp).
 //
@@ -165,6 +168,17 @@ struct KernelTable {
                       std::size_t ldb, const std::uint32_t* rows,
                       std::size_t count, float* c, std::size_t ldc,
                       std::size_t mr, std::size_t n);
+
+  /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of p[0..n),
+  /// continuing from `seed`, the finished CRC of the bytes before p (0 for
+  /// none): crc32(b, crc32(a)) == crc32(a followed by b). The value is a
+  /// function of the bytes alone, so every ISA returns the same 32 bits:
+  /// the scalar reference folds slice-by-8 tables; the x86 vector tables
+  /// fold 64- then 16-byte blocks by carry-less multiply (PCLMULQDQ,
+  /// exact GF(2) arithmetic), Barrett-reduce to 32 bits and finish the
+  /// sub-16-byte tail through the scalar reference. Any alignment.
+  std::uint32_t (*crc32)(const std::uint8_t* p, std::size_t n,
+                         std::uint32_t seed);
 };
 
 /// Table for active_isa(), resolved once and cached; set_isa_override()
@@ -177,5 +191,10 @@ const KernelTable& kernels();
 const KernelTable* scalar_kernels();  // never null
 const KernelTable* avx2_kernels();
 const KernelTable* avx512_kernels();
+
+/// The PCLMULQDQ CRC-32 body, defined in the AVX2 TU and shared by the
+/// AVX-512 table (x86 builds only).
+std::uint32_t crc32_pclmul(const std::uint8_t* p, std::size_t n,
+                           std::uint32_t seed);
 
 }  // namespace adaqp::simd

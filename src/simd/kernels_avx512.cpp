@@ -388,7 +388,7 @@ const KernelTable kTable = {
     row_minmax, quantize_pack, unpack_dequant,
     pack_bits_k, unpack_bits_k, axpy,
     scale_row,  ef_fold,       ef_residual,
-    gather_axpy, outer_block,
+    gather_axpy, outer_block,  crc32_pclmul,
 };
 
 }  // namespace

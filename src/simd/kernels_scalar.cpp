@@ -3,8 +3,10 @@
 // bit-identical). The arithmetic here is the original quant/quantize.cpp
 // hot-loop sequence, verbatim; keep it boring. It also defines the
 // counter-based rounding draws (kernels.h) that every vector quantize_pack
-// reproduces lane-wise. Built with -ffp-contract=off like every kernel TU
+// reproduces lane-wise, and the slice-by-8 CRC-32 whose tables also finish
+// the vector CRC's tail. Built with -ffp-contract=off like every kernel TU
 // so no platform fuses the dequant multiply-add.
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -139,11 +141,55 @@ void outer_block(const float* a, std::size_t lda, const float* b,
   }
 }
 
+// Slice-by-8 tables: kCrcTables[0] is the classic bytewise table;
+// kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+// lookups fold one 8-byte word at a time.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    tables[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::uint32_t i = 0; i < 256; ++i)
+      tables[k][i] = (tables[k - 1][i] >> 8) ^
+                     tables[0][tables[k - 1][i] & 0xFFu];
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+std::uint32_t crc32(const std::uint8_t* p, std::size_t n,
+                    std::uint32_t seed) {
+  const CrcTables& t = kCrcTables;
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n != 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
 const KernelTable kTable = {
     row_minmax, quantize_pack, unpack_dequant,
     pack_bits_k, unpack_bits_k, axpy,
     scale_row,  ef_fold,       ef_residual,
-    gather_axpy, outer_block,
+    gather_axpy, outer_block,  crc32,
 };
 
 }  // namespace

@@ -1,44 +1,21 @@
 #include "transport/frame.h"
 
-#include <array>
+#include <algorithm>
+
+#include "simd/kernels.h"
 
 namespace adaqp::transport {
 
 namespace {
 
-// Slice-by-8 tables: tables[0] is the classic bytewise table; tables[k][b]
-// is the CRC of byte b followed by k zero bytes, so eight lookups fold one
-// 8-byte word at a time.
-using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-CrcTables make_crc_tables() {
-  CrcTables tables{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k)
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    tables[0][i] = c;
-  }
-  for (std::size_t k = 1; k < 8; ++k)
-    for (std::uint32_t i = 0; i < 256; ++i)
-      tables[k][i] = (tables[k - 1][i] >> 8) ^
-                     tables[0][tables[k - 1][i] & 0xFFu];
-  return tables;
+void put_u16(std::uint8_t* out, std::uint16_t v) {
+  out[0] = static_cast<std::uint8_t>(v & 0xFF);
+  out[1] = static_cast<std::uint8_t>(v >> 8);
 }
 
-const CrcTables& crc_tables() {
-  static const CrcTables tables = make_crc_tables();
-  return tables;
-}
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+void put_u32(std::uint8_t* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
+    out[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
 }
 
 std::uint16_t get_u16(std::span<const std::uint8_t> b, std::size_t pos) {
@@ -55,43 +32,36 @@ std::uint32_t get_u32(std::span<const std::uint8_t> b, std::size_t pos) {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t seed) {
-  const CrcTables& t = crc_tables();
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  const std::uint8_t* p = bytes.data();
-  std::size_t n = bytes.size();
-  for (; n >= 8; p += 8, n -= 8) {
-    const std::uint32_t lo = get_u32({p, 4}, 0) ^ c;
-    const std::uint32_t hi = get_u32({p + 4, 4}, 0);
-    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
-        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-  }
-  for (; n != 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+  return simd::kernels().crc32(bytes.data(), bytes.size(), seed);
+}
+
+void write_header(const FrameHeader& header,
+                  std::span<const std::uint8_t> payload,
+                  std::uint8_t out[kHeaderBytes]) {
+  put_u32(out, kFrameMagic);
+  put_u16(out + 4, kFrameVersion);
+  out[6] = static_cast<std::uint8_t>(header.kind);
+  out[7] = header.tag.direction;
+  put_u32(out + 8, header.tag.channel);
+  put_u32(out + 12, header.tag.round);
+  out[16] = header.tag.src;
+  out[17] = header.tag.dst;
+  put_u16(out + 18, 0);  // reserved
+  put_u32(out + 20, static_cast<std::uint32_t>(payload.size()));
+  // Checksum covers the header with its own field zeroed, then the payload
+  // (fold order matches verify_frame exactly).
+  put_u32(out + 24, 0);
+  std::uint32_t crc = crc32({out, kHeaderBytes}, 0);
+  crc = crc32(payload, crc);
+  put_u32(out + 24, crc);
 }
 
 void write_frame(const FrameHeader& header,
                  std::span<const std::uint8_t> payload,
                  std::vector<std::uint8_t>& out) {
-  out.clear();
-  put_u32(out, kFrameMagic);
-  put_u16(out, kFrameVersion);
-  out.push_back(static_cast<std::uint8_t>(header.kind));
-  out.push_back(header.tag.direction);
-  put_u32(out, header.tag.channel);
-  put_u32(out, header.tag.round);
-  out.push_back(header.tag.src);
-  out.push_back(header.tag.dst);
-  put_u16(out, 0);  // reserved
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  // Checksum covers the header with its own field zeroed, then the payload
-  // (fold order matches verify_frame exactly).
-  static constexpr std::uint8_t kZero[4] = {0, 0, 0, 0};
-  std::uint32_t crc = crc32({out.data(), out.size()}, 0);
-  crc = crc32({kZero, 4}, crc);
-  crc = crc32(payload, crc);
-  put_u32(out, crc);
-  out.insert(out.end(), payload.begin(), payload.end());
+  out.resize(kHeaderBytes + payload.size());
+  write_header(header, payload, out.data());
+  std::copy(payload.begin(), payload.end(), out.begin() + kHeaderBytes);
 }
 
 FrameHeader parse_header(std::span<const std::uint8_t> bytes) {

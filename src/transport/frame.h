@@ -70,12 +70,21 @@ struct FrameHeader {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), seedable so the
 /// header and payload can be folded in two passes:
-/// crc32(b, crc32(a)) == crc32(a followed by b). Computed slice-by-8 (one
-/// 8-byte word per step, bytewise tail); the values are the standard ones.
+/// crc32(b, crc32(a)) == crc32(a followed by b). Dispatched through the
+/// simd::kernels() `crc32` slot (slice-by-8 tables, or PCLMULQDQ folding
+/// on x86); every ISA returns the standard values.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes,
                     std::uint32_t seed = 0);
 
-/// Serialize header + payload into `out` (cleared; capacity reused).
+/// Fill the kHeaderBytes header of a frame carrying `payload`, checksum
+/// included, in place: no allocation and no copy of the payload, so a
+/// sender can put {out, payload} on the wire as two buffers.
+/// payload_len is taken from payload.size().
+void write_header(const FrameHeader& header,
+                  std::span<const std::uint8_t> payload,
+                  std::uint8_t out[kHeaderBytes]);
+
+/// Serialize header + payload into `out` (resized; capacity reused).
 void write_frame(const FrameHeader& header,
                  std::span<const std::uint8_t> payload,
                  std::vector<std::uint8_t>& out);

@@ -5,8 +5,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -122,8 +124,9 @@ int TcpTransport::dial_locked(int port, std::uint8_t src, std::uint8_t dst) {
       FrameHeader hello;
       hello.kind = FrameKind::kHello;
       hello.tag = FrameTag{0, 0, 0, src, dst};
-      write_frame(hello, {}, frame_buf_);
-      write_all_locked(fd, frame_buf_);
+      std::uint8_t head[kHeaderBytes];
+      write_header(hello, {}, head);
+      write_all_locked(fd, head, {});
       return fd;
     }
     ::close(fd);
@@ -155,17 +158,35 @@ int TcpTransport::ensure_out_locked(std::uint8_t src, std::uint8_t dst) {
 }
 
 void TcpTransport::write_all_locked(int fd,
-                                    std::span<const std::uint8_t> bytes) {
+                                    const std::uint8_t* header,
+                                    std::span<const std::uint8_t> payload) {
   const obs::Instruments& ins = obs::instruments();
   const double deadline =
       obs::monotonic_us() + static_cast<double>(opts_.timeout_ms) * 1000.0;
+  const std::size_t total = kHeaderBytes + payload.size();
   std::size_t off = 0;
-  while (off < bytes.size()) {
-    std::size_t want = bytes.size() - off;
+  while (off < total) {
+    std::size_t want = total - off;
     if (opts_.max_chunk > 0)
       want = std::min(want, static_cast<std::size_t>(opts_.max_chunk));
-    const ssize_t n =
-        ::send(fd, bytes.data() + off, want, MSG_NOSIGNAL | MSG_DONTWAIT);
+    // The next `want` unsent bytes of {header, payload}, as one or two
+    // iovecs over the caller's buffers.
+    iovec iov[2];
+    std::size_t niov = 0;
+    std::size_t left = want;
+    if (off < kHeaderBytes) {
+      const std::size_t h = std::min(left, kHeaderBytes - off);
+      iov[niov++] = {const_cast<std::uint8_t*>(header + off), h};
+      left -= h;
+    }
+    if (left > 0) {
+      const std::size_t at = off > kHeaderBytes ? off - kHeaderBytes : 0;
+      iov[niov++] = {const_cast<std::uint8_t*>(payload.data() + at), left};
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = niov;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n > 0) {
       if (static_cast<std::size_t>(n) < want)
         ins.transport_short_writes.add(1);
@@ -243,14 +264,17 @@ void TcpTransport::send(const FrameTag& tag,
   FrameHeader header;
   header.kind = FrameKind::kData;
   header.tag = tag;
-  header.payload_len = static_cast<std::uint32_t>(payload.size());
+  // The header and its checksum over the payload are built before taking
+  // the lock, on this thread; the payload goes out from the caller's
+  // buffer, so under mu_ only the dial, the syscalls and pumping run.
+  std::uint8_t head[kHeaderBytes];
+  write_header(header, payload, head);
 
   std::lock_guard<std::mutex> lk(mu_);
   const int fd = ensure_out_locked(tag.src, tag.dst);
-  write_frame(header, payload, frame_buf_);
   ins.transport_wire_frames.add(1);
-  ins.transport_wire_bytes.add(frame_buf_.size());
-  write_all_locked(fd, frame_buf_);
+  ins.transport_wire_bytes.add(kHeaderBytes + payload.size());
+  write_all_locked(fd, head, payload);
 }
 
 std::span<const std::uint8_t> TcpTransport::recv(

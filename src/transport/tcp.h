@@ -12,10 +12,13 @@
 // framing / reassembly / inbox path without any orchestration.
 //
 // One connection per directed device pair, dialed lazily by the sender and
-// opened with a hello frame; a single internal mutex serializes all socket
-// work, and the lock holder always pumps *every* readable fd before waiting,
-// so a send blocked on a full socket buffer still drains inbound frames —
-// no self-connect or cross-rank deadlock.
+// opened with a hello frame. A sender builds the frame header and its
+// checksum on its own stack before locking, and writes {header, payload}
+// straight from its buffers. A single internal mutex serializes all socket
+// work (dials, sendmsg/recv, pumping and receive-side verification), and
+// the lock holder always pumps *every* readable fd before waiting, so a
+// send blocked on a full socket buffer still drains inbound frames — no
+// self-connect or cross-rank deadlock.
 //
 // Ports: with ADAQP_TP_BASE_PORT unset (0), the listener binds an ephemeral
 // port — only valid single-process, but it makes concurrent `ctest -j` runs
@@ -79,7 +82,11 @@ class TcpTransport final : public Transport {
 
   int ensure_out_locked(std::uint8_t src, std::uint8_t dst);
   int dial_locked(int port, std::uint8_t src, std::uint8_t dst);
-  void write_all_locked(int fd, std::span<const std::uint8_t> bytes);
+  /// Write one frame, {header[0..kHeaderBytes), payload}, with sendmsg:
+  /// short writes resume mid-frame, max_chunk caps each call, and a full
+  /// socket buffer pumps inbound until writable or timeout_ms.
+  void write_all_locked(int fd, const std::uint8_t* header,
+                        std::span<const std::uint8_t> payload);
   void pump_locked();
   void throw_errno(const char* what) const;
 
@@ -91,7 +98,6 @@ class TcpTransport final : public Transport {
   std::map<std::uint16_t, int> out_;  ///< (src<<8|dst) -> connected fd
   std::vector<InConn> in_;            ///< accepted connections
   Inbox inbox_;
-  std::vector<std::uint8_t> frame_buf_;  ///< framed-send scratch (under mu_)
 };
 
 }  // namespace adaqp::transport

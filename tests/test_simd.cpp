@@ -12,6 +12,8 @@
 //    and gemm_tn_rows bit-identical to a scalar reduction in k or span
 //    order (signed zeros and subnormals included) at every ISA and thread
 //    count.
+//  - The crc32 slot returns the standard CRC-32 at every ISA, length,
+//    alignment and seed, and folds across any split.
 //  - Full training runs (all five methods) bit-identical across ISAs.
 #include <gtest/gtest.h>
 
@@ -648,6 +650,76 @@ TEST(SimdAggregate, GatherAxpyMatchesScalarKLoopAtEveryIsa) {
                               << " indexed=" << indexed;
         }
       }
+    }
+  }
+}
+
+// ---- Wire checksum --------------------------------------------------------
+
+/// One byte of the bitwise CRC-32 straight from the IEEE definition
+/// (reflected polynomial 0xEDB88320) on the pre-inverted register.
+std::uint32_t crc32_bitwise_step(std::uint32_t c, std::uint8_t byte) {
+  c ^= byte;
+  for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  return c;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) b = static_cast<std::uint8_t>(rng.uniform_int(256u));
+  return v;
+}
+
+/// The crc32 slot must return the standard CRC-32 on every ISA: every
+/// length 0..1100 (each 16- and 64-byte block boundary of the carry-less
+/// folding, +-1), every start offset mod 16, three seeds, plus 1 MiB.
+TEST(SimdCrc32, MatchesBitwiseReferenceAtEveryIsa) {
+  const std::size_t kMaxLen = 1100;
+  const std::vector<std::uint8_t> buf = random_bytes(kMaxLen + 16, 41);
+  const std::vector<std::uint8_t> big = random_bytes(std::size_t{1} << 20, 42);
+  for (Isa isa : simd::supported_isas()) {
+    IsaGuard guard(isa);
+    const auto& kt = simd::kernels();
+    for (const std::uint32_t seed : {0u, 0xFFFFFFFFu, 0x1234ABCDu}) {
+      for (std::size_t off = 0; off < 16; ++off) {
+        // The reference register grows one byte per length.
+        std::uint32_t c = seed ^ 0xFFFFFFFFu;
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+          if (len > 0) c = crc32_bitwise_step(c, buf[off + len - 1]);
+          ASSERT_EQ(kt.crc32(buf.data() + off, len, seed), c ^ 0xFFFFFFFFu)
+              << isa_name(isa) << " seed=" << seed << " off=" << off
+              << " len=" << len;
+        }
+      }
+      std::uint32_t c = seed ^ 0xFFFFFFFFu;
+      for (const std::uint8_t b : big) c = crc32_bitwise_step(c, b);
+      EXPECT_EQ(kt.crc32(big.data(), big.size(), seed), c ^ 0xFFFFFFFFu)
+          << isa_name(isa) << " 1 MiB seed=" << seed;
+    }
+    const std::string check = "123456789";
+    EXPECT_EQ(kt.crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                       check.size(), 0),
+              0xCBF43926u)
+        << isa_name(isa);
+  }
+}
+
+/// crc32(b, crc32(a)) == crc32(a followed by b) wherever the split falls,
+/// including inside the folded blocks and their tails.
+TEST(SimdCrc32, FoldsAcrossAnySplitAtEveryIsa) {
+  const std::vector<std::uint8_t> buf = random_bytes(1100, 43);
+  for (Isa isa : simd::supported_isas()) {
+    IsaGuard guard(isa);
+    const auto& kt = simd::kernels();
+    for (const std::size_t len : {64ul, 65ul, 79ul, 127ul, 128ul, 200ul,
+                                  1100ul}) {
+      const std::uint32_t whole = kt.crc32(buf.data(), len, 0);
+      for (std::size_t cut = 0; cut <= len; ++cut)
+        ASSERT_EQ(kt.crc32(buf.data() + cut, len - cut,
+                           kt.crc32(buf.data(), cut, 0)),
+                  whole)
+            << isa_name(isa) << " len=" << len << " cut=" << cut;
     }
   }
 }

@@ -6,7 +6,14 @@
 // loss/accuracy bit patterns).
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <iterator>
@@ -406,6 +413,121 @@ TEST(Tcp, CrossPairReorderCannotMixTags) {
   EXPECT_EQ(0, std::memcmp(got10.data(), p10.data(), p10.size()));
   const auto got01 = tcp.recv(t01, {});
   EXPECT_EQ(0, std::memcmp(got01.data(), p01.data(), p01.size()));
+}
+
+TEST(Tcp, ShortWritesSplitAnywhereAcrossHeaderAndPayload) {
+  // max_chunk caps every sendmsg, so consecutive writes end inside the
+  // header (1, 27), exactly at its end (28), one byte into the payload (29)
+  // or deep in it (4096). Each frame must still arrive byte for byte. The
+  // 8 MiB payload fills the socket buffer of the self-connect: the send
+  // stalls, pumps its own inbound side, and counts short writes.
+  const obs::Instruments& ins = obs::instruments();
+  const std::uint64_t short_before = ins.transport_short_writes.value();
+  for (const int chunk : {1, 27, 28, 29, 4096}) {
+    TcpOptions opts;
+    opts.max_chunk = chunk;
+    TcpTransport tcp(opts);
+    const FrameTag tag{13, 1, 0, 0, 1};
+    std::vector<std::size_t> sizes = {0, 1, 65};
+    // One byte per syscall would take millions of calls: the 8 MiB frame
+    // runs at the widest cap only.
+    if (chunk == 4096) sizes.push_back(std::size_t{8} << 20);
+    std::vector<std::vector<std::uint8_t>> sent;
+    for (const std::size_t n : sizes) {
+      sent.push_back(pattern_payload(n, static_cast<unsigned>(n % 251)));
+      tcp.send(tag, sent.back());
+    }
+    for (const auto& want : sent) {
+      const auto got = tcp.recv(tag, {});
+      ASSERT_EQ(got.size(), want.size()) << "max_chunk=" << chunk;
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+          << "max_chunk=" << chunk << " size=" << want.size();
+    }
+  }
+  EXPECT_GT(ins.transport_short_writes.value(), short_before)
+      << "the 8 MiB frame never stalled the socket";
+}
+
+/// A raw client on the listener: it speaks the frame format directly, so
+/// the bytes reach TcpTransport's reader exactly as written.
+class RawClient {
+ public:
+  explicit RawClient(int port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                       sizeof(addr)) == 0;
+  }
+  ~RawClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  bool connected() const { return connected_; }
+  bool write_frame(const FrameHeader& h,
+                   std::span<const std::uint8_t> payload,
+                   const std::function<void(std::vector<std::uint8_t>&)>&
+                       corrupt) {
+    std::vector<std::uint8_t> frame;
+    transport::write_frame(h, payload, frame);
+    corrupt(frame);
+    std::size_t off = 0;
+    while (off < frame.size()) {
+      const ssize_t n =
+          ::send(fd_, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      off += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+};
+
+TEST(Tcp, CorruptFrameOnTheSocketIsATypedError) {
+  // Hostile bytes on a real socket: a flipped payload bit fails the
+  // checksum, a wrong magic fails the header parse. Either way the waiting
+  // recv throws TransportError naming the fault, well before its timeout
+  // would, and nothing crashes or hangs.
+  const FrameTag tag{21, 1, 0, 2, 0};
+  const auto payload = pattern_payload(97, 4);
+  const auto keep = [](std::vector<std::uint8_t>&) {};
+  struct Case {
+    const char* what;
+    std::function<void(std::vector<std::uint8_t>&)> corrupt;
+  };
+  const Case cases[] = {
+      {"checksum",
+       [](std::vector<std::uint8_t>& f) {
+         f[transport::kHeaderBytes + 40] ^= 0x10;
+       }},
+      {"magic", [](std::vector<std::uint8_t>& f) { f[1] ^= 0xFF; }},
+  };
+  for (const Case& c : cases) {
+    TcpOptions opts;
+    opts.timeout_ms = 2000;
+    TcpTransport tcp(opts);
+    RawClient client(tcp.listen_port());
+    ASSERT_TRUE(client.connected());
+    FrameHeader hello;
+    hello.kind = FrameKind::kHello;
+    hello.tag = FrameTag{0, 0, 0, tag.src, tag.dst};
+    ASSERT_TRUE(client.write_frame(hello, {}, keep));
+    FrameHeader data;
+    data.kind = FrameKind::kData;
+    data.tag = tag;
+    ASSERT_TRUE(client.write_frame(data, payload, c.corrupt));
+    try {
+      tcp.recv(tag, {});
+      FAIL() << c.what << ": a corrupt frame was delivered";
+    } catch (const TransportError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(c.what), std::string::npos) << msg;
+      EXPECT_EQ(msg.find("timed out"), std::string::npos) << msg;
+    }
+  }
 }
 
 TEST(Tcp, MultiProcessNeedsExplicitBasePort) {
