@@ -19,8 +19,11 @@
 // BM_LayerNorm/{fwd,bwd}/<rows>x<dim>/t<N> and
 // BM_EpilogueAdjoint/<rows>x<dim>/t<N> time a hidden layer's per-row glue
 // over every row on an N-thread pool: the LayerNorm forward, its adjoint
-// (with the span-order dγ/dβ pass) and the ReLU x dropout adjoint. That
-// code is compiled for the base ISA, so these carry no ISA sweep.
+// (with the span-order dγ/dβ pass) and the ReLU x dropout adjoint.
+// BM_DropoutMask/<rows>x<dim>/t<N> draws one p = 0.5 dropout mask (bands
+// start at jump-ahead states), and BM_SoftmaxCE/<rows>x<classes>/t<N> runs
+// the banded softmax cross-entropy over every row. That code is compiled
+// for the base ISA, so these carry no ISA sweep.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -31,6 +34,7 @@
 
 #include "common/rng.h"
 #include "gnn/layers.h"
+#include "gnn/loss.h"
 #include "runtime/thread_pool.h"
 #include "simd/isa.h"
 #include "simd/kernels.h"
@@ -219,6 +223,41 @@ void BM_EpilogueAdjoint(benchmark::State& state, std::size_t rows,
                           rows);
 }
 
+void BM_DropoutMask(benchmark::State& state, std::size_t rows,
+                    std::size_t dim, int threads) {
+  PoolThreads pool(threads);
+  Rng rng(46);
+  Matrix mask;
+  dropout_mask(rows, dim, 0.5f, rng, mask);
+  for (auto _ : state) {
+    dropout_mask(rows, dim, 0.5f, rng, mask);
+    benchmark::DoNotOptimize(mask.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          rows * dim);
+}
+
+void BM_SoftmaxCE(benchmark::State& state, std::size_t rows,
+                  std::size_t classes, int threads) {
+  PoolThreads pool(threads);
+  const Matrix logits = make_matrix(rows, classes, 47);
+  Rng rng(48);
+  std::vector<std::int32_t> labels(rows);
+  for (auto& label : labels)
+    label = static_cast<std::int32_t>(rng.uniform_int(classes));
+  const std::vector<NodeId> all = iota_rows(rows);
+  Matrix grad(rows, classes);
+  std::vector<double> scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(softmax_cross_entropy(
+        logits, all, labels, static_cast<double>(rows), grad, scratch));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          rows);
+}
+
 }  // namespace
 
 // Registered (not macro-declared) so every case can sweep the host's
@@ -272,6 +311,13 @@ int main(int argc, char** argv) {
           ->UseRealTime();
     benchmark::RegisterBenchmark(("BM_EpilogueAdjoint" + shape).c_str(),
                                  BM_EpilogueAdjoint, 12000, 64, threads)
+        ->UseRealTime();
+    benchmark::RegisterBenchmark(("BM_DropoutMask" + shape).c_str(),
+                                 BM_DropoutMask, 12000, 64, threads)
+        ->UseRealTime();
+    benchmark::RegisterBenchmark(
+        ("BM_SoftmaxCE/7200x10/t" + std::to_string(threads)).c_str(),
+        BM_SoftmaxCE, 7200, 10, threads)
         ->UseRealTime();
   }
   benchmark::Initialize(&argc, argv);

@@ -8,6 +8,7 @@
 // versions. All distribution code here is self-contained.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cmath>
 #include <limits>
@@ -47,13 +48,39 @@ class Rng {
     return result;
   }
 
+  /// Draws that jump_mask_chunk() skips: dropout_mask bands its mask in
+  /// chunks of this many elements.
+  static constexpr std::size_t kMaskChunk = 16384;
+
+  /// The state update is linear over GF(2), so the state k steps ahead is
+  /// p(T)·s with p = x^k mod the update's characteristic polynomial
+  /// (Haramoto et al., "Efficient jump ahead for F2-linear random number
+  /// generators", 2008). These are p's 256 coefficients for k = kMaskChunk:
+  /// bit j%64 of word j/64 for x^j. tests/test_rng.cpp re-derives them.
+  static constexpr std::uint64_t kMaskChunkJump[4] = {
+      0x4f20eb915e780231ull, 0x3886af219b885248ull, 0x023ecbee3f717fceull,
+      0x3cec2c375bef249cull};
+
+  /// Advance the stream by kMaskChunk next() calls, in 256 state steps.
+  void jump_mask_chunk() {
+    std::uint64_t acc[4] = {0, 0, 0, 0};
+    for (const std::uint64_t word : kMaskChunkJump)
+      for (int b = 0; b < 64; ++b) {
+        const std::uint64_t take = 0 - ((word >> b) & 1u);  // all ones or 0
+        for (int w = 0; w < 4; ++w) acc[w] ^= state_[w] & take;
+        next();
+      }
+    for (int w = 0; w < 4; ++w) state_[w] = acc[w];
+  }
+
   /// Uniform in [0, 1).
   double uniform() {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
   }
 
   /// Uniform float in [0, 1) with 24 bits of precision (fast path used by
-  /// dropout masks, where one draw is needed per tensor element).
+  /// dropout masks, where one draw is needed per tensor element; each mask
+  /// element is this draw at its row-major index, see jump_mask_chunk).
   float uniform_float() {
     return static_cast<float>(next() >> 40) * 0x1.0p-24f;
   }

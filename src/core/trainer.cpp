@@ -221,7 +221,7 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
   params_ = model_.params();
   grad_bytes_ = model_.grad_bytes();
 
-  loss_prob_.resize(num_devices_);
+  loss_scratch_.resize(num_devices_);
   device_loss_.resize(num_devices_);
   grad_flow_.resize(2);
   for (auto& flow : grad_flow_) flow.resize(num_devices_);
@@ -724,7 +724,7 @@ EpochBreakdown DistTrainer::forward_pass(double& loss) {
     if (!dataset_.spec.multi_label) {
       device_loss_[d] = softmax_cross_entropy(
           acts_[num_layers_][d], train_rows_[d], train_labels_[d],
-          global_train_count_, g, loss_prob_[d]);
+          global_train_count_, g, loss_scratch_[d]);
     } else {
       device_loss_[d] =
           bce_with_logits(acts_[num_layers_][d], train_rows_[d],

@@ -388,8 +388,8 @@ class DistTrainer {
   obs::RunCapture capture_;
 
   // Loss scratch; each device task writes only its own entries.
-  std::vector<std::vector<double>> loss_prob_;    ///< per device
-  std::vector<double> device_loss_;               ///< per device
+  std::vector<std::vector<double>> loss_scratch_;  ///< per device
+  std::vector<double> device_loss_;                ///< per device
 
   // Backward activation-gradient ping-pong. The parity of the buffer that
   // holds layer l's incoming gradient is fixed ((num_layers-1-l) & 1), so

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "runtime/parallel_for.h"
 
 namespace adaqp {
 
@@ -14,46 +15,61 @@ double softmax_cross_entropy(const Matrix& logits,
                              std::span<const std::uint32_t> rows,
                              std::span<const std::int32_t> labels,
                              double normalizer, Matrix& grad) {
-  std::vector<double> prob_scratch;
+  std::vector<double> scratch;
   return softmax_cross_entropy(logits, rows, labels, normalizer, grad,
-                               prob_scratch);
+                               scratch);
 }
 
 double softmax_cross_entropy(const Matrix& logits,
                              std::span<const std::uint32_t> rows,
                              std::span<const std::int32_t> labels,
                              double normalizer, Matrix& grad,
-                             std::vector<double>& prob_scratch) {
+                             std::vector<double>& scratch) {
   ADAQP_CHECK(rows.size() == labels.size());
   ADAQP_CHECK(grad.same_shape(logits));
   ADAQP_CHECK(normalizer > 0.0);
+  // Rows go in blocks of kRowBlock, and parallel_for bands the blocks. Each
+  // row writes its own gradient row and its loss term; the terms are then
+  // summed serially in row order, the order of the one-thread loop, so the
+  // loss keeps its bits for every thread count. `scratch` holds the terms,
+  // then one class-count probability row per block (a band uses its first
+  // block's).
+  constexpr std::size_t kRowBlock = 256;
+  const std::size_t n = rows.size();
   const std::size_t classes = logits.cols();
+  const std::size_t blocks = (n + kRowBlock - 1) / kRowBlock;
+  scratch.resize(n + blocks * classes);  // lint:allow(hot-path-alloc) scratch capacity retained
+  double* terms = scratch.data();
+  parallel_for(blocks, 1, [&](std::size_t b0, std::size_t b1) {
+    double* p = terms + n + b0 * classes;
+    const std::size_t i1 = std::min(b1 * kRowBlock, n);
+    for (std::size_t i = b0 * kRowBlock; i < i1; ++i) {
+      const auto r = rows[i];
+      ADAQP_CHECK(r < logits.rows());
+      const auto z = logits.row(r);
+      const auto label = labels[i];
+      ADAQP_CHECK_MSG(
+          label >= 0 && static_cast<std::size_t>(label) < classes,
+          "label " << label << " outside " << classes << " classes");
+      double zmax = z[0];
+      for (float v : z) zmax = std::max(zmax, static_cast<double>(v));
+      double denom = 0.0;
+      for (std::size_t c = 0; c < classes; ++c) {
+        p[c] = std::exp(static_cast<double>(z[c]) - zmax);
+        denom += p[c];
+      }
+      terms[i] = -(static_cast<double>(z[label]) - zmax - std::log(denom));
+      auto g = grad.row(r);
+      for (std::size_t c = 0; c < classes; ++c) {
+        const double soft = p[c] / denom;
+        g[c] += static_cast<float>(
+            (soft - (static_cast<std::int32_t>(c) == label ? 1.0 : 0.0)) /
+            normalizer);
+      }
+    }
+  });
   double loss = 0.0;
-  prob_scratch.resize(classes);  // lint:allow(hot-path-alloc) scratch capacity retained
-  std::vector<double>& p = prob_scratch;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto r = rows[i];
-    ADAQP_CHECK(r < logits.rows());
-    const auto z = logits.row(r);
-    const auto label = labels[i];
-    ADAQP_CHECK_MSG(label >= 0 && static_cast<std::size_t>(label) < classes,
-                    "label " << label << " outside " << classes << " classes");
-    double zmax = z[0];
-    for (float v : z) zmax = std::max(zmax, static_cast<double>(v));
-    double denom = 0.0;
-    for (std::size_t c = 0; c < classes; ++c) {
-      p[c] = std::exp(static_cast<double>(z[c]) - zmax);
-      denom += p[c];
-    }
-    loss += -(static_cast<double>(z[label]) - zmax - std::log(denom));
-    auto g = grad.row(r);
-    for (std::size_t c = 0; c < classes; ++c) {
-      const double soft = p[c] / denom;
-      g[c] += static_cast<float>(
-          (soft - (static_cast<std::int32_t>(c) == label ? 1.0 : 0.0)) /
-          normalizer);
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i) loss += terms[i];
   return loss;
 }
 

@@ -16,24 +16,27 @@
 
 namespace adaqp {
 
-/// Softmax cross-entropy over the rows listed in `rows`.
+/// Softmax cross-entropy over the rows listed in `rows` (distinct).
 /// labels[i] is the class of row rows[i]. grad (same shape as logits) gets
 /// (softmax - onehot)/normalizer added into the listed rows.
 /// Returns the summed loss (caller divides by normalizer if averaging).
+/// Rows run in parallel_for bands; the per-row loss terms are summed in
+/// list order afterwards, so loss and gradient bits do not depend on the
+/// thread count.
 double softmax_cross_entropy(const Matrix& logits,
                              std::span<const std::uint32_t> rows,
                              std::span<const std::int32_t> labels,
                              double normalizer, Matrix& grad);
 
-/// Steady-state variant: per-row softmax probabilities live in the
-/// caller-provided `prob_scratch` (resized once to the class count), so
-/// repeated calls perform no heap allocation. Bit-identical to the overload
-/// above.
+/// Steady-state variant: the per-row loss terms and the softmax
+/// probabilities live in the caller-provided `scratch` (resized to a size
+/// fixed by the row and class counts), so repeated calls perform no heap
+/// allocation. Bit-identical to the overload above.
 double softmax_cross_entropy(const Matrix& logits,
                              std::span<const std::uint32_t> rows,
                              std::span<const std::int32_t> labels,
                              double normalizer, Matrix& grad,
-                             std::vector<double>& prob_scratch);
+                             std::vector<double>& scratch);
 
 /// Sigmoid BCE-with-logits over listed rows against multi-hot targets
 /// (targets has one row per listed row, aligned by position).

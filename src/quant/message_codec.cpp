@@ -101,6 +101,7 @@ void decode_rows(std::span<const std::uint8_t> bytes, Matrix& dst,
                                       << dst_rows.size());
   ADAQP_CHECK_MSG(dim == dst.cols(),
                   "codec: dim " << dim << " != dst cols " << dst.cols());
+  const simd::KernelTable& kt = simd::kernels();
   for (std::size_t i = 0; i < count; ++i) {
     ADAQP_CHECK_MSG(pos < bytes.size(), "codec: truncated header for row " << i);
     const int row_bits = bytes[pos++];
@@ -117,8 +118,8 @@ void decode_rows(std::span<const std::uint8_t> bytes, Matrix& dst,
                     "codec: dst row " << dst_rows[i] << " out of range");
     // Unpack + dequantize straight from the wire bytes into the
     // destination row — no payload copy, vector kernel under the hood.
-    dequantize_payload(bytes.data() + pos, row_bits, dim, zero_point, scale,
-                       dst.row(dst_rows[i]));
+    dequantize_payload(kt, bytes.data() + pos, row_bits, dim, zero_point,
+                       scale, dst.row(dst_rows[i]));
     pos += payload;
   }
   ADAQP_CHECK_MSG(pos == bytes.size(),

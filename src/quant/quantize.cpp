@@ -102,7 +102,8 @@ QuantMeta quantize_into(const simd::KernelTable& kt,
   return meta;
 }
 
-void dequantize_payload(const std::uint8_t* payload, int bits,
+void dequantize_payload(const simd::KernelTable& kt,
+                        const std::uint8_t* payload, int bits,
                         std::size_t dim, float zero_point, float scale,
                         std::span<float> out) {
   ADAQP_CHECK_MSG(out.size() == dim,
@@ -112,8 +113,7 @@ void dequantize_payload(const std::uint8_t* payload, int bits,
     return;
   }
   if (dim > 0)
-    simd::kernels().unpack_dequant(bits, payload, dim, scale, zero_point,
-                                   out.data());
+    kt.unpack_dequant(bits, payload, dim, scale, zero_point, out.data());
 }
 
 void dequantize(const QuantizedVector& qv, std::span<float> out) {
@@ -129,8 +129,8 @@ void dequantize(const QuantizedVector& qv, std::span<float> out) {
                                                 << " bytes for " << qv.dim
                                                 << " x " << qv.bits << "b");
   }
-  dequantize_payload(qv.payload.data(), qv.bits, qv.dim, qv.zero_point,
-                     qv.scale, out);
+  dequantize_payload(simd::kernels(), qv.payload.data(), qv.bits, qv.dim,
+                     qv.zero_point, qv.scale, out);
 }
 
 double variance_bound(const QuantizedVector& qv) {

@@ -76,9 +76,11 @@ QuantMeta quantize_into(const simd::KernelTable& kt,
                         std::uint8_t* out);
 
 /// Dequantize `dim` values packed at `bits` directly from a wire payload
-/// (Eqn. 5) — the in-place form decode_rows uses. `payload` must hold the
-/// exact payload size; validation is the caller's job.
-void dequantize_payload(const std::uint8_t* payload, int bits,
+/// (Eqn. 5) through the kernel table `kt` (looked up once by the caller) —
+/// the in-place form decode_rows uses. `payload` must hold the exact
+/// payload size; validation is the caller's job.
+void dequantize_payload(const simd::KernelTable& kt,
+                        const std::uint8_t* payload, int bits,
                         std::size_t dim, float zero_point, float scale,
                         std::span<float> out);
 

@@ -216,18 +216,30 @@ void dropout_mask(std::size_t rows, std::size_t cols, float p, Rng& rng,
     mask.fill(1.0f);
     return;
   }
+  // Element i takes the stream's i-th draw from entry. The mask splits into
+  // kMaskChunk-draw chunks, and a band of chunks [c0, c1) starts from the
+  // entry state jumped ahead c0 times, so every band draws exactly what the
+  // serial loop would. A band that cannot fan out (inside a pool task, or
+  // on one thread) is the whole mask from the entry state, with no jumps.
+  // The band that ends the mask leaves the stream where the loop would.
   // Branch-free: the drop test indexes a two-entry table. A ternary here
   // compiles to a compare-and-branch that mispredicts on every other
-  // element near p = 0.5. The draws come from a local copy of the stream
-  // (kept in registers, written back once), one per element in row-major
-  // order.
+  // element near p = 0.5. Each band draws from a local copy of the stream,
+  // kept in registers.
+  constexpr std::size_t kChunk = Rng::kMaskChunk;
   const float value[2] = {1.0f / (1.0f - p), 0.0f};
-  Rng local = rng;
   float* out = mask.data();
   const std::size_t size = mask.size();
-  for (std::size_t i = 0; i < size; ++i)
-    out[i] = value[local.uniform_float() < p];
-  rng = local;
+  const Rng entry = rng;
+  parallel_for((size + kChunk - 1) / kChunk, 1,
+               [&](std::size_t c0, std::size_t c1) {
+                 Rng local = entry;
+                 for (std::size_t c = 0; c < c0; ++c) local.jump_mask_chunk();
+                 const std::size_t end = std::min(c1 * kChunk, size);
+                 for (std::size_t i = c0 * kChunk; i < end; ++i)
+                   out[i] = value[local.uniform_float() < p];
+                 if (end == size) rng = local;
+               });
 }
 
 float max_abs_diff(const Matrix& a, const Matrix& b) {

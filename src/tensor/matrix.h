@@ -150,9 +150,13 @@ void gemm_nt_rows(const Matrix& a, const Matrix& b, Matrix& c,
 
 /// Draw an inverted-dropout multiplier mask (0 with prob p, else 1/(1-p))
 /// for a rows x cols matrix, consuming rng in row-major element order (no
-/// draws at p = 0); p must lie in [0, 1). Masks are value-independent, so
-/// the layers draw one per epoch and apply it per row subset without
-/// changing the RNG stream.
+/// draws at p = 0); p must lie in [0, 1). The mask is a pure function of
+/// (rng's state at entry, shape, p), and rng ends where the element-by-
+/// element loop leaves it. Bands of Rng::kMaskChunk-draw chunks fill on the
+/// pool from jump-ahead states (Rng::jump_mask_chunk); inside a pool task
+/// the whole mask draws inline. Masks are value-independent, so the layers
+/// draw one per epoch and apply it per row subset without changing the RNG
+/// stream.
 void dropout_mask(std::size_t rows, std::size_t cols, float p, Rng& rng,
                   Matrix& mask);
 

@@ -1,10 +1,15 @@
 // Tests for task losses, their gradients, and metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "gnn/loss.h"
+#include "runtime/thread_pool.h"
 
 namespace adaqp {
 namespace {
@@ -74,6 +79,71 @@ TEST(SoftmaxCrossEntropy, BadLabelThrows) {
   const std::vector<std::int32_t> labels = {3};
   EXPECT_THROW(softmax_cross_entropy(logits, rows, labels, 1.0, grad),
                std::runtime_error);
+}
+
+/// The one-thread loop softmax_cross_entropy bands: one running sum of the
+/// loss terms in row order.
+double serial_softmax_cross_entropy(const Matrix& logits,
+                                    const std::vector<std::uint32_t>& rows,
+                                    const std::vector<std::int32_t>& labels,
+                                    double normalizer, Matrix& grad) {
+  const std::size_t classes = logits.cols();
+  std::vector<double> p(classes);
+  double loss = 0.0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto z = logits.row(rows[i]);
+    const auto label = labels[i];
+    double zmax = z[0];
+    for (float v : z) zmax = std::max(zmax, static_cast<double>(v));
+    double denom = 0.0;
+    for (std::size_t c = 0; c < classes; ++c) {
+      p[c] = std::exp(static_cast<double>(z[c]) - zmax);
+      denom += p[c];
+    }
+    loss += -(static_cast<double>(z[label]) - zmax - std::log(denom));
+    auto g = grad.row(rows[i]);
+    for (std::size_t c = 0; c < classes; ++c) {
+      const double soft = p[c] / denom;
+      g[c] += static_cast<float>(
+          (soft - (static_cast<std::int32_t>(c) == label ? 1.0 : 0.0)) /
+          normalizer);
+    }
+  }
+  return loss;
+}
+
+TEST(SoftmaxCrossEntropy, RowBandsBitIdentical) {
+  // 7200 of 9000 rows, 10 classes, into a gradient that already holds
+  // values (the loss adds into it).
+  Rng rng(23);
+  Matrix logits(9000, 10), base(9000, 10);
+  logits.fill_uniform(rng, -4.0f, 4.0f);
+  base.fill_uniform(rng, -1.0f, 1.0f);
+  std::vector<std::uint32_t> rows;
+  std::vector<std::int32_t> labels;
+  for (std::uint32_t r = 0; r < 9000; ++r)
+    if (r % 5 != 2) {
+      rows.push_back(r);
+      labels.push_back(static_cast<std::int32_t>(rng.uniform_int(10)));
+    }
+  Matrix want_grad = base;
+  const double want =
+      serial_softmax_cross_entropy(logits, rows, labels, 7200.0, want_grad);
+  const int prev = num_threads();
+  for (const int threads : {1, 4, 8}) {
+    set_num_threads(threads);
+    Matrix grad = base;
+    std::vector<double> scratch;
+    const double loss =
+        softmax_cross_entropy(logits, rows, labels, 7200.0, grad, scratch);
+    EXPECT_EQ(std::memcmp(&loss, &want, sizeof loss), 0)
+        << "threads " << threads << ": " << loss << " vs " << want;
+    EXPECT_EQ(std::memcmp(grad.data(), want_grad.data(),
+                          grad.size() * sizeof(float)),
+              0)
+        << "threads " << threads;
+  }
+  set_num_threads(prev);
 }
 
 TEST(BceWithLogits, MatchesHandComputedValue) {

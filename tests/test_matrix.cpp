@@ -2,8 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "runtime/parallel_for.h"
+#include "runtime/thread_pool.h"
 #include "tensor/matrix.h"
 
 namespace adaqp {
@@ -182,6 +187,62 @@ TEST(Dropout, MaskMatchesReferenceDrawOrder) {
     }
     EXPECT_EQ(rng.next(), ref_rng.next()) << "p=" << p;
   }
+}
+
+/// Scoped global-pool override; restores the previous size on exit.
+class ThreadCountGuard {
+ public:
+  explicit ThreadCountGuard(int n) : prev_(num_threads()) {
+    set_num_threads(n);
+  }
+  ~ThreadCountGuard() { set_num_threads(prev_); }
+
+ private:
+  int prev_;
+};
+
+TEST(Dropout, MaskBitIdenticalAcrossThreadCounts) {
+  // Banded masks start each band at a jump-ahead state; every thread count,
+  // and the inline path inside a pool task, must give the element-by-element
+  // loop's mask and leave the stream where it leaves it.
+  constexpr std::size_t kChunk = Rng::kMaskChunk;
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {0, 0}, {1, 1}, {1, kChunk - 1}, {kChunk, 1}, {5, 3277}, {12000, 64}};
+  static_assert(5 * 3277 == kChunk + 1);
+  for (const float p : {0.1f, 0.5f})
+    for (const auto& [rows, cols] : shapes) {
+      Rng ref(29);
+      const float keep = 1.0f / (1.0f - p);
+      std::vector<float> want(rows * cols);
+      for (float& v : want) v = ref.uniform_float() < p ? 0.0f : keep;
+      const std::uint64_t want_next = ref.next();
+      const auto check = [&](const Matrix& mask, Rng& rng, const char* how) {
+        ASSERT_EQ(mask.rows(), rows);
+        ASSERT_EQ(mask.cols(), cols);
+        EXPECT_TRUE(want.empty() ||
+                    std::memcmp(mask.data(), want.data(),
+                                want.size() * sizeof(float)) == 0)
+            << how << " p=" << p << " " << rows << "x" << cols;
+        EXPECT_EQ(rng.next(), want_next)
+            << how << " p=" << p << " " << rows << "x" << cols;
+      };
+      for (const int threads : {1, 4, 8}) {
+        ThreadCountGuard guard(threads);
+        Rng rng(29);
+        Matrix mask;
+        dropout_mask(rows, cols, p, rng, mask);
+        check(mask, rng, threads == 1 ? "t1" : threads == 4 ? "t4" : "t8");
+      }
+      ThreadCountGuard guard(4);
+      parallel_for_each(2, [&](std::size_t task) {
+        if (task != 1) return;
+        EXPECT_TRUE(ThreadPool::in_worker());
+        Rng rng(29);
+        Matrix mask;
+        dropout_mask(rows, cols, p, rng, mask);
+        check(mask, rng, "in pool task");
+      });
+    }
 }
 
 TEST(Dropout, InvalidProbabilityThrows) {

@@ -1,8 +1,11 @@
 // Tests for the deterministic PRNG (common/rng.h).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -134,6 +137,120 @@ TEST(Splitmix, Deterministic) {
   std::uint64_t s1 = 99, s2 = 99;
   EXPECT_EQ(splitmix64(s1), splitmix64(s2));
   EXPECT_EQ(s1, s2);
+}
+
+// ---- Jump-ahead -----------------------------------------------------------
+
+/// A GF(2) polynomial of degree <= 256: bit j%64 of word j/64 is x^j.
+using Poly = std::array<std::uint64_t, 5>;
+
+/// Inverse of an odd x modulo 2^64 by Newton's iteration.
+std::uint64_t inverse_mod_2_64(std::uint64_t x) {
+  std::uint64_t inv = x;  // correct to 3 bits; each step doubles that
+  for (int i = 0; i < 5; ++i) inv *= 2 - x * inv;
+  return inv;
+}
+
+/// Bit 0 of state word 1 before each of `count` next() calls, recovered by
+/// inverting the ** scrambler (rotl(s1 * 5, 7) * 9). Unlike the output, it
+/// is a linear function of the state.
+std::vector<std::uint8_t> state_bits(Rng rng, std::size_t count) {
+  const std::uint64_t inv9 = inverse_mod_2_64(9), inv5 = inverse_mod_2_64(5);
+  std::vector<std::uint8_t> bits(count);
+  for (auto& bit : bits) {
+    const std::uint64_t y = rng.next() * inv9;
+    bit = static_cast<std::uint8_t>((((y >> 7) | (y << 57)) * inv5) & 1u);
+  }
+  return bits;
+}
+
+/// Berlekamp–Massey over GF(2): the connection polynomial c (c[0] = 1) of
+/// the shortest linear recurrence that generates `s`.
+std::vector<std::uint8_t> berlekamp_massey(const std::vector<std::uint8_t>& s) {
+  std::vector<std::uint8_t> c(s.size() + 1, 0), b(s.size() + 1, 0);
+  c[0] = b[0] = 1;
+  std::size_t len = 0, shift = 1;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    std::uint8_t d = s[i];
+    for (std::size_t j = 1; j <= len; ++j) d ^= c[j] & s[i - j];
+    if (d == 0) {
+      ++shift;
+      continue;
+    }
+    const std::vector<std::uint8_t> prev = c;
+    for (std::size_t j = 0; j + shift < c.size(); ++j) c[j + shift] ^= b[j];
+    if (2 * len <= i) {
+      len = i + 1 - len;
+      b = prev;
+      shift = 1;
+    } else {
+      ++shift;
+    }
+  }
+  c.resize(len + 1);
+  return c;
+}
+
+/// a·b mod m for a, b of degree < 256 and m of degree 256.
+Poly mulmod(const Poly& a, const Poly& b, const Poly& m) {
+  Poly r{};
+  for (int j = 255; j >= 0; --j) {
+    for (int w = 4; w > 0; --w) r[w] = (r[w] << 1) | (r[w - 1] >> 63);
+    r[0] <<= 1;
+    if (r[4] & 1u)
+      for (int w = 0; w < 5; ++w) r[w] ^= m[w];
+    if ((b[j / 64] >> (j % 64)) & 1u)
+      for (int w = 0; w < 5; ++w) r[w] ^= a[w];
+  }
+  return r;
+}
+
+/// x^k mod m by square-and-multiply.
+Poly x_pow_mod(std::uint64_t k, const Poly& m) {
+  Poly result{1, 0, 0, 0, 0}, base{2, 0, 0, 0, 0};
+  for (; k != 0; k >>= 1) {
+    if (k & 1u) result = mulmod(result, base, m);
+    base = mulmod(base, base, m);
+  }
+  return result;
+}
+
+/// The characteristic polynomial of Rng's state update, from 512 output
+/// bits: twice the state size, enough for Berlekamp–Massey.
+Poly characteristic_polynomial() {
+  const std::vector<std::uint8_t> c = berlekamp_massey(state_bits(Rng(3), 512));
+  EXPECT_EQ(c.size(), 257u) << "recurrence shorter than the 256-bit state";
+  Poly m{};
+  for (std::size_t i = 0; i < c.size(); ++i)  // m is c reversed
+    if (c[i]) m[(256 - i) / 64] |= std::uint64_t{1} << ((256 - i) % 64);
+  return m;
+}
+
+TEST(Rng, ChunkJumpMatchesSerialSteps) {
+  const Poly m = characteristic_polynomial();
+  // The derivation reproduces xoshiro256's published 2^128 jump polynomial
+  // (x^(2^128): 128 squarings of x) ...
+  Poly x128{2, 0, 0, 0, 0};
+  for (int i = 0; i < 128; ++i) x128 = mulmod(x128, x128, m);
+  EXPECT_EQ(x128, (Poly{0x180ec6d33cfd0abaull, 0xd5a61266f0c9392cull,
+                        0xa9582618e03fc9aaull, 0x39abdc4529b1661cull, 0}));
+  // ... and the shipped chunk-jump constant.
+  const Poly chunk = x_pow_mod(Rng::kMaskChunk, m);
+  for (int w = 0; w < 4; ++w)
+    EXPECT_EQ(chunk[w], Rng::kMaskChunkJump[w]) << "word " << w;
+  EXPECT_EQ(chunk[4], 0u);
+
+  // The jump lands where kMaskChunk next() calls do, and chains.
+  for (const std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull}) {
+    Rng jumped(seed), stepped(seed);
+    for (int hop = 0; hop < 2; ++hop) {
+      jumped.jump_mask_chunk();
+      for (std::size_t i = 0; i < Rng::kMaskChunk; ++i) stepped.next();
+      Rng a = jumped, b = stepped;
+      for (int i = 0; i < 8; ++i)
+        ASSERT_EQ(a.next(), b.next()) << "seed " << seed << " hop " << hop;
+    }
+  }
 }
 
 }  // namespace
