@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "analysis/race_checker.h"
 #include "common/check.h"
@@ -79,22 +80,20 @@ constexpr MethodPolicy policy_of(Method method) {
 // when the checker is enabled.
 
 using analysis::AccessList;
-using analysis::BufferAccess;
+using pipeline::append_rows;
+using pipeline::row_range;
 
-constexpr auto kRcRead = BufferAccess::Mode::kRead;
-constexpr auto kRcWrite = BufferAccess::Mode::kWrite;
+constexpr auto kRcRead = analysis::BufferAccess::Mode::kRead;
+constexpr auto kRcWrite = analysis::BufferAccess::Mode::kWrite;
 
-void rc_rows(AccessList& out, const Matrix& m, std::span<const NodeId> rows,
-             BufferAccess::Mode mode, const std::string& label) {
-  analysis::append_row_set(out, m.data(), m.cols() * sizeof(float),
-                           rows.data(), rows.size(), mode, label);
+/// Whole-object accesses: a cache, a sink set, an Rng stream, the layer.
+template <typename T>
+analysis::BufferAccess rc_read(const T& obj, std::string label) {
+  return analysis::read_of(&obj, sizeof(obj), std::move(label));
 }
-
-BufferAccess rc_row_range(const Matrix& m, std::size_t row_begin,
-                          std::size_t row_end, BufferAccess::Mode mode,
-                          std::string label) {
-  return analysis::row_range(m.data(), m.cols() * sizeof(float), row_begin,
-                             row_end, mode, std::move(label));
+template <typename T>
+analysis::BufferAccess rc_write(const T& obj, std::string label) {
+  return analysis::write_of(&obj, sizeof(obj), std::move(label));
 }
 
 /// `tag` followed by `index` ("L2", "d7"): the layer and device parts of
@@ -108,6 +107,50 @@ std::string indexed_label(const char* tag, int index) {
 }
 
 }  // namespace
+
+DistTrainer::LayerGraph::LayerGraph(ExchangePlan initial_plan,
+                                    int num_devices)
+    : plan(std::move(initial_plan)), ranges(num_devices) {
+  acct.channel = transport::next_channel();
+}
+
+DistTrainer::LayerGraph::~LayerGraph() {
+  if (!pending || !graph.launched()) return;
+  try {
+    graph.wait();
+  } catch (...) {
+  }
+}
+
+DistTrainer::DeviceState::DeviceState(const DeviceGraph& device, int index,
+                                      const Dataset& dataset,
+                                      std::span<const std::uint8_t> is_train,
+                                      const GnnModel& model, bool drift_skip)
+    : graph(device), id(index), layers(model.num_layers()) {
+  for (std::size_t i = 0; i < graph.num_owned; ++i) {
+    const NodeId g = graph.global_of_local[i];
+    if (!is_train[g]) continue;
+    train_rows.push_back(static_cast<std::uint32_t>(i));
+    train_labels.push_back(dataset.labels[g]);
+  }
+  if (dataset.spec.multi_label) {
+    train_targets = Matrix(train_rows.size(), dataset.num_classes());
+    for (std::size_t i = 0; i < train_rows.size(); ++i) {
+      const auto src =
+          dataset.label_matrix.row(graph.global_of_local[train_rows[i]]);
+      std::copy(src.begin(), src.end(), train_targets.row(i).begin());
+    }
+  }
+  if (drift_skip) {
+    // SANCUS first diffs against a previous broadcast in epoch 1, so its
+    // drift snapshots are pre-sized here.
+    sancus.resize(layers.size());
+    const std::size_t boundary = graph.boundary_span().size();
+    for (std::size_t l = 0; l < layers.size(); ++l)
+      layers[l].sancus_snapshot =
+          Matrix(boundary, model.layer_in_dim(static_cast<int>(l)));
+  }
+}
 
 DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
                          const ClusterSpec& cluster,
@@ -130,130 +173,54 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
              std::any_of(dist_.devices.begin(), dist_.devices.end(),
                          [](const DeviceGraph& d) { return d.num_halo > 0; });
 
-  for (int d = 0; d < num_devices_; ++d)
-    device_rngs_.push_back(master_rng_.split());
-
-  features_ = scatter_to_devices(dataset_.features, dist_);
-
-  // Per-device training rows, labels and targets.
   std::vector<std::uint8_t> is_train(dataset_.num_nodes(), 0);
   for (auto v : dataset_.train_nodes) is_train[v] = 1;
   global_train_count_ = static_cast<double>(dataset_.train_nodes.size());
-  train_rows_.resize(num_devices_);
-  train_labels_.resize(num_devices_);
-  train_targets_.resize(num_devices_);
   for (int d = 0; d < num_devices_; ++d) {
-    const DeviceGraph& dev = dist_.devices[d];
-    std::vector<std::uint32_t>& rows = train_rows_[d];
-    for (std::size_t i = 0; i < dev.num_owned; ++i) {
-      const NodeId g = dev.global_of_local[i];
-      if (!is_train[g]) continue;
-      rows.push_back(static_cast<std::uint32_t>(i));
-      train_labels_[d].push_back(dataset_.labels[g]);
-    }
-    if (dataset_.spec.multi_label) {
-      Matrix targets(rows.size(), dataset_.num_classes());
-      std::size_t at = 0;
-      for (std::size_t i = 0; i < dev.num_owned; ++i) {
-        const NodeId g = dev.global_of_local[i];
-        if (!is_train[g]) continue;
-        const auto src = dataset_.label_matrix.row(g);
-        std::copy(src.begin(), src.end(), targets.row(at++).begin());
-      }
-      train_targets_[d] = std::move(targets);
-    }
+    device_rngs_.push_back(master_rng_.split());
+    devices_.emplace_back(dist_.devices[d], d, dataset_, is_train, model_,
+                          policy.drift_skip);
   }
 
-  // Activation buffers and caches.
+  // Activation buffers: layer 0 holds the features (with halo rows).
   acts_.resize(num_layers_ + 1);
-  caches_.resize(num_layers_);
-  acts_[0] = features_;
+  acts_[0] = scatter_to_devices(dataset_.features, dist_);
   for (int l = 1; l <= num_layers_; ++l) {
     const std::size_t dim = model_.layer_out_dim(l - 1);
-    acts_[l].reserve(num_devices_);
-    for (int d = 0; d < num_devices_; ++d)
-      acts_[l].emplace_back(dist_.devices[d].num_local(), dim);
+    for (const DeviceGraph& dev : dist_.devices)
+      acts_[l].emplace_back(dev.num_local(), dim);
   }
-  for (int l = 0; l < num_layers_; ++l) caches_[l].resize(num_devices_);
-
-  // Plans: everything starts full-precision; quantizing methods refresh
-  // after the first traced epoch.
-  fwd_plans_.resize(num_layers_);
-  bwd_plans_.resize(num_layers_);
-  for (int l = 0; l < num_layers_; ++l) {
-    fwd_plans_[l] = ExchangePlan::uniform_forward(dist_, 32);
-    bwd_plans_[l] = ExchangePlan::uniform_backward(dist_, 32);
-  }
-  fwd_ranges_.assign(num_layers_,
-                     std::vector<std::vector<float>>(num_devices_));
-  bwd_ranges_.assign(num_layers_,
-                     std::vector<std::vector<float>>(num_devices_));
+  grad_flow_.assign(2, std::vector<Matrix>(num_devices_));
 
   // One stage graph per (layer, direction), each on its own wire channel,
   // claimed in deterministic order so replicated ranks agree
   // (src/transport/) and no two exchanges of an epoch share a frame tag.
+  // Plans start full-precision; quantizing methods refresh after the first
+  // traced epoch.
+  const std::vector<std::vector<std::uint8_t>> all_send(
+      num_devices_, std::vector<std::uint8_t>(num_devices_, 1));
   for (int l = 0; l < num_layers_; ++l) {
-    fwd_graphs_.push_back(std::make_unique<LayerGraph>());
-    fwd_graphs_.back()->acct.channel = transport::next_channel();
-    bwd_graphs_.push_back(std::make_unique<LayerGraph>());
-    bwd_graphs_.back()->acct.channel = transport::next_channel();
+    LayerGraph& fwd = *fwd_graphs_.emplace_back(std::make_unique<LayerGraph>(
+        ExchangePlan::uniform_forward(dist_, 32), num_devices_));
+    LayerGraph& bwd = *bwd_graphs_.emplace_back(std::make_unique<LayerGraph>(
+        ExchangePlan::uniform_backward(dist_, 32), num_devices_));
+    if (policy.defer && l > 0)
+      for (const DeviceGraph& dev : dist_.devices)
+        bwd.staging.emplace_back(dev.num_local(), model_.layer_in_dim(l));
+    if (policy.drift_skip) fwd.acct.active = bwd.acct.active = all_send;
   }
   // Evaluation's forward exchanges share one accounting on one channel,
   // claimed once here, so evaluate() adds no channel (and no wire slots);
   // every layer's exchange is a new round of it.
   eval_acct_.channel = transport::next_channel();
 
-  if (policy.defer) {
-    pipegcn_bwd_scratch_.resize(num_layers_);
-    pipegcn_joined_comm_.assign(num_layers_, 0.0);
-    for (int l = 1; l < num_layers_; ++l) {
-      const std::size_t dim = model_.layer_in_dim(l);
-      for (int d = 0; d < num_devices_; ++d)
-        pipegcn_bwd_scratch_[l].emplace_back(dist_.devices[d].num_local(),
-                                             dim);
-    }
-  }
-
-  // ---- Memory subsystem: cache the stable param set and size the
-  // persistent scratch on the main thread, pre-warming the capacities whose
-  // first natural use would otherwise fall in a steady-state epoch
-  // (docs/ARCHITECTURE.md, "Memory subsystem").
+  // ---- Memory subsystem: cache the stable param set (docs/ARCHITECTURE.md,
+  // "Memory subsystem").
   params_ = model_.params();
   grad_bytes_ = model_.grad_bytes();
-
-  loss_scratch_.resize(num_devices_);
-  device_loss_.resize(num_devices_);
-  grad_flow_.resize(2);
-  for (auto& flow : grad_flow_) flow.resize(num_devices_);
-  bwd_sinks_.assign(num_layers_, std::vector<LayerGrads>(num_devices_));
-  central_sinks_.assign(num_layers_, std::vector<LayerGrads>(num_devices_));
-  bwd_scratch_.assign(num_layers_,
-                      std::vector<LayerBackwardScratch>(num_devices_));
   // Register every metrics instrument now: the registry inserts on first
   // use, and first use must not land inside a steady-state epoch.
   (void)obs::instruments();
-
-  if (policy.drift_skip) {
-    // SANCUS first diffs against a previous broadcast in epoch 1, so
-    // pre-size its drift scratch and send masks here.
-    sancus_last_bcast_.assign(num_layers_, std::vector<Matrix>(num_devices_));
-    sancus_staleness_.assign(num_layers_,
-                             std::vector<int>(num_devices_, 1 << 20));
-    sancus_snapshot_.resize(num_layers_);
-    sancus_diff_.resize(num_layers_);
-    const std::vector<std::vector<std::uint8_t>> all_send(
-        num_devices_, std::vector<std::uint8_t>(num_devices_, 1));
-    for (int l = 0; l < num_layers_; ++l) {
-      fwd_graphs_[l]->acct.active = all_send;
-      bwd_graphs_[l]->acct.active = all_send;
-      const std::size_t dim = model_.layer_in_dim(l);
-      for (int d = 0; d < num_devices_; ++d) {
-        const std::size_t boundary = dist_.devices[d].boundary_span().size();
-        sancus_snapshot_[l].emplace_back(boundary, dim);
-        sancus_diff_[l].emplace_back(boundary, dim);
-      }
-    }
-  }
 }
 
 double DistTrainer::max_compute_seconds(int layer, bool backward,
@@ -270,27 +237,19 @@ double DistTrainer::max_compute_seconds(int layer, bool backward,
   return m;
 }
 
-DistTrainer::LayerGraph::~LayerGraph() {
-  if (!pending || !graph.launched()) return;
-  try {
-    graph.wait();
-  } catch (...) {
-  }
-}
-
 DistTrainer::LayerGraph& DistTrainer::forward_graph(int l) {
   LayerGraph& g = *fwd_graphs_[l];
   if (g.built) return g;
   g.built = true;
   // Built once (warmup epoch 0, uniform 32-bit plan = maximal payloads),
-  // re-armed in place forever after: the stage lambdas read fwd_plans_[l]
-  // (stable address) at run time.
+  // re-armed in place forever after: the stage lambdas read g.plan (stable
+  // address) at run time.
   pipeline::StageGraph& graph = g.graph;
   const std::string prefix = indexed_label("L", l);
   graph.set_label(prefix + "/forward");
   const std::vector<std::vector<int>> pair_stage =
-      pipeline::add_forward_exchange_stages(graph, dist_, acts_[l],
-                                            fwd_plans_[l], g.acct);
+      pipeline::add_forward_exchange_stages(graph, dist_, acts_[l], g.plan,
+                                            g.acct);
 
   if (overlap_) {
     // Per-pair encode/wire/decode stages run concurrently with per-device
@@ -299,60 +258,55 @@ DistTrainer::LayerGraph& DistTrainer::forward_graph(int l) {
     // layer cache). Stage bodies write disjoint rows and use private RNG
     // streams, so every schedule is bit-identical to the whole-row forward.
     std::vector<int> central(num_devices_, -1);
-    for (int d = 0; d < num_devices_; ++d) {
-      const DeviceGraph& dev = dist_.devices[d];
+    for (DeviceState& s : devices_) {
+      const int d = s.id;
       const std::string dn = indexed_label("d", d);
       AccessList acc;
       if (analysis::racecheck_enabled()) {
         // Central rows aggregate only owned neighbors (layers.h), so the
         // read never touches the halo rows the fwd stages are decoding into.
-        acc.push_back(rc_row_range(acts_[l][d], 0, dev.num_owned, kRcRead,
-                                   "x[" + dn + "].owned_rows"));
-        rc_rows(acc, acts_[l + 1][d], dev.central_span(), kRcWrite,
-                "h[" + dn + "].central_rows");
-        acc.push_back(analysis::write_of(&caches_[l][d], sizeof(caches_[l][d]),
-                                         "cache[" + dn + "]"));
-        acc.push_back(analysis::write_of(&device_rngs_[d],
-                                         sizeof(device_rngs_[d]),
-                                         "rng[" + dn + "]"));
+        acc.push_back(row_range(acts_[l][d], 0, s.graph.num_owned, kRcRead,
+                                "x[" + dn + "].owned_rows"));
+        append_rows(acc, acts_[l + 1][d], s.graph.central_span(), kRcWrite,
+                    "h[" + dn + "].central_rows");
+        acc.push_back(rc_write(s.layers[l].cache, "cache[" + dn + "]"));
+        acc.push_back(rc_write(device_rngs_[d], "rng[" + dn + "]"));
       }
       central[d] = graph.add(
           prefix + "/central/" + dn,
-          [this, l, d] {
-            const DeviceGraph& device = dist_.devices[d];
+          [this, &s, l] {
             const GnnLayer& layer = model_.layer(l);
-            layer.forward_prepare(device, caches_[l][d], device_rngs_[d],
+            LayerCache& cache = s.layers[l].cache;
+            layer.forward_prepare(s.graph, cache, device_rngs_[s.id],
                                   /*training=*/true);
-            layer.forward_rows(device, acts_[l][d], acts_[l + 1][d],
-                               caches_[l][d], device.central_span());
+            layer.forward_rows(s.graph, acts_[l][s.id], acts_[l + 1][s.id],
+                               cache, s.graph.central_span());
           },
           {}, std::move(acc));
     }
-    for (int d = 0; d < num_devices_; ++d) {
-      const DeviceGraph& dev = dist_.devices[d];
+    for (DeviceState& s : devices_) {
+      const int d = s.id;
       const std::string dn = indexed_label("d", d);
       std::vector<int> deps{central[d]};
-      for (int p : dev.halo_senders)
+      for (int p : s.graph.halo_senders)
         if (pair_stage[p][d] >= 0) deps.push_back(pair_stage[p][d]);
       AccessList acc;
       if (analysis::racecheck_enabled()) {
         // Marginal rows aggregate halo neighbors too, so the read covers the
         // whole local matrix — the deps on this device's inbound decodes are
         // exactly what orders it.
-        acc.push_back(rc_row_range(acts_[l][d], 0, dev.num_local(), kRcRead,
-                                   "x[" + dn + "].local_rows"));
-        rc_rows(acc, acts_[l + 1][d], dev.marginal_span(), kRcWrite,
-                "h[" + dn + "].marginal_rows");
-        acc.push_back(analysis::write_of(&caches_[l][d], sizeof(caches_[l][d]),
-                                         "cache[" + dn + "]"));
+        acc.push_back(row_range(acts_[l][d], 0, s.graph.num_local(), kRcRead,
+                                "x[" + dn + "].local_rows"));
+        append_rows(acc, acts_[l + 1][d], s.graph.marginal_span(), kRcWrite,
+                    "h[" + dn + "].marginal_rows");
+        acc.push_back(rc_write(s.layers[l].cache, "cache[" + dn + "]"));
       }
       graph.add(
           prefix + "/marginal/" + dn,
-          [this, l, d] {
-            const DeviceGraph& device = dist_.devices[d];
-            model_.layer(l).forward_rows(device, acts_[l][d], acts_[l + 1][d],
-                                         caches_[l][d],
-                                         device.marginal_span());
+          [this, &s, l] {
+            model_.layer(l).forward_rows(s.graph, acts_[l][s.id],
+                                         acts_[l + 1][s.id], s.layers[l].cache,
+                                         s.graph.marginal_span());
           },
           deps, std::move(acc));
     }
@@ -368,10 +322,10 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
   // reference; their parity is fixed per layer, so the very same objects
   // carry this layer's gradients every epoch. PipeGCN's deferred rounds
   // ship a staged copy of the halo rows instead, so its graphs bind the
-  // per-layer staging scratch.
+  // graph's own staging.
   std::vector<Matrix>& grads = grad_flow_[(num_layers_ - 1 - l) & 1];
   std::vector<Matrix>& grad_x = policy_of(opts_.method).defer
-                                    ? pipegcn_bwd_scratch_[l]
+                                    ? g.staging
                                     : grad_flow_[(num_layers_ - l) & 1];
   pipeline::StageGraph& graph = g.graph;
   const std::string prefix = indexed_label("L", l) + "b";
@@ -385,17 +339,16 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
   // stage applying per-(device, subset) partials in ascending device order,
   // marginal before central.
   const GnnLayer& layer = model_.layer(l);
-  std::vector<LayerGrads>& marginal_sinks = bwd_sinks_[l];
-  std::vector<LayerGrads>& central_sinks = central_sinks_[l];
   std::vector<int> central;
   pipeline::BackwardStageDeps deps;
   if (overlap_) {
     std::vector<int> marginal(num_devices_, -1);
     central.assign(num_devices_, -1);
     std::vector<int> trace(num_devices_, -1);
-    for (int d = 0; d < num_devices_; ++d) {
-      const DeviceGraph& dev = dist_.devices[d];
+    for (DeviceState& s : devices_) {
+      const int d = s.id;
       const std::string dn = indexed_label("d", d);
+      DeviceState::LayerScratch& ls = s.layers[l];
       // Marginal-row adjoint: produces every halo gradient row this device
       // will ship, unblocking its encode stages. Marginal and central share
       // the per-(layer, device) scratch — they are serialized per device.
@@ -404,67 +357,55 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
         // The marginal adjoint scatters into neighbors of marginal rows —
         // owned and halo rows alike — so its write claims the whole local
         // gradient matrix; everything downstream is ordered behind it.
-        acc.push_back(rc_row_range(grads[d], 0, dev.num_local(), kRcRead,
-                                   "grad_out[" + dn + "]"));
-        acc.push_back(rc_row_range(grad_x[d], 0, dev.num_local(), kRcWrite,
-                                   "grad[" + dn + "].local_rows"));
-        acc.push_back(analysis::read_of(&caches_[l][d], sizeof(caches_[l][d]),
-                                        "cache[" + dn + "]"));
-        acc.push_back(analysis::read_of(&layer, sizeof(layer), "layer"));
-        acc.push_back(analysis::write_of(&marginal_sinks[d],
-                                         sizeof(marginal_sinks[d]),
-                                         "marginal_sinks[" + dn + "]"));
-        acc.push_back(analysis::write_of(&bwd_scratch_[l][d],
-                                         sizeof(bwd_scratch_[l][d]),
-                                         "bwd_scratch[" + dn + "]"));
+        acc.push_back(row_range(grads[d], 0, s.graph.num_local(), kRcRead,
+                                "grad_out[" + dn + "]"));
+        acc.push_back(row_range(grad_x[d], 0, s.graph.num_local(), kRcWrite,
+                                "grad[" + dn + "].local_rows"));
+        acc.push_back(rc_read(ls.cache, "cache[" + dn + "]"));
+        acc.push_back(rc_read(layer, "layer"));
+        acc.push_back(rc_write(ls.sinks, "marginal_sinks[" + dn + "]"));
+        acc.push_back(rc_write(ls.bwd_scratch, "bwd_scratch[" + dn + "]"));
       }
       marginal[d] = graph.add(
           prefix + "/marginal/" + dn,
-          [this, &grads, &grad_x, &marginal_sinks, l, d] {
-            const DeviceGraph& device = dist_.devices[d];
-            model_.layer(l).backward_rows(device, grads[d], caches_[l][d],
-                                          grad_x[d], marginal_sinks[d],
-                                          device.marginal_span(),
-                                          bwd_scratch_[l][d]);
+          [this, &grads, &grad_x, &s, &ls, l] {
+            model_.layer(l).backward_rows(s.graph, grads[s.id], ls.cache,
+                                          grad_x[s.id], ls.sinks,
+                                          s.graph.marginal_span(),
+                                          ls.bwd_scratch);
           },
           {}, std::move(acc));
     }
-    for (int d = 0; d < num_devices_; ++d) {
-      const DeviceGraph& dev = dist_.devices[d];
+    for (DeviceState& s : devices_) {
+      const int d = s.id;
       const std::string dn = indexed_label("d", d);
+      DeviceState::LayerScratch& ls = s.layers[l];
       // Central-row adjoint: owned-row writes only — this is the compute
       // that runs while the halo-gradient exchange is on the wire.
       AccessList acc;
       if (analysis::racecheck_enabled()) {
-        acc.push_back(rc_row_range(grads[d], 0, dev.num_local(), kRcRead,
-                                   "grad_out[" + dn + "]"));
-        acc.push_back(rc_row_range(grad_x[d], 0, dev.num_owned, kRcWrite,
-                                   "grad[" + dn + "].owned_rows"));
-        acc.push_back(analysis::read_of(&caches_[l][d], sizeof(caches_[l][d]),
-                                        "cache[" + dn + "]"));
-        acc.push_back(analysis::read_of(&layer, sizeof(layer), "layer"));
-        acc.push_back(analysis::write_of(&central_sinks[d],
-                                         sizeof(central_sinks[d]),
-                                         "central_sinks[" + dn + "]"));
+        acc.push_back(row_range(grads[d], 0, s.graph.num_local(), kRcRead,
+                                "grad_out[" + dn + "]"));
+        acc.push_back(row_range(grad_x[d], 0, s.graph.num_owned, kRcWrite,
+                                "grad[" + dn + "].owned_rows"));
+        acc.push_back(rc_read(ls.cache, "cache[" + dn + "]"));
+        acc.push_back(rc_read(layer, "layer"));
+        acc.push_back(rc_write(ls.central_sinks, "central_sinks[" + dn + "]"));
         // Shared with this device's marginal adjoint (staging matrices and
         // the transposed weight); the dep on it is what orders the reuse.
-        acc.push_back(analysis::write_of(&bwd_scratch_[l][d],
-                                         sizeof(bwd_scratch_[l][d]),
-                                         "bwd_scratch[" + dn + "]"));
+        acc.push_back(rc_write(ls.bwd_scratch, "bwd_scratch[" + dn + "]"));
       }
       central[d] = graph.add(
           prefix + "/central/" + dn,
-          [this, &grads, &grad_x, &central_sinks, l, d] {
-            const DeviceGraph& device = dist_.devices[d];
-            model_.layer(l).backward_rows(device, grads[d], caches_[l][d],
-                                          grad_x[d], central_sinks[d],
-                                          device.central_span(),
-                                          bwd_scratch_[l][d]);
+          [this, &grads, &grad_x, &s, &ls, l] {
+            model_.layer(l).backward_rows(s.graph, grads[s.id], ls.cache,
+                                          grad_x[s.id], ls.central_sinks,
+                                          s.graph.central_span(),
+                                          ls.bwd_scratch);
           },
           {marginal[d]}, std::move(acc));
     }
     for (int d = 0; d < num_devices_; ++d) {
-      const DeviceGraph& dev = dist_.devices[d];
       const std::string dn = indexed_label("d", d);
       // Assigner range trace: needs the complete local adjoint but must
       // precede the exchange's only mutation, the owner accumulate. The
@@ -472,50 +413,44 @@ DistTrainer::LayerGraph& DistTrainer::backward_graph(int l) {
       // traces on epochs whose plan refresh reads the ranges.
       AccessList acc;
       if (analysis::racecheck_enabled()) {
-        acc.push_back(rc_row_range(grad_x[d], 0, dev.num_local(), kRcRead,
-                                   "grad[" + dn + "].local_rows"));
-        acc.push_back(analysis::read_of(&trace_ranges_, sizeof(trace_ranges_),
-                                        "trace_gate"));
-        acc.push_back(analysis::write_of(&bwd_ranges_[l][d],
-                                         sizeof(bwd_ranges_[l][d]),
-                                         "bwd_ranges[" + dn + "]"));
+        acc.push_back(row_range(grad_x[d], 0, dist_.devices[d].num_local(),
+                                kRcRead, "grad[" + dn + "].local_rows"));
+        acc.push_back(rc_read(trace_ranges_, "trace_gate"));
+        acc.push_back(rc_write(g.ranges[d], "bwd_ranges[" + dn + "]"));
       }
       trace[d] = graph.add(
           prefix + "/trace/" + dn,
-          [this, &grad_x, l, d] {
-            if (trace_ranges_)
-              row_ranges_of_into(grad_x[d], bwd_ranges_[l][d]);
+          [this, &grad_x, &g, d] {
+            if (trace_ranges_) row_ranges_of_into(grad_x[d], g.ranges[d]);
           },
           {central[d]}, std::move(acc));
     }
     deps.encode = marginal;   // halo rows are complete
     deps.accumulate = trace;  // owner's own writes and the trace are done
   }
-  pipeline::add_backward_exchange_stages(graph, dist_, grad_x, bwd_plans_[l],
-                                        g.acct, deps);
+  pipeline::add_backward_exchange_stages(graph, dist_, grad_x, g.plan, g.acct,
+                                         deps);
 
   if (overlap_) {
     // Shared parameter-gradient fold: one serial stage, concurrent with the
     // wire stages, in fixed device-then-subset order.
     AccessList fold_acc;
     if (analysis::racecheck_enabled()) {
-      fold_acc.push_back(analysis::write_of(&layer, sizeof(layer), "layer"));
-      for (int d = 0; d < num_devices_; ++d) {
-        const std::string dn = indexed_label("d", d);
-        fold_acc.push_back(analysis::read_of(&marginal_sinks[d],
-                                             sizeof(marginal_sinks[d]),
-                                             "marginal_sinks[" + dn + "]"));
-        fold_acc.push_back(analysis::read_of(&central_sinks[d],
-                                             sizeof(central_sinks[d]),
-                                             "central_sinks[" + dn + "]"));
+      fold_acc.push_back(rc_write(layer, "layer"));
+      for (const DeviceState& s : devices_) {
+        const std::string dn = indexed_label("d", s.id);
+        fold_acc.push_back(
+            rc_read(s.layers[l].sinks, "marginal_sinks[" + dn + "]"));
+        fold_acc.push_back(
+            rc_read(s.layers[l].central_sinks, "central_sinks[" + dn + "]"));
       }
     }
     graph.add(
         prefix + "/fold",
-        [this, &marginal_sinks, &central_sinks, l] {
-          for (int d = 0; d < num_devices_; ++d) {
-            model_.layer(l).apply_grads(marginal_sinks[d]);
-            model_.layer(l).apply_grads(central_sinks[d]);
+        [this, l] {
+          for (const DeviceState& s : devices_) {
+            model_.layer(l).apply_grads(s.layers[l].sinks);
+            model_.layer(l).apply_grads(s.layers[l].central_sinks);
           }
         },
         central, std::move(fold_acc));
@@ -537,9 +472,9 @@ void DistTrainer::finish_layer_graph(const LayerGraph& g, int layer,
                                      bool forward) {
   // Figures derive from the plan the round was encoded at: PipeGCN's plans
   // stay 32-bit while its rounds are in flight.
-  pipeline::finalize_exchange_stats_into(
-      g.acct, dist_, forward ? fwd_plans_[layer] : bwd_plans_[layer],
-      model_.layer_in_dim(layer), cluster_, stats_scratch_);
+  pipeline::finalize_exchange_stats_into(g.acct, dist_, g.plan,
+                                         model_.layer_in_dim(layer), cluster_,
+                                         stats_scratch_);
   total_comm_bytes_ += stats_scratch_.total_bytes();
   // Deferred traffic lands in the epoch row of the epoch that *joins* it
   // (one after the launch); the end-of-run drain past the last epoch only
@@ -608,38 +543,46 @@ EpochBreakdown DistTrainer::compose_time(int layer, bool backward,
 void DistTrainer::sancus_drift_pass(int l) {
   auto& fwd_send = fwd_graphs_[l]->acct.active;  // [sender][receiver]
   auto& bwd_send = bwd_graphs_[l]->acct.active;
-  for (int d = 0; d < num_devices_; ++d) {
+  for (DeviceState& s : devices_) {
     // This device's outgoing boundary rows (precomputed union view).
-    const std::span<const NodeId> boundary = dist_.devices[d].boundary_span();
-    Matrix& snapshot = sancus_snapshot_[l][d];
-    snapshot.reshape_uninit(boundary.size(), acts_[l][d].cols());
+    const std::span<const NodeId> boundary = s.graph.boundary_span();
+    const Matrix& x = acts_[l][s.id];
+    Matrix& snapshot = s.layers[l].sancus_snapshot;
+    snapshot.reshape_uninit(boundary.size(), x.cols());
     for (std::size_t i = 0; i < boundary.size(); ++i) {
-      const auto src = acts_[l][d].row(boundary[i]);
+      const auto src = x.row(boundary[i]);
       std::copy(src.begin(), src.end(), snapshot.row(i).begin());
     }
+    DeviceState::SancusHistory& history = s.sancus[l];
     bool bcast = true;
-    if (sancus_staleness_[l][d] < opts_.sancus_max_staleness &&
-        sancus_last_bcast_[l][d].same_shape(snapshot)) {
-      const double base = sancus_last_bcast_[l][d].frobenius_norm();
-      Matrix& diff = sancus_diff_[l][d];
-      diff = snapshot;
-      diff.axpy_inplace(-1.0f, sancus_last_bcast_[l][d]);
-      const double drift = diff.frobenius_norm() / (base + 1e-12);
+    if (history.staleness < opts_.sancus_max_staleness &&
+        history.last_bcast.same_shape(snapshot)) {
+      // ||snapshot - last||, row-major: float differences (axpy(-1)'s bits)
+      // squared and summed in double, as frobenius_norm() does.
+      const float* now = snapshot.data();
+      const float* last = history.last_bcast.data();
+      double sq = 0.0;
+      for (std::size_t i = 0; i < snapshot.size(); ++i) {
+        const float diff = now[i] - last[i];
+        sq += static_cast<double>(diff) * diff;
+      }
+      const double base = history.last_bcast.frobenius_norm();
+      const double drift = std::sqrt(sq) / (base + 1e-12);
       bcast = drift > opts_.sancus_drift_threshold;
     }
     if (bcast) {
-      sancus_staleness_[l][d] = 0;
-      sancus_last_bcast_[l][d] = snapshot;
+      history.staleness = 0;
+      history.last_bcast = snapshot;
     } else {
-      sancus_staleness_[l][d]++;
+      history.staleness++;
     }
     // Forward: d ships its rows to every peer only when it broadcasts.
     // Backward: remote gradients only flow toward owners that broadcast
     // fresh embeddings this epoch; contributions to stale owners are dropped
     // (the gradient bias that slows SANCUS's convergence).
     for (int p = 0; p < num_devices_; ++p) {
-      fwd_send[d][p] = bcast;
-      bwd_send[p][d] = bcast;
+      fwd_send[s.id][p] = bcast;
+      bwd_send[p][s.id] = bcast;
     }
   }
 }
@@ -659,27 +602,26 @@ EpochBreakdown DistTrainer::forward_layer(int l) {
     // layer, so each layer's breakdown reports its own exchange regardless
     // of where the join happened.
     const auto join = [&](int slot) {
-      pipegcn_joined_comm_[slot] +=
-          join_deferred(*fwd_graphs_[slot], slot, /*forward=*/true);
+      LayerGraph& g = *fwd_graphs_[slot];
+      g.joined_comm += join_deferred(g, slot, /*forward=*/true);
     };
     join(l);
     if (l + 1 < num_layers_) join(l + 1);
-    joined_comm = pipegcn_joined_comm_[l];
-    pipegcn_joined_comm_[l] = 0.0;
+    joined_comm = std::exchange(fwd_graphs_[l]->joined_comm, 0.0);
   }
   // Trace input ranges for the assigner before any halo row of this layer's
   // input is rewritten — only on epochs whose plan refresh reads them.
   if (trace_ranges_)
-    run_device_tasks([&](int d) {
-      row_ranges_of_into(acts_[l][d], fwd_ranges_[l][d]);
+    run_device_tasks([&](DeviceState& s) {
+      row_ranges_of_into(acts_[l][s.id], fwd_graphs_[l]->ranges[s.id]);
     });
 
   const auto whole_rows = [&] {
     // Each simulated device's layer compute is one task on the pool: it
     // touches only its own activations, cache and Rng stream.
-    run_device_tasks([&](int d) {
-      model_.layer(l).forward(dist_.devices[d], acts_[l][d], acts_[l + 1][d],
-                              caches_[l][d], device_rngs_[d],
+    run_device_tasks([&](DeviceState& s) {
+      model_.layer(l).forward(s.graph, acts_[l][s.id], acts_[l + 1][s.id],
+                              s.layers[l].cache, device_rngs_[s.id],
                               /*training=*/true);
     });
   };
@@ -688,7 +630,7 @@ EpochBreakdown DistTrainer::forward_layer(int l) {
     // boundary, overlapping the rest of last epoch (later layers, backward,
     // Adam, evaluation) and this epoch's earlier layers; its comm time hides
     // inside computation. Ship this epoch's (already-consumed) inputs the
-    // same way, so next epoch's halos are one epoch stale. fwd_plans_[l]
+    // same way, so next epoch's halos are one epoch stale. The graph's plan
     // stays uniform 32-bit for PipeGCN, stable while the round is in flight.
     whole_rows();
     launch_deferred(forward_graph(l));
@@ -709,30 +651,27 @@ EpochBreakdown DistTrainer::forward_pass(double& loss) {
   EpochBreakdown total;
   for (int l = 0; l < num_layers_; ++l) total.accumulate(forward_layer(l));
 
-  // One loss pass per device, concurrently: the value goes to device_loss_
-  // (reduced in ascending device order below) and the gradient wrt the
+  // One loss pass per device, concurrently: the value goes to the device's
+  // loss (reduced in ascending device order below) and the gradient wrt the
   // logits to grad_flow_[0], where backward_pass starts. At layer l the
   // incoming gradient lives in grad_flow_[(num_layers_-1-l) % 2] and the
   // input gradient in the other — fixed per layer across epochs, which is
   // what lets the persistent exchanges and stage graphs bind them once.
   std::vector<Matrix>& logits_grad = grad_flow_[0];
-  run_device_tasks([&](int d) {
-    Matrix& g = logits_grad[d];
+  run_device_tasks([&](DeviceState& s) {
+    const Matrix& logits = acts_[num_layers_][s.id];
+    Matrix& g = logits_grad[s.id];
     // reshape_zero, not uninit: the losses accumulate into their sink.
-    g.reshape_zero(acts_[num_layers_][d].rows(),
-                   acts_[num_layers_][d].cols());
-    if (!dataset_.spec.multi_label) {
-      device_loss_[d] = softmax_cross_entropy(
-          acts_[num_layers_][d], train_rows_[d], train_labels_[d],
-          global_train_count_, g, loss_scratch_[d]);
-    } else {
-      device_loss_[d] =
-          bce_with_logits(acts_[num_layers_][d], train_rows_[d],
-                          train_targets_[d], global_train_count_, g);
-    }
+    g.reshape_zero(logits.rows(), logits.cols());
+    s.loss = dataset_.spec.multi_label
+                 ? bce_with_logits(logits, s.train_rows, s.train_targets,
+                                   global_train_count_, g)
+                 : softmax_cross_entropy(logits, s.train_rows, s.train_labels,
+                                         global_train_count_, g,
+                                         s.loss_scratch);
   });
   loss = 0.0;
-  for (int d = 0; d < num_devices_; ++d) loss += device_loss_[d];
+  for (const DeviceState& s : devices_) loss += s.loss;
   loss /= global_train_count_;
   return total;
 }
@@ -745,9 +684,8 @@ EpochBreakdown DistTrainer::backward_layer(int l) {
   if (overlap) {
     // Zero-initialized: the row-subset adjoints accumulate, and the
     // exchange stage builder validates shapes at graph-build time.
-    for (int d = 0; d < num_devices_; ++d)
-      grad_x[d].reshape_zero(dist_.devices[d].num_local(),
-                             model_.layer_in_dim(l));
+    for (const DeviceState& s : devices_)
+      grad_x[s.id].reshape_zero(s.graph.num_local(), model_.layer_in_dim(l));
   } else {
     // Whole-row backward (the adjoint over every owned row) into per-device
     // gradient sinks, concurrently; the shared parameter gradients are then
@@ -756,16 +694,16 @@ EpochBreakdown DistTrainer::backward_layer(int l) {
     // computing it.
     const GnnLayer& layer = model_.layer(l);
     const InputGrad input_grad = l > 0 ? InputGrad::kCompute : InputGrad::kSkip;
-    run_device_tasks([&](int d) {
-      const DeviceGraph& dev = dist_.devices[d];
+    run_device_tasks([&](DeviceState& s) {
+      DeviceState::LayerScratch& ls = s.layers[l];
       if (input_grad == InputGrad::kCompute)
-        grad_x[d].reshape_zero(dev.num_local(), model_.layer_in_dim(l));
-      layer.backward_rows(dev, grads[d], caches_[l][d], grad_x[d],
-                          bwd_sinks_[l][d], dev.owned_span(),
-                          bwd_scratch_[l][d], input_grad);
+        grad_x[s.id].reshape_zero(s.graph.num_local(), model_.layer_in_dim(l));
+      layer.backward_rows(s.graph, grads[s.id], ls.cache, grad_x[s.id],
+                          ls.sinks, s.graph.owned_span(), ls.bwd_scratch,
+                          input_grad);
     });
-    for (int d = 0; d < num_devices_; ++d)
-      model_.layer(l).apply_grads(bwd_sinks_[l][d]);
+    for (const DeviceState& s : devices_)
+      model_.layer(l).apply_grads(s.layers[l].sinks);
     EpochBreakdown bd;
     bd.comp = max_compute_seconds(l, /*backward=*/true,
                                   &DeviceGraph::owned_span);
@@ -774,8 +712,8 @@ EpochBreakdown DistTrainer::backward_layer(int l) {
     // Trace gradient ranges for the assigner before any mutation, on the
     // epochs whose plan refresh reads them.
     if (trace_ranges_)
-      run_device_tasks([&](int d) {
-        row_ranges_of_into(grad_x[d], bwd_ranges_[l][d]);
+      run_device_tasks([&](DeviceState& s) {
+        row_ranges_of_into(grad_x[s.id], bwd_graphs_[l]->ranges[s.id]);
       });
     if (policy.defer) {
       bd.comm = pipegcn_backward(l, grad_x);
@@ -797,26 +735,24 @@ EpochBreakdown DistTrainer::backward_pass() {
 
 double DistTrainer::pipegcn_backward(int l, std::vector<Matrix>& grad_x) {
   // Stale gradient pipeline as cross-iteration stages: the halo-row
-  // gradients computed this epoch are staged into the persistent per-layer
-  // scratch and shipped by an exchange that stays in flight while the
+  // gradients computed this epoch are staged into the graph's persistent
+  // staging and shipped by an exchange that stays in flight while the
   // remaining backward layers, Adam, evaluation and the next epoch's forward
   // run. Last epoch's in-flight exchange is joined here — its arrivals
-  // (accumulated into the scratch owned rows by the bwd-acc stages) are the
+  // (accumulated into the staging owned rows by the bwd-acc stages) are the
   // remote contributions this epoch's owned rows receive.
-  LayerGraph& g = backward_graph(l);  // binds pipegcn_bwd_scratch_[l]
+  LayerGraph& g = backward_graph(l);  // binds g.staging
   const bool had_pending = g.pending;
   const double comm = join_deferred(g, l, /*forward=*/false);
-  std::vector<Matrix>& scratch = pipegcn_bwd_scratch_[l];
   // One pool task per device: the layer's backward round has joined, and
   // the forward rounds still in flight touch only acts_. Owned rows come
   // first and rows are contiguous, so each step is one flat span.
   const simd::KernelTable& kt = simd::kernels();
-  run_device_tasks([&](int d) {
-    const DeviceGraph& dev = dist_.devices[d];
-    float* gx = grad_x[d].data();
-    float* staged = scratch[d].data();
-    const std::size_t owned = dev.num_owned * grad_x[d].cols();
-    const std::size_t local = dev.num_local() * grad_x[d].cols();
+  run_device_tasks([&](DeviceState& s) {
+    float* gx = grad_x[s.id].data();
+    float* staged = g.staging[s.id].data();
+    const std::size_t owned = s.graph.num_owned * grad_x[s.id].cols();
+    const std::size_t local = s.graph.num_local() * grad_x[s.id].cols();
     if (had_pending) kt.ef_fold(gx, staged, gx, owned);
     // Re-stage: zero the owned rows the next exchange accumulates into and
     // copy this epoch's outbound halo contributions.
@@ -913,19 +849,19 @@ void DistTrainer::refresh_plans() {
       const Aggregator agg = model_.config().aggregator;
       for (int l = 0; l < num_layers_; ++l) {
         AssignReport report;
-        fwd_plans_[l] = assign_bit_widths(dist_, cluster_, agg,
-                                          Direction::kForward, fwd_ranges_[l],
-                                          model_.layer_in_dim(l),
-                                          opts_.assigner, &report);
+        LayerGraph& g = *fwd_graphs_[l];
+        g.plan = assign_bit_widths(dist_, cluster_, agg, Direction::kForward,
+                                   g.ranges, model_.layer_in_dim(l),
+                                   opts_.assigner, &report);
         assign_seconds_ +=
             report.solve_wall_seconds + report.sim_gather_scatter_seconds;
       }
       for (int l = 1; l < num_layers_; ++l) {
         AssignReport report;
-        bwd_plans_[l] = assign_bit_widths(dist_, cluster_, agg,
-                                          Direction::kBackward, bwd_ranges_[l],
-                                          model_.layer_in_dim(l),
-                                          opts_.assigner, &report);
+        LayerGraph& g = *bwd_graphs_[l];
+        g.plan = assign_bit_widths(dist_, cluster_, agg, Direction::kBackward,
+                                   g.ranges, model_.layer_in_dim(l),
+                                   opts_.assigner, &report);
         assign_seconds_ +=
             report.solve_wall_seconds + report.sim_gather_scatter_seconds;
       }
@@ -933,10 +869,10 @@ void DistTrainer::refresh_plans() {
     }
     case PlanKind::kUniformRandom:
       for (int l = 0; l < num_layers_; ++l)
-        fwd_plans_[l] =
+        fwd_graphs_[l]->plan =
             sample_uniform_plan(dist_, Direction::kForward, master_rng_);
       for (int l = 1; l < num_layers_; ++l)
-        bwd_plans_[l] =
+        bwd_graphs_[l]->plan =
             sample_uniform_plan(dist_, Direction::kBackward, master_rng_);
       return;
   }
@@ -1068,8 +1004,16 @@ std::pair<double, double> DistTrainer::evaluate() {
   // notably PipeGCN's stale halos — untouched). The exchange derives its
   // per-pair streams from a private copy of the device streams, so training
   // draws the same numbers with evaluation on or off; 32-bit messages are
-  // never rounded, so the copy changes no evaluation result either.
-  std::vector<Matrix> x = features_;
+  // never rounded, so the copy changes no evaluation result either. Only the
+  // owned feature rows are copied: a PipeGCN round launched this epoch may
+  // still be decoding into acts_[0]'s halo rows, and the 32-bit layer-0
+  // exchange below rewrites every halo row with its owner's exact bits.
+  std::vector<Matrix> x;
+  for (const DeviceState& s : devices_) {
+    const Matrix& features = acts_[0][s.id];
+    std::copy_n(features.data(), s.graph.num_owned * features.cols(),
+                x.emplace_back(features.rows(), features.cols()).data());
+  }
   std::vector<Rng> rngs = device_rngs_;
   const ExchangePlan plan32 = ExchangePlan::uniform_forward(dist_, 32);
   std::vector<LayerCache> scratch(num_devices_);
@@ -1081,11 +1025,11 @@ std::pair<double, double> DistTrainer::evaluate() {
     graph.run(async_pipeline_);
     std::vector<Matrix> next;
     next.reserve(num_devices_);
-    for (int d = 0; d < num_devices_; ++d)
-      next.emplace_back(dist_.devices[d].num_local(), model_.layer_out_dim(l));
-    run_device_tasks([&](int d) {
-      model_.layer(l).forward(dist_.devices[d], x[d], next[d], scratch[d],
-                              device_rngs_[d], /*training=*/false);
+    for (const DeviceGraph& dev : dist_.devices)
+      next.emplace_back(dev.num_local(), model_.layer_out_dim(l));
+    run_device_tasks([&](DeviceState& s) {
+      model_.layer(l).forward(s.graph, x[s.id], next[s.id], scratch[s.id],
+                              device_rngs_[s.id], /*training=*/false);
     });
     x = std::move(next);
   }
@@ -1161,8 +1105,8 @@ RunResult DistTrainer::run() {
     for (int l = 0; l < num_layers_; ++l) {
       tail.comm += join_deferred(*fwd_graphs_[l], l, /*forward=*/true);
       tail.comm += join_deferred(*bwd_graphs_[l], l, /*forward=*/false);
+      fwd_graphs_[l]->joined_comm = 0.0;
     }
-    pipegcn_joined_comm_.assign(num_layers_, 0.0);
     if (tail.comm > 0.0) {
       tail.total = tail.comm;
       result.epochs.back().time.accumulate(tail);

@@ -57,6 +57,12 @@
 // schedule. Both modes (and any thread count, and any ADAQP_ISA) are
 // bit-identical, enforced by tests/test_pipeline.cpp. Setting ADAQP_TRACE to
 // a path makes run() record a Chrome trace of the stages.
+//
+// State: each simulated device owns one DeviceState and each (layer,
+// direction) LayerGraph owns its exchange's plan, ranges and staging; only
+// the exchange operands (acts_, grad_flow_) and the RNG streams stay
+// device-indexed vectors, the shape the exchange builders take. The comment
+// above DistTrainer's members lists what carries across epochs.
 #pragma once
 
 #include <functional>
@@ -153,6 +159,9 @@ struct RunResult {
   std::size_t total_comm_bytes = 0;
 };
 
+/// Test access to DistTrainer's per-device state (tests/test_training.cpp).
+struct DistTrainerTestPeer;
+
 class DistTrainer {
  public:
   DistTrainer(const Dataset& dataset, const DistGraph& dist,
@@ -195,19 +204,35 @@ class DistTrainer {
   const obs::RunCapture& run_capture() const { return capture_; }
 
  private:
+  friend struct DistTrainerTestPeer;
+
   /// One layer's halo exchange in one direction: a persistent stage graph,
   /// built on first use (warmup epoch) and re-armed in place every later
-  /// epoch, plus the accounting its stages write. Overlapping methods add
-  /// the layer's compute stages to the same graph; PipeGCN launches its
-  /// exchange-only graphs in one epoch and joins them in the next.
+  /// epoch, plus the accounting its stages write and the per-exchange state
+  /// they read. Overlapping methods add the layer's compute stages to the
+  /// same graph; PipeGCN launches its exchange-only graphs in one epoch and
+  /// joins them in the next.
   struct LayerGraph {
     pipeline::StageGraph graph;
     pipeline::ExchangeAccounting acct;
+    /// Read by reference at run time, so a refresh needs no rebuild; 32-bit
+    /// (and so stable under a deferred round) until a quantizing refresh.
+    ExchangePlan plan;
+    /// [device] traced row ranges, read by the assigner's refresh.
+    std::vector<std::vector<float>> ranges;
+    /// PipeGCN backward, [device]: what its deferred round binds instead of
+    /// the gradient ping-pong. Halo rows: this epoch's outbound gradients;
+    /// owned rows: the in-flight round's arrivals, harvested at the join.
+    std::vector<Matrix> staging;
+    /// PipeGCN forward: a joined round's comm seconds, kept until this
+    /// layer's forward consumes them (joins can happen one layer early).
+    double joined_comm = 0.0;
     bool built = false;
     bool pending = false;   ///< deferred round armed, not yet joined
     double launch_us = 0.0;  ///< arm stamp for the join-latency histogram
 
-    LayerGraph() = default;
+    /// Claims the graph's transport channel.
+    LayerGraph(ExchangePlan initial_plan, int num_devices);
     LayerGraph(const LayerGraph&) = delete;
     LayerGraph& operator=(const LayerGraph&) = delete;
     /// Joins a still-launched deferred round, so a trainer destroyed
@@ -216,17 +241,59 @@ class DistTrainer {
     ~LayerGraph();
   };
 
+  /// What one simulated device holds of its own, grouped by lifetime.
+  struct DeviceState {
+    /// Per-epoch scratch of one layer.
+    struct LayerScratch {
+      LayerCache cache;  ///< its agg_plan: built once from the topology
+      /// Parameter-gradient partials: the whole-row backward, or the
+      /// overlapped marginal rows, write `sinks`; central rows the other.
+      LayerGrads sinks;
+      LayerGrads central_sinks;
+      /// Shared by both row subsets: a device's central stage depends on
+      /// its marginal stage.
+      LayerBackwardScratch bwd_scratch;
+      Matrix sancus_snapshot;  ///< SANCUS: this epoch's boundary rows
+    };
+    /// SANCUS history of one layer input.
+    struct SancusHistory {
+      Matrix last_bcast;  ///< boundary rows at the last broadcast
+      int staleness = 1 << 20;  ///< epochs since then (first epoch: stale)
+    };
+
+    DeviceState(const DeviceGraph& device, int index, const Dataset& dataset,
+                std::span<const std::uint8_t> is_train, const GnnModel& model,
+                bool drift_skip);
+
+    const DeviceGraph& graph;
+    const int id;
+
+    // Static inputs, built here and never written again.
+    std::vector<std::uint32_t> train_rows;  ///< local owned ids
+    std::vector<std::int32_t> train_labels;
+    Matrix train_targets;                   ///< multi-label targets
+
+    // Per-epoch scratch: every epoch writes each buffer before reading it.
+    // Sized here where the shape is known, else grown by the warmup epoch.
+    std::vector<LayerScratch> layers;  ///< [layer]
+    std::vector<double> loss_scratch;
+    double loss = 0.0;  ///< this epoch's summed loss over train_rows
+
+    // Cross-epoch history.
+    std::vector<SancusHistory> sancus;  ///< [layer]; empty unless SANCUS
+  };
+
   void refresh_plans();
   EpochBreakdown forward_pass(double& loss);
   EpochBreakdown backward_pass();
 
-  /// Run fn(d) for every device as one task group on the runtime pool.
-  /// Templated so per-epoch calls build no std::function (part of the
+  /// Run fn(DeviceState&) for every device as one task group on the runtime
+  /// pool. Templated so per-epoch calls build no std::function (part of the
   /// zero-allocation steady-state contract, docs/ARCHITECTURE.md).
   template <typename Fn>
-  void run_device_tasks(const Fn& fn) const {
-    parallel_for_each(static_cast<std::size_t>(num_devices_),
-                      [&fn](std::size_t d) { fn(static_cast<int>(d)); });
+  void run_device_tasks(const Fn& fn) {
+    parallel_for_each(devices_.size(),
+                      [this, &fn](std::size_t d) { fn(devices_[d]); });
   }
 
   /// Exchange + compute of layer l (its input is acts_[l]); returns the
@@ -238,8 +305,7 @@ class DistTrainer {
   /// input gradient.
   EpochBreakdown backward_layer(int l);
 
-  /// The layer graphs, built on first use. Stage bodies read the plans
-  /// through stable references, so plan refreshes need no rebuild.
+  /// The layer graphs, built on first use.
   LayerGraph& forward_graph(int l);
   LayerGraph& backward_graph(int l);
 
@@ -305,6 +371,24 @@ class DistTrainer {
   /// (core/timing.h), maxed over devices.
   double max_compute_seconds(int layer, bool backward, RowSpan rows) const;
 
+  // ---- Run state: what carries from one epoch into the next ---------------
+  // Everything else is rebuilt from (config, dataset, partition) or is
+  // per-epoch scratch that every epoch rewrites before reading it.
+  //  - model_'s parameters and adam_'s moments and step count;
+  //  - master_rng_ (uniform-random plans) and device_rngs_ (dropout masks,
+  //    per-pair rounding keys);
+  //  - epoch_ (the refresh phase) and each LayerGraph's plan;
+  //  - SANCUS: each DeviceState's sancus history, and the halo rows of
+  //    acts_[l] that a skipping pair left in place. A pair that skips sends
+  //    no frame (its forward stage returns early), so the receiver's halo
+  //    rows keep the last broadcast they got;
+  //  - PipeGCN: pipegcn_warm_, the launched (pending) deferred rounds, the
+  //    stale halo rows of acts_[l] they deliver, each backward LayerGraph's
+  //    staging and each forward LayerGraph's joined_comm;
+  //  - observational totals: assign_seconds_, total_comm_bytes_,
+  //    last_layer1_pair_bytes_, each accounting's transport round ordinal
+  //    and capture_.
+
   const Dataset& dataset_;
   const DistGraph& dist_;
   ClusterSpec cluster_;
@@ -320,50 +404,18 @@ class DistTrainer {
   /// The method's overlap policy, on only when some device has halo rows:
   /// a layer with no wire pairs runs zero stages.
   bool overlap_ = false;
-
-  // Per-device static data.
-  std::vector<Matrix> features_;                 ///< local features (with halo)
-  std::vector<std::vector<std::uint32_t>> train_rows_;   ///< local owned ids
-  std::vector<std::vector<std::int32_t>> train_labels_;
-  std::vector<Matrix> train_targets_;            ///< multi-label targets
   double global_train_count_ = 0.0;
+
+  std::vector<DeviceState> devices_;  ///< fixed after construction
 
   // Activations: acts_[l][dev] is the input to layer l (l=0: features);
   // acts_[L][dev] holds the logits.
   std::vector<std::vector<Matrix>> acts_;
-  std::vector<std::vector<LayerCache>> caches_;  ///< [layer][device]
-
-  // Exchange plans per layer (forward) and per layer (backward).
-  std::vector<ExchangePlan> fwd_plans_;
-  std::vector<ExchangePlan> bwd_plans_;
-
-  // Traced row ranges (forward: per layer input; backward: per layer grad),
-  // read only by the assigner's plan refresh at the end of the same epoch.
-  std::vector<std::vector<std::vector<float>>> fwd_ranges_;  ///< [layer][dev]
-  std::vector<std::vector<std::vector<float>>> bwd_ranges_;
   /// Trace gate, set at the start of each train_epoch(): true exactly on
   /// the epochs that end in an assigner refresh. The persistent backward
   /// trace stages read it at run time.
   bool trace_ranges_ = false;
-
-  // PipeGCN state. The deferred exchanges are the layer graphs themselves,
-  // launched after a layer's compute (forward) or at its backward exchange
-  // point and joined lazily one epoch later. They read the shared
-  // fwd_plans_/bwd_plans_ entries, which stay the constructor's uniform
-  // 32-bit plans for this method, so the referenced plan is stable while a
-  // round is in flight. The backward graphs bind persistent per-layer
-  // scratch matrices instead of the gradient ping-pong (halo rows: this
-  // epoch's outbound contributions; owned rows: the arrivals accumulated by
-  // the in-flight round, harvested at join).
-  bool pipegcn_warm_ = false;
-  std::vector<std::vector<Matrix>> pipegcn_bwd_scratch_;  ///< [layer][device]
-  /// Comm seconds of joined forward exchanges, stashed per slot until the
-  /// slot's own layer consumes them (joins can happen one layer early).
-  std::vector<double> pipegcn_joined_comm_;
-
-  // SANCUS state: snapshot of owned rows at last broadcast per layer input.
-  std::vector<std::vector<Matrix>> sancus_last_bcast_;  ///< [layer][device]
-  std::vector<std::vector<int>> sancus_staleness_;      ///< [layer][device]
+  bool pipegcn_warm_ = false;  ///< PipeGCN: the forward defers from now on
 
   int epoch_ = 0;
   bool async_pipeline_ = true;  ///< resolved from ADAQP_ASYNC at construction
@@ -372,8 +424,9 @@ class DistTrainer {
   std::vector<std::vector<std::size_t>> last_layer1_pair_bytes_;
 
   // ---- Memory subsystem (zero-allocation steady state) --------------------
-  // Every scratch buffer below is a plain member, sized at construction or
-  // first grown during the warmup epoch; steady-state epochs only reuse it.
+  // Every scratch buffer is a plain member (here, in DeviceState or in a
+  // LayerGraph), sized at construction or first grown during the warmup
+  // epoch; steady-state epochs only reuse it.
   std::vector<Param*> params_;   ///< cached model_.params() (stable set)
   std::size_t grad_bytes_ = 0;   ///< cached model_.grad_bytes()
   ExchangeStats stats_scratch_;  ///< reusable stats sink (main thread only)
@@ -387,30 +440,10 @@ class DistTrainer {
   // without allocating.
   obs::RunCapture capture_;
 
-  // Loss scratch; each device task writes only its own entries.
-  std::vector<std::vector<double>> loss_scratch_;  ///< per device
-  std::vector<double> device_loss_;                ///< per device
-
   // Backward activation-gradient ping-pong. The parity of the buffer that
   // holds layer l's incoming gradient is fixed ((num_layers-1-l) & 1), so
   // the persistent backward stage graphs can capture these by reference.
   std::vector<std::vector<Matrix>> grad_flow_;    ///< [parity][device]
-
-  // Persistent per-(layer, device) parameter-gradient sinks and backward
-  // temporaries: the whole-row backward (backward_rows over every owned
-  // row) writes bwd_sinks_; the overlapped backward writes its marginal-row
-  // partials there and its central-row partials into central_sinks_. One
-  // bwd_scratch_ entry (staging matrices and the transposed weight) serves
-  // both subsets of a device, so its central stage depends on its marginal
-  // stage.
-  std::vector<std::vector<LayerGrads>> bwd_sinks_;
-  std::vector<std::vector<LayerGrads>> central_sinks_;
-  std::vector<std::vector<LayerBackwardScratch>> bwd_scratch_;
-
-  // SANCUS drift scratch, pre-sized at construction so no capacity is
-  // first grown in a steady-state epoch.
-  std::vector<std::vector<Matrix>> sancus_snapshot_;   ///< [layer][device]
-  std::vector<std::vector<Matrix>> sancus_diff_;       ///< [layer][device]
 
   // Evaluation's forward exchange accounting, shared by its layers (one
   // round each) on one transport channel claimed at construction, after the
@@ -420,8 +453,8 @@ class DistTrainer {
   // The per-(layer, direction) stage graphs; each claims its own transport
   // channel at construction, in layer order, forward before backward.
   // Declared last so they are destroyed (and a pending PipeGCN round
-  // therefore joined) before the activation / scratch / plan members their
-  // stages reference.
+  // therefore joined) before the device state and activations their stages
+  // reference.
   std::vector<std::unique_ptr<LayerGraph>> fwd_graphs_;
   std::vector<std::unique_ptr<LayerGraph>> bwd_graphs_;
 };

@@ -75,13 +75,6 @@ using analysis::BufferAccess;
 constexpr auto kRead = BufferAccess::Mode::kRead;
 constexpr auto kWrite = BufferAccess::Mode::kWrite;
 
-void add_rows(AccessList& out, const Matrix& m,
-              const std::vector<NodeId>& rows, BufferAccess::Mode mode,
-              const std::string& label) {
-  analysis::append_row_set(out, m.data(), m.cols() * sizeof(float),
-                           rows.data(), rows.size(), mode, label);
-}
-
 transport::FrameTag frame_tag(const ExchangeAccounting& acct,
                               std::uint8_t direction, int d, int p) {
   return {acct.channel, acct.round, direction, static_cast<std::uint8_t>(d),
@@ -113,7 +106,7 @@ void add_sender_slots(AccessList& out, const Matrix& src,
                       const std::string& rows_label, ExchangeAccounting& acct,
                       std::uint8_t direction, int d, int p,
                       const std::string& name) {
-  add_rows(out, src, rows, kRead, rows_label);
+  append_rows(out, src, rows, kRead, rows_label);
   out.push_back(analysis::write_of(&acct.blocks[d][p],
                                    sizeof(acct.blocks[d][p]), name + ".block"));
   out.push_back(analysis::write_of(&acct.pair_rngs[d][p],
@@ -136,6 +129,20 @@ void size_slots(ExchangeAccounting& acct, int n) {
 }
 
 }  // namespace
+
+void append_rows(AccessList& out, const Matrix& m,
+                 std::span<const NodeId> rows, BufferAccess::Mode mode,
+                 const std::string& label) {
+  analysis::append_row_set(out, m.data(), m.cols() * sizeof(float),
+                           rows.data(), rows.size(), mode, label);
+}
+
+BufferAccess row_range(const Matrix& m, std::size_t row_begin,
+                       std::size_t row_end, BufferAccess::Mode mode,
+                       std::string label) {
+  return analysis::row_range(m.data(), m.cols() * sizeof(float), row_begin,
+                             row_end, mode, std::move(label));
+}
 
 void ExchangeAccounting::warm(const DistGraph& dist, const ExchangePlan& plan,
                               bool forward, std::size_t cols) {
@@ -216,7 +223,7 @@ std::vector<std::vector<int>> add_forward_exchange_stages(
                          "x[d" + std::to_string(d) + "].boundary_rows(d" +
                              std::to_string(p) + ")",
                          acct, /*direction=*/0, d, p, name);
-        add_rows(acc, locals[p], dist.devices[p].recv_local[d], kWrite,
+        append_rows(acc, locals[p], dist.devices[p].recv_local[d], kWrite,
                  "x[d" + std::to_string(p) + "].halo_rows(d" +
                      std::to_string(d) + ")");
       }
@@ -306,7 +313,7 @@ void add_backward_exchange_stages(StageGraph& graph, const DistGraph& dist,
                                         sizeof(acct.blocks[d][p]),
                                         stage_name("bwd-enc", d, p) +
                                             ".block"));
-        add_rows(acc, grads[p], dist.devices[p].send_local[d], kWrite,
+        append_rows(acc, grads[p], dist.devices[p].send_local[d], kWrite,
                  "grad[d" + std::to_string(p) + "].boundary_rows(d" +
                      std::to_string(d) + ")");
         if (const void* slot = transport::active().pair_slot(

@@ -136,4 +136,15 @@ void finalize_exchange_stats_into(const ExchangeAccounting& acct,
                                   const ClusterSpec& cluster,
                                   ExchangeStats& stats);
 
+/// Race-checker annotations over a device matrix's rows, shared by the
+/// exchange builders and the trainer's compute stages: append the row set
+/// `rows` of `m` to `out`, or describe its rows [row_begin, row_end).
+void append_rows(analysis::AccessList& out, const Matrix& m,
+                 std::span<const NodeId> rows,
+                 analysis::BufferAccess::Mode mode, const std::string& label);
+analysis::BufferAccess row_range(const Matrix& m, std::size_t row_begin,
+                                 std::size_t row_end,
+                                 analysis::BufferAccess::Mode mode,
+                                 std::string label);
+
 }  // namespace adaqp::pipeline

@@ -2,12 +2,16 @@
 // accounting. These are the integration tests over the whole stack.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/trainer.h"
+#include "pipeline/config.h"
+#include "runtime/thread_pool.h"
 #include "transport/transport.h"
 
 namespace adaqp {
@@ -461,6 +465,86 @@ TEST(Evaluation, ClaimsNoTransportChannel) {
   const std::uint32_t before = transport::next_channel();
   for (int i = 0; i < 3; ++i) trainer.evaluate();
   EXPECT_EQ(transport::next_channel(), before + 1);
+}
+
+}  // namespace
+
+// Overwrites every DeviceState buffer that trainer.h files as per-epoch
+// scratch with NaN: the caches, both sink sets, the backward scratch, the
+// SANCUS snapshots, the loss scratch and the device loss.
+struct DistTrainerTestPeer {
+  static void poison_epoch_scratch(DistTrainer& trainer) {
+    constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+    for (DistTrainer::DeviceState& s : trainer.devices_) {
+      for (DistTrainer::DeviceState::LayerScratch& ls : s.layers) {
+        LayerCache& c = ls.cache;
+        LayerBackwardScratch& b = ls.bwd_scratch;
+        for (Matrix* m :
+             {&c.agg, &c.mean_nbr, &c.pre_norm, &c.ln.normalized, &c.pre_act,
+              &c.drop_mask, &c.self_scratch, &ls.sinks.weight,
+              &ls.sinks.weight_self, &ls.sinks.gamma, &ls.sinks.beta,
+              &ls.central_sinks.weight, &ls.central_sinks.weight_self,
+              &ls.central_sinks.gamma, &ls.central_sinks.beta, &b.dpre_act,
+              &b.dpre_norm, &b.dagg, &b.dself, &b.wt, &ls.sancus_snapshot})
+          m->fill(kNaN);
+        std::fill(c.ln.rstd.begin(), c.ln.rstd.end(), kNaN);
+      }
+      std::fill(s.loss_scratch.begin(), s.loss_scratch.end(),
+                std::numeric_limits<double>::quiet_NaN());
+      s.loss = std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+};
+
+namespace {
+
+// The per-epoch scratch group of DeviceState really is scratch: a trainer
+// whose scratch is overwritten with NaN after every epoch trains exactly
+// like an untouched one, for every method, on 4 threads with async stage
+// graphs (PipeGCN's deferred rounds stay in flight while it is poisoned).
+// SANCUS runs at drift 1.0, so pairs really skip.
+TEST(DeviceState, ScratchCarriesNothingAcrossEpochs) {
+  const int prev_threads = num_threads();
+  set_num_threads(4);
+  pipeline::set_async_override(1);
+  const Dataset ds = pin_dataset();
+  Rng rng(4242);
+  const auto part = MultilevelPartitioner().partition(ds.graph, 4, rng);
+  const DistGraph dist = build_dist_graph(ds.graph, part);
+  const ClusterSpec cluster = ClusterSpec::machines(2, 2);
+  ModelConfig mc;
+  mc.in_dim = ds.spec.feature_dim;
+  mc.hidden_dim = 16;
+  mc.out_dim = ds.num_classes();
+  mc.num_layers = 3;
+  mc.dropout = 0.5f;
+  for (const Method m : {Method::kVanilla, Method::kAdaQP,
+                         Method::kAdaQPUniform, Method::kPipeGCN,
+                         Method::kSancus}) {
+    TrainOptions opts;
+    opts.method = m;
+    opts.epochs = 6;
+    opts.seed = 31;
+    opts.reassign_period = 3;
+    opts.sancus_drift_threshold = 1.0;
+    DistTrainer clean(ds, dist, cluster, mc, opts);
+    DistTrainer poisoned(ds, dist, cluster, mc, opts);
+    for (int e = 0; e < opts.epochs; ++e) {
+      const EpochRecord want = clean.train_epoch();
+      const EpochRecord got = poisoned.train_epoch();
+      DistTrainerTestPeer::poison_epoch_scratch(poisoned);
+      const std::string at = method_name(m) + " epoch " + std::to_string(e);
+      EXPECT_EQ(bits_of(got.train_loss), bits_of(want.train_loss)) << at;
+      EXPECT_EQ(bits_of(got.val_acc), bits_of(want.val_acc)) << at;
+      EXPECT_EQ(bits_of(got.test_acc), bits_of(want.test_acc)) << at;
+      EXPECT_EQ(bits_of(got.time.comm), bits_of(want.time.comm)) << at;
+      EXPECT_EQ(bits_of(got.time.comp), bits_of(want.time.comp)) << at;
+      EXPECT_EQ(bits_of(got.time.quant), bits_of(want.time.quant)) << at;
+      EXPECT_EQ(bits_of(got.time.total), bits_of(want.time.total)) << at;
+    }
+  }
+  pipeline::set_async_override(-1);
+  set_num_threads(prev_threads);
 }
 
 }  // namespace
