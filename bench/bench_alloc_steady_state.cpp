@@ -1,6 +1,7 @@
 // Zero-allocation steady-state gate (docs/ARCHITECTURE.md, "Memory
 // subsystem"): runs every trainer method under the steady-state
-// configuration across async on/off and a thread sweep, and reports the
+// configuration across async on/off, a thread sweep and both transports the
+// contract covers (loopback, single-process TCP), and reports the
 // per-phase heap-allocation counts of the warm epochs measured by the
 // always-on counters behind ADAQP_ALLOC_TRACK. Any warm epoch with a
 // nonzero count is a regression: the process exits 1, which is the CI
@@ -19,6 +20,7 @@
 #include "pipeline/config.h"
 #include "runtime/thread_pool.h"
 #include "transport/loopback.h"
+#include "transport/tcp.h"
 #include "transport/transport.h"
 
 using namespace adaqp;
@@ -29,6 +31,7 @@ struct CaseResult {
   Method method;
   bool async;
   int threads;
+  bool tcp;
   int warm_epochs = 0;
   std::uint64_t warm_allocs = 0;  ///< summed over all warm epochs
   std::uint64_t warmup_allocs = 0;
@@ -48,15 +51,19 @@ class ThreadCountGuard {
   int prev_;
 };
 
-CaseResult run_case(const Dataset& ds, Method method, bool async,
-                    int threads) {
+CaseResult run_case(const Dataset& ds, Method method, bool async, int threads,
+                    bool tcp) {
   pipeline::AsyncModeGuard mode(async);
   ThreadCountGuard thread_guard(threads);
-  // The contract covers loopback delivery only (see
-  // memory::steady_state_definition()); pin it regardless of the
+  // The transports the contract covers (see
+  // memory::steady_state_definition()), pinned regardless of the
   // environment's ADAQP_TRANSPORT.
-  transport::ScopedTransport loopback(
-      std::make_unique<transport::LoopbackTransport>());
+  std::unique_ptr<transport::Transport> wire;
+  if (tcp)
+    wire = std::make_unique<transport::TcpTransport>(transport::TcpOptions{});
+  else
+    wire = std::make_unique<transport::LoopbackTransport>();
+  transport::ScopedTransport scoped(std::move(wire));
 
   Rng rng(4242);
   const auto part = MultilevelPartitioner().partition(ds.graph, 4, rng);
@@ -77,7 +84,7 @@ CaseResult run_case(const Dataset& ds, Method method, bool async,
   opts.eval_every_epoch = false;   // steady-state contract requirement
   DistTrainer trainer(ds, dist, cluster, mc, opts);
 
-  CaseResult r{method, async, threads};
+  CaseResult r{method, async, threads, tcp};
   for (int e = 0; e < opts.epochs; ++e) {
     trainer.train_epoch();
     const EpochAllocReport& report = trainer.last_alloc_report();
@@ -117,33 +124,38 @@ int main(int argc, char** argv) {
                             Method::kAdaQPUniform, Method::kPipeGCN,
                             Method::kSancus};
 
-  std::printf("%-14s %-6s %-8s %-12s %-12s %-14s\n", "method", "async",
-              "threads", "warm_epochs", "warm_allocs", "warmup_allocs");
+  std::printf("%-14s %-9s %-6s %-8s %-12s %-12s %-14s\n", "method",
+              "transport", "async", "threads", "warm_epochs", "warm_allocs",
+              "warmup_allocs");
   std::FILE* csv = nullptr;
   if (std::FILE* f = std::fopen("bench/out/alloc_steady_state.csv", "w")) {
     csv = f;
     std::fprintf(csv,
-                 "method,async,threads,warm_epochs,warm_allocs,"
+                 "method,transport,async,threads,warm_epochs,warm_allocs,"
                  "warmup_allocs\n");
   }
 
   bool failed = false;
   for (Method method : methods) {
-    for (bool async : {false, true}) {
-      for (int threads : thread_counts) {
-        const CaseResult r = run_case(ds, method, async, threads);
-        const std::string name = method_name(method);
-        std::printf("%-14s %-6d %-8d %-12d %-12llu %-14llu%s\n",
-                    name.c_str(), async ? 1 : 0, threads, r.warm_epochs,
-                    static_cast<unsigned long long>(r.warm_allocs),
-                    static_cast<unsigned long long>(r.warmup_allocs),
-                    r.warm_allocs != 0 ? "  <-- REGRESSION" : "");
-        if (csv)
-          std::fprintf(csv, "%s,%d,%d,%d,%llu,%llu\n", name.c_str(),
-                       async ? 1 : 0, threads, r.warm_epochs,
-                       static_cast<unsigned long long>(r.warm_allocs),
-                       static_cast<unsigned long long>(r.warmup_allocs));
-        if (r.warm_allocs != 0 || r.warm_epochs == 0) failed = true;
+    for (bool tcp : {false, true}) {
+      for (bool async : {false, true}) {
+        for (int threads : thread_counts) {
+          const CaseResult r = run_case(ds, method, async, threads, tcp);
+          const std::string name = method_name(method);
+          const char* wire = tcp ? "tcp" : "loopback";
+          std::printf("%-14s %-9s %-6d %-8d %-12d %-12llu %-14llu%s\n",
+                      name.c_str(), wire, async ? 1 : 0, threads,
+                      r.warm_epochs,
+                      static_cast<unsigned long long>(r.warm_allocs),
+                      static_cast<unsigned long long>(r.warmup_allocs),
+                      r.warm_allocs != 0 ? "  <-- REGRESSION" : "");
+          if (csv)
+            std::fprintf(csv, "%s,%s,%d,%d,%d,%llu,%llu\n", name.c_str(),
+                         wire, async ? 1 : 0, threads, r.warm_epochs,
+                         static_cast<unsigned long long>(r.warm_allocs),
+                         static_cast<unsigned long long>(r.warmup_allocs));
+          if (r.warm_allocs != 0 || r.warm_epochs == 0) failed = true;
+        }
       }
     }
   }

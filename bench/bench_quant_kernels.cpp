@@ -10,11 +10,19 @@
 // exchanged byte pays: the frame CRC-32 (twice per wire byte; one row per
 // ISA, since the kernel table's crc32 slot folds by PCLMULQDQ on x86) and
 // the delivery digest (LoopbackTransport::recv is the digest and nothing
-// else).
+// else). BM_TcpDeliver/<bytes>/<receivers> times one frame per receiver
+// through a single-process TcpTransport: send, socket, receive-side
+// reassembly, checksum and digest. With one receiver the sending thread
+// also receives (a round trip); with four, each receiver thread blocks on
+// its own slot while the main thread sends, so one polls and the rest wait
+// for a pump to queue their frame.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <barrier>
 #include <cstddef>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -24,6 +32,7 @@
 #include "tensor/matrix.h"
 #include "transport/frame.h"
 #include "transport/loopback.h"
+#include "transport/tcp.h"
 
 namespace {
 
@@ -142,6 +151,52 @@ void BM_WireChecksumLoopbackDeliver(benchmark::State& state) {
                           state.range(0));
 }
 
+void BM_TcpDeliver(benchmark::State& state) {
+  const auto bytes = make_bytes(static_cast<std::size_t>(state.range(0)));
+  const int receivers = static_cast<int>(state.range(1));
+  transport::TcpTransport tcp(transport::TcpOptions{});
+  // One slot per receiver; a slot's next frame is sent only after its
+  // previous one was received, as in the exchanges.
+  std::vector<transport::FrameTag> tags;
+  for (int i = 0; i < receivers; ++i)
+    tags.push_back({static_cast<std::uint32_t>(i), 0, 0,
+                    static_cast<std::uint8_t>(i), 7});
+  if (receivers == 1) {
+    for (auto _ : state) {
+      ++tags[0].round;
+      tcp.send(tags[0], bytes);
+      benchmark::DoNotOptimize(tcp.recv(tags[0], {}).data());
+    }
+  } else {
+    std::barrier sync(receivers + 1);
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> workers;
+    for (int i = 0; i < receivers; ++i)
+      workers.emplace_back([&, i] {
+        for (transport::FrameTag tag = tags[i];;) {
+          sync.arrive_and_wait();  // round armed
+          if (stop.load()) return;
+          ++tag.round;
+          benchmark::DoNotOptimize(tcp.recv(tag, {}).data());
+          sync.arrive_and_wait();  // round received
+        }
+      });
+    for (auto _ : state) {
+      sync.arrive_and_wait();
+      for (transport::FrameTag& tag : tags) {
+        ++tag.round;
+        tcp.send(tag, bytes);
+      }
+      sync.arrive_and_wait();
+    }
+    stop.store(true);
+    sync.arrive_and_wait();
+    for (std::thread& t : workers) t.join();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0) * receivers);
+}
+
 }  // namespace
 
 // Registered (not macro-declared) so every case can sweep the host's
@@ -177,6 +232,9 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("BM_WireChecksum/LoopbackDeliver",
                                BM_WireChecksumLoopbackDeliver)
       ->Arg(4096)->Arg(65536)->Arg(262144);
+  benchmark::RegisterBenchmark("BM_TcpDeliver", BM_TcpDeliver)
+      ->ArgsProduct({{4096, 65536, 1 << 20}, {1, 4}})
+      ->UseRealTime();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

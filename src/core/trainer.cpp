@@ -115,11 +115,13 @@ DistTrainer::LayerGraph::LayerGraph(ExchangePlan initial_plan,
 }
 
 DistTrainer::LayerGraph::~LayerGraph() {
-  if (!pending || !graph.launched()) return;
-  try {
-    graph.wait();
-  } catch (...) {
+  if (pending && graph.launched()) {
+    try {
+      graph.wait();
+    } catch (...) {
+    }
   }
+  transport::release_channel(acct.channel);
 }
 
 DistTrainer::DeviceState::DeviceState(const DeviceGraph& device, int index,
@@ -222,6 +224,8 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
   // use, and first use must not land inside a steady-state epoch.
   (void)obs::instruments();
 }
+
+DistTrainer::~DistTrainer() { transport::release_channel(eval_acct_.channel); }
 
 double DistTrainer::max_compute_seconds(int layer, bool backward,
                                         RowSpan rows) const {
@@ -865,7 +869,7 @@ void DistTrainer::refresh_plans() {
         assign_seconds_ +=
             report.solve_wall_seconds + report.sim_gather_scatter_seconds;
       }
-      return;
+      break;
     }
     case PlanKind::kUniformRandom:
       for (int l = 0; l < num_layers_; ++l)
@@ -874,7 +878,16 @@ void DistTrainer::refresh_plans() {
       for (int l = 1; l < num_layers_; ++l)
         bwd_graphs_[l]->plan =
             sample_uniform_plan(dist_, Direction::kBackward, master_rng_);
-      return;
+      break;
+  }
+  // Refit the staging to the new widths: a wire backend gives back receive
+  // buffers sized for the 32-bit warmup plan. No round is in flight here
+  // (quantizing methods do not defer).
+  for (int l = 0; l < num_layers_; ++l) {
+    const std::size_t cols = model_.layer_in_dim(l);
+    fwd_graphs_[l]->acct.warm(dist_, fwd_graphs_[l]->plan, true, cols);
+    if (l > 0)
+      bwd_graphs_[l]->acct.warm(dist_, bwd_graphs_[l]->plan, false, cols);
   }
 }
 

@@ -167,6 +167,8 @@ class DistTrainer {
   DistTrainer(const Dataset& dataset, const DistGraph& dist,
               const ClusterSpec& cluster, const ModelConfig& model_config,
               const TrainOptions& opts);
+  /// Releases the evaluation channel; each LayerGraph releases its own.
+  ~DistTrainer();
 
   /// Train for opts.epochs epochs; returns the full run record.
   RunResult run();

@@ -64,7 +64,14 @@ ExchangeStats run_one_shot(const DistGraph& dist, std::vector<Matrix>& mats,
     pipeline::add_backward_exchange_stages(graph, dist, mats, plan, acct);
   }
   const double start_us = obs::monotonic_us();
-  graph.run(parallel_exchange_ok());
+  try {
+    graph.run(parallel_exchange_ok());
+  } catch (...) {
+    transport::release_channel(acct.channel);
+    throw;
+  }
+  // One round per channel: the wire slots can go now.
+  transport::release_channel(acct.channel);
   obs::instruments().exchange_submit_to_join_us.record(obs::monotonic_us() -
                                                        start_us);
   ExchangeStats stats;

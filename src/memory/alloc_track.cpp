@@ -55,7 +55,9 @@ const char* steady_state_definition() {
   return "steady-state epoch = any epoch after the first that does not run "
          "a bit-width plan refresh, with evaluation, ADAQP_TRACE, "
          "ADAQP_RACECHECK and verbose reporting off, over a zero-allocation "
-         "transport (loopback; wire backends buffer by design)";
+         "transport (loopback, or single-process tcp, whose receive slots "
+         "reuse their buffers; multi-process tcp takes spare buffers for "
+         "frames a peer sends ahead)";
 }
 
 }  // namespace adaqp::memory

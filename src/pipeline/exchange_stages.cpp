@@ -154,8 +154,10 @@ void ExchangeAccounting::warm(const DistGraph& dist, const ExchangePlan& plan,
       if (p == d) continue;
       const auto& rows = forward ? dev.send_local[p] : dev.recv_local[p];
       if (rows.empty()) continue;
-      blocks[d][p].bytes.reserve(
-          encoded_wire_bytes(rows.size(), cols, plan.bits[d][p]));
+      const std::size_t bytes =
+          encoded_wire_bytes(rows.size(), cols, plan.bits[d][p]);
+      blocks[d][p].bytes.reserve(bytes);
+      transport::active().fit_slot(channel, forward ? 0 : 1, d, p, bytes);
     }
   }
   if (!forward) {

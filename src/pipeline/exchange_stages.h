@@ -77,8 +77,10 @@ struct ExchangeAccounting {
 
   /// Size the slot tables and pre-reserve every per-pair staging buffer for
   /// the message shapes the (dist, plan) pair implies — wire blocks at the
-  /// plan's current widths, backward decode staging at each owner's largest
-  /// inbound message. The stage builders call it, so a graph is built
+  /// plan's current widths (the transport's receive slots are fitted to
+  /// them, Transport::fit_slot), backward decode staging at each owner's
+  /// largest inbound message. Also called after a plan refresh, so a wire
+  /// backend gives back the 32-bit warmup plan's receive buffers. The stage builders call it, so a graph is built
   /// against sized storage; built while the plan is still the maximal
   /// uniform-32 warmup plan, the first *execution* of the exchange stages is
   /// already allocation-free, even if it is deferred into a steady-state

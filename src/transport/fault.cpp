@@ -126,8 +126,7 @@ void FaultInjectingTransport::drain_locked(const FrameTag& tag) {
   while (s.reader.next(header, payload)) {
     if (header.kind != FrameKind::kData)
       throw TransportError("transport: unexpected frame kind on fault pipe");
-    inbox_.push(header.tag, std::move(payload));
-    payload = {};
+    inbox_.push(header, payload);
   }
 }
 
@@ -174,16 +173,17 @@ std::span<const std::uint8_t> FaultInjectingTransport::recv(
   if (!inner_->local_delivery(tag)) return inner_->recv(tag, local);
   const double deadline =
       obs::monotonic_us() + static_cast<double>(spec_.timeout_ms) * 1000.0;
+  Inbox::Delivery got;
   for (;;) {
-    const std::vector<std::uint8_t>* p = nullptr;
+    bool found = false;
     {
       std::lock_guard<std::mutex> lk(mu_);
       drain_locked(tag);
-      p = inbox_.take(tag);
+      found = inbox_.take(tag, got);
       // The receiver demanding a held frame releases it immediately: the
       // reorder window is bounded by need, so holds can never deadlock a
       // schedule — only shuffle arrival order, which tag matching absorbs.
-      for (std::size_t i = 0; !p && i < held_.size(); ++i) {
+      for (std::size_t i = 0; !found && i < held_.size(); ++i) {
         const FrameTag& h = held_[i].tag;
         if (h.channel == tag.channel && h.round == tag.round &&
             h.direction == tag.direction && h.src == tag.src &&
@@ -194,7 +194,8 @@ std::span<const std::uint8_t> FaultInjectingTransport::recv(
         }
       }
     }
-    if (p) return account_delivery(tag, {p->data(), p->size()});
+    // FrameReader verified the checksum when it reassembled the frame.
+    if (found) return account_delivery(tag, got.payload);
     if (obs::monotonic_us() > deadline)
       throw TransportError(
           "transport: timed out after " + std::to_string(spec_.timeout_ms) +
@@ -216,6 +217,17 @@ const void* FaultInjectingTransport::pair_slot(std::uint32_t channel,
     return inner_->pair_slot(channel, direction, src, dst);
   std::lock_guard<std::mutex> lk(mu_);
   return inbox_.slot(channel, direction, src, dst);
+}
+
+void FaultInjectingTransport::release_channel(std::uint32_t channel) {
+  inner_->release_channel(channel);
+  std::lock_guard<std::mutex> lk(mu_);
+  inbox_.release_channel(channel);
+  std::erase_if(streams_, [channel](const auto& entry) {
+    return (entry.first >> 32) == channel;
+  });
+  std::erase_if(held_,
+                [channel](const Held& h) { return h.tag.channel == channel; });
 }
 
 }  // namespace adaqp::transport

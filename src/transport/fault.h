@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -62,6 +63,11 @@ class FaultInjectingTransport final : public Transport {
   }
   const void* pair_slot(std::uint32_t channel, std::uint8_t direction,
                         int src, int dst) override;
+  void fit_slot(std::uint32_t channel, std::uint8_t direction, int src,
+                int dst, std::size_t bytes) override {
+    inner_->fit_slot(channel, direction, src, dst, bytes);
+  }
+  void release_channel(std::uint32_t channel) override;
 
   /// Decorator stats fold in the wrapped backend's: non-local tags pass
   /// straight through to the inner transport, which accounts them itself,

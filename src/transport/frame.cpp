@@ -38,6 +38,10 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t seed) {
 void write_header(const FrameHeader& header,
                   std::span<const std::uint8_t> payload,
                   std::uint8_t out[kHeaderBytes]) {
+  if (payload.size() > kMaxPayloadBytes)
+    throw TransportError("transport: frame payload length " +
+                         std::to_string(payload.size()) + " exceeds " +
+                         std::to_string(kMaxPayloadBytes) + " bytes");
   put_u32(out, kFrameMagic);
   put_u16(out + 4, kFrameVersion);
   out[6] = static_cast<std::uint8_t>(header.kind);
@@ -88,6 +92,10 @@ FrameHeader parse_header(std::span<const std::uint8_t> bytes) {
   h.tag.src = bytes[16];
   h.tag.dst = bytes[17];
   h.payload_len = get_u32(bytes, 20);
+  if (h.payload_len > kMaxPayloadBytes)
+    throw TransportError("transport: frame payload length " +
+                         std::to_string(h.payload_len) + " exceeds " +
+                         std::to_string(kMaxPayloadBytes) + " bytes");
   return h;
 }
 

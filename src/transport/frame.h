@@ -19,6 +19,7 @@
 //   17     1    dst            receiver device id
 //   18     2    reserved       0
 //   20     4    payload_len    codec bytes that follow the header
+//                              (at most kMaxPayloadBytes)
 //   24     4    checksum       CRC-32 (IEEE) of header[0..24) with this
 //                              field zeroed, then the payload bytes
 //   28     ...  payload        the codec's EncodedBlock stream, verbatim
@@ -39,6 +40,9 @@ namespace adaqp::transport {
 inline constexpr std::uint32_t kFrameMagic = 0xADA9F7A3u;
 inline constexpr std::uint16_t kFrameVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 28;
+/// Largest payload a frame may declare: far above any halo message, far
+/// below what a corrupt length field could ask a receiver to allocate.
+inline constexpr std::uint32_t kMaxPayloadBytes = 256u << 20;
 
 /// Typed transport failure: framing violations, checksum mismatches,
 /// connect/receive timeouts (e.g. a fault-injected drop). Distinct from the
@@ -79,7 +83,8 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes,
 /// Fill the kHeaderBytes header of a frame carrying `payload`, checksum
 /// included, in place: no allocation and no copy of the payload, so a
 /// sender can put {out, payload} on the wire as two buffers.
-/// payload_len is taken from payload.size().
+/// payload_len is taken from payload.size(); a payload above
+/// kMaxPayloadBytes throws TransportError.
 void write_header(const FrameHeader& header,
                   std::span<const std::uint8_t> payload,
                   std::uint8_t out[kHeaderBytes]);
@@ -90,9 +95,9 @@ void write_frame(const FrameHeader& header,
                  std::vector<std::uint8_t>& out);
 
 /// Parse and validate the fixed-size header prefix of `bytes` (magic,
-/// version, kind; length/checksum are validated by verify_frame once the
-/// payload is present). Throws TransportError; never reads past
-/// kHeaderBytes.
+/// version, kind, and payload_len <= kMaxPayloadBytes; the checksum is
+/// validated by verify_frame once the payload is present). Throws
+/// TransportError; never reads past kHeaderBytes.
 FrameHeader parse_header(std::span<const std::uint8_t> bytes);
 
 /// Validate the checksum of a complete frame given its raw header bytes and

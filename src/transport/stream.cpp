@@ -1,3 +1,5 @@
+// lint:hot-path-file — the Inbox serves steady-state TCP delivery; every
+// growth call below is warmup-only there, or on the fault decorator's path.
 #include "transport/stream.h"
 
 #include <algorithm>
@@ -41,7 +43,7 @@ bool FrameReader::next(FrameHeader& header,
   const std::span<const std::uint8_t> body(buf_.data() + rd_ + kHeaderBytes,
                                            header.payload_len);
   verify_frame(head, body);
-  payload.assign(body.begin(), body.end());
+  payload.assign(body.begin(), body.end());  // lint:allow(hot-path-alloc) fault decorator only
   rd_ += kHeaderBytes + header.payload_len;
   if (rd_ == buf_.size()) {
     buf_.clear();
@@ -55,24 +57,71 @@ bool FrameReader::next(FrameHeader& header,
 
 // ---- Inbox ----------------------------------------------------------------
 
-void Inbox::push(const FrameTag& tag, std::vector<std::uint8_t>&& payload) {
-  queues_[tag_key(tag)].push_back(std::move(payload));
+Inbox::Slot& Inbox::begin(const FrameHeader& header,
+                          std::span<const std::uint8_t> head,
+                          bool reuse_delivered) {
+  const FrameTag& t = header.tag;
+  Slot& s = slots_[slot_key(t.channel, t.direction, t.src, t.dst)];
+  Frame& f = s.frames.emplace_back();  // lint:allow(hot-path-alloc) within capacity once warm
+  f.round = t.round;
+  std::copy(head.begin(), head.end(), f.head.begin());
+  if (reuse_delivered && s.delivered.capacity() != 0) {
+    f.bytes = std::move(s.delivered);
+  } else if (!s.spares.empty()) {
+    f.bytes = std::move(s.spares.back());
+    s.spares.pop_back();
+  }
+  f.bytes.resize(header.payload_len);  // lint:allow(hot-path-alloc) within the reused buffer's capacity once warm
+  return s;
 }
 
-const std::vector<std::uint8_t>* Inbox::take(const FrameTag& tag) {
-  const auto it = queues_.find(tag_key(tag));
-  if (it == queues_.end()) return nullptr;
-  std::vector<std::uint8_t>& slot =
-      slots_[slot_key(tag.channel, tag.direction, tag.src, tag.dst)];
-  slot = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) queues_.erase(it);
-  return &slot;
+void Inbox::push(const FrameHeader& header,
+                 std::span<const std::uint8_t> payload) {
+  Slot& s = begin(header, {}, /*reuse_delivered=*/false);
+  std::copy(payload.begin(), payload.end(), s.frames.back().bytes.begin());
+  finish(s);
+}
+
+bool Inbox::take(const FrameTag& tag, Delivery& out) {
+  const auto it =
+      slots_.find(slot_key(tag.channel, tag.direction, tag.src, tag.dst));
+  if (it == slots_.end()) return false;
+  Slot& s = it->second;
+  for (auto f = s.frames.begin(); f != s.frames.end(); ++f) {
+    if (f->round != tag.round) continue;
+    if (!f->complete) return false;  // same-tag frames stay FIFO
+    // A delivered buffer no later frame reused becomes a spare.
+    if (s.delivered.capacity() != 0)
+      s.spares.push_back(std::move(s.delivered));  // lint:allow(hot-path-alloc) multi-process only: single-process frames reuse `delivered`
+    s.delivered = std::move(f->bytes);
+    out.head = f->head;
+    s.frames.erase(f);
+    out.payload = s.delivered;
+    return true;
+  }
+  return false;
 }
 
 const void* Inbox::slot(std::uint32_t channel, std::uint8_t direction,
                         int src, int dst) {
   return &slots_[slot_key(channel, direction, src, dst)];
+}
+
+void Inbox::fit(std::uint32_t channel, std::uint8_t direction, int src,
+               int dst, std::size_t bytes) {
+  Slot& s = slots_[slot_key(channel, direction, src, dst)];
+  s.frames.reserve(1);  // lint:allow(hot-path-alloc) build time
+  if (s.delivered.capacity() > 2 * bytes)
+    s.delivered = std::vector<std::uint8_t>();  // frees; `= {}` would not
+  s.delivered.reserve(bytes);  // lint:allow(hot-path-alloc) build or refresh time
+}
+
+void Inbox::release_channel(std::uint32_t channel) {
+  std::erase_if(slots_, [channel](const auto& entry) {
+    const Slot& s = entry.second;
+    return (entry.first >> 32) == channel &&
+           (s.frames.empty() || s.frames.back().complete);
+  });
 }
 
 }  // namespace adaqp::transport

@@ -2,23 +2,25 @@
 //
 //   MemoryPipe    in-process octet pipe — the fault decorator's wire;
 //   FrameReader   incremental reassembly of framed messages from arbitrary
-//                 stream fragmentation, validating header + checksum;
-//   Inbox         tag-matched FIFO delivery queues + the stable
-//                 per-(channel, direction, pair) slot a recv moves its
-//                 payload into. Tag matching — not stream arrival order —
-//                 is what delivers frames to the exchange that asked for
-//                 them, so cross-pair reordering on the wire can never
-//                 change which bytes a decode sees.
+//                 stream fragmentation, validating header + checksum — the
+//                 fault decorator's reader. TcpTransport does not use it:
+//                 it reads each header, then each payload straight into
+//                 its Inbox slot, and verifies on the receiving thread;
+//   Inbox         flat table of per-(channel, direction, pair) slots, each
+//                 a FIFO of pending frames plus the buffer a recv returns.
+//                 Tag matching — not stream arrival order — is what
+//                 delivers frames to the exchange that asked for them, so
+//                 cross-pair reordering on the wire can never change which
+//                 bytes a decode sees.
 //
 // None of these synchronize: the owning transport serializes access (both
-// wire backends run under one internal mutex).
+// wire backends keep them under one internal mutex).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <span>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "transport/frame.h"
@@ -62,44 +64,80 @@ class FrameReader {
   std::size_t rd_ = 0;
 };
 
-/// Tag-matched delivery queues. push() appends a received payload to its
-/// tag's FIFO; take() pops the oldest payload for a tag, moving it into the
-/// (channel, direction, src, dst) slot whose address is stable for the
-/// inbox's lifetime — the span handed to the decoder stays valid until the
-/// next take() of the same slot, and the slot address doubles as the
-/// race-checker annotation for wire delivery (Transport::pair_slot).
+/// Tag-matched delivery table: one slot per (channel, direction, src, dst),
+/// each holding its pending frames in arrival order. A frame is begun when
+/// its header is known and filled in place, so a wire reader can receive the
+/// payload straight into the buffer the decoder will read. take() hands out
+/// the oldest complete frame for a tag — its raw header (for verification)
+/// and its payload, which stays in the slot's `delivered` buffer until the
+/// next take() of that slot, or, when the caller lets a later frame reuse
+/// it, until that frame begins. Slot addresses are stable until their
+/// channel is released and double as the race-checker annotation for wire
+/// delivery (Transport::pair_slot). Steady state allocates nothing: a slot's
+/// frame list and buffers keep their capacity.
 class Inbox {
  public:
-  void push(const FrameTag& tag, std::vector<std::uint8_t>&& payload);
+  struct Frame {
+    std::uint32_t round = 0;
+    bool complete = false;
+    std::array<std::uint8_t, kHeaderBytes> head{};
+    std::vector<std::uint8_t> bytes;  ///< payload_len bytes once complete
+  };
+  struct Slot {
+    std::vector<Frame> frames;            ///< arrival order
+    std::vector<std::uint8_t> delivered;  ///< the last take()'s payload
+    std::vector<std::vector<std::uint8_t>> spares;  ///< free buffers
+  };
+  struct Delivery {
+    std::array<std::uint8_t, kHeaderBytes> head{};
+    std::span<const std::uint8_t> payload;
+  };
 
-  /// nullptr when nothing is queued for `tag`.
-  const std::vector<std::uint8_t>* take(const FrameTag& tag);
+  /// Append an incomplete frame for `header` (raw bytes `head`, which may be
+  /// empty when the caller has already verified the frame) and return its
+  /// slot; the frame is slot.frames.back(), its buffer sized to
+  /// header.payload_len. With `reuse_delivered` the buffer is the slot's
+  /// last delivered payload: the caller vouches that its reader is done.
+  Slot& begin(const FrameHeader& header, std::span<const std::uint8_t> head,
+              bool reuse_delivered);
+
+  /// Mark the frame last begun in `slot` complete.
+  static void finish(Slot& slot) { slot.frames.back().complete = true; }
+
+  /// begin() + copy + finish() for a frame that is already whole.
+  void push(const FrameHeader& header, std::span<const std::uint8_t> payload);
+
+  /// Pop the oldest frame for `tag` into `out`; false when none is queued
+  /// or the oldest is still being filled.
+  bool take(const FrameTag& tag, Delivery& out);
 
   /// Ensure the tag's pair slot exists and return its address.
   const void* slot(std::uint32_t channel, std::uint8_t direction, int src,
                    int dst);
 
-  bool empty() const { return queues_.empty(); }
+  /// Ensure the slot exists with room for one pending frame, and size its
+  /// delivered buffer (the one a single-process wire reuses) for `bytes`:
+  /// grown to it, or given back when more than twice as large. Its
+  /// contents are dropped when it shrinks.
+  void fit(std::uint32_t channel, std::uint8_t direction, int src, int dst,
+           std::size_t bytes);
+
+  /// Drop every slot of `channel`, except one whose frame is still being
+  /// filled (its reader holds the slot).
+  void release_channel(std::uint32_t channel);
+
+  std::size_t slot_count() const { return slots_.size(); }
 
  private:
-  using TagKey = std::pair<std::uint64_t, std::uint64_t>;
-  using SlotKey = std::uint64_t;
-
-  static TagKey tag_key(const FrameTag& t) {
-    return {(static_cast<std::uint64_t>(t.channel) << 32) | t.round,
-            (static_cast<std::uint64_t>(t.direction) << 16) |
-                (static_cast<std::uint64_t>(t.src) << 8) | t.dst};
-  }
-  static SlotKey slot_key(std::uint32_t channel, std::uint8_t direction,
-                          int src, int dst) {
+  static std::uint64_t slot_key(std::uint32_t channel, std::uint8_t direction,
+                                int src, int dst) {
     return (static_cast<std::uint64_t>(channel) << 32) |
            (static_cast<std::uint64_t>(direction) << 24) |
            (static_cast<std::uint64_t>(src) << 12) |
            static_cast<std::uint64_t>(dst);
   }
 
-  std::map<TagKey, std::deque<std::vector<std::uint8_t>>> queues_;
-  std::map<SlotKey, std::vector<std::uint8_t>> slots_;
+  std::unordered_map<std::uint64_t, Slot> slots_;
 };
 
 }  // namespace adaqp::transport

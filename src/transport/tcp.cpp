@@ -1,15 +1,20 @@
+// lint:hot-path-file — single-process TCP delivery runs through this TU in
+// steady-state epochs; every growth call below is warmup- or build-time only.
 #include "transport/tcp.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 
 #include "common/env.h"
@@ -80,13 +85,21 @@ TcpTransport::TcpTransport(TcpOptions opts) : opts_(opts) {
       0)
     throw_errno("getsockname");
   listen_port_ = ntohs(bound.sin_port);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) throw_errno("eventfd");
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) throw_errno("epoll_create1");
+  watch_locked(listen_fd_, kListenKey);
+  watch_locked(wake_fd_, kWakeKey);
 }
 
 TcpTransport::~TcpTransport() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
   for (const auto& [key, fd] : out_) ::close(fd);
   for (const InConn& c : in_)
-    if (!c.closed && c.fd >= 0) ::close(c.fd);
+    if (c.fd >= 0) ::close(c.fd);
 }
 
 void TcpTransport::throw_errno(const char* what) const {
@@ -210,51 +223,132 @@ void TcpTransport::write_all_locked(int fd,
   }
 }
 
+void TcpTransport::watch_locked(int fd, std::uint64_t key) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = key;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0)
+    throw_errno("epoll_ctl");
+}
+
 void TcpTransport::pump_locked() {
-  for (;;) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) break;
-    set_nodelay(fd);
-    InConn conn;
-    conn.fd = fd;
-    in_.push_back(std::move(conn));
-  }
-  std::uint8_t scratch[65536];
-  for (InConn& c : in_) {
-    if (c.closed) continue;
+  bool progress = false;
+  // Waiters re-check the inbox; a poller blocked outside the lock (never
+  // this thread: it clears polling_ before pumping) is woken to do so.
+  const auto signal = [&] {
+    if (!progress) return;
+    cv_.notify_all();
+    if (polling_) {
+      const std::uint64_t one = 1;
+      (void)!::write(wake_fd_, &one, sizeof(one));
+    }
+  };
+  try {
     for (;;) {
-      const ssize_t n = ::recv(c.fd, scratch, sizeof(scratch), 0);
-      if (n > 0) {
-        c.reader.feed({scratch, static_cast<std::size_t>(n)});
-        if (static_cast<std::size_t>(n) < sizeof(scratch)) break;
-        continue;
+      const int n = ::epoll_wait(epoll_fd_, ready_.data(),
+                                 static_cast<int>(ready_.size()), 0);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        throw_errno("epoll_wait");
       }
-      if (n == 0) {
-        // Orderly FIN: the peer is done sending. Everything it sent is
-        // already queued ahead of the FIN, so this is not an error — a
-        // receiver still waiting will surface a timeout with context.
-        ::close(c.fd);
-        c.closed = true;
-        break;
+      for (int i = 0; i < n; ++i) {
+        const std::uint64_t key =
+            ready_[static_cast<std::size_t>(i)].data.u64;
+        if (key == kWakeKey) continue;  // the poller drains it
+        if (key != kListenKey) {
+          if (read_conn_locked(in_[key])) progress = true;
+          continue;
+        }
+        for (;;) {
+          const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                                   SOCK_NONBLOCK | SOCK_CLOEXEC);
+          if (fd < 0) break;
+          set_nodelay(fd);
+          in_.push_back(InConn{.fd = fd});  // lint:allow(hot-path-alloc) warmup: each pair connects once
+          watch_locked(fd, in_.size() - 1);
+        }
       }
+      if (n < static_cast<int>(ready_.size())) break;
+    }
+  } catch (...) {
+    signal();
+    throw;
+  }
+  signal();
+}
+
+void TcpTransport::close_conn_locked(InConn& c) {
+  ::close(c.fd);  // also leaves the epoll set
+  c.fd = -1;
+}
+
+bool TcpTransport::read_conn_locked(InConn& c) {
+  bool queued = false;
+  while (c.fd >= 0) {
+    std::uint8_t* to = c.slot ? c.body + c.body_have
+                              : c.head.data() + c.head_have;
+    const std::size_t want =
+        c.slot ? c.body_len - c.body_have : kHeaderBytes - c.head_have;
+    const ssize_t n = ::recv(c.fd, to, want, 0);
+    if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == ECONNRESET) {
-        ::close(c.fd);
-        c.closed = true;
-        break;
-      }
-      throw_errno("recv");
+      if (errno != ECONNRESET) throw_errno("recv");
     }
+    if (n <= 0) {
+      // FIN or reset: the peer is done sending. Everything it sent is
+      // already queued ahead of it, so this is not an error — a receiver
+      // still waiting will surface a timeout with context.
+      close_conn_locked(c);
+      break;
+    }
+    if (c.slot) {
+      c.body_have += static_cast<std::size_t>(n);
+      if (c.body_have < c.body_len) continue;
+      Inbox::finish(*c.slot);
+      c.slot = nullptr;
+      queued = true;
+      continue;
+    }
+    c.head_have += static_cast<std::size_t>(n);
+    if (c.head_have < kHeaderBytes) continue;
+    c.head_have = 0;
+    // Magic, version, kind and length are checked here, the checksum on
+    // the receiving thread once the payload is in. A stream that fails is
+    // closed: nothing after the bad header can be framed.
     FrameHeader header;
-    std::vector<std::uint8_t> payload;
-    while (c.reader.next(header, payload)) {
-      if (header.kind == FrameKind::kHello) continue;
-      inbox_.push(header.tag, std::move(payload));
-      payload = {};
+    try {
+      header = parse_header(c.head);
+      if (header.kind == FrameKind::kHello && header.payload_len != 0)
+        throw TransportError("transport: tcp hello frame declares a payload");
+      if (header.kind == FrameKind::kData &&
+          (!c.hello || header.tag.src != c.src || header.tag.dst != c.dst))
+        throw TransportError("transport: tcp frame " +
+                             tag_to_string(header.tag) +
+                             " arrived on another pair's connection");
+    } catch (...) {
+      close_conn_locked(c);
+      throw;
     }
+    if (header.kind == FrameKind::kHello) {
+      c.hello = true;
+      c.src = header.tag.src;
+      c.dst = header.tag.dst;
+      continue;
+    }
+    Inbox::Slot& slot =
+        inbox_.begin(header, c.head, /*reuse_delivered=*/opts_.nprocs == 1);
+    if (header.payload_len == 0) {
+      Inbox::finish(slot);
+      queued = true;
+      continue;
+    }
+    c.slot = &slot;
+    c.body = slot.frames.back().bytes.data();
+    c.body_len = header.payload_len;
+    c.body_have = 0;
   }
+  return queued;
 }
 
 void TcpTransport::send(const FrameTag& tag,
@@ -284,28 +378,62 @@ std::span<const std::uint8_t> TcpTransport::recv(
     // (bit-identical to the wire bytes by the determinism contract).
     return account_delivery(tag, local);
   }
-  const double deadline =
-      obs::monotonic_us() + static_cast<double>(opts_.timeout_ms) * 1000.0;
-  std::vector<pollfd> fds;
-  for (;;) {
-    const std::vector<std::uint8_t>* p = nullptr;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      pump_locked();
-      p = inbox_.take(tag);
-      if (!p) {
-        fds.clear();
-        fds.push_back({listen_fd_, POLLIN, 0});
-        for (const InConn& c : in_)
-          if (!c.closed) fds.push_back({c.fd, POLLIN, 0});
-      }
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(opts_.timeout_ms);
+  Inbox::Delivery got;
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    await_locked(lk, tag, deadline, got);
+  }
+  // The slot's buffer is this thread's until the slot's next frame, which
+  // the exchange sends only after this decode: check it off the lock.
+  verify_frame(got.head, got.payload);
+  return account_delivery(tag, got.payload);
+}
+
+void TcpTransport::await_locked(std::unique_lock<std::mutex>& lk,
+                                const FrameTag& tag,
+                                Clock::time_point deadline,
+                                Inbox::Delivery& got) {
+  // A poller that leaves, with its frame or with an error, hands the role
+  // to the waiters.
+  struct Handoff {
+    std::condition_variable& cv;
+    bool polled = false;
+    ~Handoff() {
+      if (polled) cv.notify_all();
     }
-    if (p) return account_delivery(tag, {p->data(), p->size()});
-    if (obs::monotonic_us() > deadline)
+  } handoff{cv_};
+  for (;;) {
+    if (inbox_.take(tag, got)) return;
+    pump_locked();
+    if (inbox_.take(tag, got)) return;
+    const Clock::time_point now = Clock::now();
+    if (now >= deadline)
       throw TransportError("transport: tcp recv timed out after " +
                            std::to_string(opts_.timeout_ms) +
                            " ms waiting for " + tag_to_string(tag));
-    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 1);
+    if (polling_) {
+      cv_.wait_until(lk, deadline);
+      continue;
+    }
+    handoff.polled = true;
+    const auto left =
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - now).count();
+    polling_ = true;
+    lk.unlock();
+    // Readiness only: the pump above reads, once the lock is back.
+    std::array<epoll_event, 8> ev;
+    const int n =
+        ::epoll_wait(epoll_fd_, ev.data(), static_cast<int>(ev.size()),
+                     static_cast<int>(std::min<long long>(left, INT_MAX)));
+    lk.lock();
+    polling_ = false;
+    for (int i = 0; i < n; ++i) {
+      if (ev[static_cast<std::size_t>(i)].data.u64 != kWakeKey) continue;
+      std::uint64_t count;
+      (void)!::read(wake_fd_, &count, sizeof(count));
+    }
   }
 }
 
@@ -315,6 +443,23 @@ const void* TcpTransport::pair_slot(std::uint32_t channel,
   if (owner(dst) != opts_.rank) return nullptr;  // delivered in place here
   std::lock_guard<std::mutex> lk(mu_);
   return inbox_.slot(channel, direction, src, dst);
+}
+
+void TcpTransport::fit_slot(std::uint32_t channel, std::uint8_t direction,
+                            int src, int dst, std::size_t bytes) {
+  if (owner(dst) != opts_.rank) return;  // delivered in place here
+  std::lock_guard<std::mutex> lk(mu_);
+  inbox_.fit(channel, direction, src, dst, bytes);
+}
+
+void TcpTransport::release_channel(std::uint32_t channel) {
+  std::lock_guard<std::mutex> lk(mu_);
+  inbox_.release_channel(channel);
+}
+
+std::size_t TcpTransport::slot_count() {
+  std::lock_guard<std::mutex> lk(mu_);
+  return inbox_.slot_count();
 }
 
 }  // namespace adaqp::transport

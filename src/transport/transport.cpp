@@ -1,5 +1,7 @@
 #include "transport/transport.h"
 
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/env.h"
@@ -14,6 +16,7 @@ namespace {
 
 std::atomic<std::uint32_t> g_next_channel{0};
 std::atomic<Transport*> g_override{nullptr};
+std::atomic<Transport*> g_global{nullptr};  ///< set once active() built it
 
 // One digest step: xor in a 64-bit word, multiply by the FNV prime (low
 // bits -> high bits), xor-shift (high bits -> low bits). Bijective in both
@@ -25,15 +28,33 @@ std::uint64_t mix_word(std::uint64_t h, std::uint64_t w) {
   return h ^ (h >> 29);
 }
 
+std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+  if constexpr (std::endian::native == std::endian::big)
+    w = __builtin_bswap64(w);
+  return w;
+}
+
+// Four lanes, each a mix_word chain over every fourth word, so the four
+// multiplies of a 32-byte step run in parallel; the lanes (seeded apart)
+// then fold into `h` one mix_word each. Every step stays bijective in its
+// word and every fold in its lane, so any changed payload byte still
+// changes the hash. The last `len % 32` bytes go word-wise, then bytewise.
 std::uint64_t mix_bytes(std::uint64_t h, std::span<const std::uint8_t> bytes) {
   const std::uint8_t* p = bytes.data();
   std::size_t n = bytes.size();
-  for (; n >= 8; p += 8, n -= 8) {
-    std::uint64_t w = 0;
-    for (int i = 0; i < 8; ++i)
-      w |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    h = mix_word(h, w);
+  if (n >= 32) {
+    std::uint64_t lane[4] = {h, h ^ 0x9E3779B97F4A7C15ull,
+                             h ^ 0xC2B2AE3D27D4EB4Full,
+                             h ^ 0x165667B19E3779F9ull};
+    for (; n >= 32; p += 32, n -= 32)
+      for (int i = 0; i < 4; ++i)
+        lane[i] = mix_word(lane[i], load_le64(p + 8 * i));
+    h = lane[0];
+    for (int i = 1; i < 4; ++i) h = mix_word(h, lane[i]);
   }
+  for (; n >= 8; p += 8, n -= 8) h = mix_word(h, load_le64(p));
   for (; n != 0; ++p, --n) h = mix_word(h, *p);
   return h;
 }
@@ -80,6 +101,12 @@ std::uint32_t next_channel() {
   return g_next_channel.fetch_add(1, std::memory_order_relaxed);
 }
 
+void release_channel(std::uint32_t channel) {
+  Transport* t = g_override.load(std::memory_order_acquire);
+  if (!t) t = g_global.load(std::memory_order_acquire);
+  if (t) t->release_channel(channel);
+}
+
 std::unique_ptr<Transport> make_from_env() {
   const std::optional<std::string> kind = env::text("ADAQP_TRANSPORT");
   std::unique_ptr<Transport> t;
@@ -103,7 +130,11 @@ Transport& active() {
   // Process-lifetime singleton, resolved on first use (like the SIMD kernel
   // registry); intentionally leaked so in-flight exchanges joined during
   // static destruction can still reach it.
-  static Transport* global = make_from_env().release();
+  static Transport* global = [] {
+    Transport* t = make_from_env().release();
+    g_global.store(t, std::memory_order_release);
+    return t;
+  }();
   return *global;
 }
 

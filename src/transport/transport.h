@@ -36,10 +36,11 @@ namespace adaqp::transport {
 
 /// Delivery accounting every backend maintains (relaxed atomics; safe to
 /// read concurrently). `digest` is an order-independent XOR of per-frame
-/// word-wise hashes (8 bytes per multiply + xor-shift step) over (round,
-/// direction, src, dst, length, payload) — two runs delivered the same
-/// payload multiset iff frames/bytes/digest all match, which is how the
-/// tests assert loopback == tcp byte-identity end to end.
+/// hashes over (round, direction, src, dst, length, payload); the payload
+/// runs through four independent multiply + xor-shift lanes, 32 bytes per
+/// step, folded at the end. Two runs delivered the same payload multiset
+/// iff frames/bytes/digest all match, which is how the tests assert
+/// loopback == tcp byte-identity end to end.
 /// (The channel ordinal is excluded so back-to-back runs in one process,
 /// whose channel counters keep rising, stay comparable.)
 struct TransportStats {
@@ -65,8 +66,12 @@ class Transport {
   /// The bytes the receiver must decode for `tag`. `local` is this
   /// process's own encoding of the frame (the replicated-compute copy);
   /// loopback returns it zero-copy, wire backends block until the framed
-  /// payload arrives and return the delivered bytes instead. The returned
-  /// span stays valid until the next recv of the same (channel, pair).
+  /// payload arrives, verify its checksum on the calling thread and return
+  /// the delivered bytes instead. The returned span stays valid until the
+  /// next recv of the same (channel, direction, pair), and no longer than
+  /// until that slot's next frame is sent: the exchanges send a slot's
+  /// next round only after its previous round's decode has finished, so a
+  /// single-process wire backend receives that frame into the same buffer.
   /// Throws TransportError on timeout / protocol violations.
   virtual std::span<const std::uint8_t> recv(
       const FrameTag& tag, std::span<const std::uint8_t> local) = 0;
@@ -82,8 +87,13 @@ class Transport {
 
   /// True when steady-state send/recv perform no heap allocation — the
   /// trainer's zero-allocation contract only covers epochs run over such a
-  /// transport (loopback; see memory::steady_state_definition()).
+  /// transport (loopback, single-process tcp; see
+  /// memory::steady_state_definition()).
   virtual bool zero_alloc_delivery() const { return false; }
+
+  /// The exchange that owns `channel` has ended: drop whatever a wire
+  /// backend keeps for it (its delivery slots). No-op by default.
+  virtual void release_channel(std::uint32_t channel) { (void)channel; }
 
   /// Stable address of the per-(channel, direction, pair) delivery slot a
   /// wire backend moves received payloads into, or nullptr when delivery is
@@ -94,6 +104,17 @@ class Transport {
                                 int src, int dst) {
     (void)channel, (void)direction, (void)src, (void)dst;
     return nullptr;
+  }
+
+  /// Size what a wire backend keeps for (channel, direction, src -> dst)
+  /// to frames of up to `bytes` payload bytes: grow it, so the exchange's
+  /// first round receives without allocating even when it runs deferred
+  /// into a steady-state epoch, or give back a buffer more than twice that
+  /// (ExchangeAccounting::warm, at build and after a plan refresh). Called
+  /// only while no round of the channel is in flight. No-op by default.
+  virtual void fit_slot(std::uint32_t channel, std::uint8_t direction,
+                        int src, int dst, std::size_t bytes) {
+    (void)channel, (void)direction, (void)src, (void)dst, (void)bytes;
   }
 
   /// Delivery accounting. Virtual so decorators can fold in the stats of
@@ -123,6 +144,11 @@ class Transport {
 /// call; because that order is deterministic, replicated ranks derive
 /// identical channel ids without negotiation.
 std::uint32_t next_channel();
+
+/// Release `channel` on the active transport (Transport::release_channel),
+/// called by the channel's owner when its exchange ends. Never builds the
+/// process-wide transport: before first use there is nothing to release.
+void release_channel(std::uint32_t channel);
 
 /// The active transport: the innermost ScopedTransport override when one is
 /// installed, else the process-wide instance resolved once from the

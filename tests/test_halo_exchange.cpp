@@ -1,6 +1,8 @@
 // Tests for the quantized halo exchange and allreduce.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/rng.h"
 #include "dist/halo_exchange.h"
 #include "graph/generators.h"
@@ -8,6 +10,7 @@
 #include "pipeline/exchange_stages.h"
 #include "quant/message_codec.h"
 #include "quant/quantize.h"
+#include "transport/tcp.h"
 #include "transport/transport.h"
 
 namespace adaqp {
@@ -183,6 +186,31 @@ TEST(HaloForward, MaskedMixedWidthRoundAccounting) {
   for (int d = 0; d < 4; ++d) {
     EXPECT_DOUBLE_EQ(stats.quant_seconds[d], quant[d]) << "device " << d;
     EXPECT_DOUBLE_EQ(stats.dequant_seconds[d], dequant[d]) << "device " << d;
+  }
+}
+
+TEST(HaloForward, OneShotExchangesReleaseTheirWireSlots) {
+  // Every one-shot exchange claims a fresh channel; a wire backend's
+  // per-(channel, direction, pair) slots must go when the exchange ends,
+  // or a long run of one-shot calls grows them without bound.
+  Fixture f(4);
+  Rng rng(4);
+  auto owned = std::make_unique<transport::TcpTransport>(
+      transport::TcpOptions{});
+  transport::TcpTransport& tcp = *owned;
+  transport::ScopedTransport guard(std::move(owned));
+  auto locals = f.random_locals(8, rng);
+  const auto fwd = ExchangePlan::uniform_forward(f.dist, 32);
+  const auto bwd = ExchangePlan::uniform_backward(f.dist, 8);
+  exchange_halo_forward(f.dist, locals, fwd, f.cluster, f.rngs);
+  ASSERT_GT(tcp.stats().frames_delivered, 0u);
+  const std::size_t after_first = tcp.slot_count();
+  for (int i = 1; i < 50; ++i) {
+    if (i % 2)
+      exchange_halo_backward(f.dist, locals, bwd, f.cluster, f.rngs);
+    else
+      exchange_halo_forward(f.dist, locals, fwd, f.cluster, f.rngs);
+    ASSERT_EQ(tcp.slot_count(), after_first) << "exchange " << i;
   }
 }
 

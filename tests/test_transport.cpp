@@ -20,6 +20,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -528,6 +529,90 @@ TEST(Tcp, CorruptFrameOnTheSocketIsATypedError) {
       EXPECT_EQ(msg.find("timed out"), std::string::npos) << msg;
     }
   }
+}
+
+TEST(Tcp, OversizedLengthIsATypedError) {
+  // A header whose length field claims 0xFFFFFFFF payload bytes: the
+  // receiver reads payloads straight into buffers sized from that field, so
+  // it must refuse the length with a typed error instead of allocating it
+  // or waiting for bytes that never come.
+  TcpOptions opts;
+  opts.timeout_ms = 2000;
+  TcpTransport tcp(opts);
+  RawClient client(tcp.listen_port());
+  ASSERT_TRUE(client.connected());
+  const FrameTag tag{22, 1, 0, 1, 0};
+  FrameHeader hello;
+  hello.kind = FrameKind::kHello;
+  hello.tag = FrameTag{0, 0, 0, tag.src, tag.dst};
+  ASSERT_TRUE(client.write_frame(hello, {}, [](std::vector<std::uint8_t>&) {
+  }));
+  FrameHeader data;
+  data.kind = FrameKind::kData;
+  data.tag = tag;
+  ASSERT_TRUE(client.write_frame(data, {}, [](std::vector<std::uint8_t>& f) {
+    for (std::size_t i = 20; i < 24; ++i) f[i] = 0xFF;  // payload_len
+  }));
+  try {
+    tcp.recv(tag, {});
+    FAIL() << "a 4 GiB length was accepted";
+  } catch (const TransportError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("length"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("timed out"), std::string::npos) << msg;
+  }
+}
+
+TEST(Tcp, ConcurrentReceiversEachGetTheirFrame) {
+  // Eight receivers block at once, each on its own slot, while one thread
+  // sends their frames in reverse order over three connections. One
+  // receiver polls, the rest wait for a pump to queue their frame; a lost
+  // wakeup shows as a timeout. The 4 KiB write cap keeps the sender under
+  // the lock for many short sendmsg calls, pumping whenever a socket fills.
+  const std::size_t sizes[] = {0,      1,      31,      4096,
+                               65537, 262144, 524288, std::size_t{1} << 20};
+  constexpr int kFrames = 8;
+  std::vector<std::pair<FrameTag, std::vector<std::uint8_t>>> frames;
+  for (int i = 0; i < kFrames; ++i) {
+    const auto src = static_cast<std::uint8_t>(i % 3);
+    frames.emplace_back(
+        FrameTag{static_cast<std::uint32_t>(40 + i), 1,
+                 static_cast<std::uint8_t>(i & 1), src,
+                 static_cast<std::uint8_t>(src + 1)},
+        pattern_payload(sizes[i], static_cast<unsigned>(i)));
+  }
+  TcpOptions opts;
+  opts.max_chunk = 4096;
+  opts.timeout_ms = 10000;
+  TcpTransport tcp(opts);
+  std::vector<std::vector<std::uint8_t>> got(kFrames);
+  std::vector<std::string> errors(kFrames);
+  std::vector<std::thread> receivers;
+  for (int i = 0; i < kFrames; ++i)
+    receivers.emplace_back([&, i] {
+      try {
+        const auto span = tcp.recv(frames[i].first, {});
+        got[i].assign(span.begin(), span.end());
+      } catch (const std::exception& e) {
+        errors[i] = e.what();
+      }
+    });
+  std::thread sender([&] {
+    for (int i = kFrames - 1; i >= 0; --i)
+      tcp.send(frames[i].first, frames[i].second);
+  });
+  sender.join();
+  for (std::thread& t : receivers) t.join();
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(errors[i], "") << "receiver " << i;
+    EXPECT_EQ(got[i], frames[i].second) << "receiver " << i;
+  }
+  LoopbackTransport lo;
+  for (const auto& [tag, payload] : frames) lo.recv(tag, payload);
+  const TransportStats want = lo.stats(), have = tcp.stats();
+  EXPECT_EQ(have.frames_delivered, want.frames_delivered);
+  EXPECT_EQ(have.bytes_delivered, want.bytes_delivered);
+  EXPECT_EQ(have.digest, want.digest);
 }
 
 TEST(Tcp, MultiProcessNeedsExplicitBasePort) {
