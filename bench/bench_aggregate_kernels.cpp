@@ -1,6 +1,6 @@
 // Microbenchmarks of the aggregation / element-wise kernel-matrix entries
 // (google-benchmark): scale_row (aggregation self-term), gather_axpy (the
-// CSR-band neighbor gather behind aggregate_forward),
+// neighbor gather behind aggregate_forward and its adjoint),
 // ef_fold (the backward owner-accumulate folds each decoded boundary
 // gradient row with it) and ef_residual (x - deq(q(x)), the kernel for
 // encode-time error capture). Swept over every SIMD ISA the host supports,
@@ -24,6 +24,11 @@
 // start at jump-ahead states), and BM_SoftmaxCE/<rows>x<classes>/t<N> runs
 // the banded softmax cross-entropy over every row. That code is compiled
 // for the base ISA, so these carry no ISA sweep.
+//
+// BM_Aggregate/{fwd,bwd}/<rows>x64/t<N> runs the plan-based aggregation of
+// GCN over the whole products_sim x3 graph on one device (the
+// single-device workload's plan) at width 64: the forward gather, and the
+// adjoint, gathered over the plan's transposed owned-row entries.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -33,6 +38,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "data/datasets.h"
+#include "dist/dist_graph.h"
+#include "gnn/aggregate.h"
 #include "gnn/layers.h"
 #include "gnn/loss.h"
 #include "runtime/thread_pool.h"
@@ -258,6 +266,42 @@ void BM_SoftmaxCE(benchmark::State& state, std::size_t rows,
                           rows);
 }
 
+/// One device holding all of products_sim x3 (graph seed 1).
+const DeviceGraph& products_device() {
+  static const DistGraph dist = [] {
+    DatasetSpec spec = dataset_spec("products_sim");
+    spec.num_nodes *= 3;
+    Rng rng(1);
+    const Dataset ds = make_dataset(spec, rng);
+    PartitionResult part;
+    part.part_of.assign(ds.num_nodes(), 0);
+    part.num_parts = 1;
+    return build_dist_graph(ds.graph, part);
+  }();
+  return dist.devices[0];
+}
+
+void BM_Aggregate(benchmark::State& state, bool backward, std::size_t dim,
+                  int threads) {
+  PoolThreads pool(threads);
+  const DeviceGraph& dev = products_device();
+  const AggregatePlan plan =
+      build_aggregate_plan(dev, Aggregator::kGcn, {dev.owned_span()});
+  const Matrix x = make_matrix(dev.num_local(), dim, 49);
+  const Matrix dy = make_matrix(dev.num_owned, dim, 50);
+  Matrix out(backward ? dev.num_local() : dev.num_owned, dim);
+  for (auto _ : state) {
+    if (backward)
+      aggregate_backward(dev, plan, dy, dev.owned_span(), out);
+    else
+      aggregate_forward(dev, plan, x, dev.owned_span(), out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          (dev.total_edges() + dev.num_owned));
+}
+
 }  // namespace
 
 // Registered (not macro-declared) so every case can sweep the host's
@@ -320,6 +364,17 @@ int main(int argc, char** argv) {
         BM_SoftmaxCE, 7200, 10, threads)
         ->UseRealTime();
   }
+  const std::string agg_rows =
+      "/" + std::to_string(products_device().num_owned) + "x64/t";
+  for (int threads : {1, 4})
+    for (const auto& [name, backward] :
+         {std::pair{"fwd", false}, std::pair{"bwd", true}})
+      benchmark::RegisterBenchmark(
+          ("BM_Aggregate/" + std::string(name) + agg_rows +
+           std::to_string(threads))
+              .c_str(),
+          BM_Aggregate, backward, 64, threads)
+          ->UseRealTime();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -127,8 +127,19 @@ DistTrainer::LayerGraph::~LayerGraph() {
 DistTrainer::DeviceState::DeviceState(const DeviceGraph& device, int index,
                                       const Dataset& dataset,
                                       std::span<const std::uint8_t> is_train,
-                                      const GnnModel& model, bool drift_skip)
+                                      const GnnModel& model, bool drift_skip,
+                                      bool overlap)
     : graph(device), id(index), layers(model.num_layers()) {
+  // The input layer computes no input gradient, so a one-layer model runs
+  // no adjoint.
+  const Aggregator agg = model.config().aggregator;
+  agg_plan = std::make_shared<const AggregatePlan>(
+      model.num_layers() == 1 ? build_aggregate_plan(graph, agg)
+      : overlap
+          ? build_aggregate_plan(graph, agg,
+                                 {graph.marginal_span(), graph.central_span()})
+          : build_aggregate_plan(graph, agg, {graph.owned_span()}));
+  for (LayerScratch& ls : layers) ls.cache.agg_plan = agg_plan;
   for (std::size_t i = 0; i < graph.num_owned; ++i) {
     const NodeId g = graph.global_of_local[i];
     if (!is_train[g]) continue;
@@ -181,7 +192,7 @@ DistTrainer::DistTrainer(const Dataset& dataset, const DistGraph& dist,
   for (int d = 0; d < num_devices_; ++d) {
     device_rngs_.push_back(master_rng_.split());
     devices_.emplace_back(dist_.devices[d], d, dataset_, is_train, model_,
-                          policy.drift_skip);
+                          policy.drift_skip, overlap_);
   }
 
   // Activation buffers: layer 0 holds the features (with halo rows).
@@ -1030,6 +1041,7 @@ std::pair<double, double> DistTrainer::evaluate() {
   std::vector<Rng> rngs = device_rngs_;
   const ExchangePlan plan32 = ExchangePlan::uniform_forward(dist_, 32);
   std::vector<LayerCache> scratch(num_devices_);
+  for (const DeviceState& s : devices_) scratch[s.id].agg_plan = s.agg_plan;
   for (int l = 0; l < num_layers_; ++l) {
     eval_acct_.init(num_devices_, rngs);
     pipeline::StageGraph graph;

@@ -247,7 +247,7 @@ class DistTrainer {
   struct DeviceState {
     /// Per-epoch scratch of one layer.
     struct LayerScratch {
-      LayerCache cache;  ///< its agg_plan: built once from the topology
+      LayerCache cache;  ///< its agg_plan: the device's agg_plan
       /// Parameter-gradient partials: the whole-row backward, or the
       /// overlapped marginal rows, write `sinks`; central rows the other.
       LayerGrads sinks;
@@ -265,12 +265,16 @@ class DistTrainer {
 
     DeviceState(const DeviceGraph& device, int index, const Dataset& dataset,
                 std::span<const std::uint8_t> is_train, const GnnModel& model,
-                bool drift_skip);
+                bool drift_skip, bool overlap);
 
     const DeviceGraph& graph;
     const int id;
 
     // Static inputs, built here and never written again.
+    /// The aggregation plan every layer (and evaluation) shares, with the
+    /// adjoints of the row sets the training backward runs over: central
+    /// and marginal rows with overlap, else the owned rows.
+    std::shared_ptr<const AggregatePlan> agg_plan;
     std::vector<std::uint32_t> train_rows;  ///< local owned ids
     std::vector<std::int32_t> train_labels;
     Matrix train_targets;                   ///< multi-label targets

@@ -3,7 +3,9 @@
 // "Memory subsystem").
 #include "gnn/aggregate.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "runtime/parallel_for.h"
@@ -72,7 +74,66 @@ void aggregate_forward(const DeviceGraph& dev, Aggregator agg, const Matrix& x,
   aggregate_forward(dev, agg, x, dev.owned_span_or(scratch), out);
 }
 
-AggregatePlan build_aggregate_plan(const DeviceGraph& dev, Aggregator agg) {
+namespace {
+
+/// The adjoint of `rows` as a destination-row gather: a stable counting sort
+/// of the serial scatter's (destination, source, coefficient) sequence by
+/// destination.
+AggregateAdjoint build_adjoint(const DeviceGraph& dev,
+                               const AggregatePlan& plan,
+                               std::span<const NodeId> rows) {
+  AggregateAdjoint adj;
+  adj.rows.assign(rows.begin(), rows.end());  // lint:allow(hot-path-alloc) plan build
+  std::vector<std::uint32_t> count(dev.num_local(), 0);
+  for (NodeId v : rows) {
+    ADAQP_CHECK(v < dev.num_owned);
+    ++count[v];
+    for (NodeId u : dev.neighbors(v)) ++count[u];
+  }
+  const std::size_t entries = rows.size() + dev.edges_of(rows);
+  ADAQP_CHECK(entries <= UINT32_MAX);
+  const auto reached = static_cast<std::size_t>(std::count_if(
+      count.begin(), count.end(), [](std::uint32_t c) { return c > 0; }));
+  adj.dst.reserve(reached);  // lint:allow(hot-path-alloc) plan build
+  adj.offsets.reserve(reached + 1);  // lint:allow(hot-path-alloc) plan build
+  // count[u] becomes u's write cursor into the entry arrays.
+  std::uint32_t next = 0;
+  for (std::size_t u = 0; u < count.size(); ++u) {
+    if (count[u] == 0) continue;
+    adj.dst.push_back(static_cast<NodeId>(u));  // lint:allow(hot-path-alloc) plan build
+    adj.offsets.push_back(next);  // lint:allow(hot-path-alloc) plan build
+    next += std::exchange(count[u], next);
+  }
+  adj.offsets.push_back(next);  // lint:allow(hot-path-alloc) plan build
+  adj.src.resize(entries);  // lint:allow(hot-path-alloc) plan build
+  adj.coeff.resize(entries);  // lint:allow(hot-path-alloc) plan build
+  const auto place = [&](NodeId u, NodeId v, float c) {
+    const std::uint32_t k = count[u]++;
+    adj.src[k] = v;
+    adj.coeff[k] = c;
+  };
+  for (NodeId v : rows) {
+    place(v, v, plan.self_coeff[v]);
+    for (EdgeIdx e = dev.offsets[v]; e < dev.offsets[v + 1]; ++e)
+      place(dev.neighbor_ids[e], v, plan.coeff[e]);
+  }
+  return adj;
+}
+
+}  // namespace
+
+const AggregateAdjoint* AggregatePlan::adjoint_for(
+    std::span<const NodeId> rows) const {
+  for (const AggregateAdjoint& adj : adjoints)
+    if (std::equal(rows.begin(), rows.end(), adj.rows.begin(),
+                   adj.rows.end()))
+      return &adj;
+  return nullptr;
+}
+
+AggregatePlan build_aggregate_plan(
+    const DeviceGraph& dev, Aggregator agg,
+    std::initializer_list<std::span<const NodeId>> adjoint_rows) {
   AggregatePlan plan;
   plan.agg = agg;
   plan.self_coeff.resize(dev.num_owned);  // lint:allow(hot-path-alloc) plan build (refresh only)
@@ -86,14 +147,16 @@ AggregatePlan build_aggregate_plan(const DeviceGraph& dev, Aggregator agg) {
       plan.coeff[e] = static_cast<float>(aggregation_coefficient(
           agg, dev.global_degree[dev.neighbor_ids[e]], dv));
   }
-  plan.ready = true;
+  for (std::span<const NodeId> rows : adjoint_rows)
+    if (!rows.empty() && plan.adjoint_for(rows) == nullptr)
+      plan.adjoints.push_back(build_adjoint(dev, plan, rows));  // lint:allow(hot-path-alloc) plan build
   return plan;
 }
 
 void aggregate_forward(const DeviceGraph& dev, const AggregatePlan& plan,
                        const Matrix& x, std::span<const NodeId> rows,
                        Matrix& out) {
-  ADAQP_CHECK(plan.ready && plan.self_coeff.size() == dev.num_owned);
+  ADAQP_CHECK(plan.self_coeff.size() == dev.num_owned);
   ADAQP_CHECK(x.rows() == dev.num_local());
   ADAQP_CHECK(out.rows() >= dev.num_owned && out.cols() == x.cols());
   const std::size_t dim = x.cols();
@@ -116,25 +179,25 @@ void aggregate_forward(const DeviceGraph& dev, const AggregatePlan& plan,
 void aggregate_backward(const DeviceGraph& dev, const AggregatePlan& plan,
                         const Matrix& grad_out, std::span<const NodeId> rows,
                         Matrix& grad_x) {
-  ADAQP_CHECK(plan.ready && plan.self_coeff.size() == dev.num_owned);
+  const AggregateAdjoint* adj = plan.adjoint_for(rows);
+  if (adj == nullptr) {
+    aggregate_backward(dev, plan.agg, grad_out, rows, grad_x);
+    return;
+  }
+  ADAQP_CHECK(plan.self_coeff.size() == dev.num_owned);
+  ADAQP_CHECK(grad_out.rows() >= dev.num_owned);
   ADAQP_CHECK(grad_x.rows() == dev.num_local());
   ADAQP_CHECK(grad_x.cols() == grad_out.cols());
   const std::size_t dim = grad_out.cols();
   const simd::KernelTable& kt = simd::kernels();
-  for (NodeId v : rows) ADAQP_CHECK(v < dev.num_owned);
-  // Sources share destination rows, so bands split the destinations: every
-  // band walks all sources in span order and applies only the contributions
-  // that land in its rows. Each element thus sums its sources in span order,
-  // bit-identical to a serial scatter at any thread count.
-  parallel_for(dev.num_local(), kRowGrain, [&](std::size_t lo, std::size_t hi) {
-    const auto mine = [&](NodeId u) { return u >= lo && u < hi; };
-    for (NodeId v : rows) {
-      const float* g = grad_out.row(v).data();
-      if (mine(v)) kt.axpy(plan.self_coeff[v], g, grad_x.row(v).data(), dim);
-      for (EdgeIdx e = dev.offsets[v]; e < dev.offsets[v + 1]; ++e) {
-        const NodeId u = dev.neighbor_ids[e];
-        if (mine(u)) kt.axpy(plan.coeff[e], g, grad_x.row(u).data(), dim);
-      }
+  // Each destination row is one index of adj->dst, so bands write disjoint
+  // rows, and each row sums its sources in scatter order.
+  parallel_for(adj->dst.size(), kRowGrain, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      const std::uint32_t begin = adj->offsets[i];
+      kt.gather_axpy(grad_out.data(), dim, adj->src.data() + begin,
+                     adj->coeff.data() + begin, adj->offsets[i + 1] - begin,
+                     grad_x.row(adj->dst[i]).data(), dim);
     }
   });
 }

@@ -9,11 +9,14 @@
 //               layer's separate W_self path).
 //
 // Each kernel has an adjoint used by the analytic backward pass; the adjoint
-// scatters into *all* local rows (owned and halo) — halo contributions are
-// the embedding-gradient messages the paper sends in the backward pass.
+// writes halo rows as well as owned rows — halo contributions are the
+// embedding-gradient messages the paper sends in the backward pass.
 #pragma once
 
+#include <cstdint>
+#include <initializer_list>
 #include <span>
+#include <vector>
 
 #include "dist/dist_graph.h"
 #include "tensor/matrix.h"
@@ -31,24 +34,50 @@ double aggregation_coefficient(Aggregator agg, std::uint32_t deg_u,
 /// Self coefficient α(v,v) (zero for SAGE-mean).
 double self_coefficient(Aggregator agg, std::uint32_t deg_v);
 
-/// Precomputed per-edge coefficients for one (device, aggregator) pair — the
-/// steady-state form of the aggregation kernels. Built once (first epoch,
-/// cached in LayerCache); the plan-based kernels below then run
+/// The aggregation adjoint of one source row set, transposed into a
+/// destination-row gather. For every local row u (owned or halo) that the
+/// sources reach, entries [offsets[i], offsets[i+1]) of (src, coeff) list
+/// its (source row, coefficient) pairs in the exact order the serial
+/// scatter applies them: each source v in span order, first its self
+/// entry, then its CSR edges in CSR order. A zero coefficient keeps its
+/// entry (SAGE's self term still turns a -0 gradient into +0).
+struct AggregateAdjoint {
+  std::vector<NodeId> rows;  ///< the source row set, in span order: its key
+  std::vector<NodeId> dst;   ///< destination rows with >= 1 entry, ascending
+  std::vector<std::uint32_t> offsets;  ///< dst.size() + 1 entry offsets
+  std::vector<NodeId> src;             ///< source row per entry
+  std::vector<float> coeff;            ///< coefficient per entry
+};
+
+/// Precomputed coefficients for one (device, aggregator) pair — the
+/// steady-state form of the aggregation kernels. The trainer builds one
+/// plan per device at construction and every layer's LayerCache shares it
+/// (evaluation included); the plan-based kernels below then run
 /// allocation-free and dispatch their per-row inner loops through the SIMD
-/// kernel table (scale_row / axpy / gather_axpy). Coefficients are the same
-/// float casts the plan-less kernels compute per edge, so plan and plan-less
+/// kernel table (scale_row / gather_axpy). Coefficients are the same float
+/// casts the plan-less kernels compute per edge, so plan and plan-less
 /// paths are bit-identical.
 struct AggregatePlan {
-  bool ready = false;
   Aggregator agg = Aggregator::kGcn;
   /// α(v,v) per owned local id (zero for SAGE-mean).
   std::vector<float> self_coeff;
   /// α(u,v) per forward CSR edge, aligned with DeviceGraph::neighbor_ids.
   std::vector<float> coeff;
+  /// One transposed adjoint per row set the backward runs over (training
+  /// only; a forward-only plan has none).
+  std::vector<AggregateAdjoint> adjoints;
+
+  /// The adjoint whose row set equals `rows` element for element, or
+  /// nullptr. Matched by content, so a span of another list with the same
+  /// rows finds it and a rewritten list never does.
+  const AggregateAdjoint* adjoint_for(std::span<const NodeId> rows) const;
 };
 
-/// Build the plan for (dev, agg).
-AggregatePlan build_aggregate_plan(const DeviceGraph& dev, Aggregator agg);
+/// Build the plan for (dev, agg), with one adjoint per distinct non-empty
+/// row set of `adjoint_rows` (each a subset of the owned rows).
+AggregatePlan build_aggregate_plan(
+    const DeviceGraph& dev, Aggregator agg,
+    std::initializer_list<std::span<const NodeId>> adjoint_rows = {});
 
 /// out (num_owned x dim) = aggregate over rows of x (num_local x dim),
 /// restricted to the owned rows in `rows`. Other rows of `out` are untouched.
@@ -60,8 +89,8 @@ void aggregate_forward(const DeviceGraph& dev, Aggregator agg, const Matrix& x,
                        Matrix& out);
 
 /// Adjoint: grad_x (num_local x dim) += Aᵀ · grad_out for the owned rows in
-/// `rows` of grad_out. grad_x must be pre-sized (num_local x dim). Serial
-/// scatter kernel (destination rows of different sources overlap).
+/// `rows` of grad_out. grad_x must be pre-sized (num_local x dim). The
+/// serial scatter: the reference every plan-based adjoint reproduces.
 void aggregate_backward(const DeviceGraph& dev, Aggregator agg,
                         const Matrix& grad_out, std::span<const NodeId> rows,
                         Matrix& grad_x);
@@ -78,9 +107,13 @@ void aggregate_forward(const DeviceGraph& dev, const AggregatePlan& plan,
                        const Matrix& x, std::span<const NodeId> rows,
                        Matrix& out);
 
-/// Row-subset adjoint with precomputed coefficients. Parallel over bands of
-/// destination rows; every band applies the sources in span order, so the
-/// result is bit-identical to the plan-less span form at any thread count.
+/// Row-subset adjoint with precomputed coefficients. When the plan holds
+/// the adjoint of `rows`, a parallel_for over its destination rows calls
+/// gather_axpy once per row: each row sums its entries in scatter order
+/// through the same unfused multiply-add, so the result is bit-identical to
+/// the serial scatter at any thread count and ISA. Rows without entries are
+/// not written (a central-row call leaves every halo row alone). A row set
+/// without an adjoint runs the serial scatter.
 void aggregate_backward(const DeviceGraph& dev, const AggregatePlan& plan,
                         const Matrix& grad_out, std::span<const NodeId> rows,
                         Matrix& grad_x);

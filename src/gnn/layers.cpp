@@ -3,9 +3,11 @@
 // "Memory subsystem").
 #include "gnn/layers.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -90,6 +92,66 @@ inline void layer_norm_backward_row(const Matrix& grad_out,
   }
 }
 
+/// Columns per dγ/dβ band: one 64-byte line of each row.
+constexpr std::size_t kColBand = 16;
+
+/// Four float lanes (a GCC/Clang vector extension: one 128-bit register on
+/// the base ISA). Lane-wise arithmetic is the scalar IEEE arithmetic.
+using Lanes4 = float __attribute__((vector_size(16)));
+
+inline Lanes4 load4(const float* p) {
+  Lanes4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store4(float* p, Lanes4 v) { std::memcpy(p, &v, sizeof v); }
+
+/// dγ/dβ of the 16 columns from c0, summed over `rows` in span order. The
+/// band lives in registers for the whole walk and is stored once: bands
+/// that accumulate in dgamma share cache lines with their neighbours.
+inline void norm_param_band(const Matrix& grad_out, const Matrix& xhat,
+                            std::span<const NodeId> rows, std::size_t c0,
+                            float* dgamma, float* dbeta) {
+  Lanes4 g[kColBand / 4];
+  Lanes4 b[kColBand / 4];
+  for (std::size_t k = 0; k < kColBand / 4; ++k) {
+    g[k] = load4(dgamma + c0 + 4 * k);
+    b[k] = load4(dbeta + c0 + 4 * k);
+  }
+  for (NodeId r : rows) {
+    const float* dy = grad_out.row(r).data() + c0;
+    const float* xh = xhat.row(r).data() + c0;
+    for (std::size_t k = 0; k < kColBand / 4; ++k) {
+      const Lanes4 d = load4(dy + 4 * k);
+      g[k] += d * load4(xh + 4 * k);
+      b[k] += d;
+    }
+  }
+  for (std::size_t k = 0; k < kColBand / 4; ++k) {
+    store4(dgamma + c0 + 4 * k, g[k]);
+    store4(dbeta + c0 + 4 * k, b[k]);
+  }
+}
+
+/// dγ/dβ of columns [c0, c1), summed over `rows` in span order in one walk
+/// that accumulates in dgamma / dbeta: the whole row when no other band
+/// runs, or the tail band.
+inline void norm_param_cols(const Matrix& grad_out, const Matrix& xhat,
+                            std::span<const NodeId> rows, std::size_t c0,
+                            std::size_t c1, float* dgamma, float* dbeta) {
+  float* __restrict dg = dgamma + c0;
+  float* __restrict db = dbeta + c0;
+  for (NodeId r : rows) {
+    const float* __restrict dy = grad_out.row(r).data() + c0;
+    const float* __restrict xh = xhat.row(r).data() + c0;
+    for (std::size_t c = 0; c < c1 - c0; ++c) {
+      dg[c] += dy[c] * xh[c];
+      db[c] += dy[c];
+    }
+  }
+}
+
 }  // namespace
 
 void LayerNorm::forward_rows(const Matrix& in, Matrix& out, Cache& cache,
@@ -114,19 +176,25 @@ void LayerNorm::backward_rows(const Matrix& grad_out, const Cache& cache,
   for_each_row(rows, [&](NodeId r) {
     layer_norm_backward_row(grad_out, cache, grad_in, gamma.value, r);
   });
-  // dγ += Σ_r dy⊙x̂ ; dβ += Σ_r dy — one serial pass in span order, so each
-  // element sums its rows in the same order at any thread count. The column
-  // loop carries no dependence and vectorizes.
-  float* __restrict dg = dgamma.data();
-  float* __restrict db = dbeta.data();
-  for (NodeId r : rows) {
-    const float* __restrict dy = grad_out.row(r).data();
-    const float* __restrict xh = cache.normalized.row(r).data();
-    for (std::size_t c = 0; c < dim; ++c) {
-      dg[c] += dy[c] * xh[c];
-      db[c] += dy[c];
+  // dγ += Σ_r dy⊙x̂ ; dβ += Σ_r dy in 16-column bands: each column sums its
+  // rows in span order, so any banding is bit-identical to one serial pass.
+  // A chunk that holds every band (1 thread, or inside a pool task) walks
+  // the rows once over all columns instead.
+  const std::size_t bands = (dim + kColBand - 1) / kColBand;
+  float* dg = dgamma.data();
+  float* db = dbeta.data();
+  parallel_for(bands, 1, [&](std::size_t lo, std::size_t hi) {
+    if (lo == 0 && hi == bands) {
+      norm_param_cols(grad_out, cache.normalized, rows, 0, dim, dg, db);
+      return;
     }
-  }
+    for (std::size_t c0 = lo * kColBand; c0 < hi * kColBand; c0 += kColBand) {
+      if (dim - c0 >= kColBand)
+        norm_param_band(grad_out, cache.normalized, rows, c0, dg, db);
+      else
+        norm_param_cols(grad_out, cache.normalized, rows, c0, dim, dg, db);
+    }
+  });
 }
 
 void epilogue_adjoint_rows(const Matrix& grad_out, const Matrix& drop_mask,
@@ -180,8 +248,12 @@ void GnnLayer::forward(const DeviceGraph& dev, const Matrix& x_local,
 void GnnLayer::forward_prepare(const DeviceGraph& dev, LayerCache& cache,
                                Rng& rng, bool training) const {
   const std::size_t owned = dev.num_owned;
-  if (!cache.agg_plan.ready)
-    cache.agg_plan = build_aggregate_plan(dev, config_.aggregator);
+  if (!cache.agg_plan)
+    cache.agg_plan = std::make_shared<const AggregatePlan>(  // lint:allow(hot-path-alloc) first call on a cache without a device plan
+        build_aggregate_plan(dev, config_.aggregator,
+                             {dev.owned_span(), dev.central_span(),
+                              dev.marginal_span()}));
+  ADAQP_CHECK(cache.agg_plan->agg == config_.aggregator);
   // Reshape in place: a no-op once shapes are stable, so steady-state epochs
   // never reallocate the cache. Every ensured matrix is (re)written by the
   // forward_rows calls that follow.
@@ -218,12 +290,12 @@ void GnnLayer::forward_rows(const DeviceGraph& dev, const Matrix& x_local,
   ADAQP_CHECK(out.rows() >= dev.num_owned && out.cols() == config_.out_dim);
   ADAQP_CHECK(cache.pre_norm.rows() == dev.num_owned);
 
-  ADAQP_CHECK(cache.agg_plan.ready);  // forward_prepare builds the plan
+  ADAQP_CHECK(cache.agg_plan);  // set by the trainer or forward_prepare
   if (config_.aggregator != Aggregator::kSageMean) {
-    aggregate_forward(dev, cache.agg_plan, x_local, rows, cache.agg);
+    aggregate_forward(dev, *cache.agg_plan, x_local, rows, cache.agg);
     gemm_rows(cache.agg, weight_.value, cache.pre_norm, rows);
   } else {
-    aggregate_forward(dev, cache.agg_plan, x_local, rows, cache.mean_nbr);
+    aggregate_forward(dev, *cache.agg_plan, x_local, rows, cache.mean_nbr);
     gemm_rows(cache.mean_nbr, weight_.value, cache.pre_norm, rows);
     // Self path uses the owned rows of x (cached for dW_self).
     for_each_row(rows, [&](NodeId v) {
@@ -284,7 +356,7 @@ void GnnLayer::backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
                              InputGrad input_grad) const {
   ADAQP_CHECK(grad_out.rows() >= dev.num_owned);
   ADAQP_CHECK(grad_out.cols() == config_.out_dim);
-  ADAQP_CHECK(cache.agg_plan.ready);
+  ADAQP_CHECK(cache.agg_plan);
   if (rows.empty()) {
     // Old contract: an empty subset contributes nothing. Leave the sink's
     // members empty so apply_grads skips them.
@@ -317,10 +389,10 @@ void GnnLayer::backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
   }
 
   // Dense transform backward restricted to the subset. Weight-gradient
-  // partials sum the subset's rows in span order, and the input-gradient
-  // scatter folds contributions to a shared destination in span order too. Neighbor path: cache.mean_nbr for
-  // SAGE, cache.agg otherwise, with weight_; SAGE self path: cache.agg
-  // (owned input rows), weight_self_.
+  // partials sum the subset's rows in span order, and the aggregation
+  // adjoint folds contributions to a shared destination in span order too.
+  // Neighbor path: cache.mean_nbr for SAGE, cache.agg otherwise, with
+  // weight_; SAGE self path: cache.agg (owned input rows), weight_self_.
   const bool sage = config_.aggregator == Aggregator::kSageMean;
   gemm_tn_rows(sage ? cache.mean_nbr : cache.agg, s.dpre_norm, sink.weight,
                rows);
@@ -334,7 +406,7 @@ void GnnLayer::backward_rows(const DeviceGraph& dev, const Matrix& grad_out,
   ADAQP_CHECK(grad_x.cols() == config_.in_dim);
   s.dagg.reshape_uninit(dev.num_owned, config_.in_dim);
   gemm_nt_rows(s.dpre_norm, weight_.value, s.dagg, rows, s.wt);
-  aggregate_backward(dev, cache.agg_plan, s.dagg, rows, grad_x);
+  aggregate_backward(dev, *cache.agg_plan, s.dagg, rows, grad_x);
   if (sage) {
     s.dself.reshape_uninit(dev.num_owned, config_.in_dim);
     gemm_nt_rows(s.dpre_norm, weight_self_.value, s.dself, rows, s.wt);

@@ -9,6 +9,7 @@
 // LayerCache so one shared weight set can serve any number of devices.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "gnn/aggregate.h"
@@ -56,9 +57,9 @@ struct LayerNorm {
   /// The per-row adjoint of `rows`, in parallel_for row bands. grad_in rows
   /// outside the subset are untouched (grad_in must be pre-sized to
   /// grad_out's shape); dgamma / dbeta (resized to 1 x dim and zeroed when
-  /// mis-shaped) accumulate the subset's rows in span order in one serial
-  /// pass, so per-subset partials folded in a fixed subset order are
-  /// deterministic.
+  /// mis-shaped) accumulate the subset's rows in span order, in
+  /// parallel_for bands of 16 columns, so per-subset partials folded in a
+  /// fixed subset order are deterministic.
   void backward_rows(const Matrix& grad_out, const Cache& cache,
                      Matrix& grad_in, Matrix& dgamma, Matrix& dbeta,
                      std::span<const NodeId> rows) const;
@@ -96,8 +97,10 @@ struct LayerGrads {
 /// Per-device forward cache (intermediates needed by backward). All members
 /// are pre-sized by GnnLayer::forward_prepare, after which row-subset
 /// forward stages fill disjoint row slices concurrently. The aggregation
-/// plan is built on the first forward_prepare and reused for every later
-/// epoch (device topology and aggregator are fixed per trainer run).
+/// plan belongs to the device: the trainer points every layer's cache at
+/// the device's one plan before the first epoch. A cache without one gets
+/// a private plan on its first forward_prepare, with the adjoints of the
+/// owned, central and marginal rows.
 struct LayerCache {
   Matrix agg;          // GCN: Agg(x); SAGE: owned input rows (for dW_self)
   Matrix mean_nbr;     // SAGE only: Mean(x), num_owned x in_dim
@@ -106,7 +109,7 @@ struct LayerCache {
   Matrix pre_act;      // after LN, num_owned x out_dim
   Matrix drop_mask;    // dropout multipliers (pre-drawn by forward_prepare)
   Matrix self_scratch; // SAGE only: x_self·W_self staging
-  AggregatePlan agg_plan;  // per-edge coefficients (SIMD kernel path)
+  std::shared_ptr<const AggregatePlan> agg_plan;  // the device's plan
 };
 
 /// Per-(device, layer) temporaries of one backward call. Persist it across
@@ -125,7 +128,7 @@ struct LayerBackwardScratch {
 
 /// Whether a backward call produces the gradient wrt the layer input. The
 /// input layer's is never consumed (features are not trained), so the
-/// trainer skips its input-gradient GEMM and scatter.
+/// trainer skips its input-gradient GEMM and aggregation adjoint.
 enum class InputGrad { kCompute, kSkip };
 
 class GnnLayer {
@@ -163,7 +166,7 @@ class GnnLayer {
 
   /// Row-subset backward (the adjoint mirror of forward_rows), and the
   /// layer's only adjoint: epilogue derivative, weight-gradient partial sums
-  /// and input-gradient scatter of the owned rows in `rows` only. Overwrites
+  /// and input gradient of the owned rows in `rows` only. Overwrites
   /// `sink` with this subset's parameter-gradient partials instead of
   /// touching the shared Param gradients, so per-device calls may run
   /// concurrently; callers fold sinks with apply_grads in a fixed
@@ -173,8 +176,8 @@ class GnnLayer {
   ///
   /// With InputGrad::kCompute, accumulates into grad_x (pre-sized
   /// num_local x in_dim by the caller; NOT zeroed here). Central rows
-  /// scatter only into owned rows of grad_x; marginal rows also scatter into
-  /// halo rows — so the halo-gradient exchange depends only on the marginal
+  /// write only owned rows of grad_x; marginal rows also write halo rows —
+  /// so the halo-gradient exchange depends only on the marginal
   /// subset, and central-row backward can run while that exchange is in
   /// flight. Subsets that share destination rows must be ordered (marginal
   /// before central in the trainer's stage graph); then any schedule is

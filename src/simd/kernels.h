@@ -122,8 +122,7 @@ struct KernelTable {
                       std::uint32_t* out);
 
   /// Row update: c[j] += a * b[j] for j in [0, n), each element an
-  /// independent unfused multiply-add (Matrix::axpy_inplace and the
-  /// aggregation backward scatter).
+  /// independent unfused multiply-add (Matrix::axpy_inplace).
   void (*axpy)(float a, const float* b, float* c, std::size_t n);
 
   /// Aggregation self-term: dst[j] = a * src[j] for j in [0, n) — a pure
@@ -145,7 +144,8 @@ struct KernelTable {
   void (*ef_residual)(const float* a, const float* b, float* dst,
                       std::size_t n);
 
-  /// Register-resident row reduction — the aggregation gather and, with
+  /// Register-resident row reduction — the aggregation gather, its
+  /// adjoint's gather over the transposed plan and, with
   /// idx == nullptr, one GEMM row: for each k ascending in [0, count),
   /// dst[j] += coeffs[k] * base[row(k) * stride + j] for j in [0, n), where
   /// row(k) = idx[k], or k when idx is nullptr. Each dst tile of up to 64

@@ -539,6 +539,45 @@ TEST(LayerNorm, RowsBitIdenticalAcrossThreadCounts) {
   set_num_threads(prev);
 }
 
+// At 2 and 3 threads a parallel_for chunk holds several dγ/dβ column bands
+// (70 columns: four full bands and a 6-column tail), unlike the 1-thread
+// single walk and the one-band chunks at 4 and 8 threads.
+TEST(LayerNorm, ParamBandsBitIdenticalWhenChunksHoldSeveralBands) {
+  constexpr std::size_t kRows = 300, kDim = 70;
+  Rng rng(92);
+  LayerNorm ln(kDim);
+  ln.gamma.value.fill_uniform(rng, 0.5f, 1.5f);
+  Matrix in(kRows, kDim);
+  in.fill_uniform(rng, -3.0f, 3.0f);
+  Matrix grad_out(kRows, kDim);
+  grad_out.fill_uniform(rng, -2.0f, 2.0f);
+  std::vector<NodeId> rows;
+  for (NodeId r = kRows; r-- > 0;) rows.push_back(r);
+
+  LayerNorm::Cache cache;
+  cache.normalized = Matrix(kRows, kDim);
+  cache.rstd.assign(kRows, 0.0f);
+  Matrix out(kRows, kDim), grad_in(kRows, kDim);
+  ln.forward_rows(in, out, cache, rows);
+  Matrix ref_dgamma(1, kDim), ref_dbeta(1, kDim), ref_grad_in(kRows, kDim);
+  ref_dgamma.fill(0.25f);
+  ref_dbeta.fill(-0.5f);
+  ln_reference_backward(ln, grad_out, cache, ref_grad_in, ref_dgamma,
+                        ref_dbeta, rows);
+
+  const int prev = num_threads();
+  for (int threads : {2, 3}) {
+    set_num_threads(threads);
+    Matrix dgamma(1, kDim), dbeta(1, kDim);
+    dgamma.fill(0.25f);
+    dbeta.fill(-0.5f);
+    ln.backward_rows(grad_out, cache, grad_in, dgamma, dbeta, rows);
+    EXPECT_TRUE(same_bits(dgamma, ref_dgamma)) << threads << " threads";
+    EXPECT_TRUE(same_bits(dbeta, ref_dbeta)) << threads << " threads";
+  }
+  set_num_threads(prev);
+}
+
 TEST(Model, LayerDimensionChain) {
   Rng rng(43);
   ModelConfig mc;

@@ -4,7 +4,11 @@
 // non-multiple-of-block shapes), and a full DistTrainer::run().
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/trainer.h"
@@ -180,8 +184,9 @@ TEST(AggregateDeterminism, ForwardAndAdjointBitExactAcrossThreadCounts) {
       ASSERT_EQ(max_abs_diff(fwd1, fwd8), 0.0f);
       ASSERT_EQ(max_abs_diff(adj1, adj8), 0.0f);
 
-      // The plan-based kernels (the trainer's path; the adjoint bands over
-      // destination rows) reproduce the serial plan-less ones bit for bit.
+      // The plan-based kernels reproduce the serial plan-less ones bit for
+      // bit (a plan without adjoints runs the serial scatter; the gather
+      // adjoint is GatherAdjointBitExactInTrainerOrder's).
       const AggregatePlan plan = build_aggregate_plan(dev, agg);
       Matrix plan_fwd(dev.num_owned, 9), plan_adj(dev.num_local(), 9);
       {
@@ -193,6 +198,93 @@ TEST(AggregateDeterminism, ForwardAndAdjointBitExactAcrossThreadCounts) {
       ASSERT_EQ(max_abs_diff(adj1, plan_adj), 0.0f);
     }
   }
+}
+
+/// Bit-for-bit equality: max_abs_diff cannot tell -0 from +0.
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+bool same_row_bits(const Matrix& a, const Matrix& b, std::size_t r) {
+  return std::memcmp(a.row(r).data(), b.row(r).data(),
+                     a.cols() * sizeof(float)) == 0;
+}
+
+TEST(AggregateDeterminism, GatherAdjointBitExactInTrainerOrder) {
+  Rng rng(78);
+  const Graph er = erdos_renyi(220, 1500, rng);
+  // One more node without edges: its row gathers only its own self entry.
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v < er.num_nodes(); ++v)
+    for (NodeId u : er.neighbors(v))
+      if (v < u) edges.emplace_back(v, u);
+  const Graph g = build_graph(er.num_nodes() + 1, edges);
+  const auto part = MultilevelPartitioner().partition(g, 3, rng);
+  const DistGraph dist = build_dist_graph(g, part);
+  constexpr std::size_t kDim = 9;
+
+  bool saw_isolated = false, saw_halo = false, saw_plus_zero = false;
+  for (const Aggregator agg : {Aggregator::kGcn, Aggregator::kSageMean}) {
+    for (const auto& dev : dist.devices) {
+      for (std::size_t v = 0; v < dev.num_owned; ++v)
+        saw_isolated |= dev.degree(static_cast<NodeId>(v)) == 0;
+      saw_halo |= dev.num_halo > 0 && !dev.marginal_span().empty();
+      const Matrix gout = random_matrix(dev.num_owned, kDim, 3000 + dev.device);
+      // Every row starts at -0: a zero coefficient (SAGE's self term) turns
+      // it into +0 wherever the gradient is positive, so the gather must
+      // keep zero-coefficient entries.
+      Matrix init(dev.num_local(), kDim);
+      init.fill(-0.0f);
+
+      // The trainer's order (marginal rows, then central rows, into one
+      // gradient) and the whole-row call, through the serial scatter.
+      Matrix ref = init;
+      aggregate_backward(dev, agg, gout, dev.marginal_span(), ref);
+      aggregate_backward(dev, agg, gout, dev.central_span(), ref);
+      Matrix ref_owned = init;
+      aggregate_backward(dev, agg, gout, dev.owned_span(), ref_owned);
+      for (std::size_t i = 0; i < ref.size(); ++i)
+        saw_plus_zero |= std::bit_cast<std::uint32_t>(ref.data()[i]) == 0u;
+
+      const AggregatePlan plan = build_aggregate_plan(
+          dev, agg,
+          {dev.marginal_span(), dev.central_span(), dev.owned_span()});
+      const AggregateAdjoint* central = plan.adjoint_for(dev.central_span());
+      ASSERT_NE(plan.adjoint_for(dev.owned_span()), nullptr);
+      ASSERT_EQ(plan.adjoint_for(dev.marginal_span()) == nullptr,
+                dev.marginal_span().empty());
+      ASSERT_EQ(central == nullptr, dev.central_span().empty());
+      // Matched by content: a copy of the rows finds the same adjoint.
+      const std::vector<NodeId> owned_copy(dev.owned_span().begin(),
+                                           dev.owned_span().end());
+      ASSERT_EQ(plan.adjoint_for(owned_copy),
+                plan.adjoint_for(dev.owned_span()));
+      // Central rows reach owned rows only: the gather has no halo row.
+      if (central != nullptr) {
+        for (NodeId u : central->dst) ASSERT_LT(u, dev.num_owned);
+      }
+
+      for (const int threads : {1, 4, 8}) {
+        ThreadCountGuard guard(threads);
+        Matrix got = init;
+        aggregate_backward(dev, plan, gout, dev.marginal_span(), got);
+        const Matrix after_marginal = got;
+        aggregate_backward(dev, plan, gout, dev.central_span(), got);
+        EXPECT_TRUE(same_bits(ref, got)) << "threads " << threads;
+        // The central call writes no halo row: the halo-gradient encode
+        // reads those rows while it runs.
+        for (std::size_t h = dev.num_owned; h < dev.num_local(); ++h)
+          ASSERT_TRUE(same_row_bits(after_marginal, got, h)) << "halo " << h;
+        Matrix got_owned = init;
+        aggregate_backward(dev, plan, gout, dev.owned_span(), got_owned);
+        EXPECT_TRUE(same_bits(ref_owned, got_owned)) << "threads " << threads;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_isolated);
+  EXPECT_TRUE(saw_halo);
+  EXPECT_TRUE(saw_plus_zero);
 }
 
 TEST(HaloExchangeDeterminism, QuantizedForwardBackwardBitExact) {

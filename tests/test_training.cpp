@@ -494,6 +494,16 @@ struct DistTrainerTestPeer {
       s.loss = std::numeric_limits<double>::quiet_NaN();
     }
   }
+
+  /// Device d's aggregation plan, and whether every layer cache shares it.
+  static const AggregatePlan& device_plan(const DistTrainer& trainer, int d,
+                                          bool& shared) {
+    const DistTrainer::DeviceState& s = trainer.devices_[d];
+    shared = true;
+    for (const DistTrainer::DeviceState::LayerScratch& ls : s.layers)
+      shared &= ls.cache.agg_plan == s.agg_plan;
+    return *s.agg_plan;
+  }
 };
 
 namespace {
@@ -545,6 +555,47 @@ TEST(DeviceState, ScratchCarriesNothingAcrossEpochs) {
   }
   pipeline::set_async_override(-1);
   set_num_threads(prev_threads);
+}
+
+// One aggregation plan per device, shared by every layer, holding the
+// adjoints of exactly the row sets its method's backward runs over:
+// central and marginal rows with overlap, the owned rows otherwise.
+TEST(DeviceState, OnePlanPerDeviceWithTheTrainingAdjoints) {
+  const Dataset ds = pin_dataset();
+  Rng rng(4242);
+  const auto part = MultilevelPartitioner().partition(ds.graph, 4, rng);
+  const DistGraph dist = build_dist_graph(ds.graph, part);
+  ModelConfig mc;
+  mc.in_dim = ds.spec.feature_dim;
+  mc.hidden_dim = 16;
+  mc.out_dim = ds.num_classes();
+  mc.num_layers = 3;
+  for (const Method m : {Method::kVanilla, Method::kAdaQP,
+                         Method::kAdaQPUniform, Method::kPipeGCN,
+                         Method::kSancus}) {
+    TrainOptions opts;
+    opts.method = m;
+    const DistTrainer trainer(ds, dist, ClusterSpec::machines(2, 2), mc,
+                              opts);
+    const bool overlap = m == Method::kAdaQP || m == Method::kAdaQPUniform;
+    for (int d = 0; d < dist.num_devices(); ++d) {
+      const DeviceGraph& dev = dist.devices[d];
+      bool shared = false;
+      const AggregatePlan& plan =
+          DistTrainerTestPeer::device_plan(trainer, d, shared);
+      const std::string at = method_name(m) + " device " + std::to_string(d);
+      EXPECT_TRUE(shared) << at;
+      ASSERT_FALSE(dev.marginal_span().empty() || dev.central_span().empty())
+          << at;
+      EXPECT_EQ(plan.adjoints.size(), overlap ? 2u : 1u) << at;
+      EXPECT_EQ(plan.adjoint_for(dev.marginal_span()) != nullptr, overlap)
+          << at;
+      EXPECT_EQ(plan.adjoint_for(dev.central_span()) != nullptr, overlap)
+          << at;
+      EXPECT_EQ(plan.adjoint_for(dev.owned_span()) != nullptr, !overlap)
+          << at;
+    }
+  }
 }
 
 }  // namespace
